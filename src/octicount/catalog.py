@@ -160,17 +160,19 @@ def quartic_subgroups(G: PermGroup, H_L: Optional[PermGroup] = None) -> list[Per
     """
     if H_L is None:
         H_L = G.stabilizer(1)
-    hl_elems = H_L.elements
     found = []
     for cls in subgroup_classes(G):
         if cls.order * 4 != G.order:
             continue
         rep_elems = cls.representative.elements
+        # The first g (in image order) with H_L <= g R g^-1, i.e. with
+        # g^-1 h g in R for each generator h of H_L.
         for g in sorted(G.elements, key=lambda p: p.images):
             ginv = g.inverse()
-            conj_elems = frozenset(g * h * ginv for h in rep_elems)
-            if hl_elems <= conj_elems:
-                H_K = PermGroup(sorted(conj_elems, key=lambda p: p.images), degree=G.degree)
+            if all(ginv * h * g in rep_elems for h in H_L.generators):
+                H_K = PermGroup.from_elements(
+                    [g * h * ginv for h in rep_elems], G.degree
+                )
                 if coset_action(G, H_K).image().order == 24:
                     found.append(H_K)
                 break

@@ -99,11 +99,6 @@ def _cmd_verify_groups(args) -> int:
 def _cmd_verify_splitting(args) -> int:
     labels = [args.group] if args.group else None
     reports = splitting.run_all_splitting_verifiers(labels)
-    if args.include_nontame:
-        # All enumerated configurations are tame-compatible by construction
-        # (the Frobenius normalizes the inertia subgroup); the flag is kept
-        # for diagnostics and is reflected in the vpn report details.
-        pass
     if args.json is not None:
         _write_json(_reports_payload(reports), args.json)
     else:
@@ -318,8 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, store=False):
         p.add_argument("--json", nargs="?", const="-", default=None,
                        metavar="PATH", help="emit JSON (to PATH, or stdout)")
-        p.add_argument("--threads", type=int, default=0,
-                       help="cap parallel fan-out (0 = auto); results are identical for any value")
         p.add_argument("--stamp", action="store_true",
                        help="append a timestamp footer on stderr")
         if store:
@@ -331,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-splitting", help="run the tame-splitting lemma verifiers")
     p.add_argument("--group", choices=list(LABELS), default=None)
-    p.add_argument("--include-nontame", action="store_true")
     common(p)
     p.set_defaults(fn=_cmd_verify_splitting)
 

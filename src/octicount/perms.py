@@ -9,6 +9,7 @@ a few hundred (the largest group this project cares about has order 384).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -16,7 +17,7 @@ from typing import Iterable, Optional
 
 MAX_DEGREE = 24
 MAX_ELEMENTS = 10**6
-SUBGROUP_ORDER_CAP = 10**4
+SUBGROUP_ORDER_CAP = 2048  # subgroup computations hold an order x order index table
 ISO_DEGREE_CAP = 12
 
 
@@ -43,6 +44,18 @@ class Perm:
         raise AttributeError("Perm is immutable")
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """Wrap an image tuple already known to be a bijection, unchecked.
+
+        Products and inverses of permutations are bijections by construction,
+        so only the public constructors validate.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "degree", len(images))
+        object.__setattr__(p, "images", images)
+        return p
+
+    @classmethod
     def identity(cls, degree: int) -> "Perm":
         return cls(range(1, degree + 1))
 
@@ -65,13 +78,13 @@ class Perm:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         imgs = self.images
-        return Perm(imgs[i - 1] for i in other.images)
+        return Perm._trusted(tuple([imgs[i - 1] for i in other.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * self.degree
         for i, y in enumerate(self.images):
             inv[y - 1] = i + 1
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def conjugate_by(self, g: "Perm") -> "Perm":
         """g * self * g^-1"""
@@ -178,6 +191,21 @@ class PermGroup:
         self.generators = gens
 
     @classmethod
+    def from_elements(
+        cls, elements: Iterable[Perm], degree: int, generators: Iterable[Perm] = ()
+    ) -> "PermGroup":
+        """Group whose complete element set is already known.
+
+        `elements` must be closed under multiplication; this is not checked.
+        The set seeds the `elements` cache, so the group is never re-closed.
+        The generators default to the elements themselves.
+        """
+        elems = frozenset(elements)
+        group = cls(tuple(generators) or elems, degree=degree)
+        group.__dict__["elements"] = elems
+        return group
+
+    @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
         return cls((), degree=degree)
 
@@ -245,18 +273,7 @@ class PermGroup:
         )
 
     def orbit(self, point: int) -> frozenset[int]:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = g(x)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
+        return frozenset(_orbit(point, self.generators))
 
     def orbits(self) -> list[frozenset[int]]:
         remaining = set(range(1, self.degree + 1))
@@ -272,13 +289,18 @@ class PermGroup:
 
     @cached_property
     def conjugacy_classes(self) -> list[frozenset[Perm]]:
-        """Conjugacy classes of elements, ordered by (min cycle type, size)."""
-        elems = self.elements
-        remaining = set(elems)
+        """Conjugacy classes of elements, ordered by (min cycle type, size).
+
+        Each class is the orbit of one element under conjugation by the
+        generators.
+        """
+        moves = [
+            lambda x, g=g, ginv=g.inverse(): g * x * ginv for g in self.generators
+        ]
+        remaining = set(self.elements)
         classes = []
         while remaining:
-            x = next(iter(remaining))
-            cls = frozenset(g * x * g.inverse() for g in elems)
+            cls = frozenset(_orbit(next(iter(remaining)), moves))
             classes.append(cls)
             remaining -= cls
         classes.sort(key=lambda c: (sorted(p.cycle_type() for p in c)[0], len(c)))
@@ -287,7 +309,7 @@ class PermGroup:
     def stabilizer(self, point: int) -> "PermGroup":
         """Point stabilizer, by element scan (fine at this scale)."""
         elems = [g for g in self.elements if g(point) == point]
-        return PermGroup(elems, degree=self.degree)
+        return PermGroup.from_elements(elems, self.degree)
 
     def normalizer(self, sub: "PermGroup") -> "PermGroup":
         subset = sub.elements
@@ -296,17 +318,20 @@ class PermGroup:
             for g in self.elements
             if all(g * h * g.inverse() in subset for h in sub.generators)
         ]
-        return PermGroup(elems, degree=self.degree)
+        return PermGroup.from_elements(elems, self.degree)
+
+    def conjugates_of(self, subset: Iterable[Perm]) -> set[frozenset[Perm]]:
+        """Every g S g^-1 for g in self: the orbit of S under the generators."""
+        moves = [
+            lambda s, g=g, ginv=g.inverse(): frozenset([g * h * ginv for h in s])
+            for g in self.generators
+        ]
+        return _orbit(frozenset(subset), moves)
 
     def normal_core(self, sub: "PermGroup") -> "PermGroup":
         """Largest normal subgroup of self contained in sub."""
-        core = set(sub.elements)
-        for g in self.elements:
-            ginv = g.inverse()
-            core &= {g * h * ginv for h in sub.elements}
-            if len(core) == 1:
-                break
-        return PermGroup(list(core), degree=self.degree)
+        core = frozenset.intersection(*self.conjugates_of(sub.elements))
+        return PermGroup.from_elements(core, self.degree)
 
     def conjugate(self, g: Perm) -> "PermGroup":
         ginv = g.inverse()
@@ -330,6 +355,27 @@ class PermGroup:
         degree = int(head.strip())
         gens = [parse_cycle_string(degree, tok) for tok in body.split()]
         return cls(gens, degree=degree)
+
+
+def _orbit(seed, moves) -> set:
+    """Closure of {seed} under the maps in `moves`, by breadth-first search.
+
+    When the maps are a group's generators acting on some set, this is the
+    orbit under the whole group: a finite group is generated as a monoid by
+    any set of group generators.
+    """
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for move in moves:
+                y = move(x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
 
 
 def _stabilizer_chain_order(gen_images: list[list[int]], degree: int) -> int:
@@ -414,38 +460,52 @@ def wreath_c2_s4() -> PermGroup:
 # Fast indexed context for subgroup computations
 
 class _Ctx:
-    """Element-indexed view of a group: multiplication by integer indices."""
+    """Element-indexed view of a group: multiplication by integer indices.
+
+    Elements are numbered in ascending order of their image tuples, so
+    comparing sorted index lists compares sorted image lists.  `right[j]` is
+    right multiplication by element j as a map on indices, `right[j][i]` is
+    the index of elems[i] * elems[j].
+    """
 
     def __init__(self, G: PermGroup):
+        if G.order > SUBGROUP_ORDER_CAP:
+            raise GroupTooLargeError(
+                f"subgroup computations capped at order {SUBGROUP_ORDER_CAP}"
+            )
         self.G = G
         self.elems: list[Perm] = sorted(G.elements, key=lambda p: p.images)
         self.idx = {p: i for i, p in enumerate(self.elems)}
         self.n = len(self.elems)
         self.e = self.idx[G.identity]
-        self.inv = [self.idx[p.inverse()] for p in self.elems]
-        self._table: Optional[list[list[int]]] = None
-        if self.n <= 2048:
-            idx = self.idx
-            self._table = [
-                [idx[a * b] for b in self.elems] for a in self.elems
-            ]
-
-    def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
-        return self.idx[self.elems[i] * self.elems[j]]
-
-    def conj(self, i: int, g: int) -> int:
-        """g * i * g^-1"""
-        return self.mul(self.mul(g, i), self.inv[g])
-
-    def cyclic(self, i: int) -> frozenset[int]:
-        out = [self.e]
-        x = i
-        while x != self.e:
-            out.append(x)
-            x = self.mul(x, i)
-        return frozenset(out)
+        # Right multiplication by each generator, composed on image tuples.
+        by_images = {p.images: i for i, p in enumerate(self.elems)}
+        gen_maps = []
+        for g in G.generators:
+            shift = [x - 1 for x in g.images]
+            gen_maps.append(
+                [by_images[tuple(map(p.images.__getitem__, shift))] for p in self.elems]
+            )
+        # Every element is t * g for an earlier t in breadth-first order, and
+        # x * (t * g) = (x * t) * g, so each column is a generator map applied
+        # to an earlier column.
+        right: list[Optional[list[int]]] = [None] * self.n
+        right[self.e] = list(range(self.n))
+        reached = [self.e]
+        for t in reached:
+            col = right[t]
+            for gmap in gen_maps:
+                j = gmap[t]
+                if right[j] is None:
+                    right[j] = list(map(gmap.__getitem__, col))
+                    reached.append(j)
+        self.right: list[list[int]] = right
+        # Conjugation x -> g x g^-1 by each generator g, as a map on indices.
+        self.conj_maps = []
+        for g in G.generators:
+            gi = self.idx[g]
+            to_right = right[self.idx[g.inverse()]]
+            self.conj_maps.append([to_right[right[x][gi]] for x in range(self.n)])
 
     def close(self, base: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
         """Subgroup generated by a closed subgroup `base` and extra `gens`.
@@ -453,20 +513,27 @@ class _Ctx:
         Coset enumeration: the result is a union of right cosets of base.
         """
         elems = set(base)
-        mul = self.mul
-        base_list = list(base)
+        right = self.right
         queue = [self.e]
         while queue:
             t = queue.pop()
             for g in gens:
-                u = mul(t, g)
+                u = right[g][t]
                 if u not in elems:
-                    elems.update(mul(h, u) for h in base_list)
+                    elems.update(map(right[u].__getitem__, base))
                     queue.append(u)
         return frozenset(elems)
 
-    def subgroup(self, members: frozenset[int]) -> PermGroup:
-        return PermGroup([self.elems[i] for i in members], degree=self.G.degree)
+    def conjugates(self, members: frozenset[int]) -> set[frozenset[int]]:
+        """The G-conjugacy class of a subgroup, given as an index set."""
+        moves = [lambda s, c=c: frozenset(map(c.__getitem__, s)) for c in self.conj_maps]
+        return _orbit(members, moves)
+
+    def subgroup(self, members: frozenset[int], gens: Iterable[int] = ()) -> PermGroup:
+        elems = self.elems
+        return PermGroup.from_elements(
+            [elems[i] for i in members], self.G.degree, [elems[i] for i in gens]
+        )
 
 
 @dataclass(frozen=True)
@@ -491,14 +558,12 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     for |G| <= a few hundred.  Results are cached per group (groups are
     immutable and hash by element set).
     """
-    if G.order > SUBGROUP_ORDER_CAP:
-        raise GroupTooLargeError(f"subgroup lattice capped at order {SUBGROUP_ORDER_CAP}")
     ctx = _Ctx(G)
-    all_idx = range(ctx.n)
 
+    trivial = frozenset([ctx.e])
     cyclics: dict[frozenset[int], int] = {}
-    for i in all_idx:
-        cyclics.setdefault(ctx.cyclic(i), i)
+    for i in range(ctx.n):
+        cyclics.setdefault(ctx.close(trivial, (i,)), i)
 
     seen: dict[frozenset[int], int] = {}
     reps: list[frozenset[int]] = []
@@ -509,10 +574,7 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
         if members in seen:
             return False
         cid = len(reps)
-        orbit = {members}
-        for g in all_idx:
-            conj = frozenset(ctx.conj(i, g) for i in members)
-            orbit.add(conj)
+        orbit = ctx.conjugates(members)
         for s in orbit:
             seen[s] = cid
         reps.append(members)
@@ -520,7 +582,7 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
         class_sizes.append(len(orbit))
         return True
 
-    add_class(frozenset([ctx.e]), ())
+    add_class(trivial, ())
     for members, gen in sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
         add_class(members, (gen,))
 
@@ -536,17 +598,12 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
             add_class(joined, gens + (cgen,))
         cursor += 1
 
-    out = [
-        SubgroupClass(ctx.subgroup(reps[i]), class_sizes[i], G)
-        for i in range(len(reps))
-    ]
-    out.sort(
-        key=lambda c: (
-            c.order,
-            sorted(p.images for p in c.representative.elements),
-        )
+    # Ordered by (order, sorted element images); index order is image order.
+    ranked = sorted(range(len(reps)), key=lambda i: (len(reps[i]), sorted(reps[i])))
+    return tuple(
+        SubgroupClass(ctx.subgroup(reps[i], rep_gens[i]), class_sizes[i], G)
+        for i in ranked
     )
-    return tuple(out)
 
 
 def all_subgroups(G: PermGroup) -> list[PermGroup]:
@@ -555,8 +612,7 @@ def all_subgroups(G: PermGroup) -> list[PermGroup]:
     out_sets: set[frozenset[int]] = set()
     for cls in subgroup_classes(G):
         members = frozenset(ctx.idx[p] for p in cls.representative.elements)
-        for g in range(ctx.n):
-            out_sets.add(frozenset(ctx.conj(i, g) for i in members))
+        out_sets |= ctx.conjugates(members)
     return [ctx.subgroup(s) for s in sorted(out_sets, key=lambda s: (len(s), sorted(s)))]
 
 
@@ -619,7 +675,7 @@ class CosetAction:
     def kernel(self) -> PermGroup:
         ident = Perm.identity(self.induced_degree)
         elems = [g for g in self.group.elements if self.act(g) == ident]
-        return PermGroup(elems, degree=self.group.degree)
+        return PermGroup.from_elements(elems, self.group.degree)
 
 
 def coset_action(G: PermGroup, H: PermGroup, max_index: int = 24) -> CosetAction:
@@ -646,7 +702,10 @@ def coset_action(G: PermGroup, H: PermGroup, max_index: int = 24) -> CosetAction
                     coset_of[x * h] = k
                 reps.append(x)
                 queue.append(x)
-    assert len(reps) == index
+    if len(reps) != index:
+        raise RuntimeError(
+            f"found {len(reps)} cosets, expected |G|/|H| = {index}: H is not closed"
+        )
     return CosetAction(G, H, index, coset_of, tuple(reps))
 
 
@@ -666,7 +725,6 @@ def quotient_as_perm(G: PermGroup, N: PermGroup) -> PermGroup:
 
 
 def _centralizer_order_in_sym(cycle_type: tuple[int, ...]) -> int:
-    from collections import Counter
     from math import factorial
 
     out = 1
@@ -749,7 +807,10 @@ def perm_isomorphic(A: PermGroup, B: PermGroup) -> Optional[Perm]:
             cinv = c.inverse()
             if all(c * g * cinv in b_set for g in rest):
                 # verify the full witness, never trust the search
-                assert all(c * g * cinv in b_set for g in A.generators)
+                if not all(c * g * cinv in b_set for g in A.generators):
+                    raise RuntimeError(
+                        f"conjugator {c.cycle_string()} does not map A into B"
+                    )
                 return c
     return None
 
@@ -769,48 +830,110 @@ def small_generating_set(G: PermGroup) -> list[Perm]:
     return gens or [G.identity]
 
 
-def abstract_isomorphic(A: PermGroup, B: PermGroup) -> bool:
-    """Abstract group isomorphism, by generator-image backtracking.
+def _class_invariants(G: PermGroup) -> dict[Perm, tuple[int, int]]:
+    """(element order, conjugacy class size) of every element of G."""
+    out = {}
+    for cls in G.conjugacy_classes:
+        key = (next(iter(cls)).order(), len(cls))
+        for p in cls:
+            out[p] = key
+    return out
 
-    Degrees may differ.  A candidate image assignment is extended to the
-    whole group by closure; any multiplication conflict rejects it.
+
+def _extend_hom(
+    phi: dict[Perm, Perm], pairs: list[tuple[Perm, Perm]]
+) -> Optional[dict[Perm, Perm]]:
+    """Extend an injective homomorphism by one more generator image.
+
+    `phi` is an injective homomorphism on the subgroup generated by the
+    domain elements of pairs[:-1]; pairs[-1] is the new generator and its
+    proposed image.  Returns the injective homomorphism on the subgroup
+    generated by all of them, or None when a product conflicts or an image
+    repeats.  Elements already in the domain are multiplied by the new
+    generator only: their products with the old ones were checked before.
+    """
+    phi = dict(phi)
+    used = set(phi.values())
+    queue = [(a, fa, pairs[-1:]) for a, fa in phi.items()]
+    while queue:
+        a, fa, steps = queue.pop()
+        for g, fg in steps:
+            ag = a * g
+            fag = fa * fg
+            known = phi.get(ag)
+            if known is None:
+                if fag in used:
+                    return None
+                phi[ag] = fag
+                used.add(fag)
+                queue.append((ag, fag, pairs))
+            elif known != fag:
+                return None
+    return phi
+
+
+def _check_isomorphism(
+    phi: dict[Perm, Perm], gens: list[Perm], A: PermGroup, B: PermGroup
+) -> None:
+    """Raise unless phi is a bijection A -> B respecting products with gens.
+
+    For gens generating A, phi(a g) = phi(a) phi(g) for every a in A and g in
+    gens makes phi a homomorphism, as every element is a word in gens.
+    """
+    if set(phi) != A.elements or set(phi.values()) != B.elements:
+        raise RuntimeError("isomorphism witness is not a bijection A -> B")
+    for a, fa in phi.items():
+        for g in gens:
+            if phi[a * g] != fa * phi[g]:
+                raise RuntimeError("isomorphism witness does not respect products")
+
+
+def abstract_isomorphic(A: PermGroup, B: PermGroup) -> bool:
+    """Abstract group isomorphism, by class-restricted generator backtracking.
+
+    Degrees may differ.  Groups are first compared by the multiset of
+    (element order, class size), which also fixes the order of the centre.
+    A generating set of A is then mapped one generator at a time: the first
+    image ranges over one representative per conjugacy class of B (composing
+    with an inner automorphism of B moves it to any conjugate), later images
+    over the elements of B with matching (order, class size).  Each choice
+    extends the map over the subgroup generated so far and is dropped at the
+    first conflicting product or repeated image.  A complete map is
+    re-verified as a bijective homomorphism before True is returned.
     """
     if A.order != B.order:
         return False
-    if sorted(g.order() for g in A.elements) != sorted(g.order() for g in B.elements):
+    inv_a = _class_invariants(A)
+    inv_b = _class_invariants(B)
+    if Counter(inv_a.values()) != Counter(inv_b.values()):
         return False
+
+    candidates: dict[tuple[int, int], list[Perm]] = {}
+    for p in sorted(B.elements, key=lambda p: p.images):
+        candidates.setdefault(inv_b[p], []).append(p)
+    class_reps: dict[tuple[int, int], list[Perm]] = {}
+    for cls in B.conjugacy_classes:
+        rep = min(cls, key=lambda p: p.images)
+        class_reps.setdefault(inv_b[rep], []).append(rep)
+
     gens = small_generating_set(A)
-    b_elems = sorted(B.elements, key=lambda p: p.images)
 
-    def extend(images: list[Perm]) -> bool:
-        # build the map <gens> -> B by breadth-first closure
-        phi = {A.identity: B.identity}
-        frontier = [A.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                fa = phi[a]
-                for g, fg in zip(gens, images):
-                    ag = a * g
-                    fag = fa * fg
-                    if ag in phi:
-                        if phi[ag] != fag:
-                            return False
-                    else:
-                        phi[ag] = fag
-                        nxt.append(ag)
-            frontier = nxt
-        return len(phi) == A.order and len(set(phi.values())) == A.order
-
-    def backtrack(k: int, images: list[Perm]) -> bool:
+    def search(phi: dict[Perm, Perm], pairs: list[tuple[Perm, Perm]]):
+        k = len(pairs)
         if k == len(gens):
-            return extend(images)
-        want = gens[k].order()
-        for b in b_elems:
-            if b.order() != want:
-                continue
-            if backtrack(k + 1, images + [b]):
-                return True
-        return False
+            return phi
+        g = gens[k]
+        for b in (class_reps if k == 0 else candidates).get(inv_a[g], ()):
+            step = pairs + [(g, b)]
+            extended = _extend_hom(phi, step)
+            if extended is not None:
+                found = search(extended, step)
+                if found is not None:
+                    return found
+        return None
 
-    return backtrack(0, [])
+    phi = search({A.identity: B.identity}, [])
+    if phi is None:
+        return False
+    _check_isomorphism(phi, gens, A, B)
+    return True

@@ -9,7 +9,6 @@ it, which is the right level of generality for the verified lemmas.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
@@ -22,7 +21,7 @@ from .perms import (
     perm_index,
     index_set,
 )
-from .verify import VerificationReport
+from .verify import VerificationReport, _timed
 
 __all__ = [
     "TameConfig",
@@ -154,9 +153,7 @@ def _cyclic_subgroup_class_reps(G: PermGroup) -> list[Perm]:
         if tau.order() == 1:
             continue
         I_elems = frozenset(_power(tau, k) for k in range(tau.order()))
-        orbit = frozenset(
-            frozenset(g * h * g.inverse() for h in I_elems) for g in G.elements
-        )
+        orbit = G.conjugates_of(I_elems)
         key = min(orbit, key=lambda s: sorted(p.images for p in s))
         joined = frozenset(key)
         if joined in seen:
@@ -253,14 +250,6 @@ def valuation_profile(
                 f"orbit formula gives {sym.disc_valuation()}, index formula gives {v}"
             )
     return ValuationProfile(v_disc_L=v_L, v_disc_K=v_K, v_norm=v_L - 2 * v_K)
-
-
-def _timed(body, claim_id: str) -> VerificationReport:
-    report = VerificationReport(claim_id=claim_id)
-    start = time.perf_counter()
-    body(report)
-    report.elapsed = time.perf_counter() - start
-    return report
 
 
 def _configs_with_profiles(label: str, include_nontame: bool = False):

@@ -70,7 +70,11 @@ def _timed(fn: Callable[[VerificationReport], None], claim_id: str) -> Verificat
     start = time.perf_counter()
     fn(report)
     report.elapsed = time.perf_counter() - start
-    assert (report.status == "pass") == (not report.witnesses)
+    if (report.status == "pass") != (not report.witnesses):
+        raise RuntimeError(
+            f"{claim_id}: status {report.status!r} disagrees with "
+            f"{len(report.witnesses)} witnesses"
+        )
     return report
 
 
@@ -254,10 +258,7 @@ def s4_octic_classes(G: PermGroup, H_K: PermGroup) -> list[PermGroup]:
     """
     if G.order % 8 != 0:
         return []
-    hk_elems = H_K.elements
-    hk_conjugates = {
-        frozenset(g * h * g.inverse() for h in hk_elems) for g in G.elements
-    }
+    hk_conjugates = G.conjugates_of(H_K.elements)
     out = []
     for cls in subgroup_classes(G):
         if cls.order * 8 != G.order:

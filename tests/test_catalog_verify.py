@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 from octicount.catalog import (
     CATALOG,
     LABELS,
@@ -23,6 +25,8 @@ from octicount.perms import (
     wreath_c2_s4,
 )
 from octicount.verify import (
+    VerificationReport,
+    _timed,
     run_all_group_verifiers,
     verify_a8_containment,
     verify_classification,
@@ -112,6 +116,17 @@ class TestCatalogIntegrity:
 
 
 class TestVerifiers:
+    def test_status_must_agree_with_witnesses(self):
+        def fail_without_witness(report: VerificationReport) -> None:
+            report.status = "fail"
+
+        def witness_without_fail(report: VerificationReport) -> None:
+            report.witnesses.append("unreported")
+
+        for body in (fail_without_witness, witness_without_fail):
+            with pytest.raises(RuntimeError, match="disagrees"):
+                _timed(body, "test.claim")
+
     def test_all_pass(self):
         reports = run_all_group_verifiers()
         assert len(reports) == 5

@@ -33,6 +33,11 @@ class TestExitCodes:
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
 
+    def test_removed_flags_are_usage_errors(self, capsys):
+        assert run(["verify-groups", "--threads", "2"]) == 2
+        assert run(["verify-splitting", "--include-nontame"]) == 2
+        capsys.readouterr()
+
     def test_bad_store_is_data_error(self, capsys, tmp_path):
         missing = str(tmp_path / "none.jsonl")
         assert run(["query", "--store", missing]) == 1

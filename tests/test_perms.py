@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
+from octicount import perms
+from octicount.catalog import LABELS, catalog_group
 from octicount.perms import (
     Perm,
     PermGroup,
@@ -21,6 +24,7 @@ from octicount.perms import (
     perm_index,
     perm_isomorphic,
     quotient_as_perm,
+    small_generating_set,
     subgroup_classes,
     wreath_c2_s4,
 )
@@ -55,6 +59,13 @@ class TestPermBasics:
     def test_cycle_string_round_trip(self):
         g = P(8, "(1,3,5)(2,4)(6,8)")
         assert parse_cycle_string(8, g.cycle_string()) == g
+
+    def test_public_constructors_still_validate(self):
+        # Products and inverses skip the bijection check; the boundary keeps it.
+        with pytest.raises(ValueError):
+            Perm((1, 1, 2))
+        with pytest.raises(ValueError):
+            Perm.from_cycles(3, [(1, 4)])
 
 
 class TestPermGroup:
@@ -166,11 +177,65 @@ class TestPermIsomorphic:
         c = perm_isomorphic(G, H)
         assert c is not None and G.conjugate(c) == H
 
+    def test_bad_witness_is_rejected(self, monkeypatch):
+        A = PermGroup([P(4, "(1,2)")])
+        B = PermGroup([P(4, "(3,4)")])
+        monkeypatch.setattr(perms, "_conjugators", lambda g, b: iter([Perm.identity(4)]))
+        with pytest.raises(RuntimeError, match="does not map A into B"):
+            perm_isomorphic(A, B)
+
     def test_witness_maps_generators(self):
         A = PermGroup([P(6, "(1,2,3)"), P(6, "(4,5)")])
         B = A.conjugate(P(6, "(1,4)(2,5)(3,6)"))
         c = perm_isomorphic(A, B)
         assert all(g.conjugate_by(c) in B.elements for g in A.generators)
+
+
+def reclosed(H: PermGroup) -> PermGroup:
+    """H rebuilt by closure from a greedy generating subset of its element set."""
+    return PermGroup(small_generating_set(H), degree=H.degree)
+
+
+def _a8() -> PermGroup:
+    return PermGroup([P(8, "(1,2,3)"), P(8, "(2,3,4,5,6,7,8)")])
+
+
+class TestSeededElementSets:
+    """Subgroups built from a known element set equal their re-closed versions."""
+
+    @pytest.mark.parametrize("label", LABELS + ("S8",))
+    def test_seeded_constructors_match_reclosure(self, label):
+        if label == "S8":
+            G = PermGroup.symmetric(8)
+            H = _a8()
+        else:
+            G = catalog_group(label)
+            # setwise stabilizer of the block {1, 2}; its core is the block kernel
+            H = PermGroup(
+                [g for g in G.elements if {g(1), g(2)} == {1, 2}], degree=8
+            )
+        stab = G.stabilizer(1)
+        assert stab == reclosed(stab)
+        assert stab.order * len(G.orbit(1)) == G.order
+
+        cyc = PermGroup([G.generators[0]], degree=8)
+        norm = G.normalizer(cyc)
+        assert norm == reclosed(norm)
+        assert cyc.is_normal_in(norm)
+
+        core = G.normal_core(H)
+        assert core == reclosed(core)
+        assert core.is_normal_in(G) and core.is_subgroup_of(H)
+
+        kernel = coset_action(G, H).kernel()
+        assert kernel == reclosed(kernel)
+        assert kernel == core
+
+    def test_s8_normalizer_of_8_cycle(self):
+        S8 = PermGroup.symmetric(8)
+        C8 = PermGroup([P(8, "(1,2,3,4,5,6,7,8)")])
+        # the holomorph C8 : Aut(C8), of order 8 * 4
+        assert S8.normalizer(C8).order == 32
 
 
 class TestCosetAction:
@@ -202,6 +267,14 @@ class TestCosetAction:
         H = PermGroup([P(4, "(1,2)")])
         act = coset_action(G, H)
         assert act.kernel() == G.normal_core(H)
+
+    def test_unclosed_subgroup_fails_coset_count(self):
+        # A seeded set that is not a group passes the subset test but cannot
+        # give |G|/|H| cosets.
+        G = PermGroup.symmetric(3)
+        H = PermGroup.from_elements([Perm.identity(3), P(3, "(1,2)"), P(3, "(1,3)")], 3)
+        with pytest.raises(RuntimeError, match="cosets"):
+            coset_action(G, H)
 
 
 class TestQuotient:
@@ -243,3 +316,70 @@ class TestElementSets:
         G = PermGroup.symmetric(4)
         orders = sorted(N.order for N in normal_subgroups(G))
         assert orders == [1, 4, 12, 24]
+
+
+def _sympy_group(G: PermGroup):
+    """G for sympy, on a greedy small generating set: sympy's isomorphism
+    search grows with the number of generators of its first argument."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    return PermutationGroup(
+        [Permutation([i - 1 for i in g.images]) for g in reclosed(G).generators]
+    )
+
+
+def _c2_x_q8() -> PermGroup:
+    return PermGroup(
+        [P(10, "(1,2,3,4)(5,6,7,8)"), P(10, "(1,5,3,7)(2,8,4,6)"), P(10, "(9,10)")]
+    )
+
+
+def _c4_semidirect_c4() -> PermGroup:
+    """<a, b | a^4 = b^4 = 1, b a b^-1 = a^-1>, regular on a^i b^j -> 1 + i + 4j."""
+    point = lambda i, j: 1 + i % 4 + 4 * (j % 4)
+    a = Perm([point(i + 1, j) for j in range(4) for i in range(4)])
+    b = Perm([point(-i, j + 1) for j in range(4) for i in range(4)])
+    return PermGroup([a, b])
+
+
+def _subgroup_counts(G: PermGroup) -> Counter:
+    """Number of subgroups of each order, from brute-force generation."""
+    return Counter(len(s) for s in brute_force_subgroups(G))
+
+
+class TestAbstractIsomorphic:
+    def test_agrees_with_sympy_on_small_transitive_classes(self):
+        from sympy.combinatorics.homomorphisms import is_isomorphic
+
+        from octicount.verify import transitive_degree8_classes
+
+        small = [c.representative for c in transitive_degree8_classes() if c.order <= 16]
+        assert len(small) == 15
+        for A, B in combinations(small, 2):
+            sa, sb = _sympy_group(A), _sympy_group(B)
+            if len(sa.generators) > len(sb.generators):
+                sa, sb = sb, sa
+            assert abstract_isomorphic(A, B) == bool(is_isomorphic(sa, sb))
+
+    def test_negative_verdict_past_the_invariant_prefilter(self):
+        # Same (element order, class size) multiset and centre of order 4,
+        # but C2 x Q8 has quaternion subgroups and C4 : C4 has none.
+        A, B = _c2_x_q8(), _c4_semidirect_c4()
+        assert A.order == B.order == 16
+        assert Counter(perms._class_invariants(A).values()) == Counter(
+            perms._class_invariants(B).values()
+        )
+        assert _subgroup_counts(A) != _subgroup_counts(B)
+        assert not abstract_isomorphic(A, B)
+        assert abstract_isomorphic(A, A.conjugate(P(10, "(1,9)(2,10)")))
+
+    def test_positive_verdict_is_reverified(self, monkeypatch):
+        A = PermGroup([P(4, "(1,2)")])
+        B = PermGroup([P(4, "(3,4)")])
+        assert abstract_isomorphic(A, B)
+        # A search that returns a non-bijective map must not yield True.
+        monkeypatch.setattr(
+            perms, "_extend_hom", lambda phi, pairs: {a: B.identity for a in A.elements}
+        )
+        with pytest.raises(RuntimeError, match="not a bijection"):
+            abstract_isomorphic(A, B)
