@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Sequence
 
-from sympy import Poly, Symbol, isprime, primerange
+from sympy import Poly, Symbol, isprime, sieve
 
-from .nfdata import FieldRecord, Snapshot, query
+from .nfdata import Snapshot, query
 
 __all__ = [
     "KAPPA",
-    "PolyModP",
     "LocalFactorData",
     "ZetaValue",
     "PartialConstant",
-    "QFIELD",
-    "MinimalField",
     "factor_mod_p",
     "local_factor_data",
     "zeta_K_at_2",
@@ -34,18 +32,6 @@ __all__ = [
 
 # 2-torsion class group bound exponent; used only to annotate reports.
 KAPPA = 0.2784
-
-
-@dataclass(frozen=True)
-class PolyModP:
-    """A monic polynomial with coefficients reduced mod p (ascending order)."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] != 1:
-            raise ValueError("polynomial must be monic mod p")
 
 
 @dataclass(frozen=True)
@@ -85,38 +71,6 @@ class PartialConstant:
     term_list: tuple[tuple[str, float, float], ...] = field(default=())
 
 
-@dataclass(frozen=True)
-class MinimalField:
-    """Bare-bones stand-in for a FieldRecord in analytic test scaffolding.
-
-    A length-2 coefficient list denotes the rationals themselves (degree-1
-    convention, not an arithmetic field of the catalog).
-    """
-
-    label: str
-    coeffs: tuple[int, ...]
-    disc: int
-    r1: int = 0
-    r2: int = 0
-    h: Optional[int] = None
-    reg: Optional[str] = None
-    w: Optional[int] = None
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def reg_float(self) -> float:
-        if self.reg is None:
-            raise ValueError(f"{self.label}: no regulator present")
-        return float(self.reg)
-
-
-QFIELD = MinimalField(label="Q", coeffs=(0, 1), disc=1, r1=1, r2=0, h=1,
-                      reg="1.00000000000000", w=2)
-
-
 # ---------------------------------------------------------------------------
 # Polynomial arithmetic over F_p (dense, ascending coefficients)
 
@@ -136,55 +90,39 @@ def _polymulmod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _trim(out)
 
 
-def _polyrem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    inv = pow(lead, -1, p)
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - db
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _trim(a)
-    return a
-
-
 def _polygcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd over F_p of two trimmed polynomials, by Euclid on monic divisors."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, _polyrem(a, b, p)
-    if a:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        db, low = len(b) - 1, b[:-1]
+        while len(a) > db:
+            c = a.pop()
+            if c:
+                k = len(a) - db
+                a[k:] = [(ai - c * bi) % p for ai, bi in zip(a[k:], low)]
+        a, b = b, _trim(a)
+    if a and a[-1] != 1:
         inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
+        a = [c * inv % p for c in a]
     return a
 
 
 def _polydiv(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    db, inv = len(b) - 1, pow(b[-1], -1, p)
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv) % p
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _trim(a)
-    if a:
+    db, inv, low = len(b) - 1, pow(b[-1], -1, p), b[:-1]
+    q = []
+    while len(a) > db:
+        c = a.pop() * inv % p
+        q.append(c)
+        if c:
+            k = len(a) - db
+            a[k:] = [(ai - c * bi) % p for ai, bi in zip(a[k:], low)]
+    if any(a):
         raise ArithmeticError("non-exact polynomial division")
+    q.reverse()
     return _trim(q)
-
-
-def _polypow_x(e: int, modulus: Sequence[int], p: int) -> list[int]:
-    """x^e mod modulus over F_p, by repeated squaring."""
-    result = [1]
-    base = _polyrem([0, 1], modulus, p)
-    while e:
-        if e & 1:
-            result = _polyrem(_polymulmod(result, base, p), modulus, p)
-        base = _polyrem(_polymulmod(base, base, p), modulus, p)
-        e >>= 1
-    return result
 
 
 def _derivative(a: Sequence[int], p: int) -> list[int]:
@@ -205,6 +143,10 @@ def _squarefree_parts(f: list[int], p: int) -> list[tuple[list[int], int]]:
             out.append((g, m * p))
         return out
     c = _polygcd(f, df, p)
+    if len(c) == 1:
+        # gcd(f, f') = 1 exactly when p does not divide disc(f): f is
+        # already squarefree, the common case, and needs no split.
+        return [(f, 1)]
     w = _polydiv(f, c, p)
     i = 1
     while len(w) > 1:
@@ -217,6 +159,85 @@ def _squarefree_parts(f: list[int], p: int) -> list[tuple[list[int], int]]:
     if len(c) > 1:
         for g, m in _squarefree_parts(_pth_root(c, p), p):
             out.append((g, m * p))
+    return out
+
+
+class _ResidueRing:
+    """F_p[x]/(g) for a monic g of degree n >= 2, each element packed in one int.
+
+    Coefficient i of an element sits in bits [i*w, (i+1)*w).  The slot width
+    w holds 2n*p^2, the largest coefficient a product reaches unreduced, so a
+    product is one integer multiplication, a fold of the slots above x^(n-1)
+    from the top down through x^n mod g, and one % p per coefficient.
+    """
+
+    def __init__(self, g: Sequence[int], p: int):
+        n = len(g) - 1
+        w = (2 * n * p * p).bit_length()
+        self.p, self.w, self.mask = p, w, (1 << w) - 1
+        self.shifts = range(0, n * w, w)
+        x_n = sum((-c % p) << s for c, s in zip(g, self.shifts))
+        # Slot k of a product, for k = 2n-1 down to n, folds into the n
+        # slots below it as x^k = x^(k-n) * (x^n mod g).
+        self.fold = [(k * w, x_n << (k - n) * w) for k in range(2 * n - 1, n - 1, -1)]
+
+    def unpack(self, a: int) -> list[int]:
+        """All n coefficients of a reduced element, ascending."""
+        mask = self.mask
+        return [(a >> s) & mask for s in self.shifts]
+
+    def reduce(self, s: int) -> int:
+        """The reduced element of a packed polynomial of degree < 2n."""
+        p, mask = self.p, self.mask
+        for shift, row in self.fold:
+            s += ((s >> shift) & mask) % p * row
+        r = 0
+        for shift in self.shifts:
+            r |= ((s >> shift) & mask) % p << shift
+        return r
+
+    def xpow(self, e: int) -> int:
+        """x^e for e >= 1, left to right: a set bit only shifts the square up a slot."""
+        r, w, reduce = 1 << self.w, self.w, self.reduce
+        for bit in bin(e)[3:]:
+            r = reduce(r * r << w if bit == "1" else r * r)
+        return r
+
+
+def _distinct_degree(g: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """Distinct-degree factorization of a monic squarefree g over F_p.
+
+    Returns (d, product of the irreducible factors of degree d) pairs.  The
+    Frobenius x -> x^p is computed once; x^(p^d) for d >= 2 comes from its
+    matrix, the rows x^(i p) mod g, built on first need from n - 2 products.
+    """
+    out: list[tuple[int, list[int]]] = []
+    rest = g
+    if len(g) > 2:
+        ring = _ResidueRing(g, p)
+        h = frob = ring.xpow(p)
+        rows: list[int] = []
+        d = 1
+        while len(rest) - 1 >= 2 * d:
+            if d > 1:
+                if not rows:
+                    rows = [1, frob]
+                    for _ in range(len(g) - 3):
+                        rows.append(ring.reduce(rows[-1] * frob))
+                h = ring.reduce(sum(c * row for c, row in zip(ring.unpack(h), rows)))
+            sub = ring.unpack(h)
+            sub[1] = (sub[1] - 1) % p  # x^(p^d) - x
+            gd = _polygcd(_trim(sub), rest, p)
+            if len(gd) > 1:
+                if (len(gd) - 1) % d:
+                    raise RuntimeError(
+                        f"distinct-degree factorization mod {p}: a factor of "
+                        f"degree {len(gd) - 1} is not a product of degree-{d} factors")
+                out.append((d, gd))
+                rest = _polydiv(rest, gd, p)
+            d += 1
+    if len(rest) > 1:
+        out.append((len(rest) - 1, rest))
     return out
 
 
@@ -238,57 +259,26 @@ def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
     if len(f) == 1:
         return ()
     out: list[tuple[int, int]] = []
-    pieces: list[tuple[list[int], int]] = []
-    for g, mult in _squarefree_parts(f, p):
-        # Distinct-degree factorization of the squarefree g.
-        rest = list(g)
-        d = 1
-        h = [0, 1]
-        while len(rest) - 1 >= 2 * d:
-            h = _polypow_x(p, rest, p) if d == 1 else _polypow_x_cont(h, p, rest)
-            sub = list(h) + [0] * max(0, 2 - len(h))
-            sub[1] = (sub[1] - 1) % p  # h(x) - x
-            gd = _polygcd(_trim(sub), rest, p)
-            if len(gd) > 1:
-                count, r = divmod(len(gd) - 1, d)
-                assert r == 0
-                out.extend([(d, mult)] * count)
-                pieces.append((gd, mult))
-                rest = _polydiv(rest, gd, p)
-                h = _polyrem(h, rest, p)
-            d += 1
-        if len(rest) > 1:
-            out.append((len(rest) - 1, mult))
-            pieces.append((rest, mult))
     # Re-multiplication check: the product of all pieces with multiplicity
     # must reproduce the input mod p.
     check = [1]
-    for g, mult in pieces:
-        for _ in range(mult):
-            check = _polymulmod(check, g, p)
+    for g, mult in _squarefree_parts(f, p):
+        for d, gd in _distinct_degree(g, p):
+            out.extend([(d, mult)] * ((len(gd) - 1) // d))
+            for _ in range(mult):
+                check = _polymulmod(check, gd, p)
     if check != f:
-        raise AssertionError("re-multiplication check failed in factor_mod_p")
+        raise RuntimeError(f"re-multiplication check failed in factor_mod_p mod {p}")
     return tuple(sorted(out))
-
-
-def _polypow_x_cont(h: list[int], p: int, modulus: list[int]) -> list[int]:
-    """h(x)^p mod modulus: continue the Frobenius iteration for DDF."""
-    result = [1]
-    base = list(h)
-    e = p
-    while e:
-        if e & 1:
-            result = _polyrem(_polymulmod(result, base, p), modulus, p)
-        base = _polyrem(_polymulmod(base, base, p), modulus, p)
-        e >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------
 # Euler products and residues
 
 
-def _poly_disc(coeffs: Sequence[int]) -> int:
+@lru_cache(maxsize=4096)
+def _poly_disc(coeffs: tuple[int, ...]) -> int:
+    """disc of the polynomial, computed once per coefficient tuple."""
     if len(coeffs) == 2:
         return 1
     x = Symbol("x")
@@ -303,7 +293,7 @@ def local_factor_data(record, p: int) -> LocalFactorData:
     splitting (one prime per irreducible factor, residue degree = factor
     degree) including the ramified case.
     """
-    disc_poly = _poly_disc(record.coeffs)
+    disc_poly = _poly_disc(tuple(record.coeffs))
     q, r = divmod(disc_poly, record.disc)
     trusted = (r == 0) and (q % p != 0)
     pattern = factor_mod_p(record.coeffs, p)
@@ -329,7 +319,9 @@ def zeta_K_at_2(record, prime_bound: int = 10 ** 5) -> ZetaValue:
         raise ValueError("prime bound must be at least 100")
     degree = len(record.coeffs) - 1
     lower = upper = 1.0
-    for p in primerange(2, P + 1):
+    # sympy's shared sieve is extended once; a bare primerange would call
+    # isprime on every odd number below P, for every field.
+    for p in sieve.primerange(2, P + 1):
         data = local_factor_data(record, p)
         if data.trusted:
             factor = 1.0

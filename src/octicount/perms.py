@@ -62,11 +62,15 @@ class Perm:
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Iterable[int]]) -> "Perm":
         images = list(range(1, degree + 1))
+        seen: set[int] = set()
         for cycle in cycles:
             cycle = list(cycle)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 if not 1 <= a <= degree:
                     raise ValueError(f"point {a} outside 1..{degree}")
+                if a in seen:
+                    raise ValueError(f"point {a} appears twice in the cycles")
+                seen.add(a)
                 images[a - 1] = b
         return cls(images)
 

@@ -174,8 +174,8 @@ def test_criterion_4_splitting_oracle_agreement():
 
 
 def test_criterion_5_analytic_desk_checks():
-    from octicount.analytic import QFIELD, MinimalField, zeta_K_at_2, zeta_residue
-    from test_analytic import QI, dirichlet_zeta_qi_2
+    from octicount.analytic import zeta_K_at_2, zeta_residue
+    from test_analytic import QFIELD, QI, dirichlet_zeta_qi_2
 
     z_q = zeta_K_at_2(QFIELD, 10 ** 5)
     c1 = abs(z_q.value - math.pi ** 2 / 6) < 1e-4

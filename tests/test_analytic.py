@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
-from sympy import GF, Poly, Symbol
+from hypothesis import given, settings, strategies as st
+from sympy import GF, Poly, Symbol, primerange
 
 from conftest import quartic_record
+from octicount import analytic
 from octicount.analytic import (
     KAPPA,
-    MinimalField,
-    QFIELD,
     ZetaValue,
     factor_mod_p,
     local_factor_data,
@@ -22,6 +24,37 @@ from octicount.analytic import (
 )
 from octicount.nfdata import Snapshot
 
+
+@dataclass(frozen=True)
+class MinimalField:
+    """Bare-bones stand-in for a FieldRecord in analytic test scaffolding.
+
+    A length-2 coefficient list denotes the rationals themselves (degree-1
+    convention, not an arithmetic field of the catalog).
+    """
+
+    label: str
+    coeffs: tuple[int, ...]
+    disc: int
+    r1: int = 0
+    r2: int = 0
+    h: Optional[int] = None
+    reg: Optional[str] = None
+    w: Optional[int] = None
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def reg_float(self) -> float:
+        if self.reg is None:
+            raise ValueError(f"{self.label}: no regulator present")
+        return float(self.reg)
+
+
+QFIELD = MinimalField(label="Q", coeffs=(0, 1), disc=1, r1=1, r2=0, h=1,
+                      reg="1.00000000000000", w=2)
 QI = MinimalField(label="Qi", coeffs=(1, 0, 1), disc=-4, r1=0, r2=1,
                   h=1, reg="1.00000000000000", w=4)
 QSQRT2 = MinimalField(label="Qsqrt2", coeffs=(-2, 0, 1), disc=8, r1=2, r2=0,
@@ -72,6 +105,67 @@ class TestFactorModP:
         with pytest.raises(ValueError):
             factor_mod_p((1, 0, 1), 6)
 
+    def test_failed_remultiplication_raises(self, monkeypatch):
+        real = analytic._distinct_degree
+        monkeypatch.setattr(analytic, "_distinct_degree", lambda g, p: real(g, p)[:-1])
+        with pytest.raises(RuntimeError, match="re-multiplication"):
+            factor_mod_p((1, 0, 1), 5)
+
+    def test_ddf_degree_divisibility_checked(self, monkeypatch):
+        # (x^2 + 1)(x^2 + x + 2) mod 3: no roots, so the degree-2 gcd is all
+        # of f; a gcd of degree 3 there cannot be a product of quadratics.
+        real = analytic._polygcd
+
+        def gcd_of_degree_3_at_d_2(a, b, p):
+            g = real(a, b, p)
+            return [0, 0, 0, 1] if len(g) == 5 else g
+
+        monkeypatch.setattr(analytic, "_polygcd", gcd_of_degree_3_at_d_2)
+        with pytest.raises(RuntimeError, match="degree 3"):
+            factor_mod_p((2, 1, 0, 1, 1), 3)
+
+
+def sympy_pattern(coeffs, p) -> tuple[tuple[int, int], ...]:
+    fl = Poly(list(reversed(coeffs)), Symbol("x"), modulus=p,
+              symmetric=False).factor_list()[1]
+    return tuple(sorted((f.degree(), m) for f, m in fl))
+
+
+# Small primes, primes near 10^5, and 2^61 - 1, the widest packed slots.
+PRIMES = (2, 3, 5, 7, 97, 65537, 99989, 99991, 2 ** 61 - 1)
+monic = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8).map(
+    lambda low: tuple(low) + (1,))
+
+
+class TestFactorModPDifferential:
+    """factor_mod_p against sympy's factorization over GF(p)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(coeffs=monic, p=st.sampled_from(PRIMES))
+    def test_random_monic(self, coeffs, p):
+        assert factor_mod_p(coeffs, p) == sympy_pattern(coeffs, p)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(g=st.lists(st.integers(-50, 50), min_size=1, max_size=2),
+           h=st.lists(st.integers(-50, 50), max_size=4),
+           k=st.lists(st.integers(-50, 50), max_size=7),
+           p=st.sampled_from(PRIMES[:-1]))
+    def test_primes_dividing_the_discriminant(self, g, h, k, p):
+        # f = g^2 h + p k with g, h monic and deg k < deg f is monic and
+        # congruent to g^2 h mod p, so p divides disc(f).
+        base = _intmul(_intmul(g + [1], g + [1]), h + [1])
+        coeffs = tuple(c + p * kc for c, kc in zip(base[:-1], k + [0] * 8)) + (1,)
+        assert Poly(list(reversed(coeffs)), Symbol("x")).discriminant() % p == 0
+        assert factor_mod_p(coeffs, p) == sympy_pattern(coeffs, p)
+
+
+def _intmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
 
 class TestZetaAt2:
     def test_riemann_zeta_2(self):
@@ -115,6 +209,19 @@ class TestLocalFactorData:
         data = local_factor_data(QI, 2)
         assert data.ramified
         assert data.residue_degrees == (1,)
+
+    def test_agrees_with_factor_mod_p_on_index_64_presentation(self):
+        # 16 f(x/2) for f = x^4 - x - 1 (disc -283, index 1): the same field
+        # with polynomial discriminant 2^12 * -283, so only p = 2 is untrusted.
+        scaled = (-16, -8, 0, 0, 1)
+        rec = MinimalField(label="K", coeffs=scaled, disc=-283, r2=2)
+        assert Poly(list(reversed(scaled)), Symbol("x")).discriminant() == -283 * 2 ** 12
+        for p in primerange(2, 2001):
+            data = local_factor_data(rec, p)
+            pattern = factor_mod_p(scaled, p)
+            assert data.p == p and data.trusted == (p != 2)
+            assert data.residue_degrees == tuple(sorted(d for d, _ in pattern))
+            assert data.ramified == any(m > 1 for _, m in pattern)
 
 
 class TestZetaResidue:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from octicount import perms
+from octicount import catalog, perms
 from octicount.catalog import LABELS, catalog_group
 from octicount.perms import (
     Perm,
@@ -59,6 +61,22 @@ class TestPermBasics:
     def test_cycle_string_round_trip(self):
         g = P(8, "(1,3,5)(2,4)(6,8)")
         assert parse_cycle_string(8, g.cycle_string()) == g
+
+    def test_repeated_point_rejected(self):
+        # Each of these still gives a bijection if the repeat is ignored.
+        for text, point in (("(1,1)", 1), ("(1,2)(2,1)", 2), ("(1,2)(1,2)", 1)):
+            with pytest.raises(ValueError, match=f"point {point} appears twice"):
+                parse_cycle_string(3, text)
+
+    def test_catalog_generator_strings_parse_and_round_trip(self):
+        source = ast.parse(inspect.getsource(catalog))
+        texts = [arg.value for node in ast.walk(source)
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_gens"
+                 for arg in node.args]
+        assert len(texts) == sum(len(entry.generators) for entry in catalog.CATALOG) > 0
+        for text in texts:
+            g = parse_cycle_string(8, text)
+            assert parse_cycle_string(8, g.cycle_string()) == g
 
     def test_public_constructors_still_validate(self):
         # Products and inverses skip the bijection check; the boundary keeps it.
