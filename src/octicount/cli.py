@@ -13,7 +13,6 @@ import io
 import json
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from typing import Optional
 
 from . import analytic, counting, nfdata, splitting, verify
@@ -44,16 +43,8 @@ def _write_json(payload, path: Optional[str]) -> None:
             fh.write(text + "\n")
 
 
-def _report_payload(report) -> dict:
-    # Wall-clock durations stay out of payload bodies: output must be
-    # byte-identical across runs on identical inputs.
-    payload = report.as_dict()
-    payload.pop("elapsed", None)
-    return payload
-
-
 def _reports_payload(reports) -> dict:
-    return {r.claim_id: _report_payload(r) for r in reports}
+    return {r.claim_id: r.as_dict() for r in reports}
 
 
 def _parse_checkpoints(spec: str) -> list[int]:
@@ -73,10 +64,6 @@ def _parse_checkpoints(spec: str) -> list[int]:
                 out.append(x)
         return out
     return sorted({int(tok) for tok in spec.split(",") if tok})
-
-
-def _load_store(path: str) -> nfdata.Snapshot:
-    return nfdata.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +99,9 @@ def _cmd_verify_splitting(args) -> int:
 
 def _cmd_ingest(args) -> int:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if args.stamp else ""
-    try:
-        snap = nfdata.ingest(args.infile, provenance=args.provenance or args.infile,
-                             ingest_time=stamp)
-        nfdata.persist(snap, args.out)
-    except nfdata.IngestError as exc:
-        sys.stderr.write(f"ingest error: {exc}\n")
-        return 1
+    snap = nfdata.ingest(args.infile, provenance=args.provenance or args.infile,
+                         ingest_time=stamp)
+    nfdata.persist(snap, args.out)
     _emit(f"ingested {len(snap)} records -> {args.out}")
     return 0
 
@@ -135,11 +118,7 @@ def _rec_row(rec: nfdata.FieldRecord) -> dict:
 
 
 def _cmd_query(args) -> int:
-    try:
-        snap = _load_store(args.store)
-    except nfdata.IngestError as exc:
-        sys.stderr.write(f"store error: {exc}\n")
-        return 1
+    snap = nfdata.load(args.store)
     galois = args.galois.split(",") if args.galois else None
     recs = nfdata.query(snap, degree=args.degree, galois_filter=galois,
                         max_abs_disc=args.max_disc)
@@ -161,13 +140,9 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_constant(args) -> int:
-    try:
-        snap = _load_store(args.store)
-        pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound,
-                                       emit_terms=args.emit_terms is not None)
-    except (nfdata.IngestError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    snap = nfdata.load(args.store)
+    pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound,
+                                   emit_terms=args.emit_terms is not None)
     if args.emit_terms:
         with open(args.emit_terms, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -192,12 +167,8 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    try:
-        snap = _load_store(args.store)
-        checkpoints = _parse_checkpoints(args.checkpoints)
-    except (nfdata.IngestError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    snap = nfdata.load(args.store)
+    checkpoints = _parse_checkpoints(args.checkpoints)
     labels = args.galois.split(",") if args.galois else list(LABELS)
     series = counting.count_series(snap, labels, checkpoints)
     rows = list(zip(series.checkpoints, series.counts))
@@ -218,14 +189,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    try:
-        snap = _load_store(args.store)
-    except nfdata.IngestError as exc:
-        sys.stderr.write(f"store error: {exc}\n")
-        return 1
-    report = counting.audit_lemmas(snap)
+    report = counting.audit_lemmas(nfdata.load(args.store))
     if args.json is not None:
-        _write_json(_report_payload(report), args.json)
+        _write_json(report.as_dict(), args.json)
     else:
         _emit(f"{report.claim_id}: {report.status} "
               f"({report.details.get('octics_audited', 0)} octics audited)")
@@ -236,12 +202,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_tail(args) -> int:
-    try:
-        snap = _load_store(args.store)
-    except nfdata.IngestError as exc:
-        sys.stderr.write(f"store error: {exc}\n")
-        return 1
-    n = counting.tail_count(snap, args.Z, args.X)
+    n = counting.tail_count(nfdata.load(args.store), args.Z, args.X)
     if args.json is not None:
         _write_json({"Z": args.Z, "X": args.X, "count": n}, args.json)
     else:
@@ -251,23 +212,19 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        snap = _load_store(args.store)
-        pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound)
-        octics = nfdata.query(snap, degree=8)
-        if args.checkpoints:
-            checkpoints = _parse_checkpoints(args.checkpoints)
-        else:
-            discs = sorted(r.abs_disc for r in octics)
-            if len(discs) < 3:
-                raise ValueError("need at least 3 octic records to fit")
-            checkpoints = _parse_checkpoints(f"{max(discs[0], 1)}:{discs[-1]}:12")
-        labels = args.galois.split(",") if args.galois else list(LABELS)
-        series = counting.count_series(snap, labels, checkpoints)
-        report = counting.fit_error(series, pc, provenance=snap.provenance)
-    except (nfdata.IngestError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    snap = nfdata.load(args.store)
+    pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound)
+    octics = nfdata.query(snap, degree=8)
+    if args.checkpoints:
+        checkpoints = _parse_checkpoints(args.checkpoints)
+    else:
+        discs = sorted(r.abs_disc for r in octics)
+        if len(discs) < 3:
+            raise ValueError("need at least 3 octic records to fit")
+        checkpoints = _parse_checkpoints(f"{max(discs[0], 1)}:{discs[-1]}:12")
+    labels = args.galois.split(",") if args.galois else list(LABELS)
+    series = counting.count_series(snap, labels, checkpoints)
+    report = counting.fit_error(series, pc, provenance=snap.provenance)
     payload = {
         "theta_target": report.theta_target,
         "sup_ratio": report.sup_ratio,
@@ -290,12 +247,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_malle_alpha(args) -> int:
-    try:
-        alpha: Fraction = malle_alpha(catalog_group(args.label))
-    except KeyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    _emit(str(alpha))
+    _emit(str(malle_alpha(catalog_group(args.label))))
     return 0
 
 
@@ -392,6 +344,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         return args.fn(args)
     except BrokenPipeError:
+        return 1
+    except ValueError as exc:  # bad input data, nfdata.IngestError included
+        sys.stderr.write(f"error: {exc}\n")
         return 1
 
 

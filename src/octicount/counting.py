@@ -12,7 +12,7 @@ from sympy import integer_nthroot
 
 from .analytic import PartialConstant
 from .nfdata import FieldRecord, Snapshot, query
-from .verify import VerificationReport
+from .verify import VerificationReport, _checked_report
 
 __all__ = [
     "THETA_TARGET",
@@ -175,60 +175,58 @@ def audit_lemmas(snapshot: Snapshot) -> VerificationReport:
     tower needs d1 = rad(d1)^2 and d0, n0 within cubes of each other.
     Prime-level checks skip p | 6 throughout.
     """
-    import time as _time
 
-    report = VerificationReport(claim_id="counting.audit_lemmas")
-    start = _time.perf_counter()
-    audited = 0
-    sib_diag: dict[tuple[int, str], int] = {}
-    for label in sorted(snapshot.records):
-        rec = snapshot.records[label]
-        if rec.degree != 8 or rec.parent_label is None:
-            continue
-        parent = snapshot.parent_of(rec)
-        try:
-            split = split_rel_disc(rec, parent)
-        except ValueError as exc:
-            report.fail(f"{label}: {exc}")
-            continue
-        audited += 1
-        sib_key = (rec.abs_disc, parent.label)
-        sib_diag[sib_key] = sib_diag.get(sib_key, 0) + 1
-        k_vals = dict(split.k_factors)
-        n_vals = dict(split.norm_factors)
-        if rec.galois == "8T23":
-            if not _is_kth_power(split.n1, 4):
-                report.fail(f"{label}: n1={split.n1} is not a fourth power")
-            for p, v in n_vals.items():
-                if p in (2, 3) or p not in k_vals:
-                    continue
-                if v > k_vals[p]:
-                    report.fail(f"{label}: v_{p}(n0)={v} exceeds v_{p}(disc K)={k_vals[p]}")
-            for p, e in k_vals.items():
-                if p in (2, 3):
-                    continue
-                if e == 3 and n_vals.get(p, 0) < 1:
-                    report.fail(f"{label}: v_{p}(disc K)=3 but p does not divide n0")
-        elif rec.galois == "8T39":
-            if not _is_kth_power(abs(rec.disc), 2):
-                report.fail(f"{label}: |disc| is not a perfect square")
-            if not _is_kth_power(split.norm, 2):
-                report.fail(f"{label}: norm {split.norm} is not a perfect square")
-        elif rec.galois == "8T40":
-            d1_factors = [(p, e) for p, e in split.k_factors
-                          if p not in (2, 3) and split.d1 % p == 0]
-            if split.d1 != _rad(d1_factors) ** 2:
-                report.fail(f"{label}: d1={split.d1} is not rad(d1)^2")
-            if not (split.d0 <= split.n0 ** 3 and split.n0 <= split.d0 ** 3):
-                report.fail(
-                    f"{label}: (d0, n0)=({split.d0}, {split.n0}) violates the cube bounds"
-                )
-    report.details["octics_audited"] = audited
-    report.details["sibling_multiplicity_diagnostic"] = sum(
-        1 for v in sib_diag.values() if v > 1
-    )
-    report.elapsed = _time.perf_counter() - start
-    return report
+    def body(report: VerificationReport) -> None:
+        audited = 0
+        sib_diag: dict[tuple[int, str], int] = {}
+        for label in sorted(snapshot.records):
+            rec = snapshot.records[label]
+            if rec.degree != 8 or rec.parent_label is None:
+                continue
+            parent = snapshot.parent_of(rec)
+            try:
+                split = split_rel_disc(rec, parent)
+            except ValueError as exc:
+                report.fail(f"{label}: {exc}")
+                continue
+            audited += 1
+            sib_key = (rec.abs_disc, parent.label)
+            sib_diag[sib_key] = sib_diag.get(sib_key, 0) + 1
+            k_vals = dict(split.k_factors)
+            n_vals = dict(split.norm_factors)
+            if rec.galois == "8T23":
+                if not _is_kth_power(split.n1, 4):
+                    report.fail(f"{label}: n1={split.n1} is not a fourth power")
+                for p, v in n_vals.items():
+                    if p in (2, 3) or p not in k_vals:
+                        continue
+                    if v > k_vals[p]:
+                        report.fail(f"{label}: v_{p}(n0)={v} exceeds v_{p}(disc K)={k_vals[p]}")
+                for p, e in k_vals.items():
+                    if p in (2, 3):
+                        continue
+                    if e == 3 and n_vals.get(p, 0) < 1:
+                        report.fail(f"{label}: v_{p}(disc K)=3 but p does not divide n0")
+            elif rec.galois == "8T39":
+                if not _is_kth_power(abs(rec.disc), 2):
+                    report.fail(f"{label}: |disc| is not a perfect square")
+                if not _is_kth_power(split.norm, 2):
+                    report.fail(f"{label}: norm {split.norm} is not a perfect square")
+            elif rec.galois == "8T40":
+                d1_factors = [(p, e) for p, e in split.k_factors
+                              if p not in (2, 3) and split.d1 % p == 0]
+                if split.d1 != _rad(d1_factors) ** 2:
+                    report.fail(f"{label}: d1={split.d1} is not rad(d1)^2")
+                if not (split.d0 <= split.n0 ** 3 and split.n0 <= split.d0 ** 3):
+                    report.fail(
+                        f"{label}: (d0, n0)=({split.d0}, {split.n0}) violates the cube bounds"
+                    )
+        report.details["octics_audited"] = audited
+        report.details["sibling_multiplicity_diagnostic"] = sum(
+            1 for v in sib_diag.values() if v > 1
+        )
+
+    return _checked_report(body, "counting.audit_lemmas")
 
 
 def tail_count(snapshot: Snapshot, Z: int, X: int) -> int:

@@ -23,7 +23,6 @@ __all__ = [
     "query",
     "persist",
     "load",
-    "fallback_factor",
 ]
 
 OCTIC_LABELS = {"8T14", "8T23", "8T24", "8T39", "8T40", "8T44"}
@@ -349,18 +348,3 @@ def load(path: str) -> Snapshot:
     )
     return snap
 
-
-def fallback_factor(n: int) -> tuple[tuple[int, int], ...]:
-    """Factor |n| <= 10^18: trial division to 10^6, then a rho-style method.
-
-    Provided for inputs whose discriminants arrive unfactored; results are
-    flagged by callers as derived rather than source data.
-    """
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    n = abs(n)
-    if n > 10**18:
-        raise ValueError("fallback factorizer capped at 10^18")
-    from sympy import factorint
-
-    return tuple(sorted(factorint(n).items()))

@@ -542,11 +542,10 @@ class _Ctx:
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    """One conjugacy class of subgroups of `ambient`."""
+    """One conjugacy class of subgroups: a representative and the class size."""
 
     representative: PermGroup
     class_size: int
-    ambient: PermGroup
 
     @property
     def order(self) -> int:
@@ -587,11 +586,11 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
         return True
 
     add_class(trivial, ())
-    for members, gen in sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+    cyclic_items = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    for members, gen in cyclic_items:
         add_class(members, (gen,))
 
     cursor = 0
-    cyclic_items = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     while cursor < len(reps):
         members = reps[cursor]
         gens = rep_gens[cursor]
@@ -605,7 +604,7 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     # Ordered by (order, sorted element images); index order is image order.
     ranked = sorted(range(len(reps)), key=lambda i: (len(reps[i]), sorted(reps[i])))
     return tuple(
-        SubgroupClass(ctx.subgroup(reps[i], rep_gens[i]), class_sizes[i], G)
+        SubgroupClass(ctx.subgroup(reps[i], rep_gens[i]), class_sizes[i])
         for i in ranked
     )
 

@@ -7,7 +7,6 @@ reported as witnesses, never raised.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -44,7 +43,6 @@ class VerificationReport:
     claim_id: str
     status: str = "pass"
     witnesses: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
     details: dict = field(default_factory=dict)
 
     def fail(self, witness: str) -> None:
@@ -60,16 +58,14 @@ class VerificationReport:
             "claim_id": self.claim_id,
             "status": self.status,
             "witnesses": list(self.witnesses),
-            "elapsed": round(self.elapsed, 3),
             "details": self.details,
         }
 
 
-def _timed(fn: Callable[[VerificationReport], None], claim_id: str) -> VerificationReport:
+def _checked_report(fn: Callable[[VerificationReport], None], claim_id: str) -> VerificationReport:
+    """Fill a fresh report with `fn`; refuse one whose status and witnesses disagree."""
     report = VerificationReport(claim_id=claim_id)
-    start = time.perf_counter()
     fn(report)
-    report.elapsed = time.perf_counter() - start
     if (report.status == "pass") != (not report.witnesses):
         raise RuntimeError(
             f"{claim_id}: status {report.status!r} disagrees with "
@@ -160,7 +156,7 @@ def verify_classification() -> VerificationReport:
                 report.fail(f"catalog entry {label} matched {matched.get(label, 0)} classes")
         report.details["catalog_matches"] = matched
 
-    return _timed(body, "groups.classification")
+    return _checked_report(body, "groups.classification")
 
 
 def verify_converse() -> VerificationReport:
@@ -194,7 +190,7 @@ def verify_converse() -> VerificationReport:
                 report.fail(f"{entry.label}: no core-free index-8 subgroup class found")
         report.details["quartic_overgroup_counts"] = counts
 
-    return _timed(body, "groups.converse")
+    return _checked_report(body, "groups.converse")
 
 
 def verify_a8_containment() -> VerificationReport:
@@ -225,7 +221,7 @@ def verify_a8_containment() -> VerificationReport:
             for e in CATALOG
         }
 
-    return _timed(body, "groups.a8_containment")
+    return _checked_report(body, "groups.a8_containment")
 
 
 def verify_table1() -> VerificationReport:
@@ -246,7 +242,7 @@ def verify_table1() -> VerificationReport:
             report.fail("catalog alpha column does not match the documented table")
         report.details["alpha"] = computed
 
-    return _timed(body, "groups.table1")
+    return _checked_report(body, "groups.table1")
 
 
 def s4_octic_classes(G: PermGroup, H_K: PermGroup) -> list[PermGroup]:
@@ -296,7 +292,7 @@ def verify_s4_unique_octic() -> VerificationReport:
             s4_octic_classes(c6, c6.stabilizer(1))
         )
 
-    return _timed(body, "groups.s4_unique_octic")
+    return _checked_report(body, "groups.s4_unique_octic")
 
 
 GROUP_VERIFIERS: tuple[Callable[[], VerificationReport], ...] = (

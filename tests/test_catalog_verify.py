@@ -26,7 +26,7 @@ from octicount.perms import (
 )
 from octicount.verify import (
     VerificationReport,
-    _timed,
+    _checked_report,
     run_all_group_verifiers,
     verify_a8_containment,
     verify_classification,
@@ -125,7 +125,7 @@ class TestVerifiers:
 
         for body in (fail_without_witness, witness_without_fail):
             with pytest.raises(RuntimeError, match="disagrees"):
-                _timed(body, "test.claim")
+                _checked_report(body, "test.claim")
 
     def test_all_pass(self):
         reports = run_all_group_verifiers()

@@ -43,6 +43,23 @@ class TestExitCodes:
         assert run(["query", "--store", missing]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args", [
+        ["ingest", "--out", "out.jsonl", "--in"],
+        ["query", "--store"],
+        ["constant", "--max-disc", "10", "--store"],
+        ["count", "--checkpoints", "10", "--store"],
+        ["audit", "--store"],
+        ["tail", "--Z", "1", "--X", "10", "--store"],
+        ["fit", "--max-disc", "10", "--store"],
+    ], ids=lambda args: args[0])
+    def test_missing_input_is_one_error_line(self, args, capsys, tmp_path):
+        missing = str(tmp_path / "none.jsonl")
+        assert run(args + [missing]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and missing in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestMalleAlpha:
     def test_8T23(self, capsys):

@@ -19,7 +19,6 @@ from octicount.nfdata import (
     FieldRecord,
     IngestError,
     Snapshot,
-    fallback_factor,
     ingest_lines,
     load,
     persist,
@@ -168,15 +167,3 @@ class TestPersistence:
         with pytest.raises(IngestError, match="no-such"):
             load(str(tmp_path / "no-such.jsonl"))
 
-
-class TestFallbackFactor:
-    def test_small(self):
-        assert fallback_factor(-12) == ((2, 2), (3, 1))
-
-    def test_large_semiprime(self):
-        n = 1000003 * 999983
-        assert fallback_factor(n) == ((999983, 1), (1000003, 1))
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            fallback_factor(0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import octicount
@@ -19,3 +20,13 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    unresolved = []
+    for path in SOURCES:
+        name = "octicount" if path.stem == "__init__" else f"octicount.{path.stem}"
+        module = importlib.import_module(name)
+        unresolved += [f"{path.name}:{attr}" for attr in getattr(module, "__all__", ())
+                       if not hasattr(module, attr)]
+    assert unresolved == []

@@ -13,6 +13,7 @@ from octicount.perms import (
     parse_cycle_string,
     perm_index,
 )
+from octicount import splitting
 from octicount.splitting import (
     SplittingSymbol,
     TameConfig,
@@ -275,3 +276,45 @@ class TestLemmaVerifiers:
         a = verify_lemma_vpn("8T23")
         b = verify_lemma_vpn("8T23")
         assert a.details == b.details and a.witnesses == b.witnesses
+
+
+class TestOnePassPerGroup:
+    def test_two_symbols_per_configuration(self, monkeypatch):
+        degrees = []
+        original = splitting.splitting_symbol
+
+        def counted(cfg, action):
+            degrees.append(action.induced_degree)
+            return original(cfg, action)
+
+        monkeypatch.setattr(splitting, "splitting_symbol", counted)
+        splitting._tame_profiles.cache_clear()
+        reports = splitting.run_all_splitting_verifiers()
+        configs = {r.details["group"]: r.details["configs_checked"] for r in reports}
+        assert configs == {"8T23": 19, "8T40": 73}
+        assert len(degrees) == 184
+        assert degrees.count(8) == degrees.count(4) == 92
+
+    def test_profiles_carry_the_checked_symbols(self):
+        octic, quartic = octic_action("8T23"), quartic_action("8T23")
+        for cfg in enumerate_tame_configs(catalog_group("8T23")):
+            prof = valuation_profile(cfg, octic, quartic)
+            assert prof.octic_symbol == splitting_symbol(cfg, octic)
+            assert prof.quartic_symbol == splitting_symbol(cfg, quartic)
+
+    def test_one_group_enumerates_only_that_group(self, monkeypatch):
+        groups = []
+        original = splitting.enumerate_tame_configs
+
+        def recorded(G):
+            groups.append(G)
+            return original(G)
+
+        monkeypatch.setattr(splitting, "enumerate_tame_configs", recorded)
+        splitting._tame_profiles.cache_clear()
+        reports = splitting.run_all_splitting_verifiers(["8T23"])
+        assert groups == [catalog_group("8T23")]
+        assert [r.claim_id for r in reports] == [
+            "splitting.lemma_splitting.8T23",
+            "splitting.lemma_vpn.8T23",
+        ]
