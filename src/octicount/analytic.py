@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from sympy import Poly, Symbol, isprime, sieve
-
+from .arith import is_prime, primes_up_to
 from .nfdata import Snapshot, query
 
 __all__ = [
@@ -249,7 +248,7 @@ def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
     output entry per irreducible factor, as a sorted (degree, multiplicity)
     multiset.
     """
-    if p >= 2 ** 61 or not isprime(p):
+    if p >= 2 ** 61 or not is_prime(p):
         raise ValueError(f"{p} is not a prime below 2^61")
     if len(coeffs) - 1 > 8:
         raise ValueError("degree capped at 8")
@@ -278,11 +277,34 @@ def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=4096)
 def _poly_disc(coeffs: tuple[int, ...]) -> int:
-    """disc of the polynomial, computed once per coefficient tuple."""
-    if len(coeffs) == 2:
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), once per coefficient tuple.
+
+    Res(f, f') is the determinant of the Sylvester matrix, taken by
+    fraction-free (Bareiss) elimination: every division is exact, so every
+    intermediate entry is an integer minor.
+    """
+    n = len(coeffs) - 1
+    if n == 1:
         return 1
-    x = Symbol("x")
-    return int(Poly(list(reversed(coeffs)), x).discriminant())
+    f = coeffs[::-1]
+    df = [(n - i) * c for i, c in enumerate(f[:-1])]
+    m = [[0] * i + list(f) + [0] * (n - 2 - i) for i in range(n - 1)]
+    m += [[0] * i + df + [0] * (n - 1 - i) for i in range(n)]
+    size, sign, prev = 2 * n - 1, (-1) ** (n * (n - 1) // 2), 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        row_k, pivot = m[k], m[k][k]
+        for row in m[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, size):
+                row[j] = (pivot * row[j] - c * row_k[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] // f[0]
 
 
 def local_factor_data(record, p: int) -> LocalFactorData:
@@ -319,9 +341,8 @@ def zeta_K_at_2(record, prime_bound: int = 10 ** 5) -> ZetaValue:
         raise ValueError("prime bound must be at least 100")
     degree = len(record.coeffs) - 1
     lower = upper = 1.0
-    # sympy's shared sieve is extended once; a bare primerange would call
-    # isprime on every odd number below P, for every field.
-    for p in sieve.primerange(2, P + 1):
+    # One sieve per prime bound, shared by every field of the run.
+    for p in primes_up_to(P):
         data = local_factor_data(record, p)
         if data.trusted:
             factor = 1.0

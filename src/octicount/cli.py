@@ -275,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify_groups)
 
     p = sub.add_parser("verify-splitting", help="run the tame-splitting lemma verifiers")
-    p.add_argument("--group", choices=list(LABELS), default=None)
+    p.add_argument("--group", default=None,
+                   choices=sorted({label for _, label in splitting.SPLITTING_VERIFIERS}))
     common(p)
     p.set_defaults(fn=_cmd_verify_splitting)
 

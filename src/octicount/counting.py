@@ -8,8 +8,6 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from sympy import integer_nthroot
-
 from .analytic import PartialConstant
 from .nfdata import FieldRecord, Snapshot, query
 from .verify import VerificationReport, _checked_report
@@ -31,10 +29,15 @@ THETA_TARGET = 3.0 / 4.0 - 1.0 / 30.0
 
 
 def _is_kth_power(n: int, k: int) -> bool:
+    """Is n a perfect square (k = 2) or fourth power (k = 4)?"""
+    if k not in (2, 4):
+        raise ValueError(f"only squares and fourth powers are tested, not k = {k}")
     if n < 0:
         return False
-    root, exact = integer_nthroot(n, k)
-    return bool(exact)
+    root = math.isqrt(n)
+    if k == 4:
+        root = math.isqrt(root)
+    return root ** k == n
 
 
 def _rad(factors: Iterable[tuple[int, int]]) -> int:

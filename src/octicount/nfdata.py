@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
+from .arith import is_prime, primes_up_to
+
 __all__ = [
     "FieldRecord",
     "Snapshot",
@@ -79,7 +81,7 @@ class FieldRecord:
         for p, e in self.disc_factors:
             if p <= last_p or e < 1:
                 raise IngestError(f"{self.label}: disc_factors must be sorted primes with e >= 1")
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise IngestError(f"{self.label}: disc factor {p} is not prime")
             prod *= p ** e
             last_p = p
@@ -107,19 +109,19 @@ class FieldRecord:
             raise IngestError(f"{self.label}: polynomial is reducible over the rationals")
 
 
-def _is_prime(n: int) -> bool:
-    from sympy import isprime
-
-    return bool(isprime(n))
+# The irreducibility prescreen reads the unramified primes 5 <= p below this.
+_PRESCREEN_PRIME_BOUND = 200
 
 
 @lru_cache(maxsize=4096)
 def _is_irreducible(coeffs: tuple[int, ...]) -> bool:
     """Irreducibility over Q for a monic integer polynomial.
 
-    Prescreen: if the factor-degree patterns mod several primes admit no
-    common nontrivial sub-sum, the polynomial is irreducible.  Otherwise
-    fall back to an exact factorization.
+    Prescreen: a rational factor of degree k reduces, mod every prime p that
+    leaves f squarefree, to a product of some of f's irreducible factors mod
+    p, so k is a sub-sum of their degrees.  Once the primes 5 <= p < 200
+    leave no common k, f is irreducible; otherwise fall back to an exact
+    factorization.
     """
     degree = len(coeffs) - 1
     if degree == 1:
@@ -127,24 +129,21 @@ def _is_irreducible(coeffs: tuple[int, ...]) -> bool:
     from .analytic import factor_mod_p
 
     candidates = set(range(1, degree))
-    checked = 0
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in primes_up_to(_PRESCREEN_PRIME_BOUND - 1):
+        if p < 5:
+            continue
         try:
             pattern = factor_mod_p(coeffs, p)
         except ValueError:
             continue
         if any(mult > 1 for _, mult in pattern):
             continue  # p ramifies; degree pattern unreliable for subset sums
-        checked += 1
-        degs = [d for d, mult in pattern for _ in range(mult)]
         sums = {0}
-        for d in degs:
+        for d, _ in pattern:
             sums |= {s + d for s in sums}
         candidates &= sums
         if not candidates:
             return True
-        if checked >= 4:
-            break
     from sympy import Poly, Symbol
 
     x = Symbol("x")

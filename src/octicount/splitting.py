@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Optional
 
 from .catalog import catalog_group, octic_action, quartic_action
@@ -46,7 +45,6 @@ class TameConfig:
     inertia_gen: Perm
     decomposition: PermGroup
     frobenius: Perm
-    tame_compatible: bool
 
     def __post_init__(self):
         I = PermGroup([self.inertia_gen], degree=self.group.degree)
@@ -135,18 +133,6 @@ def _power(g: Perm, k: int) -> Perm:
     return out
 
 
-def _is_tame_compatible(tau: Perm, sigma: Perm) -> bool:
-    """Does sigma act on <tau> as tau -> tau^q with gcd(q, |tau|) = 1?"""
-    conj = sigma * tau * sigma.inverse()
-    n = tau.order()
-    x = Perm.identity(tau.degree)
-    for q in range(n):
-        if x == conj:
-            return gcd(q, n) == 1
-        x = x * tau
-    return False
-
-
 def _cyclic_subgroup_class_reps(G: PermGroup) -> list[Perm]:
     """Nonidentity generators tau, one per conjugacy class of cyclic subgroups."""
     seen: set[frozenset[Perm]] = set()
@@ -201,7 +187,6 @@ def enumerate_tame_configs(G: PermGroup) -> list[TameConfig]:
                     inertia_gen=tau,
                     decomposition=PermGroup([tau, sigma0], degree=G.degree),
                     frobenius=sigma0,
-                    tame_compatible=_is_tame_compatible(tau, sigma0),
                 )
             )
     configs.sort(

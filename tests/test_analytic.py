@@ -9,10 +9,11 @@ from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import GF, Poly, Symbol, primerange
+from sympy import GF, Poly, Symbol, isprime, nextprime, primerange
 
 from conftest import quartic_record
-from octicount import analytic
+from octicount import analytic, arith
+from octicount.arith import is_prime, primes_up_to
 from octicount.analytic import (
     KAPPA,
     ZetaValue,
@@ -165,6 +166,69 @@ def _intmul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+def sympy_disc(coeffs) -> int:
+    return int(Poly(list(reversed(coeffs)), Symbol("x")).discriminant())
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
+
+
+class TestIntegerPrimitives:
+    """The integer discriminant, primality test and sieve against sympy."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(low=st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=1, max_size=8))
+    def test_disc_of_random_monic(self, low):
+        coeffs = tuple(low) + (1,)
+        assert analytic._poly_disc(coeffs) == sympy_disc(coeffs)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(g=st.lists(st.integers(-50, 50), min_size=1, max_size=2),
+           h=st.lists(st.integers(-50, 50), max_size=4))
+    def test_disc_of_repeated_roots_is_zero(self, g, h):
+        coeffs = tuple(_intmul(_intmul(g + [1], g + [1]), h + [1]))
+        assert analytic._poly_disc(coeffs) == sympy_disc(coeffs) == 0
+
+    def test_disc_of_sparse_octics(self):
+        # Zero pivots in the Sylvester matrix force row swaps.
+        for coeffs in ((576, 0, -960, 0, 352, 0, -40, 0, 1), (-2, 0, 0, 0, 0, 0, 0, 0, 1),
+                       (0, 0, 0, 0, 1), (-1, -1, 0, 0, 0, 0, 0, 0, 1)):
+            assert analytic._poly_disc(coeffs) == sympy_disc(coeffs)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 30).flatmap(lambda k: st.integers(0, 10 ** k)))
+    def test_is_prime_on_random_integers(self, n):
+        assert is_prime(n) == isprime(n)
+        assert is_prime(nextprime(n))
+
+    def test_is_prime_on_strong_pseudoprimes(self):
+        for n in (3215031751, 3825123056546413051):
+            assert not is_prime(n) and not isprime(n)
+        # Each psi_k is composite and a strong probable prime to the first k
+        # bases, so the test must go on to base k + 1 to reject it.
+        bases = [a for a, _ in arith._MR_BOUNDS]
+        for k, (_, psi) in enumerate(arith._MR_BOUNDS, start=1):
+            assert all(strong_probable_prime(psi, a) for a in bases[:k])
+            assert not is_prime(psi) and not isprime(psi)
+
+    def test_is_prime_either_side_of_the_deterministic_bound(self):
+        psi_13 = arith._MR_BOUNDS[-1][1]
+        window = range(psi_13 - 300, psi_13 + 300)
+        assert any(isprime(n) for n in window if n < psi_13)
+        assert any(isprime(n) for n in window if n > psi_13)
+        for n in window:
+            assert is_prime(n) == isprime(n), n
+
+    @pytest.mark.parametrize("P", [100, 1000, 10 ** 5])
+    def test_sieve_matches_primerange(self, P):
+        assert primes_up_to(P) == tuple(primerange(2, P + 1))
 
 
 class TestZetaAt2:

@@ -94,6 +94,12 @@ class TestVerifySplittingCli:
         assert parts["part2_valuation"] == "pass"
         assert parts["index_set"] == "fail"
 
+    @pytest.mark.parametrize("label", ["8T14", "8T24", "8T39", "8T44"])
+    def test_group_without_a_lemma_is_usage_error(self, label, capsys):
+        assert run(["verify-splitting", "--group", label, "--json", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice" in captured.err
+
     def test_deterministic_output(self, capsys):
         run(["verify-splitting", "--group", "8T23", "--json", "-"])
         first = capsys.readouterr().out

@@ -6,11 +6,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import integer_nthroot
 
 from conftest import octic_record, quartic_record
 from octicount.analytic import PartialConstant
 from octicount.counting import (
     THETA_TARGET,
+    _is_kth_power,
     CountSeries,
     audit_lemmas,
     count_series,
@@ -37,6 +40,19 @@ def make_pair(k_factors, n_factors, galois="8T23"):
     parent = quartic_record("K", dk, k_factors)
     octic = octic_record("L", dl, sorted(l_vals.items()), galois, "K")
     return octic, parent
+
+
+class TestKthPower:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(root=st.integers(0, 10 ** 20), delta=st.integers(-2, 2),
+           k=st.sampled_from([2, 4]))
+    def test_agrees_with_integer_nthroot(self, root, delta, k):
+        for n in (root ** k + delta, root, root * 10 ** 9 + delta):
+            assert _is_kth_power(n, k) == (n >= 0 and integer_nthroot(n, k)[1])
+
+    def test_only_squares_and_fourth_powers(self):
+        with pytest.raises(ValueError, match="k = 3"):
+            _is_kth_power(8, 3)
 
 
 class TestSplitRelDisc:

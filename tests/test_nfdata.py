@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
+from sympy import Poly
 
 from conftest import (
     OCTIC_COEFFS,
@@ -15,10 +17,13 @@ from conftest import (
     quartic_record,
     record_json_line,
 )
+from octicount.analytic import factor_mod_p
+from octicount.arith import primes_up_to
 from octicount.nfdata import (
     FieldRecord,
     IngestError,
     Snapshot,
+    _is_irreducible,
     ingest_lines,
     load,
     persist,
@@ -99,6 +104,36 @@ class TestIngest:
         bad["reg"] = "0.43"
         with pytest.raises(IngestError, match="significant digits"):
             ingest_lines([json.dumps(bad)])
+
+
+# Minimal polynomial of sqrt2 + sqrt3 + sqrt5; its Galois group C2^3 has
+# only the cycle types 1^8 and 2^4.
+C2_CUBED_OCTIC = (576, 0, -960, 0, 352, 0, -40, 0, 1)
+
+
+class TestIrreducibility:
+    def test_octic_the_prescreen_cannot_settle(self, monkeypatch):
+        # Mod every unramified prime the factor degrees are all 1 or all 2,
+        # so the sub-sums 2, 4 and 6 survive and only the exact
+        # factorization proves the octic irreducible.
+        for p in primes_up_to(199):
+            pattern = factor_mod_p(C2_CUBED_OCTIC, p)
+            if all(m == 1 for _, m in pattern):
+                assert len({d for d, _ in pattern}) == 1
+        exact = []
+        factor_list = Poly.factor_list
+        monkeypatch.setattr(Poly, "factor_list",
+                            lambda poly: exact.append(poly) or factor_list(poly))
+        assert _is_irreducible.__wrapped__(C2_CUBED_OCTIC)
+        assert len(exact) == 1
+        rec = octic_record("L.c2cubed", 283 ** 2, [(283, 2)], "8T23", None)
+        replace(rec, coeffs=C2_CUBED_OCTIC).validate()
+
+    def test_reducible_octic_rejected_by_name(self):
+        # (x^4 - x - 1)(x^4 + x + 1) = x^8 - x^2 - 2x - 1
+        rec = octic_record("L.product", 283 ** 2, [(283, 2)], "8T23", None)
+        with pytest.raises(IngestError, match="L.product: polynomial is reducible"):
+            replace(rec, coeffs=(-1, -2, -1, 0, 0, 0, 0, 0, 1)).validate()
 
 
 class TestQuery:

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+from conftest import record_json_line
 import octicount
 
 SOURCES = sorted(Path(octicount.__file__).parent.glob("*.py"))
@@ -30,3 +35,46 @@ def test_every_exported_name_resolves():
         unresolved += [f"{path.name}:{attr}" for attr in getattr(module, "__all__", ())
                        if not hasattr(module, attr)]
     assert unresolved == []
+
+
+# Runs each command in turn in one fresh interpreter and records, after each,
+# its exit code and whether sympy has been imported.
+SYMPY_PROBE = """
+import json, sys
+from octicount.cli import run
+seen = []
+for argv in json.loads(sys.argv[1]):
+    seen.append([argv[0], run(argv), "sympy" in sys.modules])
+with open(sys.argv[2], "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_no_command_imports_sympy(tmp_path, model_snapshot):
+    # sympy is the answer only for the exact factorization fallback and for
+    # primality above 3.3e24; no command on the model towers needs either.
+    infile, store = tmp_path / "in.jsonl", str(tmp_path / "store.jsonl")
+    infile.write_text("".join(record_json_line(r) + "\n"
+                              for r in model_snapshot.records.values()))
+    on_store = ["--store", store]
+    commands = [
+        ["verify-groups"],
+        ["verify-splitting"],
+        ["malle-alpha", "--label", "8T40"],
+        ["ingest", "--in", str(infile), "--out", store],
+        ["audit", *on_store],
+        ["count", *on_store, "--checkpoints", "1000:100000000000:5"],
+        ["constant", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
+        ["fit", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
+        ["query", *on_store],
+        ["tail", *on_store, "--Z", "1", "--X", "1000000000"],
+    ]
+    result = tmp_path / "seen.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(octicount.__file__).parent.parent))
+    subprocess.run([sys.executable, "-c", SYMPY_PROBE, json.dumps(commands), str(result)],
+                   env=env, check=True, capture_output=True, timeout=600)
+    seen = json.loads(result.read_text())
+    assert [name for name, _, _ in seen] == [argv[0] for argv in commands]
+    # verify-splitting exits 1 on the documented 8T40 index-set subcheck.
+    assert [code for _, code, _ in seen] == [0, 1] + [0] * 8
+    assert [name for name, _, loaded in seen if loaded] == []

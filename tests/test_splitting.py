@@ -84,7 +84,6 @@ class TestOracleAgreement:
         for tau, D, sigma in all_configs_naive(G):
             cfg = TameConfig(
                 group=G, inertia_gen=tau, decomposition=D, frobenius=sigma,
-                tame_compatible=True,
             )
             sym = splitting_symbol(cfg, act)
             oracle = naive_symbol(
@@ -117,7 +116,6 @@ class TestSymbolExamples:
             inertia_gen=tau,
             decomposition=PermGroup([tau]),
             frobenius=Perm.identity(3),
-            tame_compatible=True,
         )
         sym = splitting_symbol(cfg, coset_action(G, G.stabilizer(1)))
         assert sym.pairs == ((1, 1), (2, 1))
@@ -130,7 +128,6 @@ class TestSymbolExamples:
             inertia_gen=Perm.identity(3),
             decomposition=PermGroup([sigma]),
             frobenius=sigma,
-            tame_compatible=True,
         )
         sym = splitting_symbol(cfg, coset_action(G, G.stabilizer(1)))
         assert sym.pairs == ((1, 3),)
@@ -143,7 +140,6 @@ class TestSymbolExamples:
             inertia_gen=tau,
             decomposition=PermGroup([tau]),
             frobenius=Perm.identity(8),
-            tame_compatible=True,
         )
         sym = splitting_symbol(cfg, coset_action(G, G.stabilizer(1)))
         assert sym.pairs == ((8, 1),)
@@ -159,7 +155,6 @@ class TestValuationProfiles:
             inertia_gen=Perm.identity(8),
             decomposition=PermGroup([sigma]),
             frobenius=sigma,
-            tame_compatible=True,
         )
         prof = valuation_profile(cfg, octic_action(lab), quartic_action(lab))
         assert (prof.v_disc_L, prof.v_disc_K, prof.v_norm) == (0, 0, 0)
@@ -178,7 +173,6 @@ class TestValuationProfiles:
             inertia_gen=tau,
             decomposition=PermGroup([tau]),
             frobenius=Perm.identity(8),
-            tame_compatible=True,
         )
         prof = valuation_profile(cfg, octic_action(lab), quartic_action(lab))
         assert (prof.v_disc_L, prof.v_disc_K, prof.v_norm) == (4, 0, 4)
@@ -200,7 +194,6 @@ class TestValuationProfiles:
                 inertia_gen=tau,
                 decomposition=PermGroup([tau]),
                 frobenius=Perm.identity(8),
-                tame_compatible=True,
             )
             prof = valuation_profile(cfg, octic_action(lab), quartic_action(lab))
             assert prof.v_disc_K == 0
@@ -219,9 +212,13 @@ class TestEnumeration:
         assert trans[0].f == 1
 
     def test_all_tame_compatible_by_construction(self):
+        # sigma normalizes <tau>, so sigma tau sigma^-1 is a generator of <tau>.
         for entry in CATALOG:
             for cfg in enumerate_tame_configs(catalog_group(entry.label)):
-                assert cfg.tame_compatible
+                tau, sigma = cfg.inertia_gen, cfg.frobenius
+                conj = sigma * tau * sigma.inverse()
+                assert conj in cfg.inertia.elements
+                assert conj.order() == tau.order()
 
     def test_invariants_on_returned_configs(self):
         for cfg in enumerate_tame_configs(catalog_group("8T23")):
@@ -245,7 +242,6 @@ class TestEnumeration:
                 inertia_gen=cfg.inertia_gen.conjugate_by(g0),
                 decomposition=cfg.decomposition.conjugate(g0),
                 frobenius=cfg.frobenius.conjugate_by(g0),
-                tame_compatible=cfg.tame_compatible,
             )
             assert splitting_symbol(conj, octic) == splitting_symbol(cfg, octic)
 
