@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from typing import Optional
@@ -56,6 +57,8 @@ def _parse_checkpoints(spec: str) -> list[int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         if not (lo > 0 and hi > lo and n >= 2):
             raise ValueError("need 0 < lo < hi and n >= 2")
+        if not math.isfinite(hi / lo):
+            raise ValueError(f"need finite lo, hi and hi/lo, got {spec!r}")
         ratio = (hi / lo) ** (1.0 / (n - 1))
         out = []
         for i in range(n):
@@ -64,6 +67,21 @@ def _parse_checkpoints(spec: str) -> list[int]:
                 out.append(x)
         return out
     return sorted({int(tok) for tok in spec.split(",") if tok})
+
+
+# Every label a record can carry: the octic catalog and the S4 quartics.
+_GALOIS_LABELS = (*LABELS, "4T5")
+
+
+def _galois_labels(spec: str) -> list[str]:
+    """argparse type of --galois: a comma list of known Galois labels."""
+    labels = spec.split(",")
+    unknown = [label for label in labels if label not in _GALOIS_LABELS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown Galois label(s) {', '.join(map(repr, unknown))}; "
+            f"expected a comma list of {', '.join(_GALOIS_LABELS)}")
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +137,7 @@ def _rec_row(rec: nfdata.FieldRecord) -> dict:
 
 def _cmd_query(args) -> int:
     snap = nfdata.load(args.store)
-    galois = args.galois.split(",") if args.galois else None
-    recs = nfdata.query(snap, degree=args.degree, galois_filter=galois,
+    recs = nfdata.query(snap, degree=args.degree, galois_filter=args.galois,
                         max_abs_disc=args.max_disc)
     rows = [_rec_row(r) for r in recs]
     if args.json is not None:
@@ -169,8 +186,7 @@ def _cmd_constant(args) -> int:
 def _cmd_count(args) -> int:
     snap = nfdata.load(args.store)
     checkpoints = _parse_checkpoints(args.checkpoints)
-    labels = args.galois.split(",") if args.galois else list(LABELS)
-    series = counting.count_series(snap, labels, checkpoints)
+    series = counting.count_series(snap, args.galois or list(LABELS), checkpoints)
     rows = list(zip(series.checkpoints, series.counts))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -213,17 +229,16 @@ def _cmd_tail(args) -> int:
 
 def _cmd_fit(args) -> int:
     snap = nfdata.load(args.store)
-    pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound)
-    octics = nfdata.query(snap, degree=8)
     if args.checkpoints:
         checkpoints = _parse_checkpoints(args.checkpoints)
     else:
-        discs = sorted(r.abs_disc for r in octics)
+        discs = sorted(r.abs_disc for r in nfdata.query(snap, degree=8))
         if len(discs) < 3:
             raise ValueError("need at least 3 octic records to fit")
         checkpoints = _parse_checkpoints(f"{max(discs[0], 1)}:{discs[-1]}:12")
-    labels = args.galois.split(",") if args.galois else list(LABELS)
-    series = counting.count_series(snap, labels, checkpoints)
+    # After the checkpoints, so that a bad spec fails before the costly constant.
+    pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound)
+    series = counting.count_series(snap, args.galois or list(LABELS), checkpoints)
     report = counting.fit_error(series, pc, provenance=snap.provenance)
     payload = {
         "theta_target": report.theta_target,
@@ -284,13 +299,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--provenance", default="")
-    common(p)
+    p.add_argument("--stamp", action="store_true",
+                   help="record the ingest time in the store header")
     p.set_defaults(fn=_cmd_ingest)
 
     p = sub.add_parser("query", help="filter records from a store")
     common(p, store=True)
     p.add_argument("--degree", type=int, choices=(4, 8), default=None)
-    p.add_argument("--galois", default=None, help="comma-separated label filter")
+    p.add_argument("--galois", type=_galois_labels, default=None,
+                   help="comma-separated label filter")
     p.add_argument("--max-disc", type=int, default=None)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(fn=_cmd_query)
@@ -304,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="counting function N(X) at checkpoints")
     common(p, store=True)
-    p.add_argument("--galois", default=None)
+    p.add_argument("--galois", type=_galois_labels, default=None)
     p.add_argument("--checkpoints", required=True,
                    help="comma list '10,100' or geometric 'lo:hi:n'")
     p.add_argument("--csv", default=None, metavar="PATH")
@@ -325,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-disc", type=int, required=True, metavar="Z",
                    help="quartic discriminant cutoff for the constant")
     p.add_argument("--prime-bound", type=int, default=10 ** 5)
-    p.add_argument("--galois", default=None)
+    p.add_argument("--galois", type=_galois_labels, default=None)
     p.add_argument("--checkpoints", default=None)
     p.set_defaults(fn=_cmd_fit)
 

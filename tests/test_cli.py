@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import octicount.analytic
 from conftest import record_json_line
 from octicount.cli import run
 
@@ -37,6 +38,44 @@ class TestExitCodes:
         assert run(["verify-groups", "--threads", "2"]) == 2
         assert run(["verify-splitting", "--include-nontame"]) == 2
         capsys.readouterr()
+
+    def test_ingest_has_no_json_flag(self, capsys, tmp_path):
+        # ingest writes its store to --out and never wrote a --json file.
+        out = tmp_path / "out.jsonl"
+        assert run(["ingest", "--in", "in.jsonl", "--out", str(out),
+                    "--json", str(tmp_path / "x.json")]) == 2
+        assert "--json" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("subcommand", [
+        ["count", "--checkpoints", "10"],
+        ["fit", "--max-disc", "10"],
+        ["query"],
+    ], ids=lambda args: args[0])
+    def test_unknown_galois_label_is_usage_error(self, subcommand, store, capsys):
+        # An unknown label matches no record, so it once read as a count of 0.
+        assert run(subcommand + ["--store", store, "--galois", "8T23,8T99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "'8T99'" in captured.err
+        assert "'8T23'" not in captured.err
+
+    @pytest.mark.parametrize("spec", ["1:inf:5", "1:1e400:5", "5e-324:1e10:4"])
+    @pytest.mark.parametrize("subcommand", [["count"], ["fit", "--max-disc", "10"]],
+                             ids=lambda args: args[0])
+    def test_unbounded_checkpoints_are_data_errors(self, subcommand, spec, store, capsys):
+        assert run(subcommand + ["--store", store, "--checkpoints", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "finite" in captured.err
+
+    def test_fit_rejects_checkpoints_before_the_constant(self, store, capsys, monkeypatch):
+        # The constant can take minutes at the default prime bound.
+        monkeypatch.setattr(octicount.analytic, "partial_constant",
+                            lambda *args, **kwargs: pytest.fail("constant evaluated"))
+        assert run(["fit", "--store", store, "--max-disc", "10", "--checkpoints",
+                    "1:inf:5"]) == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_bad_store_is_data_error(self, capsys, tmp_path):
         missing = str(tmp_path / "none.jsonl")
@@ -125,6 +164,12 @@ class TestDataPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["status"] == "pass"
+
+    def test_count_accepts_quartic_label(self, store, capsys):
+        rc = run(["count", "--store", store, "--galois", "4T5,8T23",
+                  "--checkpoints", "1000:100000000000:5", "--json", "-"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["labels"] == ["4T5", "8T23"]
 
     def test_count_checkpoints(self, store, capsys):
         rc = run(["count", "--store", store, "--galois", "8T23",

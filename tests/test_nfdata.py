@@ -7,7 +7,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from sympy import Poly
+from sympy import Poly, isprime
 
 from conftest import (
     OCTIC_COEFFS,
@@ -17,6 +17,8 @@ from conftest import (
     quartic_record,
     record_json_line,
 )
+import octicount.analytic
+from octicount import nfdata
 from octicount.analytic import factor_mod_p
 from octicount.arith import primes_up_to
 from octicount.nfdata import (
@@ -111,6 +113,58 @@ class TestIngest:
 C2_CUBED_OCTIC = (576, 0, -960, 0, 352, 0, -40, 0, 1)
 
 
+def _with(**changes) -> str:
+    obj = json.loads(GOOD_QUARTIC)
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+class TestStrictParsing:
+    @pytest.mark.parametrize("changes, field", [
+        ({"coeffs": "10001"}, "coeffs"),  # once read digit by digit as x^4 + 1
+        ({"coeffs": ["-1", "-1", "0", "0", 1.0]}, "coeffs"),
+        ({"coeffs": ["-1", "-1", "0", "0", True]}, "coeffs"),
+        ({"degree": 4.7}, "degree"),  # once truncated to 4
+        ({"degree": "4.7"}, "degree"),
+        ({"degree": "+4"}, "degree"),
+        ({"degree": " 4"}, "degree"),
+        ({"degree": "4_0"}, "degree"),
+        ({"degree": "\u0664"}, "degree"),  # ARABIC-INDIC DIGIT FOUR
+        ({"disc": "-0x11b"}, "disc"),
+        ({"r1": True}, "r1"),
+        ({"h": False}, "h"),
+        ({"w": "two"}, "w"),
+        ({"disc_factors": "283"}, "disc_factors"),
+        ({"disc_factors": [283, 1]}, "disc_factors"),
+        ({"disc_factors": [["283"]]}, "disc_factors"),
+        ({"disc_factors": [["283", "1", "1"]]}, "disc_factors"),
+        ({"disc_factors": [["283", 1.0]]}, "disc_factors"),
+        ({"label": 41}, "label"),
+        ({"reg": 0.430630128702}, "reg"),
+    ], ids=repr)
+    def test_rejects_by_field(self, changes, field):
+        with pytest.raises(IngestError, match=f"line 1: {field}: expected"):
+            ingest_lines([_with(**changes)])
+
+    def test_json_integers_accepted(self):
+        snap = ingest_lines([_with(degree=4, coeffs=[-1, -1, 0, 0, 1], disc=-283,
+                                   disc_factors=[[283, 1]], r1=2, r2=1, h=1, w=2)])
+        assert snap.records["4.1"] == ingest_lines([GOOD_QUARTIC]).records["4.1"]
+
+    def test_sealed_load_parses_strictly(self, tmp_path):
+        # A store whose seal matches its (bad) record lines still gets the
+        # strict parse: the seal skips arithmetic checks only.
+        path = tmp_path / "store.jsonl"
+        persist(ingest_lines([GOOD_QUARTIC]), str(path))
+        header, line = path.read_text().splitlines(keepends=True)
+        bad = line.replace('"coeffs":["-1","-1","0","0","1"]', '"coeffs":"10001"')
+        header = json.loads(header)
+        header["seal"] = nfdata._seal([bad])
+        path.write_text(json.dumps(header) + "\n" + bad)
+        with pytest.raises(IngestError, match="coeffs: expected a list"):
+            load(str(path))
+
+
 class TestIrreducibility:
     def test_octic_the_prescreen_cannot_settle(self, monkeypatch):
         # Mod every unramified prime the factor degrees are all 1 or all 2,
@@ -198,7 +252,114 @@ class TestPersistence:
         with pytest.raises(IngestError, match="truncated"):
             load(path)
 
+    @pytest.mark.parametrize("count", ["two", None, 2.5])
+    def test_malformed_header_count_named(self, tmp_path, count):
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps({"format": "octic-snapshot/1", "count": count}) + "\n")
+        with pytest.raises(IngestError, match="store.jsonl: header count: expected"):
+            load(str(path))
+
     def test_missing_file_error_has_path(self, tmp_path):
         with pytest.raises(IngestError, match="no-such"):
             load(str(tmp_path / "no-such.jsonl"))
 
+
+
+def _count_factor_mod_p(monkeypatch) -> list:
+    """Clear the irreducibility cache and record every factor_mod_p call."""
+    calls = []
+    original = octicount.analytic.factor_mod_p
+    monkeypatch.setattr(octicount.analytic, "factor_mod_p",
+                        lambda f, p: calls.append(p) or original(f, p))
+    _is_irreducible.cache_clear()
+    return calls
+
+
+class TestSeal:
+    def persisted(self, tmp_path, records):
+        path = tmp_path / "store.jsonl"
+        persist(Snapshot(records={r.label: r for r in records}, provenance="fixture"), str(path))
+        return path
+
+    def edit_record(self, path, label, old, new):
+        lines = path.read_text().splitlines(keepends=True)
+        [i] = [i for i, ln in enumerate(lines) if f'"label":"{label}"' in ln]
+        assert old in lines[i]
+        lines[i] = lines[i].replace(old, new)
+        path.write_text("".join(lines))
+
+    def test_sealed_load_makes_no_factor_mod_p_calls(self, tmp_path, monkeypatch,
+                                                     thousand_quartics):
+        path = self.persisted(tmp_path, thousand_quartics[:50])
+        calls = _count_factor_mod_p(monkeypatch)
+        loaded = load(str(path))
+        assert calls == []
+        assert loaded.records == {r.label: r for r in thousand_quartics[:50]}
+
+    def test_flipped_digit_makes_factor_composite(self, tmp_path, thousand_quartics):
+        rec = thousand_quartics[0]
+        [(p, _)] = rec.disc_factors
+        digits = str(p)
+        composite = next(digits[:-1] + d for d in "0123456789"
+                         if not isprime(int(digits[:-1] + d)))
+        path = self.persisted(tmp_path, thousand_quartics[:20])
+        # The same digit flipped in disc and disc_factors keeps the product
+        # check satisfied, so only the primality check can catch it.
+        self.edit_record(path, rec.label, f'"{digits}"', f'"{composite}"')
+        with pytest.raises(IngestError,
+                           match=f"{rec.label}: disc factor {composite} is not prime"):
+            load(str(path))
+
+    def test_flipped_digit_makes_polynomial_reducible(self, tmp_path, thousand_quartics):
+        path = self.persisted(tmp_path, thousand_quartics[:20])
+        # x^4 - x - 1 becomes x^4 - 1.
+        label = thousand_quartics[7].label
+        self.edit_record(path, label, '"coeffs":["-1","-1",', '"coeffs":["-1","-0",')
+        with pytest.raises(IngestError, match=f"{label}: polynomial is reducible"):
+            load(str(path))
+
+    def test_store_without_seal_is_fully_validated(self, tmp_path, monkeypatch,
+                                                   thousand_quartics):
+        path = self.persisted(tmp_path, thousand_quartics[:20])
+        header, *body = path.read_text().splitlines(keepends=True)
+        header = json.loads(header)
+        del header["seal"]
+        path.write_text(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+                        + "".join(body))
+        calls = _count_factor_mod_p(monkeypatch)
+        loaded = load(str(path))
+        assert calls
+        assert loaded.records == {r.label: r for r in thousand_quartics[:20]}
+
+    def test_changed_validator_version_forces_full_validation(self, tmp_path, monkeypatch,
+                                                              thousand_quartics):
+        path = self.persisted(tmp_path, thousand_quartics[:20])
+        monkeypatch.setattr(nfdata, "_VALIDATOR_VERSION", "a stricter validator")
+        calls = _count_factor_mod_p(monkeypatch)
+        load(str(path))
+        assert calls
+
+    def test_persist_refuses_to_seal_unchecked_records(self, tmp_path):
+        # Snapshot checks only parents; persist runs the full validation.
+        reducible = replace(quartic_record("K", 283, [(283, 1)]), coeffs=(-1, 0, 0, 0, 1))
+        composite = quartic_record("K", 287, [(287, 1)])
+        path = tmp_path / "store.jsonl"
+        for rec, message in ((reducible, "K: polynomial is reducible"),
+                             (composite, "K: disc factor 287 is not prime")):
+            with pytest.raises(IngestError, match=message):
+                persist(Snapshot(records={"K": rec}), str(path))
+        assert not path.exists() and not (tmp_path / "store.jsonl.tmp").exists()
+
+    def test_file_differs_from_unsealed_format_only_by_seal(self, tmp_path,
+                                                            thousand_quartics):
+        records = thousand_quartics[:30]
+        path = self.persisted(tmp_path, records)
+        header, *body = path.read_text().splitlines(keepends=True)
+        header = json.loads(header)
+        assert len(header.pop("seal")) == 64
+        assert header == {"format": "octic-snapshot/1", "provenance": "fixture",
+                          "ingest_time": "", "count": "30"}
+        expected = [json.dumps(json.loads(record_json_line(r)), sort_keys=True,
+                               separators=(",", ":")) + "\n"
+                    for r in sorted(records, key=lambda r: r.label)]
+        assert body == expected
