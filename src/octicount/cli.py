@@ -69,18 +69,14 @@ def _parse_checkpoints(spec: str) -> list[int]:
     return sorted({int(tok) for tok in spec.split(",") if tok})
 
 
-# Every label a record can carry: the octic catalog and the S4 quartics.
-_GALOIS_LABELS = (*LABELS, "4T5")
-
-
 def _galois_labels(spec: str) -> list[str]:
     """argparse type of --galois: a comma list of known Galois labels."""
     labels = spec.split(",")
-    unknown = [label for label in labels if label not in _GALOIS_LABELS]
+    unknown = [label for label in labels if label not in nfdata.GALOIS_LABELS]
     if unknown:
         raise argparse.ArgumentTypeError(
             f"unknown Galois label(s) {', '.join(map(repr, unknown))}; "
-            f"expected a comma list of {', '.join(_GALOIS_LABELS)}")
+            f"expected a comma list of {', '.join(sorted(nfdata.GALOIS_LABELS))}")
     return labels
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -29,6 +30,9 @@ __all__ = [
 ]
 
 OCTIC_LABELS = {"8T14", "8T23", "8T24", "8T39", "8T40", "8T44"}
+QUARTIC_LABEL = "4T5"
+# Every Galois label a record can carry.
+GALOIS_LABELS = frozenset(OCTIC_LABELS | {QUARTIC_LABEL})
 
 
 class IngestError(ValueError):
@@ -97,8 +101,8 @@ class FieldRecord:
         if self.r1 < 0 or self.r2 < 0 or self.r1 + 2 * self.r2 != self.degree:
             raise IngestError(f"{self.label}: signature r1 + 2 r2 != degree")
         if self.degree == 4:
-            if self.galois != "4T5":
-                raise IngestError(f"{self.label}: quartic records must be 4T5")
+            if self.galois != QUARTIC_LABEL:
+                raise IngestError(f"{self.label}: quartic records must be {QUARTIC_LABEL}")
             if self.h is None or self.reg is None or self.w is None:
                 raise IngestError(f"{self.label}: quartic records need h, reg, w")
             if self.h < 1 or self.w < 1:
@@ -179,7 +183,7 @@ class Snapshot:
                     raise IngestError(
                         f"{rec.label}: parent {rec.parent_label!r} not in snapshot"
                     )
-                if parent.degree != 4 or parent.galois != "4T5":
+                if parent.degree != 4 or parent.galois != QUARTIC_LABEL:
                     raise IngestError(
                         f"{rec.label}: parent {parent.label} is not an S4-quartic"
                     )
@@ -205,15 +209,14 @@ _ALL_KEYS = set(_REQUIRED) | {"h", "reg", "w", "parent_label"}
 
 def _int(value, field: str) -> int:
     """A decimal string of ASCII digits with an optional '-', or a JSON integer."""
-    if type(value) is int:  # not bool, which subclasses int
-        return value
     if type(value) is str:
-        digits = value[1:] if value.startswith("-") else value
-        if digits.isascii() and digits.isdigit():
+        if value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit()):
             try:
                 return int(value)
             except ValueError as exc:  # beyond the interpreter's digit limit
                 raise IngestError(f"{field}: {exc}") from exc
+    elif type(value) is int:  # not bool, which subclasses int
+        return value
     raise IngestError(f"{field}: expected a decimal integer string, got {value!r}")
 
 
@@ -233,6 +236,12 @@ def _factor(pair, field: str) -> tuple[int, int]:
     if type(pair) is not list or len(pair) != 2:
         raise IngestError(f"{field}: expected a [prime, exponent] pair, got {pair!r}")
     return _int(pair[0], field), _int(pair[1], field)
+
+
+# Parsed records, by value, that passed `validate` and are still alive.
+# `persist` checks every record in full before it seals a store; a record
+# `ingest` has just read is looked up here instead of checked twice.
+_VALIDATED: "weakref.WeakSet[FieldRecord]" = weakref.WeakSet()
 
 
 def _record_from_obj(obj: dict, arithmetic: bool) -> FieldRecord:
@@ -267,6 +276,7 @@ def _record_from_obj(obj: dict, arithmetic: bool) -> FieldRecord:
     )
     if arithmetic:
         rec.validate()
+        _VALIDATED.add(rec)
     else:
         rec.validate_structure()
     return rec
@@ -357,16 +367,7 @@ _VALIDATOR_VERSION = "nfdata-validate/1"
 
 def _seal(body: list[str]) -> str:
     """sha256 over the format tag, the validator version and the record lines."""
-    # Imported here, so that `import octicount.cli` does not pay for it.
-    # CPython's own sha256 first: `hashlib` maps OpenSSL, about 3.5 MB of
-    # RSS and 5 ms, to hash half a megabyte.
-    try:
-        from _sha256 import sha256  # Python <= 3.11
-    except ImportError:
-        try:
-            from _sha2 import sha256  # Python >= 3.12
-        except ImportError:
-            from hashlib import sha256
+    from hashlib import sha256  # here, so that `import octicount.cli` does not pay for it
 
     digest = sha256(f"{_HEADER_TAG}\n{_VALIDATOR_VERSION}\n".encode())
     for line in body:  # one line at a time: no copy of the whole body
@@ -383,7 +384,8 @@ def persist(snapshot: Snapshot, path: str) -> None:
     body = []
     for label in sorted(snapshot.records):
         rec = snapshot.records[label]
-        rec.validate()
+        if rec not in _VALIDATED:
+            rec.validate()
         body.append(json.dumps(_record_to_obj(rec), sort_keys=True, separators=(",", ":")) + "\n")
     header = {
         "format": _HEADER_TAG,

@@ -21,6 +21,7 @@ import octicount.analytic
 from octicount import nfdata
 from octicount.analytic import factor_mod_p
 from octicount.arith import primes_up_to
+from octicount.catalog import LABELS
 from octicount.nfdata import (
     FieldRecord,
     IngestError,
@@ -190,6 +191,11 @@ class TestIrreducibility:
             replace(rec, coeffs=(-1, -2, -1, 0, 0, 0, 0, 0, 1)).validate()
 
 
+def test_record_labels_cover_the_catalog():
+    assert nfdata.OCTIC_LABELS == set(LABELS)
+    assert nfdata.GALOIS_LABELS == {*LABELS, "4T5"}
+
+
 class TestQuery:
     def make_snapshot(self):
         # Three octics with |disc| 10, 20, 30 built from synthetic factored data.
@@ -338,6 +344,16 @@ class TestSeal:
         calls = _count_factor_mod_p(monkeypatch)
         load(str(path))
         assert calls
+
+    def test_persist_does_not_recheck_ingested_records(self, tmp_path, monkeypatch,
+                                                       thousand_quartics):
+        snap = ingest_lines([record_json_line(r) for r in thousand_quartics[:20]])
+        calls = _count_factor_mod_p(monkeypatch)
+        original = nfdata.is_prime
+        monkeypatch.setattr(nfdata, "is_prime", lambda n: calls.append(n) or original(n))
+        persist(snap, str(tmp_path / "store.jsonl"))
+        assert calls == []
+        assert load(str(tmp_path / "store.jsonl")).records == snap.records
 
     def test_persist_refuses_to_seal_unchecked_records(self, tmp_path):
         # Snapshot checks only parents; persist runs the full validation.
