@@ -10,7 +10,9 @@ lines, so loading it again skips only the arithmetic checks already paid.
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,6 +39,10 @@ GALOIS_LABELS = frozenset(OCTIC_LABELS | {QUARTIC_LABEL})
 
 class IngestError(ValueError):
     """Raised when a snapshot fails to parse or validate."""
+
+
+# A regulator string: optional sign, ASCII digits, at most one decimal point.
+_PLAIN_DECIMAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,10 @@ class FieldRecord:
                 raise IngestError(f"{self.label}: quartic records need h, reg, w")
             if self.h < 1 or self.w < 1:
                 raise IngestError(f"{self.label}: h and w must be positive")
+            if not _PLAIN_DECIMAL.fullmatch(self.reg) or not math.isfinite(float(self.reg)):
+                raise IngestError(
+                    f"{self.label}: regulator {self.reg!r} is not a finite plain decimal"
+                )
             if len(self.reg.replace("-", "").replace(".", "").lstrip("0")) < 12:
                 raise IngestError(f"{self.label}: regulator needs >= 12 significant digits")
             if float(self.reg) <= 0:
@@ -362,7 +372,7 @@ _HEADER_TAG = "octic-snapshot/1"
 # Part of every seal.  Change it whenever `validate` starts to reject records
 # it accepted before, so that stores sealed under the old rules are checked
 # in full again.
-_VALIDATOR_VERSION = "nfdata-validate/1"
+_VALIDATOR_VERSION = "nfdata-validate/2"
 
 
 def _seal(body: list[str]) -> str:

@@ -90,10 +90,6 @@ class Perm:
             inv[y - 1] = i + 1
         return Perm._trusted(tuple(inv))
 
-    def conjugate_by(self, g: "Perm") -> "Perm":
-        """g * self * g^-1"""
-        return g * self * g.inverse()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
 
@@ -341,25 +337,6 @@ class PermGroup:
         ginv = g.inverse()
         return PermGroup([g * h * ginv for h in self.generators], degree=self.degree)
 
-    def schreier_order(self) -> int:
-        """Order via an orbit-stabilizer chain, independent of element listing."""
-        return _stabilizer_chain_order([list(g.images) for g in self.generators], self.degree)
-
-    def element_orders(self) -> set[int]:
-        return {g.order() for g in self.elements}
-
-    def canonical_text(self) -> str:
-        """Canonical serialization: degree, then sorted generator cycle strings."""
-        gens = sorted(g.cycle_string() for g in self.generators)
-        return f"{self.degree}: " + " ".join(gens)
-
-    @classmethod
-    def from_canonical_text(cls, text: str) -> "PermGroup":
-        head, _, body = text.partition(":")
-        degree = int(head.strip())
-        gens = [parse_cycle_string(degree, tok) for tok in body.split()]
-        return cls(gens, degree=degree)
-
 
 def _orbit(seed, moves) -> set:
     """Closure of {seed} under the maps in `moves`, by breadth-first search.
@@ -382,59 +359,13 @@ def _orbit(seed, moves) -> set:
     return seen
 
 
-def _stabilizer_chain_order(gen_images: list[list[int]], degree: int) -> int:
-    """Product of orbit sizes along a stabilizer chain (Schreier-Sims, naive)."""
-    gens = [tuple(g) for g in gen_images]
-    order = 1
-    base_domain = list(range(degree))
-    for b in base_domain:
-        gens = [g for g in gens if len(g) == degree]
-        moved = [g for g in gens if any(g[i] != i + 1 for i in range(b, degree))]
-        if not moved:
-            break
-        # orbit of b+1 with transversal
-        orbit = {b + 1: tuple(range(1, degree + 1))}
-        frontier = [b + 1]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                t = orbit[x]
-                for g in gens:
-                    y = g[x - 1]
-                    if y not in orbit:
-                        orbit[y] = tuple(g[t[i] - 1] for i in range(degree))
-                        nxt.append(y)
-            frontier = nxt
-        order *= len(orbit)
-        # Schreier generators for the stabilizer of b+1
-        inv = {}
-        for y, t in orbit.items():
-            ti = [0] * degree
-            for i, v in enumerate(t):
-                ti[v - 1] = i + 1
-            inv[y] = tuple(ti)
-        sgens = set()
-        for y, t in orbit.items():
-            for g in gens:
-                gy = g[y - 1]
-                u = inv[gy]
-                # u * g * t
-                comp = tuple(u[g[t[i] - 1] - 1] for i in range(degree))
-                if any(comp[i] != i + 1 for i in range(degree)):
-                    sgens.add(comp)
-        gens = list(sgens)
-        if not gens:
-            break
-    return order
-
-
 # ---------------------------------------------------------------------------
 # Malle invariants
 
 
 def malle_alpha(G: PermGroup) -> Fraction:
     """1 / min{ind(g) : g in G, g != e}, as an exact rational."""
-    indices = [g.index for g in G.elements if not g.is_identity()]
+    indices = index_set(G)
     if not indices:
         raise ValueError("no nonidentity element")
     return Fraction(1, min(indices))
@@ -560,6 +491,10 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     with cyclic subgroups and dedup by element set.  Exact and fast enough
     for |G| <= a few hundred.  Results are cached per group (groups are
     immutable and hash by element set).
+
+    A cyclic class is represented by its conjugate with the least sorted
+    element images, on one generator: the least of its generators in image
+    order.  Every other representative carries two or more generators.
     """
     ctx = _Ctx(G)
 
@@ -607,16 +542,6 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
         SubgroupClass(ctx.subgroup(reps[i], rep_gens[i]), class_sizes[i])
         for i in ranked
     )
-
-
-def all_subgroups(G: PermGroup) -> list[PermGroup]:
-    """Every subgroup of G (not up to conjugacy).  Brute expansion of classes."""
-    ctx = _Ctx(G)
-    out_sets: set[frozenset[int]] = set()
-    for cls in subgroup_classes(G):
-        members = frozenset(ctx.idx[p] for p in cls.representative.elements)
-        out_sets |= ctx.conjugates(members)
-    return [ctx.subgroup(s) for s in sorted(out_sets, key=lambda s: (len(s), sorted(s)))]
 
 
 def normal_subgroups(G: PermGroup, max_order: Optional[int] = None) -> list[PermGroup]:
@@ -674,11 +599,6 @@ class CosetAction:
         return PermGroup(
             [self.act(g) for g in self.group.generators], degree=self.induced_degree
         )
-
-    def kernel(self) -> PermGroup:
-        ident = Perm.identity(self.induced_degree)
-        elems = [g for g in self.group.elements if self.act(g) == ident]
-        return PermGroup.from_elements(elems, self.group.degree)
 
 
 def coset_action(G: PermGroup, H: PermGroup, max_index: int = 24) -> CosetAction:

@@ -20,6 +20,7 @@ from .perms import (
     PermGroup,
     perm_index,
     index_set,
+    subgroup_classes,
 )
 from .verify import VerificationReport, _checked_report
 
@@ -47,10 +48,12 @@ class TameConfig:
     frobenius: Perm
 
     def __post_init__(self):
-        I = PermGroup([self.inertia_gen], degree=self.group.degree)
-        if not I.is_normal_in(self.decomposition):
+        D, tau, sigma = self.decomposition, self.inertia_gen, self.frobenius
+        if not PermGroup([tau], degree=self.group.degree).is_normal_in(D):
             raise ValueError("inertia subgroup is not normal in the decomposition group")
-        if not _cyclic_mod_inertia(self.decomposition, self.inertia_gen, self.frobenius):
+        # With <tau> normal in D, the coset of sigma generates D/<tau> exactly
+        # when sigma lies in D and <tau, sigma> is all of D.
+        if sigma not in D or PermGroup([tau, sigma], degree=D.degree).order != D.order:
             raise ValueError("D modulo <tau> is not generated by the Frobenius coset")
 
     @property
@@ -106,68 +109,21 @@ class ValuationProfile:
             raise ValueError("valuation relation v_norm = v_L - 2 v_K violated")
 
 
-def _cyclic_mod_inertia(D: PermGroup, tau: Perm, sigma: Perm) -> bool:
-    """Is D/<tau> cyclic and generated by the image of sigma?"""
-    I_elems = frozenset(
-        _power(tau, k) for k in range(tau.order())
-    )
-    if sigma not in D:
-        return False
-    cosets = {frozenset(h * i for i in I_elems) for h in D.elements}
-    gen = []
-    x = D.identity
-    for _ in range(len(cosets)):
-        gen.append(frozenset(x * i for i in I_elems))
-        x = sigma * x
-    return len(set(gen)) == len(cosets)
-
-
-def _power(g: Perm, k: int) -> Perm:
-    out = Perm.identity(g.degree)
-    base = g
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
-
-
-def _cyclic_subgroup_class_reps(G: PermGroup) -> list[Perm]:
-    """Nonidentity generators tau, one per conjugacy class of cyclic subgroups."""
-    seen: set[frozenset[Perm]] = set()
-    reps: list[Perm] = []
-    for cls in G.conjugacy_classes:
-        tau = min(cls, key=lambda p: p.images)
-        if tau.order() == 1:
-            continue
-        I_elems = frozenset(_power(tau, k) for k in range(tau.order()))
-        orbit = G.conjugates_of(I_elems)
-        key = min(orbit, key=lambda s: sorted(p.images for p in s))
-        joined = frozenset(key)
-        if joined in seen:
-            continue
-        seen.add(joined)
-        reps.append(_min_generator(key))
-    return reps
-
-
-def _min_generator(cyclic_elems: frozenset[Perm]) -> Perm:
-    n = max(p.order() for p in cyclic_elems)
-    return min((p for p in cyclic_elems if p.order() == n), key=lambda p: p.images)
-
-
 def enumerate_tame_configs(G: PermGroup) -> list[TameConfig]:
     """All tame configurations of G up to G-conjugacy.
 
-    For each class of nontrivial cyclic subgroups I = <tau>, every
-    decomposition group arises as D = <I, sigma> for sigma in the normalizer
-    N = N_G(I); two Frobenius cosets are identified when conjugate under N.
+    For each class of nontrivial cyclic subgroups I = <tau>, read from the
+    subgroup lattice, every decomposition group arises as D = <I, sigma> for
+    sigma in the normalizer N = N_G(I); two Frobenius cosets are identified
+    when conjugate under N.
     """
     configs: list[TameConfig] = []
-    for tau in _cyclic_subgroup_class_reps(G):
-        I = PermGroup([tau], degree=G.degree)
-        I_elems = frozenset(I.elements)
+    for cls in subgroup_classes(G):
+        I = cls.representative
+        if I.order == 1 or len(I.generators) != 1:
+            continue
+        tau = I.generators[0]
+        I_elems = I.elements
         N = G.normalizer(I)
         n_elems = sorted(N.elements, key=lambda p: p.images)
         seen_cosets: set[frozenset[Perm]] = set()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .catalog import CATALOG, LABELS, catalog_group, quartic_subgroups
 from .perms import (
@@ -19,6 +19,7 @@ from .perms import (
     coset_action,
     malle_alpha,
     normal_subgroups,
+    parse_cycle_string,
     perm_isomorphic,
     quotient_as_perm,
     subgroup_classes,
@@ -89,6 +90,15 @@ def transitive_degree8_classes() -> tuple[SubgroupClass, ...]:
     return tuple(
         c for c in subgroup_classes(wreath_c2_s4()) if c.representative.is_transitive()
     )
+
+
+def _core_free_octic_classes(G: PermGroup) -> list[PermGroup]:
+    """Representatives of the conjugacy classes of core-free index-8 subgroups."""
+    return [
+        c.representative
+        for c in subgroup_classes(G)
+        if c.order * 8 == G.order and G.normal_core(c.representative).order == 1
+    ]
 
 
 def _fuse(reps: list[PermGroup], same: Callable[[PermGroup, PermGroup], bool]) -> list[list[PermGroup]]:
@@ -172,12 +182,7 @@ def verify_converse() -> VerificationReport:
         for entry in CATALOG:
             G = catalog_group(entry.label)
             per_class = []
-            for cls in subgroup_classes(G):
-                if cls.order * 8 != G.order:
-                    continue
-                H_L = cls.representative
-                if G.normal_core(H_L).order != 1:
-                    continue
+            for H_L in _core_free_octic_classes(G):
                 n_found = len(quartic_subgroups(G, H_L))
                 per_class.append(n_found)
                 if n_found < 1:
@@ -255,18 +260,12 @@ def s4_octic_classes(G: PermGroup, H_K: PermGroup) -> list[PermGroup]:
     if G.order % 8 != 0:
         return []
     hk_conjugates = G.conjugates_of(H_K.elements)
-    out = []
-    for cls in subgroup_classes(G):
-        if cls.order * 8 != G.order:
-            continue
-        H = cls.representative
-        if G.normal_core(H).order != 1:
-            continue
-        # H lies in a conjugate of H_K iff some conjugate of H_K contains it
-        # (replacing H by a conjugate permutes the H_K-conjugates).
-        if any(H.elements <= conj for conj in hk_conjugates):
-            out.append(H)
-    return out
+    # H lies in a conjugate of H_K iff some conjugate of H_K contains it
+    # (replacing H by a conjugate permutes the H_K-conjugates).
+    return [
+        H for H in _core_free_octic_classes(G)
+        if any(H.elements <= conj for conj in hk_conjugates)
+    ]
 
 
 def verify_s4_unique_octic() -> VerificationReport:
@@ -287,7 +286,7 @@ def verify_s4_unique_octic() -> VerificationReport:
         H_K44 = quartic_subgroups(G44)[0]
         report.details["octic_classes_8T44"] = len(s4_octic_classes(G44, H_K44))
         # Degenerate guard: a group without index-8 subgroups yields no classes.
-        c6 = PermGroup.from_canonical_text("6: (1,2,3,4,5,6)")
+        c6 = PermGroup([parse_cycle_string(6, "(1,2,3,4,5,6)")])
         report.details["octic_classes_degenerate_C6"] = len(
             s4_octic_classes(c6, c6.stabilizer(1))
         )

@@ -108,6 +108,21 @@ class TestIngest:
         with pytest.raises(IngestError, match="significant digits"):
             ingest_lines([json.dumps(bad)])
 
+    @pytest.mark.parametrize("reg", [
+        "1e999999999999",  # 14 characters, float() gives inf
+        "4.30630128702e-1",
+        "infinity0000",
+        "1" + "0" * 400 + ".0",  # plain, but float() overflows to inf
+        " 0.430630128702",
+        "0.430_630_128_702",
+        "\u0660.430630128702",  # ARABIC-INDIC DIGIT ZERO
+    ], ids=repr)
+    def test_regulator_must_be_finite_plain_decimal(self, reg):
+        bad = json.loads(GOOD_QUARTIC)
+        bad["reg"] = reg
+        with pytest.raises(IngestError, match="not a finite plain decimal"):
+            ingest_lines([json.dumps(bad)])
+
 
 # Minimal polynomial of sqrt2 + sqrt3 + sqrt5; its Galois group C2^3 has
 # only the cycle types 1^8 and 2^4.

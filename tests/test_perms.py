@@ -6,9 +6,11 @@ import ast
 import inspect
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octicount import catalog, perms
 from octicount.catalog import LABELS, catalog_group
@@ -16,7 +18,6 @@ from octicount.perms import (
     Perm,
     PermGroup,
     abstract_isomorphic,
-    all_subgroups,
     coset_action,
     cyclic_subgroup_orders,
     index_set,
@@ -56,7 +57,7 @@ class TestPermBasics:
     def test_index_conjugation_invariant(self):
         g = P(8, "(1,2,3)(4,5)")
         for h in PermGroup.symmetric(8).generators:
-            assert perm_index(g.conjugate_by(h)) == perm_index(g)
+            assert perm_index(h * g * h.inverse()) == perm_index(g)
 
     def test_cycle_string_round_trip(self):
         g = P(8, "(1,3,5)(2,4)(6,8)")
@@ -89,17 +90,13 @@ class TestPermBasics:
 class TestPermGroup:
     def test_order_cross_check(self):
         for G in (PermGroup.symmetric(4), wreath_c2_s4()):
-            assert G.order == G.schreier_order()
+            assert G.order == _sympy_perm_group(G.generators).order()
 
     def test_closure(self):
         G = PermGroup([P(4, "(1,2)"), P(4, "(1,2,3,4)")])
         elems = G.elements
         assert all(a * b in elems for a in G.generators for b in elems)
         assert all(a.inverse() in elems for a in elems)
-
-    def test_canonical_text_round_trip(self):
-        G = wreath_c2_s4()
-        assert PermGroup.from_canonical_text(G.canonical_text()) == G
 
     def test_conjugacy_class_sizes(self):
         G = PermGroup.symmetric(4)
@@ -160,7 +157,6 @@ class TestSubgroupLattice:
         oracle = brute_force_subgroups(G)
         classes = subgroup_classes(G)
         assert sum(c.class_size for c in classes) == len(oracle) == 30
-        assert len(all_subgroups(G)) == 30
 
     def test_d4_brute_force(self):
         D4 = PermGroup([P(4, "(1,2,3,4)"), P(4, "(1,3)")])
@@ -206,7 +202,12 @@ class TestPermIsomorphic:
         A = PermGroup([P(6, "(1,2,3)"), P(6, "(4,5)")])
         B = A.conjugate(P(6, "(1,4)(2,5)(3,6)"))
         c = perm_isomorphic(A, B)
-        assert all(g.conjugate_by(c) in B.elements for g in A.generators)
+        assert all(c * g * c.inverse() in B.elements for g in A.generators)
+
+
+def action_kernel(act) -> frozenset:
+    """Elements of the acting group that fix every coset."""
+    return frozenset(g for g in act.group.elements if act.act(g).is_identity())
 
 
 def reclosed(H: PermGroup) -> PermGroup:
@@ -245,9 +246,7 @@ class TestSeededElementSets:
         assert core == reclosed(core)
         assert core.is_normal_in(G) and core.is_subgroup_of(H)
 
-        kernel = coset_action(G, H).kernel()
-        assert kernel == reclosed(kernel)
-        assert kernel == core
+        assert action_kernel(coset_action(G, H)) == core.elements
 
     def test_s8_normalizer_of_8_cycle(self):
         S8 = PermGroup.symmetric(8)
@@ -276,15 +275,15 @@ class TestCosetAction:
         )
         act = coset_action(W, blocks)
         assert act.induced_degree == 4
-        kernel = act.kernel()
-        assert kernel.order == 16
-        assert kernel.element_orders() == {1, 2}
+        kernel = action_kernel(act)
+        assert len(kernel) == 16
+        assert {g.order() for g in kernel} == {1, 2}
 
     def test_kernel_is_normal_core(self):
         G = PermGroup.symmetric(4)
         H = PermGroup([P(4, "(1,2)")])
         act = coset_action(G, H)
-        assert act.kernel() == G.normal_core(H)
+        assert action_kernel(act) == G.normal_core(H).elements
 
     def test_unclosed_subgroup_fails_coset_count(self):
         # A seeded set that is not a group passes the subset test but cannot
@@ -336,14 +335,52 @@ class TestElementSets:
         assert orders == [1, 4, 12, 24]
 
 
+def _sympy_perm_group(gens):
+    """sympy.combinatorics group on the given generators, points shifted to 0.."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    return PermutationGroup([Permutation([i - 1 for i in g.images]) for g in gens])
+
+
 def _sympy_group(G: PermGroup):
     """G for sympy, on a greedy small generating set: sympy's isomorphism
     search grows with the number of generators of its first argument."""
-    from sympy.combinatorics import Permutation, PermutationGroup
+    return _sympy_perm_group(reclosed(G).generators)
 
-    return PermutationGroup(
-        [Permutation([i - 1 for i in g.images]) for g in reclosed(G).generators]
-    )
+
+@lru_cache(maxsize=None)
+def _wreath_elements() -> tuple[Perm, ...]:
+    return tuple(sorted(wreath_c2_s4().elements, key=lambda p: p.images))
+
+
+class TestSympyDifferential:
+    """Subgroups of C2 wr S4 on 1-3 drawn generators, against sympy."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(picks=st.lists(st.integers(0, 383), min_size=1, max_size=3))
+    def test_invariants_agree(self, picks):
+        W = wreath_c2_s4()
+        gens = [_wreath_elements()[i] for i in picks]
+        H = PermGroup(gens, degree=8)
+        sH = _sympy_perm_group(gens)
+        assert H.order == sH.order()
+        assert H.is_transitive() == sH.is_transitive()
+        assert H.stabilizer(1).order == sH.stabilizer(0).order()
+        assert len(H.conjugacy_classes) == len(sH.conjugacy_classes())
+
+        # sympy's is_normal answers True for an abelian subgroup, normal or
+        # not, once is_abelian has been computed on it (seen in sympy 1.14),
+        # so each normality query gets fresh sympy groups.
+        fresh = lambda: _sympy_perm_group(gens)
+        sW = lambda: _sympy_perm_group(W.generators)
+        assert H.is_normal_in(W) == fresh().is_normal(sW())
+        closure = sW().normal_closure(fresh())
+        N = PermGroup(
+            [Perm([i + 1 for i in g.array_form]) for g in closure.generators], degree=8
+        )
+        assert N.order == closure.order()
+        assert N.is_normal_in(W)
+        assert H.is_normal_in(N) == fresh().is_normal(_sympy_perm_group(N.generators))
 
 
 def _c2_x_q8() -> PermGroup:

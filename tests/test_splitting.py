@@ -8,12 +8,12 @@ from octicount.catalog import CATALOG, catalog_group, octic_action, quartic_acti
 from octicount.perms import (
     Perm,
     PermGroup,
-    all_subgroups,
     coset_action,
     parse_cycle_string,
     perm_index,
 )
 from octicount import splitting
+from test_perms import action_kernel, brute_force_subgroups
 from octicount.splitting import (
     SplittingSymbol,
     TameConfig,
@@ -63,7 +63,7 @@ def naive_symbol(I_elems, D_elems, degree) -> tuple:
 def all_configs_naive(G: PermGroup):
     """Every (tau, D, sigma) with <tau> normal in D and D/<tau> generated by
     a coset: a double loop over elements and subgroups, no dedup."""
-    subs = all_subgroups(G)
+    subs = [PermGroup.from_elements(s, G.degree) for s in brute_force_subgroups(G)]
     for tau in sorted(G.elements, key=lambda p: p.images):
         I = PermGroup([tau], degree=G.degree)
         for D in subs:
@@ -145,6 +145,22 @@ class TestSymbolExamples:
         assert sym.pairs == ((8, 1),)
 
 
+class TestConfigChecks:
+    @pytest.mark.parametrize("decomposition, frobenius", [
+        ("(1,2)", "(1,3)"),  # sigma outside D, though <sigma> has the order of D
+        ("(1,2) (1,2,3)", "(1,2,3)"),  # sigma in D, but <sigma> is a proper subgroup
+    ])
+    def test_frobenius_must_generate_d_mod_inertia(self, decomposition, frobenius):
+        G = PermGroup.symmetric(3)
+        with pytest.raises(ValueError, match="Frobenius coset"):
+            TameConfig(
+                group=G,
+                inertia_gen=Perm.identity(3),
+                decomposition=PermGroup([P(3, g) for g in decomposition.split()]),
+                frobenius=P(3, frobenius),
+            )
+
+
 class TestValuationProfiles:
     def test_unramified_config_is_zero(self):
         lab = "8T23"
@@ -183,10 +199,10 @@ class TestValuationProfiles:
         such inertia generator has order 2 (no order-4 element exists in it)."""
         lab = "8T40"
         G = catalog_group(lab)
-        kernel = quartic_action(lab).kernel()
-        assert kernel.order == 8
-        assert kernel.element_orders() == {1, 2}
-        for tau in kernel.elements:
+        kernel = action_kernel(quartic_action(lab))
+        assert len(kernel) == 8
+        assert {g.order() for g in kernel} == {1, 2}
+        for tau in kernel:
             if tau.order() != 2:
                 continue
             cfg = TameConfig(
@@ -236,12 +252,13 @@ class TestEnumeration:
         G = catalog_group(lab)
         octic = octic_action(lab)
         g0 = sorted(G.elements, key=lambda p: p.images)[7]
+        g0inv = g0.inverse()
         for cfg in enumerate_tame_configs(G)[:6]:
             conj = TameConfig(
                 group=G,
-                inertia_gen=cfg.inertia_gen.conjugate_by(g0),
+                inertia_gen=g0 * cfg.inertia_gen * g0inv,
                 decomposition=cfg.decomposition.conjugate(g0),
-                frobenius=cfg.frobenius.conjugate_by(g0),
+                frobenius=g0 * cfg.frobenius * g0inv,
             )
             assert splitting_symbol(conj, octic) == splitting_symbol(cfg, octic)
 
