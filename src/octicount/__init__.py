@@ -6,7 +6,7 @@ plus snapshot-driven analytic evaluation of the leading constant and the
 empirical error exponent.
 """
 
-from .perms import Perm, PermGroup, malle_alpha, perm_index, wreath_c2_s4
+from .perms import Perm, PermGroup, malle_alpha, wreath_c2_s4
 from .catalog import CATALOG, LABELS, catalog_entry, catalog_group
 
 __version__ = "0.1.0"
@@ -15,7 +15,6 @@ __all__ = [
     "Perm",
     "PermGroup",
     "malle_alpha",
-    "perm_index",
     "wreath_c2_s4",
     "CATALOG",
     "LABELS",

@@ -117,13 +117,10 @@ class Perm:
         """Cycle lengths, fixed points included, sorted descending."""
         return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True))
 
-    def orbit_count(self) -> int:
-        return len(self.cycles(include_fixed=True))
-
     @property
     def index(self) -> int:
         """degree minus the number of orbits; drives tame discriminant valuations."""
-        return self.degree - self.orbit_count()
+        return self.degree - len(self.cycles(include_fixed=True))
 
     def order(self) -> int:
         from math import lcm
@@ -163,11 +160,6 @@ def parse_cycle_string(degree: int, text: str) -> Perm:
     for chunk in text[1:-1].split(")("):
         cycles.append([int(tok) for tok in chunk.split(",")])
     return Perm.from_cycles(degree, cycles)
-
-
-def perm_index(g: Perm) -> int:
-    """ind(g) = degree minus the number of orbits of <g> on the points."""
-    return g.index
 
 
 class PermGroup:
@@ -333,10 +325,6 @@ class PermGroup:
         core = frozenset.intersection(*self.conjugates_of(sub.elements))
         return PermGroup.from_elements(core, self.degree)
 
-    def conjugate(self, g: Perm) -> "PermGroup":
-        ginv = g.inverse()
-        return PermGroup([g * h * ginv for h in self.generators], degree=self.degree)
-
 
 def _orbit(seed, moves) -> set:
     """Closure of {seed} under the maps in `moves`, by breadth-first search.
@@ -375,10 +363,6 @@ def index_set(G: PermGroup) -> set[int]:
     return {g.index for g in G.elements if not g.is_identity()}
 
 
-def cyclic_subgroup_orders(G: PermGroup) -> set[int]:
-    return {g.order() for g in G.elements}
-
-
 def wreath_c2_s4() -> PermGroup:
     """The imprimitive wreath product on 8 points, blocks {1,2},{3,4},{5,6},{7,8}.
 
@@ -400,7 +384,7 @@ class _Ctx:
     Elements are numbered in ascending order of their image tuples, so
     comparing sorted index lists compares sorted image lists.  `right[j]` is
     right multiplication by element j as a map on indices, `right[j][i]` is
-    the index of elems[i] * elems[j].
+    the index of elems[i] * elems[j]; `inv[j]` is the index of its inverse.
     """
 
     def __init__(self, G: PermGroup):
@@ -435,12 +419,16 @@ class _Ctx:
                     right[j] = list(map(gmap.__getitem__, col))
                     reached.append(j)
         self.right: list[list[int]] = right
+        self.inv = [self.idx[p.inverse()] for p in self.elems]
         # Conjugation x -> g x g^-1 by each generator g, as a map on indices.
-        self.conj_maps = []
-        for g in G.generators:
-            gi = self.idx[g]
-            to_right = right[self.idx[g.inverse()]]
-            self.conj_maps.append([to_right[right[x][gi]] for x in range(self.n)])
+        self.conj_maps = [
+            [self.conj(gi, x) for x in range(self.n)]
+            for gi in map(self.idx.__getitem__, G.generators)
+        ]
+
+    def conj(self, g: int, x: int) -> int:
+        """Index of elems[g] * elems[x] * elems[g]^-1."""
+        return self.right[self.inv[g]][self.right[x][g]]
 
     def close(self, base: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
         """Subgroup generated by a closed subgroup `base` and extra `gens`.
@@ -483,57 +471,72 @@ class SubgroupClass:
         return self.representative.order
 
 
+def _is_prime_power(k: int) -> bool:
+    p = next(d for d in range(2, k + 1) if k % d == 0)  # least prime factor
+    return pow(p, k, k) == 0  # k divides p^k only when p is its one prime
+
+
 @lru_cache(maxsize=64)
 def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     """All subgroups of G up to G-conjugacy, by iterative cyclic extension.
 
-    Start with the cyclic subgroups; repeatedly join class representatives
-    with cyclic subgroups and dedup by element set.  Exact and fast enough
-    for |G| <= a few hundred.  Results are cached per group (groups are
-    immutable and hash by element set).
+    Seed with every cyclic subgroup, then join each class representative H
+    with cyclic subgroups C of prime-power order not inside H, taking one C
+    per N_G(H)-orbit, and dedup by element set.  No class is missed: every
+    subgroup K is generated by its elements of prime-power order, so adding
+    them one at a time climbs from 1 to K through joins with such C, and a
+    join whose base is conjugate to H is conjugate to a join with H itself.
+    For n in N_G(H), <H, nCn^-1> = n<H, C>n^-1 is in the class of <H, C>,
+    so one C per N_G(H)-orbit reaches every class.  Results are cached per
+    group (groups are immutable and hash by element set).
 
     A cyclic class is represented by its conjugate with the least sorted
     element images, on one generator: the least of its generators in image
-    order.  Every other representative carries two or more generators.
+    order.  Every other representative is the first member of its class the
+    joins reach, on the generators of its join chain (two or more).
     """
     ctx = _Ctx(G)
 
     trivial = frozenset([ctx.e])
     cyclics: dict[frozenset[int], int] = {}
+    cyclic_of: list[frozenset[int]] = []  # element index -> the subgroup it generates
     for i in range(ctx.n):
-        cyclics.setdefault(ctx.close(trivial, (i,)), i)
+        members = ctx.close(trivial, (i,))
+        cyclics.setdefault(members, i)
+        cyclic_of.append(members)
 
-    seen: dict[frozenset[int], int] = {}
+    seen: set[frozenset[int]] = set()  # every member of every class found
     reps: list[frozenset[int]] = []
     rep_gens: list[tuple[int, ...]] = []
     class_sizes: list[int] = []
 
-    def add_class(members: frozenset[int], gens: tuple[int, ...]) -> bool:
-        if members in seen:
-            return False
-        cid = len(reps)
-        orbit = ctx.conjugates(members)
-        for s in orbit:
-            seen[s] = cid
-        reps.append(members)
-        rep_gens.append(gens)
-        class_sizes.append(len(orbit))
-        return True
+    def add_class(members: frozenset[int], gens: tuple[int, ...]) -> None:
+        if members not in seen:
+            orbit = ctx.conjugates(members)
+            seen.update(orbit)
+            reps.append(members)
+            rep_gens.append(gens)
+            class_sizes.append(len(orbit))
 
     add_class(trivial, ())
     cyclic_items = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     for members, gen in cyclic_items:
         add_class(members, (gen,))
 
-    cursor = 0
+    joinable = [(c, g) for c, g in cyclic_items if len(c) > 1 and _is_prime_power(len(c))]
+    cursor = 1  # joins with the trivial group are the cyclic seeds
     while cursor < len(reps):
         members = reps[cursor]
         gens = rep_gens[cursor]
-        for cyc, cgen in cyclic_items:
-            if cyc <= members:
+        normalizer = [
+            x for x in range(ctx.n) if all(ctx.conj(x, h) in members for h in gens)
+        ]
+        joined_orbits: set[frozenset[int]] = set()
+        for cyc, cgen in joinable:
+            if cyc in joined_orbits or cyc <= members:
                 continue
-            joined = ctx.close(members, gens + (cgen,))
-            add_class(joined, gens + (cgen,))
+            joined_orbits.update(cyclic_of[ctx.conj(x, cgen)] for x in normalizer)
+            add_class(ctx.close(members, gens + (cgen,)), gens + (cgen,))
         cursor += 1
 
     # Ordered by (order, sorted element images); index order is image order.
@@ -552,9 +555,7 @@ def normal_subgroups(G: PermGroup, max_order: Optional[int] = None) -> list[Perm
     """
     cap = max_order if max_order is not None else G.order
     ctx = _Ctx(G)
-    classes = []
-    for cls in G.conjugacy_classes:
-        classes.append(frozenset(ctx.idx[p] for p in cls))
+    classes = [frozenset(map(ctx.idx.__getitem__, cls)) for cls in G.conjugacy_classes]
     found: set[frozenset[int]] = set()
     trivial = frozenset([ctx.e])
     found.add(trivial)
@@ -609,11 +610,8 @@ def coset_action(G: PermGroup, H: PermGroup, max_index: int = 24) -> CosetAction
     if index > max_index:
         raise GroupTooLargeError(f"coset index {index} exceeds cap {max_index}")
     h_elems = list(H.elements)
-    coset_of: dict[Perm, int] = {}
-    reps = []
-    for h in h_elems:
-        coset_of[h] = 1
-    reps.append(G.identity)
+    coset_of: dict[Perm, int] = dict.fromkeys(h_elems, 1)
+    reps = [G.identity]
     queue = [G.identity]
     while queue:
         r = queue.pop(0)

@@ -18,7 +18,6 @@ from .perms import (
     CosetAction,
     Perm,
     PermGroup,
-    perm_index,
     index_set,
     subgroup_classes,
 )
@@ -52,8 +51,12 @@ class TameConfig:
         if not PermGroup([tau], degree=self.group.degree).is_normal_in(D):
             raise ValueError("inertia subgroup is not normal in the decomposition group")
         # With <tau> normal in D, the coset of sigma generates D/<tau> exactly
-        # when sigma lies in D and <tau, sigma> is all of D.
-        if sigma not in D or PermGroup([tau, sigma], degree=D.degree).order != D.order:
+        # when sigma lies in D and <tau, sigma> is all of D.  A D given on the
+        # generators (tau, sigma) is that closure already.
+        generated = D.generators == (tau, sigma) or (
+            PermGroup([tau, sigma], degree=D.degree).order == D.order
+        )
+        if sigma not in D or not generated:
             raise ValueError("D modulo <tau> is not generated by the Frobenius coset")
 
     @property
@@ -180,8 +183,8 @@ def valuation_profile(
     """
     if octic.induced_degree != 8 or quartic.induced_degree != 4:
         raise ValueError("expected a degree-8 and a degree-4 action")
-    v_L = perm_index(octic.act(cfg.inertia_gen))
-    v_K = perm_index(quartic.act(cfg.inertia_gen))
+    v_L = octic.act(cfg.inertia_gen).index
+    v_K = quartic.act(cfg.inertia_gen).index
     symbols = []
     for action, v in ((octic, v_L), (quartic, v_K)):
         sym = splitting_symbol(cfg, action)

@@ -71,7 +71,8 @@ def _sympy_index_set(label: str) -> set[int]:
 
 def test_criterion_2_index_and_order_sets():
     from octicount.catalog import catalog_group
-    from octicount.perms import cyclic_subgroup_orders, index_set
+    from octicount.perms import index_set
+    from test_perms import cyclic_subgroup_orders
     from octicount.splitting import verify_lemma_81
 
     set23 = index_set(catalog_group("8T23"))
@@ -138,7 +139,7 @@ def test_criterion_3_verify_splitting_within_5min():
 
 def test_criterion_4_splitting_oracle_agreement():
     from octicount.catalog import CATALOG, catalog_group, octic_action, quartic_action
-    from octicount.perms import PermGroup, coset_action, perm_index
+    from octicount.perms import PermGroup, coset_action
     from octicount.splitting import TameConfig, enumerate_tame_configs, splitting_symbol
     from test_splitting import all_configs_naive, naive_symbol
 
@@ -163,7 +164,7 @@ def test_criterion_4_splitting_oracle_agreement():
                 sym = splitting_symbol(cfg, act)
                 if sym.degree() != act.induced_degree:
                     sums_ok = False
-                if sym.disc_valuation() != perm_index(act.act(cfg.inertia_gen)):
+                if sym.disc_valuation() != act.act(cfg.inertia_gen).index:
                     sums_ok = False
     ok = mismatches == 0 and sums_ok and total > 0
     _line(4, ok, f"oracle agreement on {total} S3/S4 configurations "

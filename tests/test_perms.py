@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import ast
+import json
 import inspect
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +21,10 @@ from octicount.perms import (
     PermGroup,
     abstract_isomorphic,
     coset_action,
-    cyclic_subgroup_orders,
     index_set,
     malle_alpha,
     normal_subgroups,
     parse_cycle_string,
-    perm_index,
     perm_isomorphic,
     quotient_as_perm,
     small_generating_set,
@@ -33,8 +33,22 @@ from octicount.perms import (
 )
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def P(degree, text):
     return parse_cycle_string(degree, text)
+
+
+def conjugate(H: PermGroup, g: Perm) -> PermGroup:
+    """g H g^-1, on the conjugated generators of H."""
+    ginv = g.inverse()
+    return PermGroup([g * h * ginv for h in H.generators], degree=H.degree)
+
+
+def cyclic_subgroup_orders(G: PermGroup) -> set[int]:
+    """Orders of the cyclic subgroups of G: the element orders."""
+    return {g.order() for g in G.elements}
 
 
 class TestPermBasics:
@@ -50,14 +64,14 @@ class TestPermBasics:
         assert (a * b) * c == a * (b * c)
 
     def test_index_examples(self):
-        assert perm_index(P(8, "(1,2)")) == 1
-        assert perm_index(Perm.identity(8)) == 0
-        assert perm_index(P(8, "(1,2,3,4,5,6,7,8)")) == 7
+        assert P(8, "(1,2)").index == 1
+        assert Perm.identity(8).index == 0
+        assert P(8, "(1,2,3,4,5,6,7,8)").index == 7
 
     def test_index_conjugation_invariant(self):
         g = P(8, "(1,2,3)(4,5)")
         for h in PermGroup.symmetric(8).generators:
-            assert perm_index(h * g * h.inverse()) == perm_index(g)
+            assert (h * g * h.inverse()).index == g.index
 
     def test_cycle_string_round_trip(self):
         g = P(8, "(1,3,5)(2,4)(6,8)")
@@ -115,7 +129,7 @@ class TestMalle:
     def test_conjugation_invariant(self):
         G = wreath_c2_s4()
         g = P(8, "(1,5)(2,6,3,7)")
-        assert malle_alpha(G.conjugate(g)) == malle_alpha(G)
+        assert malle_alpha(conjugate(G, g)) == malle_alpha(G)
 
 
 class TestWreath:
@@ -139,6 +153,15 @@ def brute_force_subgroups(G: PermGroup, max_gens: int = 3) -> set[frozenset]:
     return found
 
 
+def lattice_census(G: PermGroup) -> list[list]:
+    """Sorted [order, class size, is cyclic] of every subgroup class of G."""
+    return sorted(
+        [c.order, c.class_size,
+         max(g.order() for g in c.representative.elements) == c.order]
+        for c in subgroup_classes(G)
+    )
+
+
 class TestSubgroupLattice:
     def test_s3_classes(self):
         classes = subgroup_classes(PermGroup.symmetric(3))
@@ -146,10 +169,62 @@ class TestSubgroupLattice:
         assert sorted(c.order for c in classes) == [1, 2, 3, 6]
 
     def test_class_size_equals_normalizer_index(self):
-        G = PermGroup.symmetric(4)
-        for cls in subgroup_classes(G):
-            N = G.normalizer(cls.representative)
-            assert cls.class_size == G.order // N.order
+        for G in [PermGroup.symmetric(4)] + [catalog_group(label) for label in LABELS]:
+            for cls in subgroup_classes(G):
+                N = G.normalizer(cls.representative)
+                assert cls.class_size == G.order // N.order
+
+    def test_catalog_lattices_match_pinned_census(self):
+        # (order, class size, cyclic) of every class, pinned in lattice.json
+        # from the lattice computed by joining every cyclic subgroup.
+        pinned = json.loads((DATA / "lattice.json").read_text())
+        assert sorted(pinned) == sorted(LABELS)
+        for label in LABELS:
+            assert lattice_census(catalog_group(label)) == pinned[label], label
+
+    def test_s5_brute_force(self):
+        # S5 has cyclic subgroups of order 6, which no join step adds: they
+        # come from the cyclic seeds alone.  Every subgroup of S5 is 2-generated.
+        S5 = PermGroup.symmetric(5)
+        classes = subgroup_classes(S5)
+        assert len(classes) == 19
+        assert sum(c.class_size for c in classes) == len(
+            brute_force_subgroups(S5, max_gens=2)
+        ) == 156
+
+    def test_cyclic_representatives_are_least_conjugates(self):
+        for label in LABELS:
+            G = catalog_group(label)
+            for cls in subgroup_classes(G):
+                H = cls.representative
+                if len(H.generators) != 1 or H.order == 1:
+                    continue
+                conjugates = (
+                    sorted((g * h * g.inverse()).images for h in H.elements)
+                    for g in G.elements
+                )
+                assert sorted(p.images for p in H.elements) == min(conjugates)
+                gens = [g for g in H.elements if g.order() == H.order]
+                assert H.generators[0] == min(gens, key=lambda p: p.images)
+
+    def test_wreath_lattice_close_count(self, monkeypatch):
+        # A work bound, not a timing.  Joining every representative with every
+        # cyclic subgroup took 39,420 coset enumerations on C2 wr S4; prime-power
+        # joins, one per normalizer orbit, take 6,829.
+        calls = Counter()
+        close = perms._Ctx.close
+
+        def counted(self, base, gens):
+            calls["close"] += 1
+            return close(self, base, gens)
+
+        monkeypatch.setattr(perms._Ctx, "close", counted)
+        subgroup_classes.cache_clear()
+        try:
+            assert len(subgroup_classes(wreath_c2_s4())) == 193
+        finally:
+            subgroup_classes.cache_clear()
+        assert calls["close"] <= 8000
 
     def test_total_count_vs_brute_force(self):
         # Every subgroup of S4 needs at most 2 generators; use 3 for margin.
@@ -176,7 +251,7 @@ class TestPermIsomorphic:
         B = PermGroup([P(4, "(3,4)")])
         c = perm_isomorphic(A, B)
         assert c is not None
-        assert A.conjugate(c) == B
+        assert conjugate(A, c) == B
 
     def test_c4_vs_v4(self):
         C4 = PermGroup([P(4, "(1,2,3,4)")])
@@ -187,9 +262,9 @@ class TestPermIsomorphic:
         from octicount.catalog import catalog_group
 
         G = catalog_group("8T39")
-        H = G.conjugate(P(8, "(1,2)"))
+        H = conjugate(G, P(8, "(1,2)"))
         c = perm_isomorphic(G, H)
-        assert c is not None and G.conjugate(c) == H
+        assert c is not None and conjugate(G, c) == H
 
     def test_bad_witness_is_rejected(self, monkeypatch):
         A = PermGroup([P(4, "(1,2)")])
@@ -200,7 +275,7 @@ class TestPermIsomorphic:
 
     def test_witness_maps_generators(self):
         A = PermGroup([P(6, "(1,2,3)"), P(6, "(4,5)")])
-        B = A.conjugate(P(6, "(1,4)(2,5)(3,6)"))
+        B = conjugate(A, P(6, "(1,4)(2,5)(3,6)"))
         c = perm_isomorphic(A, B)
         assert all(c * g * c.inverse() in B.elements for g in A.generators)
 
@@ -426,7 +501,7 @@ class TestAbstractIsomorphic:
         )
         assert _subgroup_counts(A) != _subgroup_counts(B)
         assert not abstract_isomorphic(A, B)
-        assert abstract_isomorphic(A, A.conjugate(P(10, "(1,9)(2,10)")))
+        assert abstract_isomorphic(A, conjugate(A, P(10, "(1,9)(2,10)")))
 
     def test_positive_verdict_is_reverified(self, monkeypatch):
         A = PermGroup([P(4, "(1,2)")])

@@ -10,10 +10,9 @@ from octicount.perms import (
     PermGroup,
     coset_action,
     parse_cycle_string,
-    perm_index,
 )
 from octicount import splitting
-from test_perms import action_kernel, brute_force_subgroups
+from test_perms import action_kernel, brute_force_subgroups, conjugate
 from octicount.splitting import (
     SplittingSymbol,
     TameConfig,
@@ -104,7 +103,7 @@ class TestOracleAgreement:
                 for act in (octic, quartic):
                     sym = splitting_symbol(cfg, act)
                     assert sym.degree() == act.induced_degree
-                    assert sym.disc_valuation() == perm_index(act.act(cfg.inertia_gen))
+                    assert sym.disc_valuation() == act.act(cfg.inertia_gen).index
 
 
 class TestSymbolExamples:
@@ -257,7 +256,7 @@ class TestEnumeration:
             conj = TameConfig(
                 group=G,
                 inertia_gen=g0 * cfg.inertia_gen * g0inv,
-                decomposition=cfg.decomposition.conjugate(g0),
+                decomposition=conjugate(cfg.decomposition, g0),
                 frobenius=g0 * cfg.frobenius * g0inv,
             )
             assert splitting_symbol(conj, octic) == splitting_symbol(cfg, octic)
