@@ -155,8 +155,8 @@ def quartic_subgroups(G: PermGroup, H_L: Optional[PermGroup] = None) -> list[Per
     """Index-4 subgroups H_K >= H_L whose coset image is all of S4.
 
     Up to conjugacy there is one candidate class per catalog group; the list
-    contains one concrete subgroup per qualifying class, each containing the
-    given point stabilizer H_L (default: Stab(1)).
+    contains one concrete subgroup per qualifying class: the least member of
+    the class, in sorted image order, that contains H_L (default: Stab(1)).
     """
     if H_L is None:
         H_L = G.stabilizer(1)
@@ -164,18 +164,13 @@ def quartic_subgroups(G: PermGroup, H_L: Optional[PermGroup] = None) -> list[Per
     for cls in subgroup_classes(G):
         if cls.order * 4 != G.order:
             continue
-        rep_elems = cls.representative.elements
-        # The first g (in image order) with H_L <= g R g^-1, i.e. with
-        # g^-1 h g in R for each generator h of H_L.
-        for g in sorted(G.elements, key=lambda p: p.images):
-            ginv = g.inverse()
-            if all(ginv * h * g in rep_elems for h in H_L.generators):
-                H_K = PermGroup.from_elements(
-                    [g * h * ginv for h in rep_elems], G.degree
-                )
-                if coset_action(G, H_K).image().order == 24:
-                    found.append(H_K)
-                break
+        over = [c for c in cls.conjugates if H_L.elements <= c]
+        if over:
+            H_K = PermGroup.from_elements(
+                min(over, key=lambda c: sorted(p.images for p in c)), G.degree
+            )
+            if coset_action(G, H_K).image().order == 24:
+                found.append(H_K)
     return found
 
 

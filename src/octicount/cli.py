@@ -48,6 +48,9 @@ def _reports_payload(reports) -> dict:
     return {r.claim_id: r.as_dict() for r in reports}
 
 
+MAX_CHECKPOINTS = 10_000
+
+
 def _parse_checkpoints(spec: str) -> list[int]:
     """Checkpoint spec: comma list '10,100,1000' or geometric 'lo:hi:n'."""
     if ":" in spec:
@@ -57,6 +60,8 @@ def _parse_checkpoints(spec: str) -> list[int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         if not (lo > 0 and hi > lo and n >= 2):
             raise ValueError("need 0 < lo < hi and n >= 2")
+        if n > MAX_CHECKPOINTS:
+            raise ValueError(f"need n <= MAX_CHECKPOINTS = {MAX_CHECKPOINTS}, got {n}")
         if not math.isfinite(hi / lo):
             raise ValueError(f"need finite lo, hi and hi/lo, got {spec!r}")
         ratio = (hi / lo) ** (1.0 / (n - 1))

@@ -9,10 +9,11 @@ a few hundred (the largest group this project cares about has order 384).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import factorial, lcm
 from typing import Iterable, Optional
 
 MAX_DEGREE = 24
@@ -123,8 +124,6 @@ class Perm:
         return self.degree - len(self.cycles(include_fixed=True))
 
     def order(self) -> int:
-        from math import lcm
-
         return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
     def is_even(self) -> bool:
@@ -303,28 +302,6 @@ class PermGroup:
         elems = [g for g in self.elements if g(point) == point]
         return PermGroup.from_elements(elems, self.degree)
 
-    def normalizer(self, sub: "PermGroup") -> "PermGroup":
-        subset = sub.elements
-        elems = [
-            g
-            for g in self.elements
-            if all(g * h * g.inverse() in subset for h in sub.generators)
-        ]
-        return PermGroup.from_elements(elems, self.degree)
-
-    def conjugates_of(self, subset: Iterable[Perm]) -> set[frozenset[Perm]]:
-        """Every g S g^-1 for g in self: the orbit of S under the generators."""
-        moves = [
-            lambda s, g=g, ginv=g.inverse(): frozenset([g * h * ginv for h in s])
-            for g in self.generators
-        ]
-        return _orbit(frozenset(subset), moves)
-
-    def normal_core(self, sub: "PermGroup") -> "PermGroup":
-        """Largest normal subgroup of self contained in sub."""
-        core = frozenset.intersection(*self.conjugates_of(sub.elements))
-        return PermGroup.from_elements(core, self.degree)
-
 
 def _orbit(seed, moves) -> set:
     """Closure of {seed} under the maps in `moves`, by breadth-first search.
@@ -461,14 +438,20 @@ class _Ctx:
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    """One conjugacy class of subgroups: a representative and the class size."""
+    """One conjugacy class of subgroups of G: a representative, the element
+    set of every member of the class, and N_G(representative)."""
 
     representative: PermGroup
-    class_size: int
+    conjugates: frozenset[frozenset[Perm]]
+    normalizer: PermGroup
 
     @property
     def order(self) -> int:
         return self.representative.order
+
+    @property
+    def class_size(self) -> int:
+        return len(self.conjugates)
 
 
 def _is_prime_power(k: int) -> bool:
@@ -494,6 +477,10 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     element images, on one generator: the least of its generators in image
     order.  Every other representative is the first member of its class the
     joins reach, on the generators of its join chain (two or more).
+
+    Each class also carries the element sets of all its conjugates (its orbit
+    under G's generators) and the normalizer of its representative (G for the
+    trivial class), both as computed here and never re-closed.
     """
     ctx = _Ctx(G)
 
@@ -508,7 +495,8 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     seen: set[frozenset[int]] = set()  # every member of every class found
     reps: list[frozenset[int]] = []
     rep_gens: list[tuple[int, ...]] = []
-    class_sizes: list[int] = []
+    orbits: list[set[frozenset[int]]] = []
+    normalizers: list[list[int]] = [list(range(ctx.n))]  # N_G(1) = G
 
     def add_class(members: frozenset[int], gens: tuple[int, ...]) -> None:
         if members not in seen:
@@ -516,7 +504,7 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
             seen.update(orbit)
             reps.append(members)
             rep_gens.append(gens)
-            class_sizes.append(len(orbit))
+            orbits.append(orbit)
 
     add_class(trivial, ())
     cyclic_items = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
@@ -531,6 +519,7 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
         normalizer = [
             x for x in range(ctx.n) if all(ctx.conj(x, h) in members for h in gens)
         ]
+        normalizers.append(normalizer)
         joined_orbits: set[frozenset[int]] = set()
         for cyc, cgen in joinable:
             if cyc in joined_orbits or cyc <= members:
@@ -541,8 +530,13 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
 
     # Ordered by (order, sorted element images); index order is image order.
     ranked = sorted(range(len(reps)), key=lambda i: (len(reps[i]), sorted(reps[i])))
+    perm_of = ctx.elems.__getitem__
     return tuple(
-        SubgroupClass(ctx.subgroup(reps[i], rep_gens[i]), class_sizes[i])
+        SubgroupClass(
+            ctx.subgroup(reps[i], rep_gens[i]),
+            frozenset(frozenset(map(perm_of, conj)) for conj in orbits[i]),
+            ctx.subgroup(normalizers[i]),
+        )
         for i in ranked
     )
 
@@ -646,8 +640,6 @@ def quotient_as_perm(G: PermGroup, N: PermGroup) -> PermGroup:
 
 
 def _centralizer_order_in_sym(cycle_type: tuple[int, ...]) -> int:
-    from math import factorial
-
     out = 1
     for length, mult in Counter(cycle_type).items():
         out *= length**mult * factorial(mult)
@@ -661,8 +653,6 @@ def _conjugators(g: Perm, b: Perm) -> Iterable[Perm]:
     cycles of b, with arbitrary cycle matching and rotation; there are
     |centralizer(g)| of them.
     """
-    from collections import defaultdict
-
     n = g.degree
     by_len_g: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     by_len_b: dict[int, list[tuple[int, ...]]] = defaultdict(list)

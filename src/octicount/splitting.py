@@ -127,8 +127,7 @@ def enumerate_tame_configs(G: PermGroup) -> list[TameConfig]:
             continue
         tau = I.generators[0]
         I_elems = I.elements
-        N = G.normalizer(I)
-        n_elems = sorted(N.elements, key=lambda p: p.images)
+        n_elems = sorted(cls.normalizer.elements, key=lambda p: p.images)
         seen_cosets: set[frozenset[Perm]] = set()
         for sigma in n_elems:
             coset = frozenset(sigma * i for i in I_elems)

@@ -92,12 +92,15 @@ def transitive_degree8_classes() -> tuple[SubgroupClass, ...]:
     )
 
 
-def _core_free_octic_classes(G: PermGroup) -> list[PermGroup]:
-    """Representatives of the conjugacy classes of core-free index-8 subgroups."""
+def _core_free_octic_classes(G: PermGroup) -> list[SubgroupClass]:
+    """The conjugacy classes of core-free index-8 subgroups.
+
+    The core of H is the intersection of its conjugates.
+    """
     return [
-        c.representative
+        c
         for c in subgroup_classes(G)
-        if c.order * 8 == G.order and G.normal_core(c.representative).order == 1
+        if c.order * 8 == G.order and len(frozenset.intersection(*c.conjugates)) == 1
     ]
 
 
@@ -182,7 +185,8 @@ def verify_converse() -> VerificationReport:
         for entry in CATALOG:
             G = catalog_group(entry.label)
             per_class = []
-            for H_L in _core_free_octic_classes(G):
+            for cls in _core_free_octic_classes(G):
+                H_L = cls.representative
                 n_found = len(quartic_subgroups(G, H_L))
                 per_class.append(n_found)
                 if n_found < 1:
@@ -250,7 +254,7 @@ def verify_table1() -> VerificationReport:
     return _checked_report(body, "groups.table1")
 
 
-def s4_octic_classes(G: PermGroup, H_K: PermGroup) -> list[PermGroup]:
+def s4_octic_classes(G: PermGroup, H_K: PermGroup) -> list[SubgroupClass]:
     """Conjugacy classes of core-free index-8 subgroups of G inside a conjugate of H_K.
 
     These classify the octic siblings of the fixed quartic: subfields L' with
@@ -259,12 +263,10 @@ def s4_octic_classes(G: PermGroup, H_K: PermGroup) -> list[PermGroup]:
     """
     if G.order % 8 != 0:
         return []
-    hk_conjugates = G.conjugates_of(H_K.elements)
-    # H lies in a conjugate of H_K iff some conjugate of H_K contains it
-    # (replacing H by a conjugate permutes the H_K-conjugates).
+    # H lies in a conjugate of H_K iff some conjugate of H lies in H_K.
     return [
-        H for H in _core_free_octic_classes(G)
-        if any(H.elements <= conj for conj in hk_conjugates)
+        c for c in _core_free_octic_classes(G)
+        if any(conj <= H_K.elements for conj in c.conjugates)
     ]
 
 

@@ -15,17 +15,20 @@ from octicount.catalog import (
 )
 from octicount.perms import (
     PermGroup,
+    coset_action,
     index_set,
     malle_alpha,
     normal_subgroups,
     perm_isomorphic,
     quotient_as_perm,
     abstract_isomorphic,
+    subgroup_classes,
     wreath_c2_s4,
 )
 from octicount.verify import (
     VerificationReport,
     _checked_report,
+    _core_free_octic_classes,
     run_all_group_verifiers,
     verify_a8_containment,
     verify_classification,
@@ -113,6 +116,42 @@ class TestCatalogIntegrity:
             act = quartic_action(e.label)
             assert act.induced_degree == 4
             assert act.image().order == 24
+
+
+def quartic_by_least_conjugator(G: PermGroup, H_L: PermGroup) -> list[PermGroup]:
+    """quartic_subgroups by the least-conjugator rule: for each index-4 class
+    with representative R, g R g^-1 for the least g in image order with
+    H_L <= g R g^-1, kept when its coset image has order 24."""
+    found = []
+    for cls in subgroup_classes(G):
+        if cls.order * 4 != G.order:
+            continue
+        R = cls.representative.elements
+        for g in sorted(G.elements, key=lambda p: p.images):
+            ginv = g.inverse()
+            H_K = frozenset(g * h * ginv for h in R)
+            if H_L.elements <= H_K:
+                H_K = PermGroup.from_elements(H_K, G.degree)
+                if coset_action(G, H_K).image().order == 24:
+                    found.append(H_K)
+                break
+    return found
+
+
+class TestQuarticChoice:
+    @pytest.mark.parametrize("label", LABELS)
+    def test_least_conjugate_matches_least_conjugator(self, label):
+        G = catalog_group(label)
+        points = [G.stabilizer(1)]
+        octics = [c.representative for c in _core_free_octic_classes(G)]
+        assert octics
+        quartics = [c for c in subgroup_classes(G) if c.order * 4 == G.order]
+        for H_L in points + octics:
+            assert quartic_subgroups(G, H_L) == quartic_by_least_conjugator(G, H_L)
+            # Each class has at most one member over these H_L, so the two
+            # rules cannot differ here; on smaller H_L they can.
+            for cls in quartics:
+                assert sum(H_L.elements <= c for c in cls.conjugates) <= 1
 
 
 class TestVerifiers:

@@ -8,7 +8,7 @@ import pytest
 
 import octicount.analytic
 from conftest import record_json_line
-from octicount.cli import run
+from octicount.cli import MAX_CHECKPOINTS, _parse_checkpoints, run
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize("subcommand", [["count"], ["fit", "--max-disc", "10"]],
+                             ids=lambda args: args[0])
+    def test_too_many_checkpoints_are_data_errors(self, subcommand, store, capsys):
+        # The geometric spec was expanded point by point: n = 10^9 ran for
+        # minutes and held hundreds of millions of ints.
+        spec = "1:1e18:1000000000"
+        assert run(subcommand + ["--store", store, "--checkpoints", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need n <= MAX_CHECKPOINTS = 10000, got 1000000000\n"
+
+    def test_checkpoint_cap_is_inclusive(self):
+        assert len(_parse_checkpoints(f"1e6:1e18:{MAX_CHECKPOINTS}")) == MAX_CHECKPOINTS
 
     def test_fit_rejects_checkpoints_before_the_constant(self, store, capsys, monkeypatch):
         # The constant can take minutes at the default prime bound.

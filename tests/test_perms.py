@@ -46,6 +46,33 @@ def conjugate(H: PermGroup, g: Perm) -> PermGroup:
     return PermGroup([g * h * ginv for h in H.generators], degree=H.degree)
 
 
+def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
+    """N_G(H) by testing every g in G against the generators of H."""
+    elems = [g for g in G.elements
+             if all(g * h * g.inverse() in H.elements for h in H.generators)]
+    return PermGroup.from_elements(elems, G.degree)
+
+
+def conjugates(G: PermGroup, H: PermGroup) -> frozenset[frozenset[Perm]]:
+    """Every g H g^-1 for g in G, scanning all of G.
+
+    g H g^-1 depends only on the left coset gH, so each coset is conjugated
+    once; that keeps S8 over A8 at two conjugations.
+    """
+    found, covered = set(), set()
+    for g in G.elements:
+        if g not in covered:
+            covered.update(g * h for h in H.elements)
+            ginv = g.inverse()
+            found.add(frozenset(g * h * ginv for h in H.elements))
+    return frozenset(found)
+
+
+def normal_core(G: PermGroup, H: PermGroup) -> PermGroup:
+    """Largest normal subgroup of G inside H: the intersection of the conjugates."""
+    return PermGroup.from_elements(frozenset.intersection(*conjugates(G, H)), G.degree)
+
+
 def cyclic_subgroup_orders(G: PermGroup) -> set[int]:
     """Orders of the cyclic subgroups of G: the element orders."""
     return {g.order() for g in G.elements}
@@ -169,10 +196,19 @@ class TestSubgroupLattice:
         assert sorted(c.order for c in classes) == [1, 2, 3, 6]
 
     def test_class_size_equals_normalizer_index(self):
-        for G in [PermGroup.symmetric(4)] + [catalog_group(label) for label in LABELS]:
+        D4 = PermGroup([P(4, "(1,2,3,4)"), P(4, "(1,3)")])
+        groups = [PermGroup.symmetric(4), PermGroup.symmetric(5), D4]
+        for G in groups + [catalog_group(label) for label in LABELS]:
             for cls in subgroup_classes(G):
-                N = G.normalizer(cls.representative)
-                assert cls.class_size == G.order // N.order
+                H = cls.representative
+                assert cls.normalizer == normalizer(G, H)
+                assert cls.conjugates == conjugates(G, H)
+                assert cls.class_size == G.order // cls.normalizer.order
+
+    def test_catalog_normalizers_match_reclosure(self):
+        for label in LABELS:
+            for cls in subgroup_classes(catalog_group(label)):
+                assert cls.normalizer == reclosed(cls.normalizer)
 
     def test_catalog_lattices_match_pinned_census(self):
         # (order, class size, cyclic) of every class, pinned in lattice.json
@@ -199,11 +235,8 @@ class TestSubgroupLattice:
                 H = cls.representative
                 if len(H.generators) != 1 or H.order == 1:
                     continue
-                conjugates = (
-                    sorted((g * h * g.inverse()).images for h in H.elements)
-                    for g in G.elements
-                )
-                assert sorted(p.images for p in H.elements) == min(conjugates)
+                least = min(sorted(p.images for p in c) for c in conjugates(G, H))
+                assert sorted(p.images for p in H.elements) == least
                 gens = [g for g in H.elements if g.order() == H.order]
                 assert H.generators[0] == min(gens, key=lambda p: p.images)
 
@@ -313,11 +346,11 @@ class TestSeededElementSets:
         assert stab.order * len(G.orbit(1)) == G.order
 
         cyc = PermGroup([G.generators[0]], degree=8)
-        norm = G.normalizer(cyc)
+        norm = normalizer(G, cyc)
         assert norm == reclosed(norm)
         assert cyc.is_normal_in(norm)
 
-        core = G.normal_core(H)
+        core = normal_core(G, H)
         assert core == reclosed(core)
         assert core.is_normal_in(G) and core.is_subgroup_of(H)
 
@@ -327,7 +360,7 @@ class TestSeededElementSets:
         S8 = PermGroup.symmetric(8)
         C8 = PermGroup([P(8, "(1,2,3,4,5,6,7,8)")])
         # the holomorph C8 : Aut(C8), of order 8 * 4
-        assert S8.normalizer(C8).order == 32
+        assert normalizer(S8, C8).order == 32
 
 
 class TestCosetAction:
@@ -358,7 +391,7 @@ class TestCosetAction:
         G = PermGroup.symmetric(4)
         H = PermGroup([P(4, "(1,2)")])
         act = coset_action(G, H)
-        assert action_kernel(act) == G.normal_core(H).elements
+        assert action_kernel(act) == normal_core(G, H).elements
 
     def test_unclosed_subgroup_fails_coset_count(self):
         # A seeded set that is not a group passes the subset test but cannot

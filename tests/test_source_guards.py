@@ -78,3 +78,24 @@ def test_no_command_imports_sympy(tmp_path, model_snapshot):
     # verify-splitting exits 1 on the documented 8T40 index-set subcheck.
     assert [code for _, code, _ in seen] == [0, 1] + [0] * 8
     assert [name for name, _, loaded in seen if loaded] == []
+
+
+def test_benchmark_tracer_hooks_resolve(tmp_path):
+    # perfbench/tracer.py wraps package names given as strings, so deleting or
+    # renaming one breaks `perfbench/run.py --trace 1` without any other test
+    # failing.  Run one traced command next to the plain one.
+    repo = Path(octicount.__file__).parent.parent.parent
+    bench = repo / "perfbench"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(repo / "src"), str(bench)]))
+    argv = ["malle-alpha", "--label", "8T40"]
+    trace = tmp_path / "t.json"
+    plain = subprocess.run(
+        [sys.executable, "-c", "from octicount.cli import main; main()", *argv],
+        env=env, capture_output=True, text=True, timeout=300)
+    traced = subprocess.run(
+        [sys.executable, str(bench / "traced_cli.py"), str(trace), *argv],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout != ""
+    assert "root" in json.loads(trace.read_text())["spans"]
