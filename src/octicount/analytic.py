@@ -2,9 +2,13 @@
 
 Every operation returns a value together with a finite, rigorously
 accumulated error bound; no bare floats leave this module.  Euler products
-are driven by polynomial factorization over prime fields (squarefree
-decomposition plus distinct-degree factorization, which is all that is
-needed since only factor degrees and multiplicities matter).
+are driven by polynomial factorization over prime fields, of which only
+factor degrees and multiplicities matter.  The general path is squarefree
+decomposition plus distinct-degree factorization (`factor_mod_p`).  A
+quartic at an odd prime p not dividing disc(f) takes a shorter path: one
+Frobenius x^p and one gcd with f give the number of roots mod p, and
+Stickelberger's theorem, (disc f / p) = (-1)^(4 - number of factors), is
+checked against the integer discriminant on every pattern it returns.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .nfdata import Snapshot, query
 
 __all__ = [
     "KAPPA",
+    "MAX_PRIME_BOUND",
     "LocalFactorData",
     "ZetaValue",
     "PartialConstant",
@@ -31,6 +36,9 @@ __all__ = [
 
 # 2-torsion class group bound exponent; used only to annotate reports.
 KAPPA = 0.2784
+
+# Largest prime bound P of an Euler product; its sieve is a P-byte bytearray.
+MAX_PRIME_BOUND = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -240,6 +248,13 @@ def _distinct_degree(g: list[int], p: int) -> list[tuple[int, list[int]]]:
     return out
 
 
+def _check_prime_and_monic(coeffs: Sequence[int], p: int) -> None:
+    if p >= 2 ** 61 or not is_prime(p):
+        raise ValueError(f"{p} is not a prime below 2^61")
+    if coeffs[-1] % p != 1 % p:
+        raise ValueError("polynomial must be monic")
+
+
 def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
     """Degrees-with-multiplicities of the irreducible factors of a monic poly mod p.
 
@@ -248,12 +263,9 @@ def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
     output entry per irreducible factor, as a sorted (degree, multiplicity)
     multiset.
     """
-    if p >= 2 ** 61 or not is_prime(p):
-        raise ValueError(f"{p} is not a prime below 2^61")
+    _check_prime_and_monic(coeffs, p)
     if len(coeffs) - 1 > 8:
         raise ValueError("degree capped at 8")
-    if coeffs[-1] % p != 1 % p:
-        raise ValueError("polynomial must be monic")
     f = _trim([c % p for c in coeffs])
     if len(f) == 1:
         return ()
@@ -269,6 +281,47 @@ def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
     if check != f:
         raise RuntimeError(f"re-multiplication check failed in factor_mod_p mod {p}")
     return tuple(sorted(out))
+
+
+# Residue degrees of a squarefree quartic by its number r of roots mod p, for
+# r >= 1; r = 0 leaves (2, 2) or (4), told apart by x^(p^2) mod f.
+_QUARTIC_BY_ROOTS = {4: (1, 1, 1, 1), 2: (1, 1, 2), 1: (1, 3)}
+
+
+def _quartic_degrees(coeffs: Sequence[int], p: int, disc: int) -> tuple[int, ...]:
+    """Residue degrees of a monic quartic mod an odd prime p not dividing disc.
+
+    f is squarefree mod p, so r = deg gcd(x^p - x, f) is its number of roots
+    and fixes the pattern unless r = 0, where x^(p^2) = x mod f decides
+    between (2, 2) and (4).  Stickelberger's theorem then checks the pattern
+    against the integer discriminant: (disc / p) = (-1)^(4 - #factors), by
+    Euler's criterion.  A mismatch, or r = 3, raises RuntimeError.
+    """
+    _check_prime_and_monic(coeffs, p)
+    if len(coeffs) != 5 or p == 2 or disc % p == 0:
+        raise ValueError(f"need a quartic and an odd prime not dividing {disc}, got p = {p}")
+    f = [c % p for c in coeffs]
+    ring = _ResidueRing(f, p)
+    frob = ring.xpow(p)
+    sub = ring.unpack(frob)
+    sub[1] = (sub[1] - 1) % p  # x^p - x
+    roots = _polygcd(f, _trim(sub), p)
+    _polydiv(f, roots, p)  # ArithmeticError unless the gcd divides f
+    r = len(roots) - 1
+    if r == 0:
+        # x^(p^2) from the Frobenius matrix, whose rows are x^(ip) mod f.
+        rows = [1, frob, ring.reduce(frob * frob)]
+        rows.append(ring.reduce(rows[2] * frob))
+        frob2 = ring.reduce(sum(c * row for c, row in zip(ring.unpack(frob), rows)))
+        degrees = (2, 2) if frob2 == 1 << ring.w else (4,)
+    else:
+        degrees = _QUARTIC_BY_ROOTS.get(r)
+    chi = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+    if degrees is None or chi != (-1) ** (4 - len(degrees)):
+        raise RuntimeError(
+            f"quartic mod {p}: {r} roots do not match the Legendre symbol {chi} "
+            f"of the discriminant (Stickelberger)")
+    return degrees
 
 
 # ---------------------------------------------------------------------------
@@ -314,31 +367,49 @@ def local_factor_data(record, p: int) -> LocalFactorData:
     for trusted p the factorization of the polynomial mod p gives the exact
     splitting (one prime per irreducible factor, residue degree = factor
     degree) including the ramified case.
+
+    A quartic at an odd p not dividing disc(poly) is unramified and takes
+    the one-gcd path, whose pattern is cross-checked against the Legendre
+    symbol of disc(poly) mod p.  Every other case, p = 2 and p | disc(poly)
+    included, goes through `factor_mod_p`.
     """
-    disc_poly = _poly_disc(tuple(record.coeffs))
+    coeffs = tuple(record.coeffs)
+    disc_poly = _poly_disc(coeffs)
     q, r = divmod(disc_poly, record.disc)
     trusted = (r == 0) and (q % p != 0)
-    pattern = factor_mod_p(record.coeffs, p)
-    ramified = any(mult > 1 for _, mult in pattern)
+    if len(coeffs) == 5 and p != 2 and disc_poly % p:
+        degrees, ramified = _quartic_degrees(coeffs, p, disc_poly), False
+    else:
+        pattern = factor_mod_p(coeffs, p)
+        degrees = tuple(sorted(d for d, _ in pattern))
+        ramified = any(mult > 1 for _, mult in pattern)
     return LocalFactorData(
         p=p,
-        residue_degrees=tuple(sorted(d for d, _ in pattern)),
+        residue_degrees=degrees,
         ramified=ramified,
         trusted=trusted,
     )
 
 
+def _checked_prime_bound(prime_bound: int) -> int:
+    P = int(prime_bound)
+    if not 100 <= P <= MAX_PRIME_BOUND:
+        raise ValueError(
+            f"need 100 <= prime bound <= MAX_PRIME_BOUND = {MAX_PRIME_BOUND}, got {P}")
+    return P
+
+
 def zeta_K_at_2(record, prime_bound: int = 10 ** 5) -> ZetaValue:
     """Dedekind zeta at s = 2 by a truncated Euler product with rigorous bounds.
 
-    Local factors at trusted primes come from factoring the defining
-    polynomial mod p; untrusted primes contribute a bracket between 1 and
-    (1 - p^-2)^(-degree).  The truncation tail is bounded via
-    sum_{p > P} p^-2 <= 1/(P - 1).
+    Local factors at trusted primes come from `local_factor_data`: for a
+    quartic at an odd p not dividing disc(poly), one gcd per prime checked
+    by Stickelberger's theorem, and otherwise the factorization of the
+    defining polynomial mod p.  Untrusted primes contribute a bracket between
+    1 and (1 - p^-2)^(-degree).  The truncation tail is bounded via
+    sum_{p > P} p^-2 <= 1/(P - 1).  Needs 100 <= P <= MAX_PRIME_BOUND.
     """
-    P = int(prime_bound)
-    if P < 100:
-        raise ValueError("prime bound must be at least 100")
+    P = _checked_prime_bound(prime_bound)
     degree = len(record.coeffs) - 1
     lower = upper = 1.0
     # One sieve per prime bound, shared by every field of the run.
@@ -391,6 +462,7 @@ def partial_constant(
     emit_terms: bool = False,
 ) -> PartialConstant:
     """Partial sum C(Z) over the quartic S4 fields with |disc| <= Z."""
+    _checked_prime_bound(prime_bound)
     value = 0.0
     err = 0.0
     term_list: list[tuple[str, float, float]] = []

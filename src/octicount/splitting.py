@@ -48,7 +48,12 @@ class TameConfig:
 
     def __post_init__(self):
         D, tau, sigma = self.decomposition, self.inertia_gen, self.frobenius
-        if not PermGroup([tau], degree=self.group.degree).is_normal_in(D):
+        # <tau> is normal in D when D's generators conjugate tau to powers of tau.
+        powers, g = set(), tau
+        while g not in powers:
+            powers.add(g)
+            g = g * tau
+        if tau not in D or any(d * tau * d.inverse() not in powers for d in D.generators):
             raise ValueError("inertia subgroup is not normal in the decomposition group")
         # With <tau> normal in D, the coset of sigma generates D/<tau> exactly
         # when sigma lies in D and <tau, sigma> is all of D.  A D given on the

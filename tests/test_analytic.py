@@ -9,13 +9,14 @@ from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import GF, Poly, Symbol, isprime, nextprime, primerange
+from sympy import GF, Poly, Symbol, isprime, nextprime, prevprime, primerange
 
 from conftest import quartic_record
 from octicount import analytic, arith
 from octicount.arith import is_prime, primes_up_to
 from octicount.analytic import (
     KAPPA,
+    MAX_PRIME_BOUND,
     ZetaValue,
     factor_mod_p,
     local_factor_data,
@@ -160,6 +161,112 @@ class TestFactorModPDifferential:
         assert factor_mod_p(coeffs, p) == sympy_pattern(coeffs, p)
 
 
+# 2, 3, every prime below 2000, primes either side of 2^31, and 2^61 - 1.
+QUARTIC_PATH_PRIMES = ((2, 3) + tuple(primerange(5, 2000))
+                       + (prevprime(2 ** 31 - 1), 2 ** 31 - 1, nextprime(2 ** 31), 2 ** 61 - 1))
+random_quartic = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4).map(
+    lambda low: tuple(low) + (1,))
+# (x + a)^2 (x^2 + b x + c) and (x^2 + b x + c)^2: disc(f) = 0.
+square_quartic = st.one_of(
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)).map(
+        lambda t: tuple(_intmul(_intmul([t[0], 1], [t[0], 1]), [t[2], t[1], 1]))),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)).map(
+        lambda t: tuple(_intmul([t[1], t[0], 1], [t[1], t[0], 1]))),
+)
+
+
+def quartic_rec(coeffs) -> "MinimalField":
+    # The field discriminant only feeds the trust flag, which is not compared.
+    return MinimalField(label="K", coeffs=tuple(coeffs), disc=1, r2=2)
+
+
+def degrees_of(pattern) -> tuple[int, ...]:
+    return tuple(sorted(d for d, _ in pattern))
+
+
+class TestQuarticPath:
+    """local_factor_data's one-gcd quartic path against factor_mod_p and sympy."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(coeffs=st.one_of(random_quartic, square_quartic,
+                            st.just((1, 0, 2, 0, 1))),  # (x^2 + 1)^2
+           p=st.sampled_from(QUARTIC_PATH_PRIMES))
+    def test_agrees_with_factor_mod_p(self, coeffs, p):
+        assert len(coeffs) == 5 and coeffs[-1] == 1
+        data = local_factor_data(quartic_rec(coeffs), p)
+        pattern = factor_mod_p(coeffs, p)
+        assert data.residue_degrees == degrees_of(pattern)
+        assert data.ramified == any(m > 1 for _, m in pattern)
+
+    @pytest.mark.parametrize("coeffs, p", [
+        ((-1, -1, 0, 0, 1), 7), ((1, 1, 0, 0, 1), 7), ((3, 1, 4, 1, 1), 7),
+        ((24, -50, 35, -10, 1), 7), ((2, -3, 3, -3, 1), 7), ((-16, -8, 0, 0, 1), 97),
+        ((1, 0, 2, 0, 1), 3), ((1, 0, 2, 0, 1), 2), ((-1, -1, 0, 0, 1), 283),
+        ((-1, -1, 0, 0, 1), 2 ** 31 - 1), ((3, 1, 4, 1, 1), 2 ** 61 - 1),
+    ])
+    def test_fixed_cases_against_sympy(self, coeffs, p):
+        data = local_factor_data(quartic_rec(coeffs), p)
+        pattern = sympy_pattern(coeffs, p)
+        assert data.residue_degrees == degrees_of(pattern)
+        assert data.ramified == any(m > 1 for _, m in pattern)
+
+    def test_odd_unramified_primes_skip_factor_mod_p(self, monkeypatch):
+        calls = []
+        real = analytic.factor_mod_p
+        monkeypatch.setattr(analytic, "factor_mod_p",
+                            lambda coeffs, p: calls.append(p) or real(coeffs, p))
+        rec = quartic_rec((-16, -8, 0, 0, 1))  # disc = -283 * 2^12
+        for p in primerange(2, 400):
+            local_factor_data(rec, p)
+        assert calls == [2, 283]
+
+    # One case per number r of roots mod 7, r = 0 twice: (2, 2) and (4).
+    @pytest.mark.parametrize("coeffs, degrees", [
+        ((3, 1, 4, 1, 1), (2, 2)),         # (x^2 + 1)(x^2 + x + 3)
+        ((1, 1, 0, 0, 1), (4,)),           # x^4 + x + 1
+        ((-1, -1, 0, 0, 1), (1, 3)),       # x^4 - x - 1
+        ((2, -3, 3, -3, 1), (1, 1, 2)),    # (x - 1)(x - 2)(x^2 + 1)
+        ((24, -50, 35, -10, 1), (1, 1, 1, 1)),  # (x - 1)(x - 2)(x - 3)(x - 4)
+    ])
+    def test_flipped_legendre_symbol_raises(self, coeffs, degrees):
+        disc = analytic._poly_disc(coeffs)
+        assert degrees_of(factor_mod_p(coeffs, 7)) == degrees
+        assert analytic._quartic_degrees(coeffs, 7, disc) == degrees
+        # 3 is not a square mod 7, so 3 * disc has the opposite symbol.
+        with pytest.raises(RuntimeError, match="Stickelberger"):
+            analytic._quartic_degrees(coeffs, 7, 3 * disc)
+
+    @pytest.mark.parametrize("cubic, error", [
+        ([1, 4, 1, 1], RuntimeError),       # (x - 1)(x - 2)(x - 3): divides f, r = 3
+        ([4, 3, 6, 1], ArithmeticError),    # (x - 1)(x - 2)(x - 5): does not divide f
+    ])
+    def test_impossible_gcds_raise(self, monkeypatch, cubic, error):
+        # Four roots mod 7, so the true gcd is f itself; a cubic stands in.
+        real = analytic._polygcd
+
+        def cubic_for_f(a, b, p):
+            g = real(a, b, p)
+            return cubic if len(g) == 5 else g
+
+        monkeypatch.setattr(analytic, "_polygcd", cubic_for_f)
+        coeffs = (24, -50, 35, -10, 1)
+        with pytest.raises(error):
+            analytic._quartic_degrees(coeffs, 7, analytic._poly_disc(coeffs))
+
+    @pytest.mark.parametrize("p", [9, 15, nextprime(2 ** 61), 2 ** 61 + 1])
+    def test_bad_primes_rejected(self, p):
+        rec = quartic_rec((-1, -1, 0, 0, 1))
+        assert analytic._poly_disc(rec.coeffs) % p != 0
+        with pytest.raises(ValueError, match="not a prime below 2"):
+            local_factor_data(rec, p)
+
+    def test_non_monic_rejected(self):
+        coeffs = (-1, -1, 0, 0, 2)
+        assert analytic._poly_disc(coeffs) % 5 != 0
+        with pytest.raises(ValueError, match="monic"):
+            local_factor_data(quartic_rec(coeffs), 5)
+
+
 def _intmul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -261,6 +368,11 @@ class TestZetaAt2:
     def test_low_prime_bound_rejected(self):
         with pytest.raises(ValueError):
             zeta_K_at_2(QFIELD, 50)
+
+    def test_high_prime_bound_rejected_before_the_sieve(self, monkeypatch):
+        monkeypatch.setattr(analytic, "primes_up_to", lambda n: pytest.fail("sieve built"))
+        with pytest.raises(ValueError, match="MAX_PRIME_BOUND"):
+            zeta_K_at_2(QFIELD, MAX_PRIME_BOUND + 1)
 
 
 class TestLocalFactorData:

@@ -8,6 +8,7 @@ import pytest
 
 import octicount.analytic
 from conftest import record_json_line
+from octicount.analytic import MAX_PRIME_BOUND
 from octicount.cli import MAX_CHECKPOINTS, _parse_checkpoints, run
 
 
@@ -79,6 +80,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: need n <= MAX_CHECKPOINTS = 10000, got 1000000000\n"
+
+    @pytest.mark.parametrize("P", [5, -7, MAX_PRIME_BOUND + 1])
+    @pytest.mark.parametrize("subcommand", [["constant"], ["fit", "--checkpoints", "10:1000:3"]],
+                             ids=lambda args: args[0])
+    def test_prime_bound_out_of_range_is_data_error(self, subcommand, P, store, capsys,
+                                                    monkeypatch):
+        # A huge bound once went straight to a P-byte sieve; a negative one,
+        # with no field below the cutoff, printed a constant and exit 0.
+        monkeypatch.setattr(octicount.analytic, "primes_up_to",
+                            lambda n: pytest.fail("sieve built"))
+        for max_disc in ("1", "10000000"):
+            assert run(subcommand + ["--store", store, "--max-disc", max_disc,
+                                     "--prime-bound", str(P)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: need 100 <= prime bound <= MAX_PRIME_BOUND = "
+                                    f"{MAX_PRIME_BOUND}, got {P}\n")
 
     def test_checkpoint_cap_is_inclusive(self):
         assert len(_parse_checkpoints(f"1e6:1e18:{MAX_CHECKPOINTS}")) == MAX_CHECKPOINTS

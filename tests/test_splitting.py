@@ -159,6 +159,20 @@ class TestConfigChecks:
                 frobenius=P(3, frobenius),
             )
 
+    @pytest.mark.parametrize("inertia, decomposition", [
+        ("(1,2)", "(1,2) (1,2,3)"),  # <(1,2)> is not normal in S3
+        ("(1,3)", "(1,2)"),          # tau outside D
+    ])
+    def test_inertia_must_be_normal_in_d(self, inertia, decomposition):
+        gens = [P(3, g) for g in decomposition.split()]
+        with pytest.raises(ValueError, match="not normal"):
+            TameConfig(
+                group=PermGroup.symmetric(3),
+                inertia_gen=P(3, inertia),
+                decomposition=PermGroup(gens),
+                frobenius=gens[-1],
+            )
+
 
 class TestValuationProfiles:
     def test_unramified_config_is_zero(self):
