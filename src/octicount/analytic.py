@@ -5,10 +5,10 @@ accumulated error bound; no bare floats leave this module.  Euler products
 are driven by polynomial factorization over prime fields, of which only
 factor degrees and multiplicities matter.  The general path is squarefree
 decomposition plus distinct-degree factorization (`factor_mod_p`).  A
-quartic at an odd prime p not dividing disc(f) takes a shorter path: one
-Frobenius x^p and one gcd with f give the number of roots mod p, and
-Stickelberger's theorem, (disc f / p) = (-1)^(4 - number of factors), is
-checked against the integer discriminant on every pattern it returns.
+quartic at every prime 5 <= p <= MAX_PRIME_BOUND not dividing disc(f) takes
+one numpy pass, a lane per prime: Frobenius traces give the pattern, and
+Stickelberger's theorem, (disc f / p) = (-1)^(4 - number of factors), checks
+it against the integer discriminant on every lane.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from itertools import compress
+from typing import Iterator, Sequence
 
 from .arith import is_prime, primes_up_to
 from .nfdata import Snapshot, query
@@ -283,45 +284,81 @@ def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out))
 
 
-# Residue degrees of a squarefree quartic by its number r of roots mod p, for
-# r >= 1; r = 0 leaves (2, 2) or (4), told apart by x^(p^2) mod f.
-_QUARTIC_BY_ROOTS = {4: (1, 1, 1, 1), 2: (1, 1, 2), 1: (1, 3)}
+# Residue degrees of a quartic squarefree mod p >= 5 by (Tr Q, Tr Q^2) =
+# (n1, n1 + 2 n2), with n_d its number of factors of degree d mod p.
+_QUARTIC_BY_TRACES = {
+    (4, 4): (1, 1, 1, 1), (2, 4): (1, 1, 2), (1, 1): (1, 3), (0, 4): (2, 2), (0, 0): (4,)}
+
+# Primes per numpy pass: the largest array is 7 x 4096 int64, at any P.
+_LANE_CHUNK = 4096
 
 
-def _quartic_degrees(coeffs: Sequence[int], p: int, disc: int) -> tuple[int, ...]:
-    """Residue degrees of a monic quartic mod an odd prime p not dividing disc.
+def _frobenius_traces(coeffs: Sequence[int], primes: Sequence[int]) -> list[tuple[int, int]]:
+    """(Tr Q, Tr Q^2) mod p for each p, Q the Frobenius matrix of F_p[x]/(f).
 
-    f is squarefree mod p, so r = deg gcd(x^p - x, f) is its number of roots
-    and fixes the pattern unless r = 0, where x^(p^2) = x mod f decides
-    between (2, 2) and (4).  Stickelberger's theorem then checks the pattern
-    against the integer discriminant: (disc / p) = (-1)^(4 - #factors), by
-    Euler's criterion.  A mismatch, or r = 3, raises RuntimeError.
+    One int64 lane per prime.  Q has the rows x^(ip) mod f, i = 0..3, with x^p
+    by left-to-right square-and-multiply: every lane takes the same steps and
+    multiplies by x only where its own bit of p is set.  Coefficients are
+    < p <= MAX_PRIME_BOUND = 10^7.  A product's unreduced coefficient is at
+    most 4(p-1)^2 and the three folds through x^4 = -f add at most 3(p-1)^2,
+    so every value stays below 7p^2 <= 7e14 < 2^63, and int64 never wraps.
     """
-    _check_prime_and_monic(coeffs, p)
-    if len(coeffs) != 5 or p == 2 or disc % p == 0:
-        raise ValueError(f"need a quartic and an odd prime not dividing {disc}, got p = {p}")
-    f = [c % p for c in coeffs]
-    ring = _ResidueRing(f, p)
-    frob = ring.xpow(p)
-    sub = ring.unpack(frob)
-    sub[1] = (sub[1] - 1) % p  # x^p - x
-    roots = _polygcd(f, _trim(sub), p)
-    _polydiv(f, roots, p)  # ArithmeticError unless the gcd divides f
-    r = len(roots) - 1
-    if r == 0:
-        # x^(p^2) from the Frobenius matrix, whose rows are x^(ip) mod f.
-        rows = [1, frob, ring.reduce(frob * frob)]
-        rows.append(ring.reduce(rows[2] * frob))
-        frob2 = ring.reduce(sum(c * row for c, row in zip(ring.unpack(frob), rows)))
-        degrees = (2, 2) if frob2 == 1 << ring.w else (4,)
-    else:
-        degrees = _QUARTIC_BY_ROOTS.get(r)
-    chi = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
-    if degrees is None or chi != (-1) ** (4 - len(degrees)):
-        raise RuntimeError(
-            f"quartic mod {p}: {r} roots do not match the Legendre symbol {chi} "
-            f"of the discriminant (Stickelberger)")
-    return degrees
+    import numpy as np
+
+    p = np.array(primes, np.int64)
+    g = np.array([[-c % q for q in primes] for c in coeffs[:4]], np.int64)  # x^4 mod f
+
+    def mul(a, b):
+        c = np.zeros((7, len(primes)), np.int64)
+        for i in range(4):
+            c[i:i + 4] += a[i] * b
+        for k in (6, 5, 4):
+            c[k - 4:k] += c[k] % p * g
+        return c[:4] % p
+
+    def times_x(a):
+        c = a[3] * g
+        c[1:] += a[:3]
+        return c % p
+
+    xp = one = np.eye(4, 1, dtype=np.int64).repeat(len(primes), axis=1)
+    for bit in reversed(range(max(primes).bit_length())):
+        xp = mul(xp, xp)
+        xp = np.where((p >> bit) & 1 == 1, times_x(xp), xp)
+    x2p = mul(xp, xp)
+    q = np.stack([one, xp, x2p, mul(x2p, xp)])
+    traces = (np.einsum("iil->l", q) % p, np.einsum("ijl,jil->l", q, q) % p)
+    return list(zip(*(t.tolist() for t in traces)))
+
+
+def _quartic_lanes(coeffs: Sequence[int], primes: Sequence[int],
+                   disc: int) -> list[tuple[int, ...]]:
+    """Residue degrees of a monic quartic f mod each of primes, a numpy pass per chunk.
+
+    Each p must be a prime 5 <= p <= MAX_PRIME_BOUND not dividing disc =
+    disc(f), so f is squarefree mod p and the Frobenius traces, exact as
+    n1 + 2 n2 <= 4 < p, give its pattern.  Stickelberger's theorem checks every
+    lane: (disc / p) = (-1)^(4 - #factors), by Euler's criterion.  A trace
+    pair outside the table, or a mismatch, raises RuntimeError.
+    """
+    for p in primes:
+        _check_prime_and_monic(coeffs, p)
+        # The upper bound keeps the int64 arithmetic exact.
+        if len(coeffs) != 5 or not 5 <= p <= MAX_PRIME_BOUND or disc % p == 0:
+            raise ValueError(f"need a quartic and a prime 5 <= p <= {MAX_PRIME_BOUND} "
+                             f"not dividing {disc}, got p = {p}")
+    out = []
+    for start in range(0, len(primes), _LANE_CHUNK):
+        chunk = primes[start:start + _LANE_CHUNK]
+        for p, traces in zip(chunk, _frobenius_traces(coeffs, chunk)):
+            degrees = _QUARTIC_BY_TRACES.get(traces)
+            chi = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+            if degrees is None or chi != (-1) ** (4 - len(degrees)):
+                raise RuntimeError(
+                    f"quartic mod {p}: Frobenius traces {traces} do not match the "
+                    f"Legendre symbol {chi} of the discriminant (Stickelberger)")
+            out.append(degrees)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +397,23 @@ def _poly_disc(coeffs: tuple[int, ...]) -> int:
     return sign * m[-1][-1] // f[0]
 
 
+def _local_factors(record, primes: Sequence[int]) -> Iterator[LocalFactorData]:
+    """`local_factor_data` at each of primes in turn, the quartic lanes in one pass."""
+    coeffs = tuple(record.coeffs)
+    disc_poly = _poly_disc(coeffs)
+    q, r = divmod(disc_poly, record.disc)
+    on_lane = [len(coeffs) == 5 and 5 <= p <= MAX_PRIME_BOUND and disc_poly % p for p in primes]
+    lanes = iter(_quartic_lanes(coeffs, list(compress(primes, on_lane)), disc_poly))
+    for p, lane in zip(primes, on_lane):
+        if lane:
+            degrees, ramified = next(lanes), False
+        else:
+            pattern = factor_mod_p(coeffs, p)
+            degrees = tuple(sorted(d for d, _ in pattern))
+            ramified = any(mult > 1 for _, mult in pattern)
+        yield LocalFactorData(p, degrees, ramified, trusted=(r == 0) and (q % p != 0))
+
+
 def local_factor_data(record, p: int) -> LocalFactorData:
     """Residue degrees above p, trusted iff p cannot divide the ring index.
 
@@ -368,27 +422,12 @@ def local_factor_data(record, p: int) -> LocalFactorData:
     splitting (one prime per irreducible factor, residue degree = factor
     degree) including the ramified case.
 
-    A quartic at an odd p not dividing disc(poly) is unramified and takes
-    the one-gcd path, whose pattern is cross-checked against the Legendre
-    symbol of disc(poly) mod p.  Every other case, p = 2 and p | disc(poly)
-    included, goes through `factor_mod_p`.
+    A quartic at a prime 5 <= p <= MAX_PRIME_BOUND not dividing disc(poly) is
+    unramified and takes `_quartic_lanes` with one lane, checked against the
+    Legendre symbol of disc(poly) mod p.  Every other case, p = 2, 3 and
+    p | disc(poly) included, goes through `factor_mod_p`.
     """
-    coeffs = tuple(record.coeffs)
-    disc_poly = _poly_disc(coeffs)
-    q, r = divmod(disc_poly, record.disc)
-    trusted = (r == 0) and (q % p != 0)
-    if len(coeffs) == 5 and p != 2 and disc_poly % p:
-        degrees, ramified = _quartic_degrees(coeffs, p, disc_poly), False
-    else:
-        pattern = factor_mod_p(coeffs, p)
-        degrees = tuple(sorted(d for d, _ in pattern))
-        ramified = any(mult > 1 for _, mult in pattern)
-    return LocalFactorData(
-        p=p,
-        residue_degrees=degrees,
-        ramified=ramified,
-        trusted=trusted,
-    )
+    return next(_local_factors(record, (p,)))
 
 
 def _checked_prime_bound(prime_bound: int) -> int:
@@ -402,10 +441,10 @@ def _checked_prime_bound(prime_bound: int) -> int:
 def zeta_K_at_2(record, prime_bound: int = 10 ** 5) -> ZetaValue:
     """Dedekind zeta at s = 2 by a truncated Euler product with rigorous bounds.
 
-    Local factors at trusted primes come from `local_factor_data`: for a
-    quartic at an odd p not dividing disc(poly), one gcd per prime checked
-    by Stickelberger's theorem, and otherwise the factorization of the
-    defining polynomial mod p.  Untrusted primes contribute a bracket between
+    Local factors at trusted primes are those of `local_factor_data`: for a
+    quartic, every prime 5 <= p <= P not dividing disc(poly) in one
+    `_quartic_lanes` call, and otherwise the factorization of the defining
+    polynomial mod p.  Untrusted primes contribute a bracket between
     1 and (1 - p^-2)^(-degree).  The truncation tail is bounded via
     sum_{p > P} p^-2 <= 1/(P - 1).  Needs 100 <= P <= MAX_PRIME_BOUND.
     """
@@ -413,8 +452,8 @@ def zeta_K_at_2(record, prime_bound: int = 10 ** 5) -> ZetaValue:
     degree = len(record.coeffs) - 1
     lower = upper = 1.0
     # One sieve per prime bound, shared by every field of the run.
-    for p in primes_up_to(P):
-        data = local_factor_data(record, p)
+    for data in _local_factors(record, primes_up_to(P)):
+        p = data.p
         if data.trusted:
             factor = 1.0
             for f in data.residue_degrees:

@@ -161,8 +161,12 @@ class TestFactorModPDifferential:
         assert factor_mod_p(coeffs, p) == sympy_pattern(coeffs, p)
 
 
-# 2, 3, every prime below 2000, primes either side of 2^31, and 2^61 - 1.
+# 2, 3, every prime below 2000, the largest primes of the int64 lanes (up to
+# 9,999,991 < MAX_PRIME_BOUND) and the first above them, primes either side of
+# 2^31, and 2^61 - 1.
 QUARTIC_PATH_PRIMES = ((2, 3) + tuple(primerange(5, 2000))
+                       + (prevprime(9_999_971), 9_999_971, 9_999_973, 9_999_991,
+                          nextprime(MAX_PRIME_BOUND))
                        + (prevprime(2 ** 31 - 1), 2 ** 31 - 1, nextprime(2 ** 31), 2 ** 61 - 1))
 random_quartic = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=4, max_size=4).map(
     lambda low: tuple(low) + (1,))
@@ -185,7 +189,7 @@ def degrees_of(pattern) -> tuple[int, ...]:
 
 
 class TestQuarticPath:
-    """local_factor_data's one-gcd quartic path against factor_mod_p and sympy."""
+    """The quartic lanes, through local_factor_data, against factor_mod_p and sympy."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(coeffs=st.one_of(random_quartic, square_quartic,
@@ -203,6 +207,7 @@ class TestQuarticPath:
         ((24, -50, 35, -10, 1), 7), ((2, -3, 3, -3, 1), 7), ((-16, -8, 0, 0, 1), 97),
         ((1, 0, 2, 0, 1), 3), ((1, 0, 2, 0, 1), 2), ((-1, -1, 0, 0, 1), 283),
         ((-1, -1, 0, 0, 1), 2 ** 31 - 1), ((3, 1, 4, 1, 1), 2 ** 61 - 1),
+        ((-1, -1, 0, 0, 1), 9_999_991), ((16, 0, 0, -2, 1), 9_999_991),
     ])
     def test_fixed_cases_against_sympy(self, coeffs, p):
         data = local_factor_data(quartic_rec(coeffs), p)
@@ -218,9 +223,9 @@ class TestQuarticPath:
         rec = quartic_rec((-16, -8, 0, 0, 1))  # disc = -283 * 2^12
         for p in primerange(2, 400):
             local_factor_data(rec, p)
-        assert calls == [2, 283]
+        assert calls == [2, 3, 283]
 
-    # One case per number r of roots mod 7, r = 0 twice: (2, 2) and (4).
+    # One case per pattern mod 7, two of them without a root: (2, 2) and (4).
     @pytest.mark.parametrize("coeffs, degrees", [
         ((3, 1, 4, 1, 1), (2, 2)),         # (x^2 + 1)(x^2 + x + 3)
         ((1, 1, 0, 0, 1), (4,)),           # x^4 + x + 1
@@ -231,27 +236,56 @@ class TestQuarticPath:
     def test_flipped_legendre_symbol_raises(self, coeffs, degrees):
         disc = analytic._poly_disc(coeffs)
         assert degrees_of(factor_mod_p(coeffs, 7)) == degrees
-        assert analytic._quartic_degrees(coeffs, 7, disc) == degrees
+        assert analytic._quartic_lanes(coeffs, [7], disc) == [degrees]
         # 3 is not a square mod 7, so 3 * disc has the opposite symbol.
         with pytest.raises(RuntimeError, match="Stickelberger"):
-            analytic._quartic_degrees(coeffs, 7, 3 * disc)
+            analytic._quartic_lanes(coeffs, [7], 3 * disc)
 
-    @pytest.mark.parametrize("cubic, error", [
-        ([1, 4, 1, 1], RuntimeError),       # (x - 1)(x - 2)(x - 3): divides f, r = 3
-        ([4, 3, 6, 1], ArithmeticError),    # (x - 1)(x - 2)(x - 5): does not divide f
-    ])
-    def test_impossible_gcds_raise(self, monkeypatch, cubic, error):
-        # Four roots mod 7, so the true gcd is f itself; a cubic stands in.
-        real = analytic._polygcd
+    # (n1, n2) = (3, 0): three roots leave a linear fourth factor; (1, 1): one
+    # root and a quadratic leave a linear fourth factor that was not counted.
+    @pytest.mark.parametrize("n1, n2", [(3, 0), (1, 1)])
+    def test_impossible_traces_raise(self, monkeypatch, n1, n2):
+        coeffs = (24, -50, 35, -10, 1)  # four roots mod 7
+        disc = analytic._poly_disc(coeffs)
+        assert analytic._frobenius_traces(coeffs, [7]) == [(4, 4)]
+        monkeypatch.setattr(analytic, "_frobenius_traces",
+                            lambda coeffs, primes: [(n1, n1 + 2 * n2)] * len(primes))
+        with pytest.raises(RuntimeError, match="Frobenius traces"):
+            analytic._quartic_lanes(coeffs, [7], disc)
 
-        def cubic_for_f(a, b, p):
-            g = real(a, b, p)
-            return cubic if len(g) == 5 else g
+    @pytest.mark.parametrize("p", [3, nextprime(MAX_PRIME_BOUND), 283])
+    def test_lanes_reject_primes_off_the_int64_path(self, p):
+        # 3 cannot tell (1, 1, 1, 1) from (1, 3) by traces, 10,000,019 is past
+        # the int64 bound, and 283 divides disc(x^4 - x - 1) = -283.
+        coeffs = (-1, -1, 0, 0, 1)
+        with pytest.raises(ValueError, match="5 <= p <= "):
+            analytic._quartic_lanes(coeffs, [5, p, 7], analytic._poly_disc(coeffs))
 
-        monkeypatch.setattr(analytic, "_polygcd", cubic_for_f)
-        coeffs = (24, -50, 35, -10, 1)
-        with pytest.raises(error):
-            analytic._quartic_degrees(coeffs, 7, analytic._poly_disc(coeffs))
+    @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
+    def test_large_primes_route_to_factor_mod_p(self, monkeypatch, p):
+        calls = []
+        real = analytic.factor_mod_p
+        monkeypatch.setattr(analytic, "factor_mod_p",
+                            lambda coeffs, q: calls.append(q) or real(coeffs, q))
+        for coeffs in ((-1, -1, 0, 0, 1), (3, 1, 4, 1, 1), (16, 0, 0, -2, 1)):
+            data = local_factor_data(quartic_rec(coeffs), p)
+            pattern = sympy_pattern(coeffs, p)
+            assert data.residue_degrees == degrees_of(pattern)
+            assert data.ramified == any(m > 1 for _, m in pattern)
+        assert calls == [p] * 3
+
+    def test_batch_of_several_chunks_matches_per_prime(self):
+        coeffs = (16, 0, 0, -2, 1)  # 16 f(x/2), f = x^4 - x^3 + 1
+        disc = analytic._poly_disc(coeffs)
+        lanes = [p for p in primerange(5, 45000) if disc % p]
+        assert analytic._LANE_CHUNK < len(lanes) < 2 * analytic._LANE_CHUNK
+        batch = analytic._quartic_lanes(coeffs, lanes, disc)
+        assert batch == [degrees_of(factor_mod_p(coeffs, p)) for p in lanes]
+        # Lanes either side of the chunk boundary, and a sample, one at a time.
+        rec = quartic_rec(coeffs)
+        edge = analytic._LANE_CHUNK
+        for i in [*range(edge - 3, edge + 3), *range(0, len(lanes), 97)]:
+            assert local_factor_data(rec, lanes[i]).residue_degrees == batch[i]
 
     @pytest.mark.parametrize("p", [9, 15, nextprime(2 ** 61), 2 ** 61 + 1])
     def test_bad_primes_rejected(self, p):
@@ -359,6 +393,28 @@ class TestZetaAt2:
         rec = quartic_record("K", -283, [(283, 1)])
         z = zeta_K_at_2(rec, 10 ** 5)
         assert z.error_bound < 1e-4
+
+    @pytest.mark.parametrize("rec", [
+        quartic_record("K", -283, [(283, 1)]),
+        # The benchmark's presentation 16 f(x/2) of f = x^4 - x^3 + 1, index 2^6.
+        MinimalField(label="E", coeffs=(16, 0, 0, -2, 1), disc=229, r2=2),
+    ], ids=["conftest", "scaled"])
+    def test_residue_degrees_match_factor_mod_p_on_the_whole_sieve(self, monkeypatch, rec):
+        seen = []
+        real = analytic._local_factors
+
+        def spy(record, primes):
+            for data in real(record, primes):
+                seen.append(data)
+                yield data
+
+        monkeypatch.setattr(analytic, "_local_factors", spy)
+        zeta_K_at_2(rec, 10 ** 4)
+        assert [data.p for data in seen] == list(primerange(2, 10 ** 4 + 1))
+        for data in seen:
+            pattern = factor_mod_p(rec.coeffs, data.p)
+            assert data.residue_degrees == degrees_of(pattern), data.p
+            assert data.ramified == any(m > 1 for _, m in pattern)
 
     def test_all_bounds_finite(self):
         for rec in (QFIELD, QI, QSQRT2):

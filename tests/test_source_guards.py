@@ -37,14 +37,15 @@ def test_every_exported_name_resolves():
     assert unresolved == []
 
 
-# Runs each command in turn in one fresh interpreter and records, after each,
-# its exit code and whether sympy has been imported.
+# Runs each command in turn in one fresh interpreter and records, after the
+# bare import and after each command, its exit code and whether sympy and
+# numpy have been imported.
 SYMPY_PROBE = """
 import json, sys
 from octicount.cli import run
-seen = []
+seen = [["import", 0, "sympy" in sys.modules, "numpy" in sys.modules]]
 for argv in json.loads(sys.argv[1]):
-    seen.append([argv[0], run(argv), "sympy" in sys.modules])
+    seen.append([argv[0], run(argv), "sympy" in sys.modules, "numpy" in sys.modules])
 with open(sys.argv[2], "w") as fh:
     json.dump(seen, fh)
 """
@@ -53,6 +54,8 @@ with open(sys.argv[2], "w") as fh:
 def test_no_command_imports_sympy(tmp_path, model_snapshot):
     # sympy is the answer only for the exact factorization fallback and for
     # primality above 3.3e24; no command on the model towers needs either.
+    # numpy is for the quartic Euler factors only: constant and fit run last,
+    # so every other command is seen before numpy could have been loaded.
     infile, store = tmp_path / "in.jsonl", str(tmp_path / "store.jsonl")
     infile.write_text("".join(record_json_line(r) + "\n"
                               for r in model_snapshot.records.values()))
@@ -64,20 +67,21 @@ def test_no_command_imports_sympy(tmp_path, model_snapshot):
         ["ingest", "--in", str(infile), "--out", store],
         ["audit", *on_store],
         ["count", *on_store, "--checkpoints", "1000:100000000000:5"],
-        ["constant", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
-        ["fit", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
         ["query", *on_store],
         ["tail", *on_store, "--Z", "1", "--X", "1000000000"],
+        ["constant", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
+        ["fit", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
     ]
     result = tmp_path / "seen.json"
     env = dict(os.environ, PYTHONPATH=str(Path(octicount.__file__).parent.parent))
     subprocess.run([sys.executable, "-c", SYMPY_PROBE, json.dumps(commands), str(result)],
                    env=env, check=True, capture_output=True, timeout=600)
     seen = json.loads(result.read_text())
-    assert [name for name, _, _ in seen] == [argv[0] for argv in commands]
+    assert [name for name, _, _, _ in seen] == ["import"] + [argv[0] for argv in commands]
     # verify-splitting exits 1 on the documented 8T40 index-set subcheck.
-    assert [code for _, code, _ in seen] == [0, 1] + [0] * 8
-    assert [name for name, _, loaded in seen if loaded] == []
+    assert [code for _, code, _, _ in seen] == [0, 0, 1] + [0] * 8
+    assert [name for name, _, loaded, _ in seen if loaded] == []
+    assert [name for name, _, _, loaded in seen if loaded] == ["constant", "fit"]
 
 
 def test_benchmark_tracer_hooks_resolve(tmp_path):
