@@ -364,7 +364,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 1
-    except ValueError as exc:  # bad input data, nfdata.IngestError included
+    except (ValueError, OSError) as exc:  # bad input data, or an unwritable output path
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -2,8 +2,11 @@
 
 Permutations act on {1..degree}.  Groups are given by generators; element
 lists, conjugacy data and the subgroup lattice are computed lazily and
-cached.  Everything is exact integer arithmetic, sized for groups of order
-a few hundred (the largest group this project cares about has order 384).
+cached.  The lattice, the normal subgroups and the classes of Frobenius
+cosets run on each group's own element index, an integer multiplication
+table built once per group; `Perm` and `PermGroup` are what goes in and out.
+Everything is exact integer arithmetic, sized for groups of order a few
+hundred (the largest group this project cares about has order 384).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable, Optional
 
 MAX_DEGREE = 24
 MAX_ELEMENTS = 10**6
-SUBGROUP_ORDER_CAP = 2048  # subgroup computations hold an order x order index table
+SUBGROUP_ORDER_CAP = 2048  # a group's element index is an order x order table
 ISO_DEGREE_CAP = 12
 
 
@@ -280,7 +283,8 @@ class PermGroup:
 
     @cached_property
     def conjugacy_classes(self) -> list[frozenset[Perm]]:
-        """Conjugacy classes of elements, ordered by (min cycle type, size).
+        """Conjugacy classes of elements, ordered by (min cycle type, size,
+        least image tuple): a total order, fixed by the element set alone.
 
         Each class is the orbit of one element under conjugation by the
         generators.
@@ -294,13 +298,78 @@ class PermGroup:
             cls = frozenset(_orbit(next(iter(remaining)), moves))
             classes.append(cls)
             remaining -= cls
-        classes.sort(key=lambda c: (sorted(p.cycle_type() for p in c)[0], len(c)))
+        classes.sort(key=lambda c: (
+            min(p.cycle_type() for p in c), len(c), min(p.images for p in c)
+        ))
         return classes
 
     def stabilizer(self, point: int) -> "PermGroup":
         """Point stabilizer, by element scan (fine at this scale)."""
         elems = [g for g in self.elements if g(point) == point]
         return PermGroup.from_elements(elems, self.degree)
+
+    # The element index behind the subgroup computations, private to this
+    # module and built on first use, once per group object.  Elements are
+    # numbered in ascending order of their image tuples, so comparing sorted
+    # number lists compares sorted image lists, and the identity is number 0.
+    # `_right[j][i]` is the number of elems[i] * elems[j], and `_inv[j]` that
+    # of elems[j]^-1; so g x g^-1 is `_right[_inv[g]][_right[x][g]]`.
+
+    @cached_property
+    def _elems(self) -> list[Perm]:
+        if self.order > SUBGROUP_ORDER_CAP:
+            raise GroupTooLargeError(
+                f"subgroup computations capped at order {SUBGROUP_ORDER_CAP}"
+            )
+        return sorted(self.elements, key=lambda p: p.images)
+
+    @cached_property
+    def _num(self) -> dict[Perm, int]:
+        return {p: i for i, p in enumerate(self._elems)}
+
+    @cached_property
+    def _inv(self) -> list[int]:
+        return [self._num[p.inverse()] for p in self._elems]
+
+    @cached_property
+    def _right(self) -> list[list[int]]:
+        elems = self._elems
+        by_images = {p.images: i for i, p in enumerate(elems)}
+        gen_maps = []  # right multiplication by each generator, on image tuples
+        for g in self.generators:
+            shift = [x - 1 for x in g.images]
+            gen_maps.append(
+                [by_images[tuple(map(p.images.__getitem__, shift))] for p in elems]
+            )
+        # Every element is t * g for an earlier t in breadth-first order, and
+        # x * (t * g) = (x * t) * g, so each column is a generator map applied
+        # to an earlier column.
+        right: list[Optional[list[int]]] = [None] * len(elems)
+        right[0] = list(range(len(elems)))
+        reached = [0]
+        for t in reached:
+            col = right[t]
+            for gmap in gen_maps:
+                j = gmap[t]
+                if right[j] is None:
+                    right[j] = list(map(gmap.__getitem__, col))
+                    reached.append(j)
+        return right
+
+    def _close(self, base: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
+        """Numbers of <base, gens> for a closed subgroup `base`, by coset
+        enumeration: the result is a union of right cosets of base."""
+        elems = set(base)
+        right = self._right
+        queue = [0]
+        while queue:
+            t = queue.pop()
+            for g in gens:
+                u = right[g][t]
+                if u not in elems:
+                    elems.update(map(right[u].__getitem__, base))
+                    queue.append(u)
+        return frozenset(elems)
 
 
 def _orbit(seed, moves) -> set:
@@ -352,90 +421,6 @@ def wreath_c2_s4() -> PermGroup:
     return PermGroup(flips + [swap_blocks, cycle_blocks])
 
 
-# ---------------------------------------------------------------------------
-# Fast indexed context for subgroup computations
-
-class _Ctx:
-    """Element-indexed view of a group: multiplication by integer indices.
-
-    Elements are numbered in ascending order of their image tuples, so
-    comparing sorted index lists compares sorted image lists.  `right[j]` is
-    right multiplication by element j as a map on indices, `right[j][i]` is
-    the index of elems[i] * elems[j]; `inv[j]` is the index of its inverse.
-    """
-
-    def __init__(self, G: PermGroup):
-        if G.order > SUBGROUP_ORDER_CAP:
-            raise GroupTooLargeError(
-                f"subgroup computations capped at order {SUBGROUP_ORDER_CAP}"
-            )
-        self.G = G
-        self.elems: list[Perm] = sorted(G.elements, key=lambda p: p.images)
-        self.idx = {p: i for i, p in enumerate(self.elems)}
-        self.n = len(self.elems)
-        self.e = self.idx[G.identity]
-        # Right multiplication by each generator, composed on image tuples.
-        by_images = {p.images: i for i, p in enumerate(self.elems)}
-        gen_maps = []
-        for g in G.generators:
-            shift = [x - 1 for x in g.images]
-            gen_maps.append(
-                [by_images[tuple(map(p.images.__getitem__, shift))] for p in self.elems]
-            )
-        # Every element is t * g for an earlier t in breadth-first order, and
-        # x * (t * g) = (x * t) * g, so each column is a generator map applied
-        # to an earlier column.
-        right: list[Optional[list[int]]] = [None] * self.n
-        right[self.e] = list(range(self.n))
-        reached = [self.e]
-        for t in reached:
-            col = right[t]
-            for gmap in gen_maps:
-                j = gmap[t]
-                if right[j] is None:
-                    right[j] = list(map(gmap.__getitem__, col))
-                    reached.append(j)
-        self.right: list[list[int]] = right
-        self.inv = [self.idx[p.inverse()] for p in self.elems]
-        # Conjugation x -> g x g^-1 by each generator g, as a map on indices.
-        self.conj_maps = [
-            [self.conj(gi, x) for x in range(self.n)]
-            for gi in map(self.idx.__getitem__, G.generators)
-        ]
-
-    def conj(self, g: int, x: int) -> int:
-        """Index of elems[g] * elems[x] * elems[g]^-1."""
-        return self.right[self.inv[g]][self.right[x][g]]
-
-    def close(self, base: frozenset[int], gens: tuple[int, ...]) -> frozenset[int]:
-        """Subgroup generated by a closed subgroup `base` and extra `gens`.
-
-        Coset enumeration: the result is a union of right cosets of base.
-        """
-        elems = set(base)
-        right = self.right
-        queue = [self.e]
-        while queue:
-            t = queue.pop()
-            for g in gens:
-                u = right[g][t]
-                if u not in elems:
-                    elems.update(map(right[u].__getitem__, base))
-                    queue.append(u)
-        return frozenset(elems)
-
-    def conjugates(self, members: frozenset[int]) -> set[frozenset[int]]:
-        """The G-conjugacy class of a subgroup, given as an index set."""
-        moves = [lambda s, c=c: frozenset(map(c.__getitem__, s)) for c in self.conj_maps]
-        return _orbit(members, moves)
-
-    def subgroup(self, members: frozenset[int], gens: Iterable[int] = ()) -> PermGroup:
-        elems = self.elems
-        return PermGroup.from_elements(
-            [elems[i] for i in members], self.G.degree, [elems[i] for i in gens]
-        )
-
-
 @dataclass(frozen=True)
 class SubgroupClass:
     """One conjugacy class of subgroups of G: a representative, the element
@@ -482,13 +467,12 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     under G's generators) and the normalizer of its representative (G for the
     trivial class), both as computed here and never re-closed.
     """
-    ctx = _Ctx(G)
-
-    trivial = frozenset([ctx.e])
+    right, inv, n = G._right, G._inv, G.order  # builds G's index, once
+    trivial = frozenset([0])
     cyclics: dict[frozenset[int], int] = {}
-    cyclic_of: list[frozenset[int]] = []  # element index -> the subgroup it generates
-    for i in range(ctx.n):
-        members = ctx.close(trivial, (i,))
+    cyclic_of: list[frozenset[int]] = []  # element number -> the subgroup it generates
+    for i in range(n):
+        members = G._close(trivial, (i,))
         cyclics.setdefault(members, i)
         cyclic_of.append(members)
 
@@ -496,11 +480,16 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     reps: list[frozenset[int]] = []
     rep_gens: list[tuple[int, ...]] = []
     orbits: list[set[frozenset[int]]] = []
-    normalizers: list[list[int]] = [list(range(ctx.n))]  # N_G(1) = G
+    normalizers: list[list[int]] = [list(range(n))]  # N_G(1) = G
+    conj_maps = [  # x -> g x g^-1 for each generator g of G
+        [right[inv[g]][right[x][g]] for x in range(n)]
+        for g in map(G._num.__getitem__, G.generators)
+    ]
+    moves = [lambda s, c=c: frozenset(map(c.__getitem__, s)) for c in conj_maps]
 
     def add_class(members: frozenset[int], gens: tuple[int, ...]) -> None:
         if members not in seen:
-            orbit = ctx.conjugates(members)
+            orbit = _orbit(members, moves)
             seen.update(orbit)
             reps.append(members)
             rep_gens.append(gens)
@@ -517,25 +506,25 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
         members = reps[cursor]
         gens = rep_gens[cursor]
         normalizer = [
-            x for x in range(ctx.n) if all(ctx.conj(x, h) in members for h in gens)
+            x for x in range(n) if all(right[inv[x]][right[h][x]] in members for h in gens)
         ]
         normalizers.append(normalizer)
         joined_orbits: set[frozenset[int]] = set()
         for cyc, cgen in joinable:
             if cyc in joined_orbits or cyc <= members:
                 continue
-            joined_orbits.update(cyclic_of[ctx.conj(x, cgen)] for x in normalizer)
-            add_class(ctx.close(members, gens + (cgen,)), gens + (cgen,))
+            joined_orbits.update(cyclic_of[right[inv[x]][right[cgen][x]]] for x in normalizer)
+            add_class(G._close(members, gens + (cgen,)), gens + (cgen,))
         cursor += 1
 
-    # Ordered by (order, sorted element images); index order is image order.
+    # Ordered by (order, sorted element images); number order is image order.
     ranked = sorted(range(len(reps)), key=lambda i: (len(reps[i]), sorted(reps[i])))
-    perm_of = ctx.elems.__getitem__
+    perm_of = G._elems.__getitem__
     return tuple(
         SubgroupClass(
-            ctx.subgroup(reps[i], rep_gens[i]),
+            PermGroup.from_elements(map(perm_of, reps[i]), G.degree, map(perm_of, rep_gens[i])),
             frozenset(frozenset(map(perm_of, conj)) for conj in orbits[i]),
-            ctx.subgroup(normalizers[i]),
+            PermGroup.from_elements(map(perm_of, normalizers[i]), G.degree),
         )
         for i in ranked
     )
@@ -548,25 +537,49 @@ def normal_subgroups(G: PermGroup, max_order: Optional[int] = None) -> list[Perm
     class joins, pruned by the order bound.
     """
     cap = max_order if max_order is not None else G.order
-    ctx = _Ctx(G)
-    classes = [frozenset(map(ctx.idx.__getitem__, cls)) for cls in G.conjugacy_classes]
-    found: set[frozenset[int]] = set()
-    trivial = frozenset([ctx.e])
-    found.add(trivial)
+    num = G._num  # builds G's index first, which enforces the order cap
+    classes = [frozenset(map(num.__getitem__, cls)) for cls in G.conjugacy_classes]
+    trivial = frozenset([0])
+    found = {trivial}
     queue = [trivial]
     while queue:
         cur = queue.pop()
         for cls in classes:
-            if cls <= cur:
+            if cls <= cur or len(cur) + len(cls) > cap:
                 continue
-            if len(cur) + len(cls) > cap:
-                continue
-            gens = tuple(cls)
-            joined = ctx.close(cur, gens)
+            joined = G._close(cur, tuple(cls))
             if len(joined) <= cap and joined not in found:
                 found.add(joined)
                 queue.append(joined)
-    return [ctx.subgroup(s) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+    perm_of = G._elems.__getitem__
+    return [
+        PermGroup.from_elements(map(perm_of, s), G.degree)
+        for s in sorted(found, key=lambda s: (len(s), sorted(s)))
+    ]
+
+
+def coset_class_minima(G: PermGroup, I: PermGroup, N: PermGroup) -> list[Perm]:
+    """One element per N-conjugacy class of the cosets sigma I, for I <= N <= G
+    with I normal in N (the classes of N/I): its least element in image order.
+
+    The class of sigma I covers the cosets (n sigma n^-1) I for n in N.  N is
+    walked in image order, marking every element of each class met.  An
+    unmarked sigma is the least element of its class, since any smaller one
+    was walked first and marked the class; so sigma itself is returned.
+    """
+    num, right, inv = G._num, G._right, G._inv
+    members = [num[p] for p in I.elements]
+    walk = sorted(num[p] for p in N.elements)  # number order is image order
+    if any(right[inv[x]][right[num[t]][x]] not in members for x in walk for t in I.generators):
+        raise ValueError("I is not normal in N")
+    marked: set[int] = set()
+    minima = []
+    for s in walk:
+        if s not in marked:
+            minima.append(G._elems[s])
+            for c in {right[inv[x]][right[s][x]] for x in walk}:
+                marked.update(map(right[c].__getitem__, members))  # I c = c I
+    return minima
 
 
 # ---------------------------------------------------------------------------

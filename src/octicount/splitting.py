@@ -18,6 +18,7 @@ from .perms import (
     CosetAction,
     Perm,
     PermGroup,
+    coset_class_minima,
     index_set,
     subgroup_classes,
 )
@@ -122,8 +123,10 @@ def enumerate_tame_configs(G: PermGroup) -> list[TameConfig]:
 
     For each class of nontrivial cyclic subgroups I = <tau>, read from the
     subgroup lattice, every decomposition group arises as D = <I, sigma> for
-    sigma in the normalizer N = N_G(I); two Frobenius cosets are identified
-    when conjugate under N.
+    sigma in the normalizer N = N_G(I); two Frobenius cosets sigma I are
+    identified when conjugate under N, so the configurations over I are the
+    conjugacy classes of N/I.  The Frobenius representative of a class is the
+    least element, in image order, of all its cosets.
     """
     configs: list[TameConfig] = []
     for cls in subgroup_classes(G):
@@ -131,27 +134,9 @@ def enumerate_tame_configs(G: PermGroup) -> list[TameConfig]:
         if I.order == 1 or len(I.generators) != 1:
             continue
         tau = I.generators[0]
-        I_elems = I.elements
-        n_elems = sorted(cls.normalizer.elements, key=lambda p: p.images)
-        seen_cosets: set[frozenset[Perm]] = set()
-        for sigma in n_elems:
-            coset = frozenset(sigma * i for i in I_elems)
-            if coset in seen_cosets:
-                continue
-            # Mark the whole N-conjugacy orbit of this Frobenius coset.
-            orbit = {
-                frozenset(n * x * n.inverse() for x in coset) for n in n_elems
-            }
-            seen_cosets.update(orbit)
-            sigma0 = min(coset, key=lambda p: p.images)
-            configs.append(
-                TameConfig(
-                    group=G,
-                    inertia_gen=tau,
-                    decomposition=PermGroup([tau, sigma0], degree=G.degree),
-                    frobenius=sigma0,
-                )
-            )
+        for sigma in coset_class_minima(G, I, cls.normalizer):
+            D = PermGroup([tau, sigma], degree=G.degree)
+            configs.append(TameConfig(group=G, inertia_gen=tau, decomposition=D, frobenius=sigma))
     configs.sort(
         key=lambda c: (c.e, c.decomposition.order, c.inertia_gen.images, c.frobenius.images)
     )

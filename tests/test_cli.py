@@ -131,6 +131,21 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and missing in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ["verify-splitting", "--group", "8T23", "--json"],
+        ["count", "--checkpoints", "10", "--store", "STORE", "--csv"],
+        ["constant", "--max-disc", "10", "--prime-bound", "100", "--store", "STORE",
+         "--emit-terms"],
+    ], ids=lambda args: args[0])
+    def test_unwritable_output_is_one_error_line(self, args, store, capsys, tmp_path):
+        target = str(tmp_path / "no-such-dir" / "out")
+        argv = [store if a == "STORE" else a for a in args] + [target]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and target in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestMalleAlpha:
     def test_8T23(self, capsys):

@@ -17,10 +17,13 @@ from hypothesis import given, settings, strategies as st
 from octicount import catalog, perms
 from octicount.catalog import LABELS, catalog_group
 from octicount.perms import (
+    SUBGROUP_ORDER_CAP,
+    GroupTooLargeError,
     Perm,
     PermGroup,
     abstract_isomorphic,
     coset_action,
+    coset_class_minima,
     index_set,
     malle_alpha,
     normal_subgroups,
@@ -143,6 +146,18 @@ class TestPermGroup:
         G = PermGroup.symmetric(4)
         assert sorted(len(c) for c in G.conjugacy_classes) == [1, 3, 6, 6, 8]
 
+    @pytest.mark.parametrize("label", LABELS)
+    def test_conjugacy_class_order_is_total(self, label):
+        # Classes tied on (cycle type, size) are ordered by their least image
+        # tuple, so the list depends on the element set, not the generators.
+        G = catalog_group(label)
+        classes = G.conjugacy_classes
+        keys = [(min(p.cycle_type() for p in c), len(c), min(p.images for p in c))
+                for c in classes]
+        assert keys == sorted(set(keys))
+        regenerated = PermGroup(list(reversed(small_generating_set(G))))
+        assert regenerated == G and regenerated.conjugacy_classes == classes
+
 
 class TestMalle:
     def test_alpha_examples(self):
@@ -245,19 +260,27 @@ class TestSubgroupLattice:
         # cyclic subgroup took 39,420 coset enumerations on C2 wr S4; prime-power
         # joins, one per normalizer orbit, take 6,829.
         calls = Counter()
-        close = perms._Ctx.close
+        close = PermGroup._close
 
         def counted(self, base, gens):
             calls["close"] += 1
             return close(self, base, gens)
 
-        monkeypatch.setattr(perms._Ctx, "close", counted)
+        monkeypatch.setattr(PermGroup, "_close", counted)
         subgroup_classes.cache_clear()
         try:
             assert len(subgroup_classes(wreath_c2_s4())) == 193
         finally:
             subgroup_classes.cache_clear()
         assert calls["close"] <= 8000
+
+    def test_coset_class_minima_on_s3(self):
+        S3 = PermGroup.symmetric(3)
+        assert coset_class_minima(S3, PermGroup([P(3, "(1,2,3)")]), S3) == [
+            Perm.identity(3), P(3, "(2,3)")
+        ]
+        with pytest.raises(ValueError, match="not normal"):
+            coset_class_minima(S3, PermGroup([P(3, "(1,2)")]), S3)
 
     def test_total_count_vs_brute_force(self):
         # Every subgroup of S4 needs at most 2 generators; use 3 for margin.
@@ -436,6 +459,13 @@ class TestElementSets:
     def test_index_set_of_8_cycle(self):
         C8 = PermGroup([P(8, "(1,2,3,4,5,6,7,8)")])
         assert index_set(C8) == {4, 6, 7}
+
+    @pytest.mark.parametrize("compute", [subgroup_classes, normal_subgroups])
+    def test_subgroup_cap(self, compute):
+        S7 = PermGroup.symmetric(7)
+        assert S7.order == 5040 > SUBGROUP_ORDER_CAP
+        with pytest.raises(GroupTooLargeError, match="capped at order"):
+            compute(S7)
 
     def test_normal_subgroups_of_s4(self):
         G = PermGroup.symmetric(4)

@@ -84,14 +84,12 @@ def test_no_command_imports_sympy(tmp_path, model_snapshot):
     assert [name for name, _, _, loaded in seen if loaded] == ["constant", "fit"]
 
 
-def test_benchmark_tracer_hooks_resolve(tmp_path):
-    # perfbench/tracer.py wraps package names given as strings, so deleting or
-    # renaming one breaks `perfbench/run.py --trace 1` without any other test
-    # failing.  Run one traced command next to the plain one.
+def _plain_and_traced(tmp_path, argv: list[str]) -> dict:
+    """Run one command plainly and under perfbench/traced_cli.py; require the
+    same stdout and exit code, and return the trace."""
     repo = Path(octicount.__file__).parent.parent.parent
     bench = repo / "perfbench"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(repo / "src"), str(bench)]))
-    argv = ["malle-alpha", "--label", "8T40"]
     trace = tmp_path / "t.json"
     plain = subprocess.run(
         [sys.executable, "-c", "from octicount.cli import main; main()", *argv],
@@ -102,4 +100,20 @@ def test_benchmark_tracer_hooks_resolve(tmp_path):
     assert plain.returncode == 0, plain.stderr
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout != ""
-    assert "root" in json.loads(trace.read_text())["spans"]
+    return json.loads(trace.read_text())
+
+
+def test_benchmark_tracer_hooks_resolve(tmp_path):
+    # perfbench/tracer.py wraps package names given as strings, so deleting or
+    # renaming one breaks `perfbench/run.py --trace 1` without any other test
+    # failing.  Run one traced command next to the plain one.
+    assert "root" in _plain_and_traced(tmp_path, ["malle-alpha", "--label", "8T40"])["spans"]
+
+
+def test_benchmark_tracer_counts_group_work(tmp_path):
+    # The tracer also patches `Perm.__mul__` and the closure behind
+    # `PermGroup.elements`; a group core that bypasses them leaves the work
+    # counters at zero while stdout still matches.
+    counts = _plain_and_traced(tmp_path, ["verify-splitting", "--group", "8T23"])["counts"]
+    assert counts["splitting.configs.count"] == 19
+    assert counts["perms.closure.count"] > 0 and counts["perms.mul.count"] > 0

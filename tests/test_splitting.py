@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from octicount.catalog import CATALOG, catalog_group, octic_action, quartic_action
+from octicount.catalog import CATALOG, LABELS, catalog_group, octic_action, quartic_action
 from octicount.perms import (
     Perm,
     PermGroup,
@@ -254,6 +257,17 @@ class TestEnumeration:
             I = cfg.inertia
             assert I.is_normal_in(cfg.decomposition)
             assert cfg.decomposition.order % I.order == 0
+
+    @pytest.mark.parametrize("name", ["S3", "S4", "S5", *LABELS])
+    def test_configs_match_pinned_list(self, name):
+        # [tau images, sigma images, |D|] of every configuration, in order,
+        # pinned in tame_configs.json from the enumeration by Perm products.
+        pinned = json.loads((Path(__file__).parent / "data" / "tame_configs.json").read_text())
+        G = PermGroup.symmetric(int(name[1:])) if name[0] == "S" else catalog_group(name)
+        assert [
+            [list(c.inertia_gen.images), list(c.frobenius.images), c.decomposition.order]
+            for c in enumerate_tame_configs(G)
+        ] == pinned[name]
 
     def test_regression_count_8T23(self):
         # Regression constant, recounted once with the naive double loop
