@@ -5,15 +5,19 @@ accumulated error bound; no bare floats leave this module.  Euler products
 are driven by polynomial factorization over prime fields, of which only
 factor degrees and multiplicities matter.  The general path is squarefree
 decomposition plus distinct-degree factorization (`factor_mod_p`).  A
-quartic at every prime 5 <= p <= MAX_PRIME_BOUND not dividing disc(f) takes
-one numpy pass, a lane per prime: Frobenius traces give the pattern, and
-Stickelberger's theorem, (disc f / p) = (-1)^(4 - number of factors), checks
-it against the integer discriminant on every lane.
+monic f of degree n <= 8 at a prime max(5, n + 1) <= p <= MAX_PRIME_BOUND not
+dividing disc(f) takes the Frobenius-trace kernel instead, one numpy lane per
+(polynomial, prime) pair: the traces give the pattern, and Stickelberger's
+theorem, (disc f / p) = (-1)^(n - number of factors), checks it against the
+integer discriminant on every lane.  A quartic's Euler product takes all of
+its primes in one pass, and the irreducibility prescreen of `nfdata` all the
+records of an ingest.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
@@ -284,81 +288,127 @@ def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out))
 
 
-# Residue degrees of a quartic squarefree mod p >= 5 by (Tr Q, Tr Q^2) =
-# (n1, n1 + 2 n2), with n_d its number of factors of degree d mod p.
-_QUARTIC_BY_TRACES = {
-    (4, 4): (1, 1, 1, 1), (2, 4): (1, 1, 2), (1, 1): (1, 3), (0, 4): (2, 2), (0, 0): (4,)}
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts <= largest, each as an ascending tuple."""
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield rest + (k,)
 
-# Primes per numpy pass: the largest array is 7 x 4096 int64, at any P.
+
+@lru_cache(maxsize=None)
+def _patterns_by_traces(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Residue degrees of a squarefree f of degree n mod a prime p > n, keyed by traces.
+
+    The key is (Tr Q, ..., Tr Q^(n//2)) for Q the Frobenius matrix, and
+    Tr Q^k = sum over d | k of d n_d exactly, with n_d the number of factors
+    of degree d.  The traces give every n_d with d <= n/2, and the degrees
+    left over form at most one factor.  The check below proves the table
+    injective for this n.
+    """
+    table = {tuple(sum(d for d in parts if k % d == 0) for k in range(1, n // 2 + 1)): parts
+             for parts in _partitions(n, n)}
+    if len(table) != sum(1 for _ in _partitions(n, n)):
+        raise RuntimeError(f"Frobenius traces do not determine the factor degrees of degree {n}")
+    return table
+
+
+# Lanes per numpy pass: the largest array is (n, n, 4096) int64 for degree n.
 _LANE_CHUNK = 4096
 
 
-def _frobenius_traces(coeffs: Sequence[int], primes: Sequence[int]) -> list[tuple[int, int]]:
-    """(Tr Q, Tr Q^2) mod p for each p, Q the Frobenius matrix of F_p[x]/(f).
+def _frobenius_traces(polys: Sequence[Sequence[int]],
+                      primes: Sequence[int]) -> list[tuple[int, ...]]:
+    """(Tr Q, ..., Tr Q^(n//2)) mod p for each lane (f, p), Q the Frobenius matrix of F_p[x]/(f).
 
-    One int64 lane per prime.  Q has the rows x^(ip) mod f, i = 0..3, with x^p
-    by left-to-right square-and-multiply: every lane takes the same steps and
-    multiplies by x only where its own bit of p is set.  Coefficients are
-    < p <= MAX_PRIME_BOUND = 10^7.  A product's unreduced coefficient is at
-    most 4(p-1)^2 and the three folds through x^4 = -f add at most 3(p-1)^2,
-    so every value stays below 7p^2 <= 7e14 < 2^63, and int64 never wraps.
+    One int64 lane per (polynomial, prime) pair; every f is monic of one
+    degree 2 <= n <= 8.  Q has the rows x^(ip) mod f, i < n, with x^p by
+    left-to-right square-and-multiply: every lane takes the same steps and
+    multiplies by x only where its own bit of p is set.  Tr Q^3 and Tr Q^4
+    come from Q^2.  Coefficients are < p <= MAX_PRIME_BOUND = 10^7.  A
+    product's unreduced coefficient is at most n(p-1)^2 and the n - 1 folds
+    through x^n mod f add at most (n-1)(p-1)^2; a trace sums n^2 products of
+    residues.  So every value stays below n^2 p^2 <= 6.4e15 < 2^63, and int64
+    never wraps.
     """
     import numpy as np
 
+    n = len(polys[0]) - 1
     p = np.array(primes, np.int64)
-    g = np.array([[-c % q for q in primes] for c in coeffs[:4]], np.int64)  # x^4 mod f
+    g = np.array([[-f[i] % q for f, q in zip(polys, primes)] for i in range(n)],
+                 np.int64)  # x^n mod f
 
     def mul(a, b):
-        c = np.zeros((7, len(primes)), np.int64)
-        for i in range(4):
-            c[i:i + 4] += a[i] * b
-        for k in (6, 5, 4):
-            c[k - 4:k] += c[k] % p * g
-        return c[:4] % p
+        c = np.zeros((2 * n - 1, len(primes)), np.int64)
+        for i in range(n):
+            c[i:i + n] += a[i] * b
+        for k in range(2 * n - 2, n - 1, -1):
+            c[k - n:k] += c[k] % p * g
+        return c[:n] % p
 
     def times_x(a):
-        c = a[3] * g
-        c[1:] += a[:3]
+        c = a[n - 1] * g
+        c[1:] += a[:n - 1]
         return c % p
 
-    xp = one = np.eye(4, 1, dtype=np.int64).repeat(len(primes), axis=1)
+    xp = one = np.eye(n, 1, dtype=np.int64).repeat(len(primes), axis=1)
     for bit in reversed(range(max(primes).bit_length())):
         xp = mul(xp, xp)
         xp = np.where((p >> bit) & 1 == 1, times_x(xp), xp)
-    x2p = mul(xp, xp)
-    q = np.stack([one, xp, x2p, mul(x2p, xp)])
-    traces = (np.einsum("iil->l", q) % p, np.einsum("ijl,jil->l", q, q) % p)
-    return list(zip(*(t.tolist() for t in traces)))
+    rows = [one, xp]
+    while len(rows) < n:
+        rows.append(mul(rows[-1], xp))
+    q = np.stack(rows)
+    traces = [np.einsum("iil->l", q), np.einsum("ijl,jil->l", q, q)]
+    if n >= 6:
+        q2 = np.einsum("ijl,jkl->ikl", q, q) % p
+        traces += [np.einsum("ijl,jil->l", q2, q), np.einsum("ijl,jil->l", q2, q2)]
+    return list(zip(*((t % p).tolist() for t in traces[:n // 2])))
+
+
+def _frobenius_lanes(polys: Sequence[Sequence[int]], primes: Sequence[int],
+                     discs: Sequence[int]) -> list[tuple[int, ...]]:
+    """Residue degrees of each polys[i] mod primes[i], a numpy pass per chunk of lanes.
+
+    Every polynomial is monic of one degree 2 <= n <= 8, and discs[i] is its
+    discriminant.  Each p must be a prime max(5, n + 1) <= p <= MAX_PRIME_BOUND
+    not dividing its disc, so f is squarefree mod p and the Frobenius traces,
+    exact as they are at most n < p, give its pattern.  Stickelberger's
+    theorem checks every lane: (disc / p) = (-1)^(n - #factors), by Euler's
+    criterion.  A trace tuple outside the table, or a mismatch, raises
+    RuntimeError.
+    """
+    if not primes:
+        return []
+    n = len(polys[0]) - 1
+    low = max(5, n + 1)
+    for f, p, disc in zip(polys, primes, discs):
+        _check_prime_and_monic(f, p)
+        # The upper bound keeps the int64 arithmetic exact.
+        if len(f) != n + 1 or not 2 <= n <= 8 or not low <= p <= MAX_PRIME_BOUND or disc % p == 0:
+            raise ValueError(f"need polynomials of one degree 2 <= n <= 8 and a prime {low} "
+                             f"<= p <= {MAX_PRIME_BOUND} not dividing {disc}, got p = {p}")
+    table = _patterns_by_traces(n)
+    out = []
+    for start in range(0, len(primes), _LANE_CHUNK):
+        chunk = slice(start, start + _LANE_CHUNK)
+        for p, disc, traces in zip(primes[chunk], discs[chunk],
+                                   _frobenius_traces(polys[chunk], primes[chunk])):
+            degrees = table.get(traces)
+            chi = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+            if degrees is None or chi != (-1) ** (n - len(degrees)):
+                raise RuntimeError(
+                    f"degree {n} mod {p}: Frobenius traces {traces} do not match the "
+                    f"Legendre symbol {chi} of the discriminant (Stickelberger)")
+            out.append(degrees)
+    return out
 
 
 def _quartic_lanes(coeffs: Sequence[int], primes: Sequence[int],
                    disc: int) -> list[tuple[int, ...]]:
-    """Residue degrees of a monic quartic f mod each of primes, a numpy pass per chunk.
-
-    Each p must be a prime 5 <= p <= MAX_PRIME_BOUND not dividing disc =
-    disc(f), so f is squarefree mod p and the Frobenius traces, exact as
-    n1 + 2 n2 <= 4 < p, give its pattern.  Stickelberger's theorem checks every
-    lane: (disc / p) = (-1)^(4 - #factors), by Euler's criterion.  A trace
-    pair outside the table, or a mismatch, raises RuntimeError.
-    """
-    for p in primes:
-        _check_prime_and_monic(coeffs, p)
-        # The upper bound keeps the int64 arithmetic exact.
-        if len(coeffs) != 5 or not 5 <= p <= MAX_PRIME_BOUND or disc % p == 0:
-            raise ValueError(f"need a quartic and a prime 5 <= p <= {MAX_PRIME_BOUND} "
-                             f"not dividing {disc}, got p = {p}")
-    out = []
-    for start in range(0, len(primes), _LANE_CHUNK):
-        chunk = primes[start:start + _LANE_CHUNK]
-        for p, traces in zip(chunk, _frobenius_traces(coeffs, chunk)):
-            degrees = _QUARTIC_BY_TRACES.get(traces)
-            chi = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
-            if degrees is None or chi != (-1) ** (4 - len(degrees)):
-                raise RuntimeError(
-                    f"quartic mod {p}: Frobenius traces {traces} do not match the "
-                    f"Legendre symbol {chi} of the discriminant (Stickelberger)")
-            out.append(degrees)
-    return out
+    """`_frobenius_lanes` for one monic quartic f with disc = disc(f) at each of primes."""
+    return _frobenius_lanes([coeffs] * len(primes), primes, [disc] * len(primes))
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +417,30 @@ def _quartic_lanes(coeffs: Sequence[int], primes: Sequence[int],
 
 @lru_cache(maxsize=4096)
 def _poly_disc(coeffs: tuple[int, ...]) -> int:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f), once per coefficient tuple.
+    """disc(f) from the Newton power sums s_k of the roots, once per coefficient tuple.
 
-    Res(f, f') is the determinant of the Sylvester matrix, taken by
-    fraction-free (Bareiss) elimination: every division is exact, so every
-    intermediate entry is an integer minor.
+    For monic F of degree n, disc(F) = prod over i < j of (r_i - r_j)^2 is the
+    determinant of the Hankel matrix [s_(i+j)], 0 <= i, j < n, which Newton's
+    identities give in integers.  It is taken by fraction-free (Bareiss)
+    elimination: every division is exact, so every intermediate entry is an
+    integer minor.  A leading coefficient a goes through F(y) = a^(n-1) f(y/a),
+    which is monic with integer coefficients and disc(F) = a^((n-1)(n-2)) disc(f).
     """
     n = len(coeffs) - 1
     if n == 1:
         return 1
-    f = coeffs[::-1]
-    df = [(n - i) * c for i, c in enumerate(f[:-1])]
-    m = [[0] * i + list(f) + [0] * (n - 2 - i) for i in range(n - 1)]
-    m += [[0] * i + df + [0] * (n - 1 - i) for i in range(n)]
-    size, sign, prev = 2 * n - 1, (-1) ** (n * (n - 1) // 2), 1
-    for k in range(size - 1):
+    lead = coeffs[-1]
+    # e[j] is the coefficient of y^(n-1-j) in F.
+    e = [c * lead ** j for j, c in enumerate(coeffs[-2::-1])]
+    s = [n]
+    for k in range(1, 2 * n - 1):
+        t = sum(map(operator.mul, e[:k - 1], s[k - 1::-1]))  # e_j s_(k-1-j), j < min(k-1, n)
+        s.append(-t - k * e[k - 1] if k <= n else -t)
+    m = [s[i:i + n] for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
         if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
                 return 0
             m[k], m[swap] = m[swap], m[k]
@@ -391,10 +448,10 @@ def _poly_disc(coeffs: tuple[int, ...]) -> int:
         row_k, pivot = m[k], m[k][k]
         for row in m[k + 1:]:
             c = row[k]
-            for j in range(k + 1, size):
+            for j in range(k + 1, n):
                 row[j] = (pivot * row[j] - c * row_k[j]) // prev
         prev = pivot
-    return sign * m[-1][-1] // f[0]
+    return sign * m[-1][-1] // lead ** ((n - 1) * (n - 2))
 
 
 def _local_factors(record, primes: Sequence[int]) -> Iterator[LocalFactorData]:

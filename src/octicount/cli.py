@@ -12,9 +12,11 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from . import analytic, counting, nfdata, splitting, verify
 from .catalog import LABELS, catalog_group
@@ -42,6 +44,28 @@ def _write_json(payload, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+
+
+@contextmanager
+def _output_opened_first(path: Optional[str]) -> Iterator[Optional[TextIO]]:
+    """Open a file next to an output path before the work that fills it, so
+    that a bad path fails at once.  It replaces the path only when that work
+    succeeds and is removed when it fails, so an earlier file there survives."""
+    if not path:
+        yield None
+        return
+    tmp = path + ".tmp"
+    try:
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _reports_payload(reports) -> dict:
@@ -158,11 +182,11 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_constant(args) -> int:
-    snap = nfdata.load(args.store)
-    pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound,
-                                   emit_terms=args.emit_terms is not None)
-    if args.emit_terms:
-        with open(args.emit_terms, "w", encoding="utf-8", newline="") as fh:
+    with _output_opened_first(args.emit_terms) as fh:
+        snap = nfdata.load(args.store)
+        pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound,
+                                       emit_terms=args.emit_terms is not None)
+        if fh is not None:
             writer = csv.writer(fh)
             writer.writerow(["label", "term", "error_bound"])
             for label, val, err in pc.term_list:
@@ -185,12 +209,12 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    snap = nfdata.load(args.store)
-    checkpoints = _parse_checkpoints(args.checkpoints)
-    series = counting.count_series(snap, args.galois or list(LABELS), checkpoints)
-    rows = list(zip(series.checkpoints, series.counts))
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+    with _output_opened_first(args.csv) as fh:
+        snap = nfdata.load(args.store)
+        checkpoints = _parse_checkpoints(args.checkpoints)
+        series = counting.count_series(snap, args.galois or list(LABELS), checkpoints)
+        rows = list(zip(series.checkpoints, series.counts))
+        if fh is not None:
             writer = csv.writer(fh)
             writer.writerow(["X", "N"])
             writer.writerows(rows)

@@ -14,9 +14,11 @@ import math
 import os
 import re
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 from .arith import is_prime, primes_up_to
 
@@ -134,47 +136,108 @@ class FieldRecord:
             raise IngestError(f"{self.label}: polynomial is reducible over the rationals")
 
 
-# The irreducibility prescreen reads the unramified primes 5 <= p below this.
+# The irreducibility prescreen reads the primes max(5, n + 1) <= p below this
+# that do not divide disc(f), this many more per round for each polynomial
+# it has not yet settled.
 _PRESCREEN_PRIME_BOUND = 200
+_PRESCREEN_PRIMES_PER_ROUND = 4
+
+
+@lru_cache(maxsize=None)
+def _sub_sums(degrees: tuple[int, ...]) -> frozenset[int]:
+    """Every sum of a sub-multiset of the factor degrees, the empty one included."""
+    sums = {0}
+    for d in degrees:
+        sums |= {s + d for s in sums}
+    return frozenset(sums)
+
+
+def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]:
+    """Irreducibility over Q of each monic integer polynomial, by coefficient tuple.
+
+    Prescreen: a rational factor of degree k reduces, mod every prime p not
+    dividing disc(f), to a product of some of f's irreducible factors mod p, so
+    k is a sub-sum of their degrees.  Once the primes leave no common k, f is
+    irreducible.  Each round takes the next few primes of every polynomial
+    still open, and the factor degrees of all of them, one degree at a time,
+    from one call of the Frobenius-trace kernel `analytic._frobenius_lanes`.
+    A polynomial whose primes below 200 leave a common k, or of degree above
+    8, goes to sympy's exact factorization.
+    """
+    from .analytic import _frobenius_lanes, _poly_disc
+
+    # The primes at which `_frobenius_lanes` reads exact traces, by degree.
+    primes_above = {n: [p for p in primes_up_to(_PRESCREEN_PRIME_BOUND - 1) if p >= max(5, n + 1)]
+                    for n in range(2, 9)}
+    verdicts: dict[tuple[int, ...], bool] = {}
+    unsettled: dict[tuple[int, ...], tuple] = {}  # f -> (primes to come, disc, candidate k)
+    exact: list[tuple[int, ...]] = []
+    for f in dict.fromkeys(polys):
+        n = len(f) - 1
+        if n <= 1:
+            verdicts[f] = True
+        elif n <= 8 and f[-1] == 1:
+            disc = _poly_disc(f)
+            unsettled[f] = (filter(disc.__mod__, primes_above[n]), disc, set(range(1, n)))
+        else:
+            exact.append(f)
+    while unsettled:
+        lanes: dict[int, list[tuple]] = {}  # degree -> (f, p, disc) of this round
+        for f, (primes, disc, _) in list(unsettled.items()):
+            batch = list(islice(primes, _PRESCREEN_PRIMES_PER_ROUND))
+            if not batch:
+                exact.append(f)
+                del unsettled[f]
+                continue
+            lanes.setdefault(len(f), []).extend((f, p, disc) for p in batch)
+        for group in lanes.values():
+            fs, ps, discs = zip(*group)
+            for f, degrees in zip(fs, _frobenius_lanes(fs, ps, discs)):
+                if f in unsettled:
+                    candidates = unsettled[f][2]
+                    candidates &= _sub_sums(degrees)
+                    if not candidates:
+                        verdicts[f] = True
+                        del unsettled[f]
+    if exact:
+        from sympy import Poly, Symbol
+
+        x = Symbol("x")
+        for f in exact:
+            _, factors = Poly(list(reversed(f)), x).factor_list()
+            verdicts[f] = len(factors) == 1 and factors[0][1] == 1
+    return verdicts
+
+
+# The verdicts `_irreducibility_decided` reached for the batch of records
+# whose `validate` calls run inside it.
+_BATCH_VERDICTS: dict[tuple[int, ...], bool] = {}
 
 
 @lru_cache(maxsize=4096)
 def _is_irreducible(coeffs: tuple[int, ...]) -> bool:
-    """Irreducibility over Q for a monic integer polynomial.
+    """Irreducibility over Q of one monic integer polynomial (see `_irreducibility`),
+    read from the batch being validated when it is part of one."""
+    verdict = _BATCH_VERDICTS.get(coeffs)
+    return _irreducibility([coeffs])[coeffs] if verdict is None else verdict
 
-    Prescreen: a rational factor of degree k reduces, mod every prime p that
-    leaves f squarefree, to a product of some of f's irreducible factors mod
-    p, so k is a sub-sum of their degrees.  Once the primes 5 <= p < 200
-    leave no common k, f is irreducible; otherwise fall back to an exact
-    factorization.
-    """
-    degree = len(coeffs) - 1
-    if degree == 1:
-        return True
-    from .analytic import factor_mod_p
 
-    candidates = set(range(1, degree))
-    for p in primes_up_to(_PRESCREEN_PRIME_BOUND - 1):
-        if p < 5:
-            continue
+@contextmanager
+def _irreducibility_decided(records: list[FieldRecord]) -> Iterator[None]:
+    """Decide irreducibility, in one batch, for every record that passes its
+    structural checks, for the `validate` calls made inside the block."""
+    polys = []
+    for rec in records:
         try:
-            pattern = factor_mod_p(coeffs, p)
-        except ValueError:
+            rec.validate_structure()
+        except IngestError:
             continue
-        if any(mult > 1 for _, mult in pattern):
-            continue  # p ramifies; degree pattern unreliable for subset sums
-        sums = {0}
-        for d, _ in pattern:
-            sums |= {s + d for s in sums}
-        candidates &= sums
-        if not candidates:
-            return True
-    from sympy import Poly, Symbol
-
-    x = Symbol("x")
-    poly = Poly(list(reversed(coeffs)), x)
-    _, factors = poly.factor_list()
-    return len(factors) == 1 and factors[0][1] == 1
+        polys.append(rec.coeffs)
+    _BATCH_VERDICTS.update(_irreducibility(polys))
+    try:
+        yield
+    finally:
+        _BATCH_VERDICTS.clear()
 
 
 @dataclass(frozen=True)
@@ -254,12 +317,8 @@ def _factor(pair, field: str) -> tuple[int, int]:
 _VALIDATED: "weakref.WeakSet[FieldRecord]" = weakref.WeakSet()
 
 
-def _record_from_obj(obj: dict, arithmetic: bool) -> FieldRecord:
-    """Parse one record strictly and validate it.
-
-    `arithmetic=False` skips `validate_arithmetic`; only `load` passes it,
-    and only for a store whose seal matches.
-    """
+def _record_from_obj(obj: dict) -> FieldRecord:
+    """Parse one record strictly; `validate` checks it."""
     if not isinstance(obj, dict):
         raise IngestError("record is not an object")
     unknown = set(obj) - _ALL_KEYS
@@ -284,11 +343,6 @@ def _record_from_obj(obj: dict, arithmetic: bool) -> FieldRecord:
         parent_label=(None if obj.get("parent_label") is None
                       else _str(obj["parent_label"], "parent_label")),
     )
-    if arithmetic:
-        rec.validate()
-        _VALIDATED.add(rec)
-    else:
-        rec.validate_structure()
     return rec
 
 
@@ -320,22 +374,42 @@ def ingest_lines(lines: Iterable[str], provenance: str = "", ingest_time: str = 
 
 def _snapshot_from_lines(lines: Iterable[str], provenance: str, ingest_time: str,
                          arithmetic: bool) -> Snapshot:
-    records: dict[str, FieldRecord] = {}
-    errors: list[str] = []
+    """Parse every line, decide irreducibility for all parsed records in one
+    batch, then validate the records in line order.
+
+    `arithmetic=False` checks only the structure; only `load` passes it, and
+    only for a store whose seal matches.
+    """
+    parsed: list[tuple[int, object]] = []  # (line number, record or parse error)
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            obj = json.loads(line)
-            rec = _record_from_obj(obj, arithmetic)
+            parsed.append((lineno, _record_from_obj(json.loads(line))))
         except (json.JSONDecodeError, IngestError) as exc:
-            errors.append(f"line {lineno}: {exc}")
-            continue
-        prev = records.get(rec.label)
-        if prev is not None and prev != rec:
-            errors.append(f"line {lineno}: conflicting duplicate for label {rec.label!r}")
-        records[rec.label] = rec
+            parsed.append((lineno, exc))
+    records: dict[str, FieldRecord] = {}
+    errors: list[str] = []
+    batch = [rec for _, rec in parsed if isinstance(rec, FieldRecord)] if arithmetic else []
+    with _irreducibility_decided(batch):
+        for lineno, rec in parsed:
+            if isinstance(rec, FieldRecord):
+                try:
+                    if arithmetic:
+                        rec.validate()
+                        _VALIDATED.add(rec)
+                    else:
+                        rec.validate_structure()
+                except IngestError as exc:
+                    rec = exc
+            if not isinstance(rec, FieldRecord):
+                errors.append(f"line {lineno}: {rec}")
+                continue
+            prev = records.get(rec.label)
+            if prev is not None and prev != rec:
+                errors.append(f"line {lineno}: conflicting duplicate for label {rec.label!r}")
+            records[rec.label] = rec
     if errors:
         raise IngestError("; ".join(errors))
     return Snapshot(records=records, provenance=provenance, ingest_time=ingest_time)
@@ -392,11 +466,13 @@ def persist(snapshot: Snapshot, path: str) -> None:
     header's seal only ever vouches for records that passed every check.
     """
     body = []
-    for label in sorted(snapshot.records):
-        rec = snapshot.records[label]
-        if rec not in _VALIDATED:
-            rec.validate()
-        body.append(json.dumps(_record_to_obj(rec), sort_keys=True, separators=(",", ":")) + "\n")
+    with _irreducibility_decided([r for r in snapshot.records.values() if r not in _VALIDATED]):
+        for label in sorted(snapshot.records):
+            rec = snapshot.records[label]
+            if rec not in _VALIDATED:
+                rec.validate()
+            body.append(json.dumps(_record_to_obj(rec), sort_keys=True,
+                                   separators=(",", ":")) + "\n")
     header = {
         "format": _HEADER_TAG,
         "provenance": snapshot.provenance,

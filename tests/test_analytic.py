@@ -10,6 +10,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import GF, Poly, Symbol, isprime, nextprime, prevprime, primerange
+from sympy.utilities.iterables import partitions as sympy_partitions
 
 from conftest import quartic_record
 from octicount import analytic, arith
@@ -247,9 +248,9 @@ class TestQuarticPath:
     def test_impossible_traces_raise(self, monkeypatch, n1, n2):
         coeffs = (24, -50, 35, -10, 1)  # four roots mod 7
         disc = analytic._poly_disc(coeffs)
-        assert analytic._frobenius_traces(coeffs, [7]) == [(4, 4)]
+        assert analytic._frobenius_traces([coeffs], [7]) == [(4, 4)]
         monkeypatch.setattr(analytic, "_frobenius_traces",
-                            lambda coeffs, primes: [(n1, n1 + 2 * n2)] * len(primes))
+                            lambda polys, primes: [(n1, n1 + 2 * n2)] * len(primes))
         with pytest.raises(RuntimeError, match="Frobenius traces"):
             analytic._quartic_lanes(coeffs, [7], disc)
 
@@ -313,6 +314,72 @@ def sympy_disc(coeffs) -> int:
     return int(Poly(list(reversed(coeffs)), Symbol("x")).discriminant())
 
 
+def kernel_polys(rng: random.Random, n: int, count: int) -> list[tuple[int, ...]]:
+    """Random monic polynomials of degree n, with products of lower-degree ones
+    and, for n = 8, f(x^2) of quartics f: the benchmark's octic towers."""
+    def monic(k):
+        return [rng.randint(-60, 60) for _ in range(k)] + [1]
+
+    polys = [tuple(monic(n)) for _ in range(count)]
+    for _ in range(count):
+        k = rng.randint(1, n - 1)
+        polys.append(tuple(_intmul(monic(k), monic(n - k))))
+    if n == 8:
+        for _ in range(count):
+            f = monic(4)
+            polys.append(tuple(c for a in f[:-1] for c in (a, 0)) + (1,))
+        polys.append(tuple(_intmul(_intmul(monic(2), monic(2)), _intmul(monic(2), monic(2)))))
+    return polys
+
+
+class TestFrobeniusKernel:
+    """The batched Frobenius-trace kernel against `factor_mod_p` and sympy."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_trace_table_is_injective(self, n):
+        table = analytic._patterns_by_traces(n)
+        parts = {tuple(sorted(d for d, m in part.items() for _ in range(m)))
+                 for part in sympy_partitions(n)}
+        # One key per partition of n, so no two patterns share their traces.
+        assert len(table) == len(parts) == {4: 5, 8: 22}[n]
+        assert set(table.values()) == parts
+        for traces, degrees in table.items():
+            assert traces == tuple(sum(d for d in degrees if k % d == 0)
+                                   for k in range(1, n // 2 + 1))
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_patterns_match_factor_mod_p(self, n):
+        rng = random.Random(n)
+        polys = kernel_polys(rng, n, 12)
+        primes = [p for p in primerange(max(5, n + 1), 200)] + [
+            prevprime(MAX_PRIME_BOUND + 1), nextprime(10 ** 6), prevprime(5 * 10 ** 6)]
+        lanes = [(f, p, analytic._poly_disc(f)) for f in polys for p in primes
+                 if analytic._poly_disc(f) % p]
+        rng.shuffle(lanes)  # every lane its own polynomial and prime, in one call
+        fs, ps, discs = zip(*lanes)
+        got = analytic._frobenius_lanes(fs, ps, discs)
+        assert got == [degrees_of(factor_mod_p(f, p)) for f, p in zip(fs, ps)]
+        # Every pattern occurs, bar the full split of an octic.
+        assert set(analytic._patterns_by_traces(n).values()) - set(got) <= {(1,) * 8}
+
+    def test_patterns_match_sympy_near_the_int64_bound(self):
+        rng = random.Random(10 ** 7)
+        for f in kernel_polys(rng, 8, 2):
+            disc = analytic._poly_disc(f)
+            primes = [p for p in (prevprime(MAX_PRIME_BOUND + 1), prevprime(9 * 10 ** 6))
+                      if disc % p]
+            got = analytic._frobenius_lanes([f] * len(primes), primes, [disc] * len(primes))
+            assert got == [degrees_of(sympy_pattern(f, p)) for p in primes]
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_octic_lanes_need_p_above_the_degree(self, p):
+        # Mod 5 or 7 a trace of 8 reads as 3 or 1: the kernel refuses the lane.
+        f = (-1, -1, 0, 0, 0, 0, 0, 0, 1)
+        disc = analytic._poly_disc(f)
+        with pytest.raises(ValueError, match="a prime 9 <= p <= "):
+            analytic._frobenius_lanes([f, f], [11, p], [disc, disc])
+
+
 def strong_probable_prime(n: int, a: int) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -337,8 +404,15 @@ class TestIntegerPrimitives:
         coeffs = tuple(_intmul(_intmul(g + [1], g + [1]), h + [1]))
         assert analytic._poly_disc(coeffs) == sympy_disc(coeffs) == 0
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(coeffs=st.lists(st.integers(-30, 30), min_size=3, max_size=9).filter(
+        lambda c: c[-1] not in (0, 1)))
+    def test_disc_of_non_monic(self, coeffs):
+        # The Hankel determinant goes through a^(n-1) f(x/a), a = lead(f).
+        assert analytic._poly_disc(tuple(coeffs)) == sympy_disc(coeffs)
+
     def test_disc_of_sparse_octics(self):
-        # Zero pivots in the Sylvester matrix force row swaps.
+        # Zero pivots in the Hankel matrix force row swaps (x^8 - 2) or end at 0 (x^4).
         for coeffs in ((576, 0, -960, 0, 352, 0, -40, 0, 1), (-2, 0, 0, 0, 0, 0, 0, 0, 1),
                        (0, 0, 0, 0, 1), (-1, -1, 0, 0, 0, 0, 0, 0, 1)):
             assert analytic._poly_disc(coeffs) == sympy_disc(coeffs)

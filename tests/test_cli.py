@@ -7,6 +7,7 @@ import json
 import pytest
 
 import octicount.analytic
+import octicount.counting
 from conftest import record_json_line
 from octicount.analytic import MAX_PRIME_BOUND
 from octicount.cli import MAX_CHECKPOINTS, _parse_checkpoints, run
@@ -145,6 +146,63 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and target in captured.err
         assert captured.err.count("\n") == 1
+
+
+class TestOutputOpenedFirst:
+    COSTLY = [
+        pytest.param(["constant", "--max-disc", "10000000", "--prime-bound", "1000",
+                      "--emit-terms"], "analytic", "partial_constant", id="constant"),
+        pytest.param(["count", "--checkpoints", "10,1000000", "--csv"], "counting",
+                     "count_series", id="count"),
+    ]
+
+    @pytest.mark.parametrize("args, module, name", COSTLY)
+    def test_bad_output_path_fails_before_the_work(self, args, module, name, store, capsys,
+                                                   tmp_path, monkeypatch):
+        # The output once opened only after the Euler products were done.
+        calls = []
+        monkeypatch.setattr(getattr(octicount, module), name,
+                            lambda *a, **kw: calls.append(a))
+        target = tmp_path / "no-such-dir" / "out.csv"
+        assert run([*args, str(target), "--store", store]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("args, module, name", COSTLY)
+    def test_earlier_output_survives_failed_work(self, args, module, name, store, capsys,
+                                                 tmp_path, monkeypatch):
+        def fail(*a, **kw):
+            assert (tmp_path / "out.csv.tmp").exists()  # opened before the work
+            raise ValueError("the work failed")
+
+        monkeypatch.setattr(getattr(octicount, module), name, fail)
+        target = tmp_path / "out.csv"
+        target.write_text("earlier output\n")
+        assert run([*args, str(target), "--store", store]) == 1
+        assert capsys.readouterr().err == "error: the work failed\n"
+        assert sorted(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("args", [
+        ["constant", "--max-disc", "10000000", "--prime-bound", "0", "--emit-terms"],
+        ["count", "--checkpoints", "10,x", "--csv"],
+    ], ids=["constant", "count"])
+    def test_earlier_output_survives_bad_arguments(self, args, store, capsys, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("earlier output\n")
+        assert run([*args, str(target), "--store", store]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("args, module, name", COSTLY)
+    def test_output_written_on_success(self, args, module, name, store, capsys, tmp_path):
+        target = tmp_path / "out.csv"
+        assert run([*args, str(target), "--store", store]) == 0
+        capsys.readouterr()
+        assert target.read_text().splitlines()[0] in ("label,term,error_bound", "X,N")
 
 
 class TestMalleAlpha:

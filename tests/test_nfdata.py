@@ -135,6 +135,86 @@ def _with(**changes) -> str:
     return json.dumps(obj)
 
 
+class TestBatchedIngest:
+    """Ingest parses every line, decides irreducibility for all records in one
+    batch, then validates them in line order: the error text is as it was line
+    by line."""
+
+    LINES = [
+        _with(label="4.2", disc="-287", disc_factors=[["287", "1"]]),
+        "# a comment line",
+        GOOD_QUARTIC,
+        '{"label": "4.3", "degree": ',
+        "",
+        _with(label="4.4", degree="5"),
+        _with(label="4.5", coeffs=["-1", "0", "0", "0", "1"]),
+        _with(reg="0.430630128703"),
+        GOOD_QUARTIC,
+        _with(label="4.6", coeffs=["-1", "0", "0", "0", "1"], disc="-287",
+              disc_factors=[["287", "1"]]),
+        _with(label="4.7", coeffs=["1", "0", "0", "0", "0", "0", "0", "0", "1"], degree="8",
+              galois="8T23", r1="0", r2="4"),
+        _with(label="4.5", coeffs=["-1", "0", "0", "0", "1"]),
+        _with(label="8.1", degree="8", coeffs=["-1", "-2", "-1", "0", "0", "0", "0", "0", "1"],
+              galois="8T23", r1="2", r2="3", disc="80089", disc_factors=[["283", "2"]],
+              h=None, reg=None, w=None),
+    ]
+
+    def test_mixed_errors_keep_their_text_and_order(self):
+        # Pinned from the line-by-line ingest that came before the batch.
+        with pytest.raises(IngestError) as info:
+            ingest_lines(self.LINES)
+        assert str(info.value) == (
+            "line 1: 4.2: disc factor 287 is not prime; "
+            "line 4: Expecting value: line 1 column 27 (char 26); "
+            "line 6: 4.4: degree must be 4 or 8; "
+            "line 7: 4.5: polynomial is reducible over the rationals; "
+            "line 8: conflicting duplicate for label '4.1'; "
+            "line 9: conflicting duplicate for label '4.1'; "
+            "line 10: 4.6: disc factor 287 is not prime; "
+            "line 12: 4.5: polynomial is reducible over the rationals; "
+            "line 13: 8.1: polynomial is reducible over the rationals")
+
+    def test_lines_that_pass_are_the_line_by_line_records(self):
+        kept = [ln for i, ln in enumerate(self.LINES, start=1) if i in (3, 11)]
+        assert ingest_lines(kept).records == {
+            **ingest_lines([kept[0]]).records, **ingest_lines([kept[1]]).records}
+
+    def test_every_record_is_validated_against_one_batch(self, monkeypatch):
+        # One `_irreducibility` call decides the whole ingest, and every parsed
+        # record still goes through `FieldRecord.validate`, in line order.
+        batches, validated = [], []
+        irreducibility, validate = nfdata._irreducibility, FieldRecord.validate
+        monkeypatch.setattr(nfdata, "_irreducibility",
+                            lambda polys: batches.append(polys) or irreducibility(polys))
+        monkeypatch.setattr(FieldRecord, "validate",
+                            lambda rec: validated.append(rec.label) or validate(rec))
+        _is_irreducible.cache_clear()
+        with pytest.raises(IngestError):
+            ingest_lines(self.LINES)
+        assert validated == ["4.2", "4.1", "4.4", "4.5", "4.1", "4.1", "4.6", "4.7", "4.5", "8.1"]
+        assert len(batches) == 1 and len(batches[0]) == len(validated) - 1  # not "4.4"
+        assert nfdata._BATCH_VERDICTS == {}
+
+    def test_persist_reports_the_first_failure_in_label_order(self, tmp_path):
+        # "K.1" fails only the irreducibility check, "K.2" the structural one.
+        reducible = replace(quartic_record("K.1", 283, [(283, 1)]), coeffs=(-1, 0, 0, 0, 1))
+        unsigned = replace(quartic_record("K.2", 283, [(283, 1)]), r1=3)
+        snap = Snapshot(records={"K.2": unsigned, "K.1": reducible})
+        with pytest.raises(IngestError, match="^K.1: polynomial is reducible"):
+            persist(snap, str(tmp_path / "store.jsonl"))
+
+    def test_only_the_c2_cubed_octic_reaches_sympy(self, monkeypatch):
+        exact = []
+        factor_list = Poly.factor_list
+        monkeypatch.setattr(Poly, "factor_list",
+                            lambda poly: exact.append(poly) or factor_list(poly))
+        polys = [QUARTIC_COEFFS, OCTIC_COEFFS, C2_CUBED_OCTIC,
+                 tuple(c for a in QUARTIC_COEFFS[:-1] for c in (a, 0)) + (1,)]
+        assert nfdata._irreducibility(polys) == dict.fromkeys(polys, True)
+        assert [poly.all_coeffs()[::-1] for poly in exact] == [list(C2_CUBED_OCTIC)]
+
+
 class TestStrictParsing:
     @pytest.mark.parametrize("changes, field", [
         ({"coeffs": "10001"}, "coeffs"),  # once read digit by digit as x^4 + 1
@@ -286,12 +366,15 @@ class TestPersistence:
 
 
 
-def _count_factor_mod_p(monkeypatch) -> list:
-    """Clear the irreducibility cache and record every factor_mod_p call."""
+def _count_prescreen_work(monkeypatch) -> list:
+    """Clear the irreducibility cache and record the prime of every factor_mod_p
+    call and of every lane of the batched prescreen (`_frobenius_lanes`)."""
     calls = []
-    original = octicount.analytic.factor_mod_p
+    factor, lanes = octicount.analytic.factor_mod_p, octicount.analytic._frobenius_lanes
     monkeypatch.setattr(octicount.analytic, "factor_mod_p",
-                        lambda f, p: calls.append(p) or original(f, p))
+                        lambda f, p: calls.append(p) or factor(f, p))
+    monkeypatch.setattr(octicount.analytic, "_frobenius_lanes",
+                        lambda fs, ps, discs: calls.extend(ps) or lanes(fs, ps, discs))
     _is_irreducible.cache_clear()
     return calls
 
@@ -312,7 +395,7 @@ class TestSeal:
     def test_sealed_load_makes_no_factor_mod_p_calls(self, tmp_path, monkeypatch,
                                                      thousand_quartics):
         path = self.persisted(tmp_path, thousand_quartics[:50])
-        calls = _count_factor_mod_p(monkeypatch)
+        calls = _count_prescreen_work(monkeypatch)
         loaded = load(str(path))
         assert calls == []
         assert loaded.records == {r.label: r for r in thousand_quartics[:50]}
@@ -347,7 +430,7 @@ class TestSeal:
         del header["seal"]
         path.write_text(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
                         + "".join(body))
-        calls = _count_factor_mod_p(monkeypatch)
+        calls = _count_prescreen_work(monkeypatch)
         loaded = load(str(path))
         assert calls
         assert loaded.records == {r.label: r for r in thousand_quartics[:20]}
@@ -356,14 +439,14 @@ class TestSeal:
                                                               thousand_quartics):
         path = self.persisted(tmp_path, thousand_quartics[:20])
         monkeypatch.setattr(nfdata, "_VALIDATOR_VERSION", "a stricter validator")
-        calls = _count_factor_mod_p(monkeypatch)
+        calls = _count_prescreen_work(monkeypatch)
         load(str(path))
         assert calls
 
     def test_persist_does_not_recheck_ingested_records(self, tmp_path, monkeypatch,
                                                        thousand_quartics):
         snap = ingest_lines([record_json_line(r) for r in thousand_quartics[:20]])
-        calls = _count_factor_mod_p(monkeypatch)
+        calls = _count_prescreen_work(monkeypatch)
         original = nfdata.is_prime
         monkeypatch.setattr(nfdata, "is_prime", lambda n: calls.append(n) or original(n))
         persist(snap, str(tmp_path / "store.jsonl"))

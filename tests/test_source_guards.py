@@ -51,37 +51,50 @@ with open(sys.argv[2], "w") as fh:
 """
 
 
-def test_no_command_imports_sympy(tmp_path, model_snapshot):
-    # sympy is the answer only for the exact factorization fallback and for
-    # primality above 3.3e24; no command on the model towers needs either.
-    # numpy is for the quartic Euler factors only: constant and fit run last,
-    # so every other command is seen before numpy could have been loaded.
-    infile, store = tmp_path / "in.jsonl", str(tmp_path / "store.jsonl")
-    infile.write_text("".join(record_json_line(r) + "\n"
-                              for r in model_snapshot.records.values()))
-    on_store = ["--store", store]
-    commands = [
-        ["verify-groups"],
-        ["verify-splitting"],
-        ["malle-alpha", "--label", "8T40"],
-        ["ingest", "--in", str(infile), "--out", store],
-        ["audit", *on_store],
-        ["count", *on_store, "--checkpoints", "1000:100000000000:5"],
-        ["query", *on_store],
-        ["tail", *on_store, "--Z", "1", "--X", "1000000000"],
-        ["constant", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
-        ["fit", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
-    ]
+def _imports_seen(tmp_path, commands: list[list[str]]) -> list[list]:
+    """Run the commands in one fresh interpreter; (name, exit code, sympy
+    loaded, numpy loaded) after the bare import and after each command."""
     result = tmp_path / "seen.json"
     env = dict(os.environ, PYTHONPATH=str(Path(octicount.__file__).parent.parent))
     subprocess.run([sys.executable, "-c", SYMPY_PROBE, json.dumps(commands), str(result)],
                    env=env, check=True, capture_output=True, timeout=600)
     seen = json.loads(result.read_text())
     assert [name for name, _, _, _ in seen] == ["import"] + [argv[0] for argv in commands]
+    return seen
+
+
+def test_no_command_imports_sympy(tmp_path, model_snapshot):
+    # sympy is the answer only for the exact factorization fallback and for
+    # primality above 3.3e24; no command on the model towers needs either.
+    # numpy is for the Frobenius-trace kernel only: the irreducibility
+    # prescreen of `ingest`, and the quartic Euler factors of constant and
+    # fit.  The commands that read a sealed store run in a second fresh
+    # interpreter, so each is seen before anything could have loaded numpy.
+    infile, store = tmp_path / "in.jsonl", str(tmp_path / "store.jsonl")
+    infile.write_text("".join(record_json_line(r) + "\n"
+                              for r in model_snapshot.records.values()))
+    on_store = ["--store", store]
+    first = _imports_seen(tmp_path, [
+        ["verify-groups"],
+        ["verify-splitting"],
+        ["malle-alpha", "--label", "8T40"],
+        ["ingest", "--in", str(infile), "--out", store],
+    ])
     # verify-splitting exits 1 on the documented 8T40 index-set subcheck.
-    assert [code for _, code, _, _ in seen] == [0, 0, 1] + [0] * 8
-    assert [name for name, _, loaded, _ in seen if loaded] == []
-    assert [name for name, _, _, loaded in seen if loaded] == ["constant", "fit"]
+    assert [code for _, code, _, _ in first] == [0, 0, 1, 0, 0]
+    assert [name for name, _, loaded, _ in first if loaded] == []
+    assert [name for name, _, _, loaded in first if loaded] == ["ingest"]
+    second = _imports_seen(tmp_path, [
+        ["audit", *on_store],
+        ["count", *on_store, "--checkpoints", "1000:100000000000:5"],
+        ["query", *on_store],
+        ["tail", *on_store, "--Z", "1", "--X", "1000000000"],
+        ["constant", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
+        ["fit", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
+    ])
+    assert [code for _, code, _, _ in second] == [0] * 7
+    assert [name for name, _, loaded, _ in second if loaded] == []
+    assert [name for name, _, _, loaded in second if loaded] == ["constant", "fit"]
 
 
 def _plain_and_traced(tmp_path, argv: list[str]) -> dict:
