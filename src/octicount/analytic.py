@@ -4,14 +4,16 @@ Every operation returns a value together with a finite, rigorously
 accumulated error bound; no bare floats leave this module.  Euler products
 are driven by polynomial factorization over prime fields, of which only
 factor degrees and multiplicities matter.  The general path is squarefree
-decomposition plus distinct-degree factorization (`factor_mod_p`).  A
-monic f of degree n <= 8 at a prime max(5, n + 1) <= p <= MAX_PRIME_BOUND not
-dividing disc(f) takes the Frobenius-trace kernel instead, one numpy lane per
-(polynomial, prime) pair: the traces give the pattern, and Stickelberger's
-theorem, (disc f / p) = (-1)^(n - number of factors), checks it against the
-integer discriminant on every lane.  A quartic's Euler product takes all of
-its primes in one pass, and the irreducibility prescreen of `nfdata` all the
-records of an ingest.
+decomposition plus distinct-degree factorization (`factor_mod_p`).  One
+rule, `_on_lane`, sends a monic f of degree n <= 8 at a prime
+max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(f) to the
+Frobenius-trace kernel instead, one numpy lane per (polynomial, prime) pair:
+the traces give the pattern, and Stickelberger's theorem,
+(disc f / p) = (-1)^(n - number of factors), checks it against the integer
+discriminant on every lane.  A field's Euler product takes all of its lane
+primes in one pass, and the irreducibility prescreen of `nfdata` all the
+records of an ingest.  `factor_mod_p` keeps the rest: the primes below
+max(5, n + 1), the primes dividing disc(f), and those above MAX_PRIME_BOUND.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .arith import is_prime, primes_up_to
 from .nfdata import Snapshot, query
@@ -102,19 +104,25 @@ def _polymulmod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _trim(out)
 
 
+def _polyrem(a: Sequence[int], g: Sequence[int], p: int) -> list[int]:
+    """a mod the monic g over F_p, trimmed."""
+    a = list(a)
+    db, low = len(g) - 1, g[:-1]
+    while len(a) > db:
+        c = a.pop()
+        if c:
+            k = len(a) - db
+            a[k:] = [(ai - c * bi) % p for ai, bi in zip(a[k:], low)]
+    return _trim(a)
+
+
 def _polygcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Monic gcd over F_p of two trimmed polynomials, by Euclid on monic divisors."""
     a, b = list(a), list(b)
     while b:
         inv = pow(b[-1], -1, p)
         b = [c * inv % p for c in b]
-        db, low = len(b) - 1, b[:-1]
-        while len(a) > db:
-            c = a.pop()
-            if c:
-                k = len(a) - db
-                a[k:] = [(ai - c * bi) % p for ai, bi in zip(a[k:], low)]
-        a, b = b, _trim(a)
+        a, b = b, _polyrem(a, b, p)
     if a and a[-1] != 1:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -174,90 +182,41 @@ def _squarefree_parts(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-class _ResidueRing:
-    """F_p[x]/(g) for a monic g of degree n >= 2, each element packed in one int.
-
-    Coefficient i of an element sits in bits [i*w, (i+1)*w).  The slot width
-    w holds 2n*p^2, the largest coefficient a product reaches unreduced, so a
-    product is one integer multiplication, a fold of the slots above x^(n-1)
-    from the top down through x^n mod g, and one % p per coefficient.
-    """
-
-    def __init__(self, g: Sequence[int], p: int):
-        n = len(g) - 1
-        w = (2 * n * p * p).bit_length()
-        self.p, self.w, self.mask = p, w, (1 << w) - 1
-        self.shifts = range(0, n * w, w)
-        x_n = sum((-c % p) << s for c, s in zip(g, self.shifts))
-        # Slot k of a product, for k = 2n-1 down to n, folds into the n
-        # slots below it as x^k = x^(k-n) * (x^n mod g).
-        self.fold = [(k * w, x_n << (k - n) * w) for k in range(2 * n - 1, n - 1, -1)]
-
-    def unpack(self, a: int) -> list[int]:
-        """All n coefficients of a reduced element, ascending."""
-        mask = self.mask
-        return [(a >> s) & mask for s in self.shifts]
-
-    def reduce(self, s: int) -> int:
-        """The reduced element of a packed polynomial of degree < 2n."""
-        p, mask = self.p, self.mask
-        for shift, row in self.fold:
-            s += ((s >> shift) & mask) % p * row
-        r = 0
-        for shift in self.shifts:
-            r |= ((s >> shift) & mask) % p << shift
-        return r
-
-    def xpow(self, e: int) -> int:
-        """x^e for e >= 1, left to right: a set bit only shifts the square up a slot."""
-        r, w, reduce = 1 << self.w, self.w, self.reduce
-        for bit in bin(e)[3:]:
-            r = reduce(r * r << w if bit == "1" else r * r)
-        return r
-
-
 def _distinct_degree(g: list[int], p: int) -> list[tuple[int, list[int]]]:
     """Distinct-degree factorization of a monic squarefree g over F_p.
 
-    Returns (d, product of the irreducible factors of degree d) pairs.  The
-    Frobenius x -> x^p is computed once; x^(p^d) for d >= 2 comes from its
-    matrix, the rows x^(i p) mod g, built on first need from n - 2 products.
+    Returns (d, product of the irreducible factors of degree d) pairs.  h runs
+    through x^(p^d) modulo the part of g not yet split off, one p-th power
+    per degree.
     """
     out: list[tuple[int, list[int]]] = []
-    rest = g
-    if len(g) > 2:
-        ring = _ResidueRing(g, p)
-        h = frob = ring.xpow(p)
-        rows: list[int] = []
-        d = 1
-        while len(rest) - 1 >= 2 * d:
-            if d > 1:
-                if not rows:
-                    rows = [1, frob]
-                    for _ in range(len(g) - 3):
-                        rows.append(ring.reduce(rows[-1] * frob))
-                h = ring.reduce(sum(c * row for c, row in zip(ring.unpack(h), rows)))
-            sub = ring.unpack(h)
-            sub[1] = (sub[1] - 1) % p  # x^(p^d) - x
-            gd = _polygcd(_trim(sub), rest, p)
-            if len(gd) > 1:
-                if (len(gd) - 1) % d:
-                    raise RuntimeError(
-                        f"distinct-degree factorization mod {p}: a factor of "
-                        f"degree {len(gd) - 1} is not a product of degree-{d} factors")
-                out.append((d, gd))
-                rest = _polydiv(rest, gd, p)
-            d += 1
+    rest, h = g, [0, 1]
+    d = 1
+    while len(rest) - 1 >= 2 * d:
+        base = h  # h^p by left-to-right square-and-multiply
+        for bit in bin(p)[3:]:
+            h = _polyrem(_polymulmod(h, h, p), rest, p)
+            if bit == "1":
+                h = _polyrem(_polymulmod(h, base, p), rest, p)
+        sub = h + [0] * (2 - len(h))
+        sub[1] = (sub[1] - 1) % p  # x^(p^d) - x
+        gd = _polygcd(_trim(sub), rest, p)
+        if len(gd) > 1:
+            if (len(gd) - 1) % d:
+                raise RuntimeError(
+                    f"distinct-degree factorization mod {p}: a factor of "
+                    f"degree {len(gd) - 1} is not a product of degree-{d} factors")
+            out.append((d, gd))
+            rest = _polydiv(rest, gd, p)
+        d += 1
     if len(rest) > 1:
         out.append((len(rest) - 1, rest))
     return out
 
 
-def _check_prime_and_monic(coeffs: Sequence[int], p: int) -> None:
+def _check_prime(p: int) -> None:
     if p >= 2 ** 61 or not is_prime(p):
         raise ValueError(f"{p} is not a prime below 2^61")
-    if coeffs[-1] % p != 1 % p:
-        raise ValueError("polynomial must be monic")
 
 
 def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
@@ -268,7 +227,9 @@ def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
     output entry per irreducible factor, as a sorted (degree, multiplicity)
     multiset.
     """
-    _check_prime_and_monic(coeffs, p)
+    _check_prime(p)
+    if coeffs[-1] % p != 1:
+        raise ValueError("polynomial must be monic")
     if len(coeffs) - 1 > 8:
         raise ValueError("degree capped at 8")
     f = _trim([c % p for c in coeffs])
@@ -312,6 +273,19 @@ def _patterns_by_traces(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     if len(table) != sum(1 for _ in _partitions(n, n)):
         raise RuntimeError(f"Frobenius traces do not determine the factor degrees of degree {n}")
     return table
+
+
+def _on_lane(n: int) -> Callable[[int, int], bool]:
+    """Which (f, p) lanes the Frobenius-trace kernel takes, for f of degree n.
+
+    The returned test of a prime p and disc = disc(f) holds when 2 <= n <= 8,
+    max(5, n + 1) <= p <= MAX_PRIME_BOUND and p does not divide disc.  Then
+    f is squarefree mod p, the traces, at most n < p, are exact mod p, and
+    int64 never wraps (see `_frobenius_traces`).  On the Euler path every
+    other pair goes to `factor_mod_p`; the irreducibility prescreen skips it.
+    """
+    low = max(5, n + 1) if 2 <= n <= 8 else MAX_PRIME_BOUND + 1
+    return lambda p, disc: low <= p <= MAX_PRIME_BOUND and disc % p != 0
 
 
 # Lanes per numpy pass: the largest array is (n, n, 4096) int64 for degree n.
@@ -371,24 +345,32 @@ def _frobenius_lanes(polys: Sequence[Sequence[int]], primes: Sequence[int],
                      discs: Sequence[int]) -> list[tuple[int, ...]]:
     """Residue degrees of each polys[i] mod primes[i], a numpy pass per chunk of lanes.
 
-    Every polynomial is monic of one degree 2 <= n <= 8, and discs[i] is its
-    discriminant.  Each p must be a prime max(5, n + 1) <= p <= MAX_PRIME_BOUND
-    not dividing its disc, so f is squarefree mod p and the Frobenius traces,
-    exact as they are at most n < p, give its pattern.  Stickelberger's
-    theorem checks every lane: (disc / p) = (-1)^(n - #factors), by Euler's
-    criterion.  A trace tuple outside the table, or a mismatch, raises
-    RuntimeError.
+    Every polynomial is monic of one degree n, every p prime, and discs[i] is
+    the discriminant of polys[i]; every lane must pass `_on_lane`, so f is
+    squarefree mod p and the Frobenius traces, exact as they are at most n < p,
+    give its pattern.  Each polynomial and each prime is checked once, the
+    lane rule once per lane.  Stickelberger's theorem checks every lane:
+    (disc / p) = (-1)^(n - #factors), by Euler's criterion.  A trace tuple
+    outside the table, or a mismatch, raises RuntimeError.
     """
     if not primes:
         return []
     n = len(polys[0]) - 1
-    low = max(5, n + 1)
-    for f, p, disc in zip(polys, primes, discs):
-        _check_prime_and_monic(f, p)
-        # The upper bound keeps the int64 arithmetic exact.
-        if len(f) != n + 1 or not 2 <= n <= 8 or not low <= p <= MAX_PRIME_BOUND or disc % p == 0:
-            raise ValueError(f"need polynomials of one degree 2 <= n <= 8 and a prime {low} "
-                             f"<= p <= {MAX_PRIME_BOUND} not dividing {disc}, got p = {p}")
+    for p in set(primes):
+        _check_prime(p)
+    distinct = set(map(tuple, polys))
+    ns = {len(f) - 1 for f in distinct}
+    if len(ns) > 1:
+        raise ValueError(f"need polynomials of one degree, got degrees {sorted(ns)}")
+    # Monic mod p: only a leading coefficient other than 1 needs its primes.
+    if any(f[-1] != 1 for f in distinct) and any(f[-1] % p != 1 for f, p in zip(polys, primes)):
+        raise ValueError("polynomial must be monic")
+    on_lane = _on_lane(n)
+    for p, disc in zip(primes, discs):
+        if not on_lane(p, disc):
+            raise ValueError(f"need polynomials of one degree 2 <= n <= 8 and a prime "
+                             f"{max(5, n + 1)} <= p <= {MAX_PRIME_BOUND} not dividing {disc}, "
+                             f"got p = {p}")
     table = _patterns_by_traces(n)
     out = []
     for start in range(0, len(primes), _LANE_CHUNK):
@@ -403,12 +385,6 @@ def _frobenius_lanes(polys: Sequence[Sequence[int]], primes: Sequence[int],
                     f"Legendre symbol {chi} of the discriminant (Stickelberger)")
             out.append(degrees)
     return out
-
-
-def _quartic_lanes(coeffs: Sequence[int], primes: Sequence[int],
-                   disc: int) -> list[tuple[int, ...]]:
-    """`_frobenius_lanes` for one monic quartic f with disc = disc(f) at each of primes."""
-    return _frobenius_lanes([coeffs] * len(primes), primes, [disc] * len(primes))
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +431,16 @@ def _poly_disc(coeffs: tuple[int, ...]) -> int:
 
 
 def _local_factors(record, primes: Sequence[int]) -> Iterator[LocalFactorData]:
-    """`local_factor_data` at each of primes in turn, the quartic lanes in one pass."""
+    """`local_factor_data` at each of primes in turn, the kernel lanes in one pass."""
     coeffs = tuple(record.coeffs)
     disc_poly = _poly_disc(coeffs)
     q, r = divmod(disc_poly, record.disc)
-    on_lane = [len(coeffs) == 5 and 5 <= p <= MAX_PRIME_BOUND and disc_poly % p for p in primes]
-    lanes = iter(_quartic_lanes(coeffs, list(compress(primes, on_lane)), disc_poly))
-    for p, lane in zip(primes, on_lane):
+    on_lane = _on_lane(len(coeffs) - 1)
+    mask = [on_lane(p, disc_poly) for p in primes]
+    lane_primes = list(compress(primes, mask))
+    k = len(lane_primes)
+    lanes = iter(_frobenius_lanes([coeffs] * k, lane_primes, [disc_poly] * k))
+    for p, lane in zip(primes, mask):
         if lane:
             degrees, ramified = next(lanes), False
         else:
@@ -479,10 +458,11 @@ def local_factor_data(record, p: int) -> LocalFactorData:
     splitting (one prime per irreducible factor, residue degree = factor
     degree) including the ramified case.
 
-    A quartic at a prime 5 <= p <= MAX_PRIME_BOUND not dividing disc(poly) is
-    unramified and takes `_quartic_lanes` with one lane, checked against the
-    Legendre symbol of disc(poly) mod p.  Every other case, p = 2, 3 and
-    p | disc(poly) included, goes through `factor_mod_p`.
+    A pair that `_on_lane` admits (degree n <= 8, a prime
+    max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(poly)) is
+    unramified and takes `_frobenius_lanes` with one lane, checked against the
+    Legendre symbol of disc(poly) mod p.  Every other case, the smallest
+    primes and p | disc(poly) included, goes through `factor_mod_p`.
     """
     return next(_local_factors(record, (p,)))
 
@@ -498,12 +478,12 @@ def _checked_prime_bound(prime_bound: int) -> int:
 def zeta_K_at_2(record, prime_bound: int = 10 ** 5) -> ZetaValue:
     """Dedekind zeta at s = 2 by a truncated Euler product with rigorous bounds.
 
-    Local factors at trusted primes are those of `local_factor_data`: for a
-    quartic, every prime 5 <= p <= P not dividing disc(poly) in one
-    `_quartic_lanes` call, and otherwise the factorization of the defining
-    polynomial mod p.  Untrusted primes contribute a bracket between
-    1 and (1 - p^-2)^(-degree).  The truncation tail is bounded via
-    sum_{p > P} p^-2 <= 1/(P - 1).  Needs 100 <= P <= MAX_PRIME_BOUND.
+    Local factors at trusted primes are those of `local_factor_data`: every
+    prime p <= P that `_on_lane` admits in one `_frobenius_lanes` call, and
+    otherwise the factorization of the defining polynomial mod p.  Untrusted
+    primes contribute a bracket between 1 and (1 - p^-2)^(-degree).  The
+    truncation tail is bounded via sum_{p > P} p^-2 <= 1/(P - 1).  Needs
+    100 <= P <= MAX_PRIME_BOUND.
     """
     P = _checked_prime_bound(prime_bound)
     degree = len(record.coeffs) - 1

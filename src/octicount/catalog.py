@@ -46,9 +46,6 @@ class GroupCatalogEntry:
     expected_alpha: Fraction
     notes: str = field(default="", compare=False)
 
-    def group(self) -> PermGroup:
-        return catalog_group(self.label)
-
 
 def _gens(*cycle_strings: str) -> tuple[Perm, ...]:
     return tuple(parse_cycle_string(8, s) for s in cycle_strings)

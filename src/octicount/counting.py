@@ -257,7 +257,6 @@ class FitReport:
     theta_target: float
     sup_ratio: float
     slope: Optional[float]
-    C_used: PartialConstant
     checkpoints: tuple[int, ...]
     residuals: tuple[float, ...]
     caveat_band: tuple[float, ...] = field(default=())
@@ -294,7 +293,6 @@ def fit_error(
         theta_target=theta,
         sup_ratio=sup_ratio,
         slope=slope,
-        C_used=C,
         checkpoints=series.checkpoints,
         residuals=residuals,
         caveat_band=band,

@@ -164,11 +164,9 @@ def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]
     A polynomial whose primes below 200 leave a common k, or of degree above
     8, goes to sympy's exact factorization.
     """
-    from .analytic import _frobenius_lanes, _poly_disc
+    from .analytic import _frobenius_lanes, _on_lane, _poly_disc
 
-    # The primes at which `_frobenius_lanes` reads exact traces, by degree.
-    primes_above = {n: [p for p in primes_up_to(_PRESCREEN_PRIME_BOUND - 1) if p >= max(5, n + 1)]
-                    for n in range(2, 9)}
+    small_primes = primes_up_to(_PRESCREEN_PRIME_BOUND - 1)
     verdicts: dict[tuple[int, ...], bool] = {}
     unsettled: dict[tuple[int, ...], tuple] = {}  # f -> (primes to come, disc, candidate k)
     exact: list[tuple[int, ...]] = []
@@ -176,9 +174,10 @@ def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]
         n = len(f) - 1
         if n <= 1:
             verdicts[f] = True
-        elif n <= 8 and f[-1] == 1:
-            disc = _poly_disc(f)
-            unsettled[f] = (filter(disc.__mod__, primes_above[n]), disc, set(range(1, n)))
+        elif f[-1] == 1:
+            # The kernel's lanes for f; a degree above 8 has none, so goes to sympy.
+            disc, on_lane = _poly_disc(f), _on_lane(n)
+            unsettled[f] = ((p for p in small_primes if on_lane(p, disc)), disc, set(range(1, n)))
         else:
             exact.append(f)
     while unsettled:

@@ -66,10 +66,6 @@ class TameConfig:
             raise ValueError("D modulo <tau> is not generated by the Frobenius coset")
 
     @property
-    def inertia(self) -> PermGroup:
-        return PermGroup([self.inertia_gen], degree=self.group.degree)
-
-    @property
     def e(self) -> int:
         """Ramification index of the Galois closure: |I|."""
         return self.inertia_gen.order()

@@ -134,7 +134,7 @@ def sympy_pattern(coeffs, p) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((f.degree(), m) for f, m in fl))
 
 
-# Small primes, primes near 10^5, and 2^61 - 1, the widest packed slots.
+# Small primes, primes near 10^5, and 2^61 - 1, the largest prime factor_mod_p takes.
 PRIMES = (2, 3, 5, 7, 97, 65537, 99989, 99991, 2 ** 61 - 1)
 monic = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=8).map(
     lambda low: tuple(low) + (1,))
@@ -237,10 +237,10 @@ class TestQuarticPath:
     def test_flipped_legendre_symbol_raises(self, coeffs, degrees):
         disc = analytic._poly_disc(coeffs)
         assert degrees_of(factor_mod_p(coeffs, 7)) == degrees
-        assert analytic._quartic_lanes(coeffs, [7], disc) == [degrees]
+        assert analytic._frobenius_lanes([coeffs], [7], [disc]) == [degrees]
         # 3 is not a square mod 7, so 3 * disc has the opposite symbol.
         with pytest.raises(RuntimeError, match="Stickelberger"):
-            analytic._quartic_lanes(coeffs, [7], 3 * disc)
+            analytic._frobenius_lanes([coeffs], [7], [3 * disc])
 
     # (n1, n2) = (3, 0): three roots leave a linear fourth factor; (1, 1): one
     # root and a quadratic leave a linear fourth factor that was not counted.
@@ -252,7 +252,7 @@ class TestQuarticPath:
         monkeypatch.setattr(analytic, "_frobenius_traces",
                             lambda polys, primes: [(n1, n1 + 2 * n2)] * len(primes))
         with pytest.raises(RuntimeError, match="Frobenius traces"):
-            analytic._quartic_lanes(coeffs, [7], disc)
+            analytic._frobenius_lanes([coeffs], [7], [disc])
 
     @pytest.mark.parametrize("p", [3, nextprime(MAX_PRIME_BOUND), 283])
     def test_lanes_reject_primes_off_the_int64_path(self, p):
@@ -260,7 +260,7 @@ class TestQuarticPath:
         # the int64 bound, and 283 divides disc(x^4 - x - 1) = -283.
         coeffs = (-1, -1, 0, 0, 1)
         with pytest.raises(ValueError, match="5 <= p <= "):
-            analytic._quartic_lanes(coeffs, [5, p, 7], analytic._poly_disc(coeffs))
+            analytic._frobenius_lanes([coeffs] * 3, [5, p, 7], [analytic._poly_disc(coeffs)] * 3)
 
     @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
     def test_large_primes_route_to_factor_mod_p(self, monkeypatch, p):
@@ -280,7 +280,7 @@ class TestQuarticPath:
         disc = analytic._poly_disc(coeffs)
         lanes = [p for p in primerange(5, 45000) if disc % p]
         assert analytic._LANE_CHUNK < len(lanes) < 2 * analytic._LANE_CHUNK
-        batch = analytic._quartic_lanes(coeffs, lanes, disc)
+        batch = analytic._frobenius_lanes([coeffs] * len(lanes), lanes, [disc] * len(lanes))
         assert batch == [degrees_of(factor_mod_p(coeffs, p)) for p in lanes]
         # Lanes either side of the chunk boundary, and a sample, one at a time.
         rec = quartic_rec(coeffs)
@@ -370,6 +370,25 @@ class TestFrobeniusKernel:
                       if disc % p]
             got = analytic._frobenius_lanes([f] * len(primes), primes, [disc] * len(primes))
             assert got == [degrees_of(sympy_pattern(f, p)) for p in primes]
+
+    @pytest.mark.parametrize("coeffs", [
+        (-1, 0, -1, 0, 0, 0, 0, 0, 1),  # f(x^2), f = x^4 - x - 1: disc = -2^8 * 283^2
+        (-1, -1, 0, 0, 0, 0, 0, 0, 1),  # x^8 - x - 1: disc = -11 * 1600069
+    ])
+    def test_octic_record_takes_the_lanes(self, monkeypatch, coeffs):
+        calls = []
+        real = analytic.factor_mod_p
+        monkeypatch.setattr(analytic, "factor_mod_p",
+                            lambda c, p: calls.append(p) or real(c, p))
+        disc = analytic._poly_disc(coeffs)
+        rec = MinimalField(label="L", coeffs=coeffs, disc=disc, r2=4)
+        primes = list(primerange(2, 400))
+        for p in primes:
+            data = local_factor_data(rec, p)
+            pattern = real(coeffs, p)
+            assert data.residue_degrees == degrees_of(pattern)
+            assert data.ramified == any(m > 1 for _, m in pattern)
+        assert calls == [p for p in primes if p < 9 or disc % p == 0]
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_octic_lanes_need_p_above_the_degree(self, p):
