@@ -69,9 +69,6 @@ class ZetaValue:
         if not (self.value > 0):
             raise ValueError("zeta values here are positive")
 
-    def contains(self, x: float) -> bool:
-        return abs(x - self.value) <= self.error_bound
-
 
 @dataclass(frozen=True)
 class PartialConstant:
@@ -531,12 +528,7 @@ def zeta_residue(record) -> ZetaValue:
     return ZetaValue(value=value, error_bound=value * _REG_REL_ERR)
 
 
-def partial_constant(
-    snapshot: Snapshot,
-    Z: int,
-    prime_bound: int = 10 ** 5,
-    emit_terms: bool = False,
-) -> PartialConstant:
+def partial_constant(snapshot: Snapshot, Z: int, prime_bound: int = 10 ** 5) -> PartialConstant:
     """Partial sum C(Z) over the quartic S4 fields with |disc| <= Z."""
     _checked_prime_bound(prime_bound)
     value = 0.0
@@ -556,8 +548,7 @@ def partial_constant(
         t_err = 0.5 * (t_up - t_lo)
         value += t_mid
         err += t_err
-        if emit_terms:
-            term_list.append((rec.label, t_mid, t_err))
+        term_list.append((rec.label, t_mid, t_err))
     return PartialConstant(
         Z=Z,
         value=value,

@@ -16,7 +16,7 @@ import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from typing import Iterator, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
 from . import analytic, counting, nfdata, splitting, verify
 from .catalog import LABELS, catalog_group
@@ -37,20 +37,17 @@ def _stamp_footer(args) -> None:
         sys.stderr.write(f"# generated {now}\n")
 
 
-def _write_json(payload, path: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is None or path == "-":
-        _emit(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _write_json(payload, json_file: Optional[TextIO]) -> None:
+    """JSON to the file `run` opened for --json PATH, or to stdout for --json -."""
+    (json_file or sys.stdout).write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @contextmanager
 def _output_opened_first(path: Optional[str]) -> Iterator[Optional[TextIO]]:
     """Open a file next to an output path before the work that fills it, so
     that a bad path fails at once.  It replaces the path only when that work
-    succeeds and is removed when it fails, so an earlier file there survives."""
+    succeeds and is removed when it fails, so an earlier file there survives.
+    Every output file goes through here: --json PATH, --emit-terms and --csv."""
     if not path:
         yield None
         return
@@ -68,8 +65,31 @@ def _output_opened_first(path: Optional[str]) -> Iterator[Optional[TextIO]]:
         raise
 
 
+def _output_besides_json(args, path: Optional[str]):
+    """`_output_opened_first(path)` for an output that --json PATH must not share."""
+    if (path and args.json not in (None, "-")
+            and os.path.realpath(path) == os.path.realpath(args.json)):
+        raise ValueError(f"--json and another output both name {path!r}")
+    return _output_opened_first(path)
+
+
 def _reports_payload(reports) -> dict:
     return {r.claim_id: r.as_dict() for r in reports}
+
+
+def _print_reports(args, reports, payload,
+                   note: Callable[[verify.VerificationReport], str]) -> int:
+    """The payload as JSON, or one "claim: status" line per report, `note`
+    appended, with its witnesses below.  Exit code 1 if any report failed."""
+    if args.json is not None:
+        _write_json(payload, args.json_file)
+    else:
+        for r in reports:
+            _emit(f"{r.claim_id}: {r.status}{note(r)}")
+            for w in r.witnesses:
+                _emit(f"  witness: {w}")
+    _stamp_footer(args)
+    return 0 if all(r.passed for r in reports) else 1
 
 
 MAX_CHECKPOINTS = 10_000
@@ -115,29 +135,13 @@ def _galois_labels(spec: str) -> list[str]:
 
 def _cmd_verify_groups(args) -> int:
     reports = verify.run_all_group_verifiers()
-    if args.json is not None:
-        _write_json(_reports_payload(reports), args.json)
-    else:
-        for r in reports:
-            _emit(f"{r.claim_id}: {r.status}")
-            for w in r.witnesses:
-                _emit(f"  witness: {w}")
-    _stamp_footer(args)
-    return 0 if all(r.passed for r in reports) else 1
+    return _print_reports(args, reports, _reports_payload(reports), lambda r: "")
 
 
 def _cmd_verify_splitting(args) -> int:
-    labels = [args.group] if args.group else None
-    reports = splitting.run_all_splitting_verifiers(labels)
-    if args.json is not None:
-        _write_json(_reports_payload(reports), args.json)
-    else:
-        for r in reports:
-            _emit(f"{r.claim_id}: {r.status} ({r.details.get('configs_checked', 0)} configs)")
-            for w in r.witnesses:
-                _emit(f"  witness: {w}")
-    _stamp_footer(args)
-    return 0 if all(r.passed for r in reports) else 1
+    reports = splitting.run_all_splitting_verifiers([args.group] if args.group else None)
+    return _print_reports(args, reports, _reports_payload(reports),
+                          lambda r: f" ({r.details.get('configs_checked', 0)} configs)")
 
 
 def _cmd_ingest(args) -> int:
@@ -166,7 +170,7 @@ def _cmd_query(args) -> int:
                         max_abs_disc=args.max_disc)
     rows = [_rec_row(r) for r in recs]
     if args.json is not None:
-        _write_json(rows, args.json)
+        _write_json(rows, args.json_file)
     elif args.csv:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else
@@ -182,10 +186,9 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_constant(args) -> int:
-    with _output_opened_first(args.emit_terms) as fh:
+    with _output_besides_json(args, args.emit_terms) as fh:
         snap = nfdata.load(args.store)
-        pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound,
-                                       emit_terms=args.emit_terms is not None)
+        pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound)
         if fh is not None:
             writer = csv.writer(fh)
             writer.writerow(["label", "term", "error_bound"])
@@ -201,7 +204,7 @@ def _cmd_constant(args) -> int:
         "provenance": snap.provenance,
     }
     if args.json is not None:
-        _write_json(payload, args.json)
+        _write_json(payload, args.json_file)
     else:
         _emit(f"C({pc.Z}) = {pc.value!r} +/- {pc.error_bound!r} over {pc.terms} fields")
     _stamp_footer(args)
@@ -209,7 +212,7 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    with _output_opened_first(args.csv) as fh:
+    with _output_besides_json(args, args.csv) as fh:
         snap = nfdata.load(args.store)
         checkpoints = _parse_checkpoints(args.checkpoints)
         series = counting.count_series(snap, args.galois or list(LABELS), checkpoints)
@@ -221,7 +224,7 @@ def _cmd_count(args) -> int:
     if args.json is not None:
         _write_json({"labels": series.group_filter,
                      "checkpoints": series.checkpoints,
-                     "counts": series.counts}, args.json)
+                     "counts": series.counts}, args.json_file)
     else:
         for x, n in rows:
             _emit(f"{x} {n}")
@@ -231,21 +234,14 @@ def _cmd_count(args) -> int:
 
 def _cmd_audit(args) -> int:
     report = counting.audit_lemmas(nfdata.load(args.store))
-    if args.json is not None:
-        _write_json(report.as_dict(), args.json)
-    else:
-        _emit(f"{report.claim_id}: {report.status} "
-              f"({report.details.get('octics_audited', 0)} octics audited)")
-        for w in report.witnesses:
-            _emit(f"  witness: {w}")
-    _stamp_footer(args)
-    return 0 if report.passed else 1
+    return _print_reports(args, [report], report.as_dict(),
+                          lambda r: f" ({r.details.get('octics_audited', 0)} octics audited)")
 
 
 def _cmd_tail(args) -> int:
     n = counting.tail_count(nfdata.load(args.store), args.Z, args.X)
     if args.json is not None:
-        _write_json({"Z": args.Z, "X": args.X, "count": n}, args.json)
+        _write_json({"Z": args.Z, "X": args.X, "count": n}, args.json_file)
     else:
         _emit(str(n))
     _stamp_footer(args)
@@ -261,7 +257,8 @@ def _cmd_fit(args) -> int:
         if len(discs) < 3:
             raise ValueError("need at least 3 octic records to fit")
         checkpoints = _parse_checkpoints(f"{max(discs[0], 1)}:{discs[-1]}:12")
-    # After the checkpoints, so that a bad spec fails before the costly constant.
+    # Before the costly constant, so that a bad spec fails at once.
+    counting.check_fit_checkpoints(checkpoints)
     pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound)
     series = counting.count_series(snap, args.galois or list(LABELS), checkpoints)
     report = counting.fit_error(series, pc, provenance=snap.provenance)
@@ -277,7 +274,7 @@ def _cmd_fit(args) -> int:
         "provenance": report.provenance,
     }
     if args.json is not None:
-        _write_json(payload, args.json)
+        _write_json(payload, args.json_file)
     else:
         _emit(f"sup_ratio = {report.sup_ratio!r}")
         _emit(f"slope = {report.slope!r}")
@@ -384,8 +381,11 @@ def run(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    json_path = getattr(args, "json", None)  # opened before the work, like every output
     try:
-        return args.fn(args)
+        with _output_opened_first(None if json_path == "-" else json_path) as json_file:
+            args.json_file = json_file
+            return args.fn(args)
     except BrokenPipeError:
         return 1
     except (ValueError, OSError) as exc:  # bad input data, or an unwritable output path

@@ -10,7 +10,7 @@ from typing import Iterable, Optional, Sequence
 
 from .analytic import PartialConstant
 from .nfdata import FieldRecord, Snapshot, query
-from .verify import VerificationReport, _checked_report
+from .verify import VerificationReport
 
 __all__ = [
     "THETA_TARGET",
@@ -21,6 +21,7 @@ __all__ = [
     "count_series",
     "audit_lemmas",
     "tail_count",
+    "check_fit_checkpoints",
     "fit_error",
 ]
 
@@ -140,18 +141,10 @@ class CountSeries:
             raise ValueError("counts must be nondecreasing")
 
 
-def count_series(
-    snapshot: Snapshot,
-    labels: Iterable[str],
-    checkpoints: Sequence[int],
-    degree: Optional[int] = None,
-) -> CountSeries:
+def count_series(snapshot: Snapshot, labels: Iterable[str],
+                 checkpoints: Sequence[int]) -> CountSeries:
     labels = tuple(sorted(set(labels)))
-    discs = sorted(
-        rec.abs_disc
-        for rec in snapshot.records.values()
-        if rec.galois in labels and (degree is None or rec.degree == degree)
-    )
+    discs = sorted(rec.abs_disc for rec in snapshot.records.values() if rec.galois in labels)
     counts = []
     for X in checkpoints:
         lo, hi = 0, len(discs)
@@ -178,58 +171,56 @@ def audit_lemmas(snapshot: Snapshot) -> VerificationReport:
     tower needs d1 = rad(d1)^2 and d0, n0 within cubes of each other.
     Prime-level checks skip p | 6 throughout.
     """
-
-    def body(report: VerificationReport) -> None:
-        audited = 0
-        sib_diag: dict[tuple[int, str], int] = {}
-        for label in sorted(snapshot.records):
-            rec = snapshot.records[label]
-            if rec.degree != 8 or rec.parent_label is None:
-                continue
-            parent = snapshot.parent_of(rec)
-            try:
-                split = split_rel_disc(rec, parent)
-            except ValueError as exc:
-                report.fail(f"{label}: {exc}")
-                continue
-            audited += 1
-            sib_key = (rec.abs_disc, parent.label)
-            sib_diag[sib_key] = sib_diag.get(sib_key, 0) + 1
-            k_vals = dict(split.k_factors)
-            n_vals = dict(split.norm_factors)
-            if rec.galois == "8T23":
-                if not _is_kth_power(split.n1, 4):
-                    report.fail(f"{label}: n1={split.n1} is not a fourth power")
-                for p, v in n_vals.items():
-                    if p in (2, 3) or p not in k_vals:
-                        continue
-                    if v > k_vals[p]:
-                        report.fail(f"{label}: v_{p}(n0)={v} exceeds v_{p}(disc K)={k_vals[p]}")
-                for p, e in k_vals.items():
-                    if p in (2, 3):
-                        continue
-                    if e == 3 and n_vals.get(p, 0) < 1:
-                        report.fail(f"{label}: v_{p}(disc K)=3 but p does not divide n0")
-            elif rec.galois == "8T39":
-                if not _is_kth_power(abs(rec.disc), 2):
-                    report.fail(f"{label}: |disc| is not a perfect square")
-                if not _is_kth_power(split.norm, 2):
-                    report.fail(f"{label}: norm {split.norm} is not a perfect square")
-            elif rec.galois == "8T40":
-                d1_factors = [(p, e) for p, e in split.k_factors
-                              if p not in (2, 3) and split.d1 % p == 0]
-                if split.d1 != _rad(d1_factors) ** 2:
-                    report.fail(f"{label}: d1={split.d1} is not rad(d1)^2")
-                if not (split.d0 <= split.n0 ** 3 and split.n0 <= split.d0 ** 3):
-                    report.fail(
-                        f"{label}: (d0, n0)=({split.d0}, {split.n0}) violates the cube bounds"
-                    )
-        report.details["octics_audited"] = audited
-        report.details["sibling_multiplicity_diagnostic"] = sum(
-            1 for v in sib_diag.values() if v > 1
-        )
-
-    return _checked_report(body, "counting.audit_lemmas")
+    report = VerificationReport("counting.audit_lemmas")
+    audited = 0
+    sib_diag: dict[tuple[int, str], int] = {}
+    for label in sorted(snapshot.records):
+        rec = snapshot.records[label]
+        if rec.degree != 8 or rec.parent_label is None:
+            continue
+        parent = snapshot.parent_of(rec)
+        try:
+            split = split_rel_disc(rec, parent)
+        except ValueError as exc:
+            report.fail(f"{label}: {exc}")
+            continue
+        audited += 1
+        sib_key = (rec.abs_disc, parent.label)
+        sib_diag[sib_key] = sib_diag.get(sib_key, 0) + 1
+        k_vals = dict(split.k_factors)
+        n_vals = dict(split.norm_factors)
+        if rec.galois == "8T23":
+            if not _is_kth_power(split.n1, 4):
+                report.fail(f"{label}: n1={split.n1} is not a fourth power")
+            for p, v in n_vals.items():
+                if p in (2, 3) or p not in k_vals:
+                    continue
+                if v > k_vals[p]:
+                    report.fail(f"{label}: v_{p}(n0)={v} exceeds v_{p}(disc K)={k_vals[p]}")
+            for p, e in k_vals.items():
+                if p in (2, 3):
+                    continue
+                if e == 3 and n_vals.get(p, 0) < 1:
+                    report.fail(f"{label}: v_{p}(disc K)=3 but p does not divide n0")
+        elif rec.galois == "8T39":
+            if not _is_kth_power(abs(rec.disc), 2):
+                report.fail(f"{label}: |disc| is not a perfect square")
+            if not _is_kth_power(split.norm, 2):
+                report.fail(f"{label}: norm {split.norm} is not a perfect square")
+        elif rec.galois == "8T40":
+            d1_factors = [(p, e) for p, e in split.k_factors
+                          if p not in (2, 3) and split.d1 % p == 0]
+            if split.d1 != _rad(d1_factors) ** 2:
+                report.fail(f"{label}: d1={split.d1} is not rad(d1)^2")
+            if not (split.d0 <= split.n0 ** 3 and split.n0 <= split.d0 ** 3):
+                report.fail(
+                    f"{label}: (d0, n0)=({split.d0}, {split.n0}) violates the cube bounds"
+                )
+    report.details["octics_audited"] = audited
+    report.details["sibling_multiplicity_diagnostic"] = sum(
+        1 for v in sib_diag.values() if v > 1
+    )
+    return report
 
 
 def tail_count(snapshot: Snapshot, Z: int, X: int) -> int:
@@ -263,20 +254,22 @@ class FitReport:
     provenance: str = ""
 
 
-def fit_error(
-    series: CountSeries,
-    C: PartialConstant,
-    provenance: str = "",
-    theta: float = THETA_TARGET,
-) -> FitReport:
-    """Sup-ratio and log-log slope of the residuals N(X) - C*X."""
-    if len(series.checkpoints) < 3:
+def check_fit_checkpoints(checkpoints: Sequence[int]) -> None:
+    """Refuse checkpoints a fit cannot use: fewer than 3, or any below 1."""
+    if len(checkpoints) < 3:
         raise ValueError("need at least 3 checkpoints")
+    if min(checkpoints) < 1:
+        raise ValueError(f"need checkpoints >= 1 to fit, got {min(checkpoints)}")
+
+
+def fit_error(series: CountSeries, C: PartialConstant, provenance: str = "") -> FitReport:
+    """Sup-ratio against X^THETA_TARGET and log-log slope of the residuals N(X) - C*X."""
+    check_fit_checkpoints(series.checkpoints)
     residuals = tuple(
         n - C.value * x for x, n in zip(series.checkpoints, series.counts)
     )
     sup_ratio = max(
-        abs(r) / x ** theta for x, r in zip(series.checkpoints, residuals)
+        abs(r) / x ** THETA_TARGET for x, r in zip(series.checkpoints, residuals)
     )
     pts = [
         (math.log(x), math.log(abs(r)))
@@ -290,7 +283,7 @@ def fit_error(
         ).slope
     band = tuple(C.error_bound * x for x in series.checkpoints)
     return FitReport(
-        theta_target=theta,
+        theta_target=THETA_TARGET,
         sup_ratio=sup_ratio,
         slope=slope,
         checkpoints=series.checkpoints,

@@ -609,13 +609,13 @@ class CosetAction:
         )
 
 
-def coset_action(G: PermGroup, H: PermGroup, max_index: int = 24) -> CosetAction:
-    """Action of G on the left cosets gH."""
+def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
+    """Action of G on the left cosets gH; the index is a degree, so at most MAX_DEGREE."""
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     index = G.order // H.order
-    if index > max_index:
-        raise GroupTooLargeError(f"coset index {index} exceeds cap {max_index}")
+    if index > MAX_DEGREE:
+        raise GroupTooLargeError(f"coset index {index} exceeds cap {MAX_DEGREE}")
     h_elems = list(H.elements)
     coset_of: dict[Perm, int] = dict.fromkeys(h_elems, 1)
     reps = [G.identity]
@@ -638,14 +638,16 @@ def coset_action(G: PermGroup, H: PermGroup, max_index: int = 24) -> CosetAction
 
 
 def quotient_as_perm(G: PermGroup, N: PermGroup) -> PermGroup:
-    """G/N as a permutation group via the regular action on cosets of N."""
+    """G/N as a permutation group via the regular action on cosets of N.
+
+    Raises GroupTooLargeError when |G/N| exceeds MAX_DEGREE.
+    """
     if not N.is_normal_in(G):
         raise ValueError("N is not normal in G")
     q = G.order // N.order
     if q == 1:
         return PermGroup.trivial(1)
-    action = coset_action(G, N, max_index=max(q, 24))
-    return action.image()
+    return coset_action(G, N).image()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .perms import (
     index_set,
     subgroup_classes,
 )
-from .verify import VerificationReport, _checked_report
+from .verify import VerificationReport
 
 __all__ = [
     "TameConfig",
@@ -213,27 +213,25 @@ def verify_lemma_splitting(label: str = "8T23") -> VerificationReport:
     most 2.  Part 3: if every octic ramification index is at most 2 and the
     quartic indices are not all equal, then |I| = 2 and |D|/|I| <= 2.
     """
-
-    def body(report: VerificationReport) -> None:
-        parts = {"part1": "pass", "part2": "pass", "part3": "pass"}
-        profiles = _tame_profiles(label)
-        for cfg, prof in profiles:
-            mixed_quartic = len(set(prof.quartic_symbol.e_values())) > 1
-            if cfg.e not in {2, 3, 4, 6, 8}:
-                parts["part1"] = "fail"
-                report.fail(f"part1: e={cfg.e} at {_cfg_desc(cfg)}")
-            if cfg.e == 2 and mixed_quartic and cfg.f > 2:
-                parts["part2"] = "fail"
-                report.fail(f"part2: f={cfg.f} at {_cfg_desc(cfg)}")
-            if max(prof.octic_symbol.e_values()) <= 2 and mixed_quartic:
-                if cfg.e != 2 or cfg.f > 2:
-                    parts["part3"] = "fail"
-                    report.fail(f"part3: e={cfg.e}, f={cfg.f} at {_cfg_desc(cfg)}")
-        report.details["group"] = label
-        report.details["configs_checked"] = len(profiles)
-        report.details["parts"] = parts
-
-    return _checked_report(body, f"splitting.lemma_splitting.{label}")
+    report = VerificationReport(f"splitting.lemma_splitting.{label}")
+    parts = {"part1": "pass", "part2": "pass", "part3": "pass"}
+    profiles = _tame_profiles(label)
+    for cfg, prof in profiles:
+        mixed_quartic = len(set(prof.quartic_symbol.e_values())) > 1
+        if cfg.e not in {2, 3, 4, 6, 8}:
+            parts["part1"] = "fail"
+            report.fail(f"part1: e={cfg.e} at {_cfg_desc(cfg)}")
+        if cfg.e == 2 and mixed_quartic and cfg.f > 2:
+            parts["part2"] = "fail"
+            report.fail(f"part2: f={cfg.f} at {_cfg_desc(cfg)}")
+        if max(prof.octic_symbol.e_values()) <= 2 and mixed_quartic:
+            if cfg.e != 2 or cfg.f > 2:
+                parts["part3"] = "fail"
+                report.fail(f"part3: e={cfg.e}, f={cfg.f} at {_cfg_desc(cfg)}")
+    report.details["group"] = label
+    report.details["configs_checked"] = len(profiles)
+    report.details["parts"] = parts
+    return report
 
 
 def verify_lemma_vpn(label: str = "8T23") -> VerificationReport:
@@ -245,28 +243,26 @@ def verify_lemma_vpn(label: str = "8T23") -> VerificationReport:
     whether the same checks hold with non-tame-compatible configurations
     included; there are none, so it agrees with the verdict.
     """
-
-    def body(report: VerificationReport) -> None:
-        parts = {"part1": "pass", "part2": "pass", "part3": "pass"}
-        profiles = _tame_profiles(label)
-        for cfg, prof in profiles:
-            if prof.v_disc_K == 0 and prof.v_norm != 4:
-                parts["part1"] = "fail"
-                report.fail(f"part1: v_norm={prof.v_norm} at {_cfg_desc(cfg)}")
-            if prof.v_disc_K >= 1 and prof.v_norm > prof.v_disc_K:
-                parts["part2"] = "fail"
-                report.fail(
-                    f"part2: v_norm={prof.v_norm} > v_K={prof.v_disc_K} at {_cfg_desc(cfg)}"
-                )
-            if prof.v_disc_K == 3 and prof.v_norm < 1:
-                parts["part3"] = "fail"
-                report.fail(f"part3: v_norm=0 with v_K=3 at {_cfg_desc(cfg)}")
-        report.details["group"] = label
-        report.details["configs_checked"] = len(profiles)
-        report.details["parts"] = parts
-        report.details["holds_including_nontame"] = not report.witnesses
-
-    return _checked_report(body, f"splitting.lemma_vpn.{label}")
+    report = VerificationReport(f"splitting.lemma_vpn.{label}")
+    parts = {"part1": "pass", "part2": "pass", "part3": "pass"}
+    profiles = _tame_profiles(label)
+    for cfg, prof in profiles:
+        if prof.v_disc_K == 0 and prof.v_norm != 4:
+            parts["part1"] = "fail"
+            report.fail(f"part1: v_norm={prof.v_norm} at {_cfg_desc(cfg)}")
+        if prof.v_disc_K >= 1 and prof.v_norm > prof.v_disc_K:
+            parts["part2"] = "fail"
+            report.fail(
+                f"part2: v_norm={prof.v_norm} > v_K={prof.v_disc_K} at {_cfg_desc(cfg)}"
+            )
+        if prof.v_disc_K == 3 and prof.v_norm < 1:
+            parts["part3"] = "fail"
+            report.fail(f"part3: v_norm=0 with v_K=3 at {_cfg_desc(cfg)}")
+    report.details["group"] = label
+    report.details["configs_checked"] = len(profiles)
+    report.details["parts"] = parts
+    report.details["holds_including_nontame"] = not report.witnesses
+    return report
 
 
 def verify_lemma_81(label: str = "8T40") -> VerificationReport:
@@ -281,38 +277,36 @@ def verify_lemma_81(label: str = "8T40") -> VerificationReport:
     honest failure).  The valuation conclusion the expectation was used for
     - v_norm never equals 4 when v_disc_K >= 1 - is checked directly.
     """
-
-    def body(report: VerificationReport) -> None:
-        parts = {
-            "part1_valuation": "pass",
-            "part2_valuation": "pass",
-            "n0_never_4": "pass",
-            "index_set": "pass",
-        }
-        profiles = _tame_profiles(label)
-        for cfg, prof in profiles:
-            vK, vN = prof.v_disc_K, prof.v_norm
-            if vK >= 1 and vN >= 1 and not (vK <= 3 * vN and vN <= 3 * vK):
-                parts["part1_valuation"] = "fail"
-                report.fail(f"part1: (v_K, v_norm)=({vK},{vN}) at {_cfg_desc(cfg)}")
-            if vK in (1, 3) and vN < 1:
-                parts["part2_valuation"] = "fail"
-                report.fail(f"part2: v_norm=0 with v_K={vK} at {_cfg_desc(cfg)}")
-            if vK >= 1 and vN == 4:
-                parts["n0_never_4"] = "fail"
-                report.fail(f"n0_never_4: v_norm=4 with v_K={vK} at {_cfg_desc(cfg)}")
-        computed = index_set(catalog_group(label))
-        report.details["computed_index_set"] = sorted(computed)
-        if computed != {2, 4, 8}:
-            parts["index_set"] = "fail"
-            report.fail(
-                f"index_set: computed {sorted(computed)}, documented expectation {{2, 4, 8}}"
-            )
-        report.details["group"] = label
-        report.details["configs_checked"] = len(profiles)
-        report.details["parts"] = parts
-
-    return _checked_report(body, f"splitting.lemma_81.{label}")
+    report = VerificationReport(f"splitting.lemma_81.{label}")
+    parts = {
+        "part1_valuation": "pass",
+        "part2_valuation": "pass",
+        "n0_never_4": "pass",
+        "index_set": "pass",
+    }
+    profiles = _tame_profiles(label)
+    for cfg, prof in profiles:
+        vK, vN = prof.v_disc_K, prof.v_norm
+        if vK >= 1 and vN >= 1 and not (vK <= 3 * vN and vN <= 3 * vK):
+            parts["part1_valuation"] = "fail"
+            report.fail(f"part1: (v_K, v_norm)=({vK},{vN}) at {_cfg_desc(cfg)}")
+        if vK in (1, 3) and vN < 1:
+            parts["part2_valuation"] = "fail"
+            report.fail(f"part2: v_norm=0 with v_K={vK} at {_cfg_desc(cfg)}")
+        if vK >= 1 and vN == 4:
+            parts["n0_never_4"] = "fail"
+            report.fail(f"n0_never_4: v_norm=4 with v_K={vK} at {_cfg_desc(cfg)}")
+    computed = index_set(catalog_group(label))
+    report.details["computed_index_set"] = sorted(computed)
+    if computed != {2, 4, 8}:
+        parts["index_set"] = "fail"
+        report.fail(
+            f"index_set: computed {sorted(computed)}, documented expectation {{2, 4, 8}}"
+        )
+    report.details["group"] = label
+    report.details["configs_checked"] = len(profiles)
+    report.details["parts"] = parts
+    return report
 
 
 # (verifier, catalog label), in claim_id order.

@@ -16,7 +16,6 @@ from .perms import (
     PermGroup,
     SubgroupClass,
     abstract_isomorphic,
-    coset_action,
     malle_alpha,
     normal_subgroups,
     parse_cycle_string,
@@ -39,20 +38,26 @@ __all__ = [
 
 @dataclass
 class VerificationReport:
-    """Outcome of one verifier: pass iff the witness list is empty."""
+    """Outcome of one verifier: pass iff the witness list is empty.
+
+    The status is read from the witnesses, never stored, so the two cannot
+    disagree.
+    """
 
     claim_id: str
-    status: str = "pass"
     witnesses: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
     def fail(self, witness: str) -> None:
         self.witnesses.append(witness)
-        self.status = "fail"
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return not self.witnesses
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def as_dict(self) -> dict:
         return {
@@ -63,22 +68,9 @@ class VerificationReport:
         }
 
 
-def _checked_report(fn: Callable[[VerificationReport], None], claim_id: str) -> VerificationReport:
-    """Fill a fresh report with `fn`; refuse one whose status and witnesses disagree."""
-    report = VerificationReport(claim_id=claim_id)
-    fn(report)
-    if (report.status == "pass") != (not report.witnesses):
-        raise RuntimeError(
-            f"{claim_id}: status {report.status!r} disagrees with "
-            f"{len(report.witnesses)} witnesses"
-        )
-    return report
-
-
-def _has_s4_quotient(H: PermGroup) -> bool:
+def _has_s4_quotient(H: PermGroup, s4: PermGroup) -> bool:
     if H.order % 24 != 0:
         return False
-    s4 = PermGroup.symmetric(4)
     for N in normal_subgroups(H, max_order=H.order // 24):
         if H.order // N.order == 24 and abstract_isomorphic(quotient_as_perm(H, N), s4):
             return True
@@ -124,46 +116,44 @@ def verify_classification() -> VerificationReport:
     abstract isomorphism.  The asserted value 32 is the abstract count; the
     finer counts are reported for audit.
     """
-
-    def body(report: VerificationReport) -> None:
-        classes = transitive_degree8_classes()
-        reps = [c.representative for c in classes]
-        s8_buckets = _fuse(reps, lambda a, b: perm_isomorphic(a, b) is not None)
-        abstract_buckets = _fuse(
-            [b[0] for b in s8_buckets], lambda a, b: abstract_isomorphic(a, b)
+    report = VerificationReport("groups.classification")
+    s4 = PermGroup.symmetric(4)
+    classes = transitive_degree8_classes()
+    reps = [c.representative for c in classes]
+    s8_buckets = _fuse(reps, lambda a, b: perm_isomorphic(a, b) is not None)
+    abstract_buckets = _fuse(
+        [b[0] for b in s8_buckets], lambda a, b: abstract_isomorphic(a, b)
+    )
+    report.details["transitive_classes_wreath_conjugacy"] = len(classes)
+    report.details["transitive_classes_s8_conjugacy"] = len(s8_buckets)
+    report.details["transitive_isomorphism_types"] = len(abstract_buckets)
+    if len(abstract_buckets) != 32:
+        report.fail(
+            f"expected 32 transitive isomorphism types, found {len(abstract_buckets)}"
         )
-        report.details["transitive_classes_wreath_conjugacy"] = len(classes)
-        report.details["transitive_classes_s8_conjugacy"] = len(s8_buckets)
-        report.details["transitive_isomorphism_types"] = len(abstract_buckets)
-        if len(abstract_buckets) != 32:
-            report.fail(
-                f"expected 32 transitive isomorphism types, found {len(abstract_buckets)}"
-            )
 
-        # One class per S8-conjugacy bucket before matching the catalog: the
-        # catalog lists one permutation group per S8-class, and an S4 quotient
-        # is shared by the whole bucket.
-        quotient_reps = [b[0] for b in s8_buckets if _has_s4_quotient(b[0])]
-        report.details["classes_with_s4_quotient"] = len(quotient_reps)
-        if len(quotient_reps) != 6:
-            report.fail(
-                f"expected 6 classes with an S4 quotient, found {len(quotient_reps)}"
-            )
-        matched: dict[str, int] = {}
-        for H in quotient_reps:
-            hits = [e.label for e in CATALOG if perm_isomorphic(H, catalog_group(e.label))]
-            if len(hits) != 1:
-                report.fail(
-                    f"class of order {H.order} matches catalog entries {hits!r}"
-                )
-            else:
-                matched[hits[0]] = matched.get(hits[0], 0) + 1
-        for label in LABELS:
-            if matched.get(label, 0) != 1 and len(quotient_reps) == 6:
-                report.fail(f"catalog entry {label} matched {matched.get(label, 0)} classes")
-        report.details["catalog_matches"] = matched
-
-    return _checked_report(body, "groups.classification")
+    # One class per S8-conjugacy bucket before matching the catalog: the
+    # catalog lists one permutation group per S8-class, and an S4 quotient
+    # is shared by the whole bucket.
+    quotient_reps = [b[0] for b in s8_buckets if _has_s4_quotient(b[0], s4)]
+    report.details["classes_with_s4_quotient"] = len(quotient_reps)
+    if len(quotient_reps) != 6:
+        report.fail(
+            f"expected 6 classes with an S4 quotient, found {len(quotient_reps)}"
+        )
+    matched: dict[str, int] = {}
+    for H in quotient_reps:
+        hits = [e.label for e in CATALOG
+                if perm_isomorphic(H, catalog_group(e.label)) is not None]
+        if len(hits) != 1:
+            report.fail(f"class of order {H.order} matches catalog entries {hits!r}")
+        else:
+            matched[hits[0]] = matched.get(hits[0], 0) + 1
+    for label in LABELS:
+        if matched.get(label, 0) != 1 and len(quotient_reps) == 6:
+            report.fail(f"catalog entry {label} matched {matched.get(label, 0)} classes")
+    report.details["catalog_matches"] = matched
+    return report
 
 
 def verify_converse() -> VerificationReport:
@@ -173,79 +163,73 @@ def verify_converse() -> VerificationReport:
     subgroups H_L, some index-4 subgroup H_K >= H_L must have full symmetric
     image on its 4 cosets.
     """
-
-    def body(report: VerificationReport) -> None:
-        counts: dict[str, list[int]] = {}
-        for entry in CATALOG:
-            G = catalog_group(entry.label)
-            per_class = []
-            for cls in _core_free_octic_classes(G):
-                H_L = cls.representative
-                n_found = len(quartic_subgroups(G, H_L))
-                per_class.append(n_found)
-                if n_found < 1:
-                    report.fail(
-                        f"{entry.label}: index-8 core-free class (order {H_L.order}) "
-                        "has no index-4 overgroup with S4 image"
-                    )
-            counts[entry.label] = per_class
-            if not per_class:
-                report.fail(f"{entry.label}: no core-free index-8 subgroup class found")
-        report.details["quartic_overgroup_counts"] = counts
-
-    return _checked_report(body, "groups.converse")
+    report = VerificationReport("groups.converse")
+    counts: dict[str, list[int]] = {}
+    for entry in CATALOG:
+        G = catalog_group(entry.label)
+        per_class = []
+        for cls in _core_free_octic_classes(G):
+            H_L = cls.representative
+            n_found = len(quartic_subgroups(G, H_L))
+            per_class.append(n_found)
+            if n_found < 1:
+                report.fail(
+                    f"{entry.label}: index-8 core-free class (order {H_L.order}) "
+                    "has no index-4 overgroup with S4 image"
+                )
+        counts[entry.label] = per_class
+        if not per_class:
+            report.fail(f"{entry.label}: no core-free index-8 subgroup class found")
+    report.details["quartic_overgroup_counts"] = counts
+    return report
 
 
 def verify_a8_containment() -> VerificationReport:
     """Every transitive copy of the 8T39 group inside C2 wr S4 is all-even."""
 
-    def body(report: VerificationReport) -> None:
-        target = catalog_group("8T39")
-        n_copies = 0
-        for cls in transitive_degree8_classes():
-            H = cls.representative
-            if H.order != target.order or perm_isomorphic(H, target) is None:
-                continue
-            n_copies += 1
-            odd = [g for g in H.elements if not g.is_even()]
-            if odd:
-                report.fail(
-                    f"8T39 copy contains odd element {odd[0].cycle_string()}"
-                )
-        if n_copies == 0:
-            report.fail("no transitive copy of 8T39 found in C2 wr S4")
-        report.details["copies_checked"] = n_copies
-        report.details["parity_profile"] = {
-            e.label: (
-                "all even"
-                if all(g.is_even() for g in catalog_group(e.label).elements)
-                else "contains odd elements"
-            )
-            for e in CATALOG
-        }
-
-    return _checked_report(body, "groups.a8_containment")
+    report = VerificationReport("groups.a8_containment")
+    target = catalog_group("8T39")
+    n_copies = 0
+    for cls in transitive_degree8_classes():
+        H = cls.representative
+        if H.order != target.order or perm_isomorphic(H, target) is None:
+            continue
+        n_copies += 1
+        odd = [g for g in H.elements if not g.is_even()]
+        if odd:
+            report.fail(f"8T39 copy contains odd element {odd[0].cycle_string()}")
+    if n_copies == 0:
+        report.fail("no transitive copy of 8T39 found in C2 wr S4")
+    report.details["copies_checked"] = n_copies
+    report.details["parity_profile"] = {
+        e.label: (
+            "all even"
+            if all(g.is_even() for g in catalog_group(e.label).elements)
+            else "contains odd elements"
+        )
+        for e in CATALOG
+    }
+    return report
 
 
 def verify_table1() -> VerificationReport:
     """Malle invariants of the catalog: (1/4, 1/3, 1/2, 1/2, 1/2, 1) in label order."""
 
-    def body(report: VerificationReport) -> None:
-        computed = {}
-        for entry in CATALOG:
-            alpha = malle_alpha(catalog_group(entry.label))
-            computed[entry.label] = str(alpha)
-            if alpha != entry.expected_alpha:
-                report.fail(
-                    f"{entry.label}: alpha computed {alpha}, expected {entry.expected_alpha}"
-                )
-        expected = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
-                    Fraction(1, 2), Fraction(1, 2), Fraction(1, 1)]
-        if [e.expected_alpha for e in CATALOG] != expected:
-            report.fail("catalog alpha column does not match the documented table")
-        report.details["alpha"] = computed
-
-    return _checked_report(body, "groups.table1")
+    report = VerificationReport("groups.table1")
+    computed = {}
+    for entry in CATALOG:
+        alpha = malle_alpha(catalog_group(entry.label))
+        computed[entry.label] = str(alpha)
+        if alpha != entry.expected_alpha:
+            report.fail(
+                f"{entry.label}: alpha computed {alpha}, expected {entry.expected_alpha}"
+            )
+    expected = [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+                Fraction(1, 2), Fraction(1, 2), Fraction(1, 1)]
+    if [e.expected_alpha for e in CATALOG] != expected:
+        report.fail("catalog alpha column does not match the documented table")
+    report.details["alpha"] = computed
+    return report
 
 
 def s4_octic_classes(G: PermGroup, H_K: PermGroup) -> list[SubgroupClass]:
@@ -255,8 +239,6 @@ def s4_octic_classes(G: PermGroup, H_K: PermGroup) -> list[SubgroupClass]:
     K <= L' and Galois closure equal to the full field.  Empty when G has no
     index-8 subgroup at all.
     """
-    if G.order % 8 != 0:
-        return []
     # H lies in a conjugate of H_K iff some conjugate of H lies in H_K.
     return [
         c for c in _core_free_octic_classes(G)
@@ -267,27 +249,26 @@ def s4_octic_classes(G: PermGroup, H_K: PermGroup) -> list[SubgroupClass]:
 def verify_s4_unique_octic() -> VerificationReport:
     """Inside the 8T14 group: exactly one octic class per quartic resolvent."""
 
-    def body(report: VerificationReport) -> None:
-        G = catalog_group("8T14")
-        H_K = quartic_subgroups(G)[0]
-        classes = s4_octic_classes(G, H_K)
-        report.details["octic_classes_8T14"] = len(classes)
-        if len(classes) != 1:
-            report.fail(
-                f"8T14: expected exactly 1 core-free index-8 class under H_K,"
-                f" found {len(classes)}"
-            )
-        # The analogous count for the full wreath product is reported only.
-        G44 = catalog_group("8T44")
-        H_K44 = quartic_subgroups(G44)[0]
-        report.details["octic_classes_8T44"] = len(s4_octic_classes(G44, H_K44))
-        # Degenerate guard: a group without index-8 subgroups yields no classes.
-        c6 = PermGroup([parse_cycle_string(6, "(1,2,3,4,5,6)")])
-        report.details["octic_classes_degenerate_C6"] = len(
-            s4_octic_classes(c6, c6.stabilizer(1))
+    report = VerificationReport("groups.s4_unique_octic")
+    G = catalog_group("8T14")
+    H_K = quartic_subgroups(G)[0]
+    classes = s4_octic_classes(G, H_K)
+    report.details["octic_classes_8T14"] = len(classes)
+    if len(classes) != 1:
+        report.fail(
+            f"8T14: expected exactly 1 core-free index-8 class under H_K,"
+            f" found {len(classes)}"
         )
-
-    return _checked_report(body, "groups.s4_unique_octic")
+    # The analogous count for the full wreath product is reported only.
+    G44 = catalog_group("8T44")
+    H_K44 = quartic_subgroups(G44)[0]
+    report.details["octic_classes_8T44"] = len(s4_octic_classes(G44, H_K44))
+    # Degenerate guard: a group without index-8 subgroups yields no classes.
+    c6 = PermGroup([parse_cycle_string(6, "(1,2,3,4,5,6)")])
+    report.details["octic_classes_degenerate_C6"] = len(
+        s4_octic_classes(c6, c6.stabilizer(1))
+    )
+    return report
 
 
 GROUP_VERIFIERS: tuple[Callable[[], VerificationReport], ...] = (

@@ -593,7 +593,7 @@ class TestPartialConstant:
         # within their bounds of the reported value.
         rec = quartic_record("K", 10, [(2, 1), (5, 1)])
         snap = Snapshot(records={"K": rec})
-        pc = partial_constant(snap, 100, 10 ** 3, emit_terms=True)
+        pc = partial_constant(snap, 100, 10 ** 3)
         resid = zeta_residue(rec)
         z2 = zeta_K_at_2(rec, 10 ** 3)
         expected = resid.value / (4 * z2.value * 100)

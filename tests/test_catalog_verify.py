@@ -27,7 +27,6 @@ from octicount.perms import (
 )
 from octicount.verify import (
     VerificationReport,
-    _checked_report,
     _core_free_octic_classes,
     run_all_group_verifiers,
     verify_a8_containment,
@@ -155,16 +154,19 @@ class TestQuarticChoice:
 
 
 class TestVerifiers:
-    def test_status_must_agree_with_witnesses(self):
-        def fail_without_witness(report: VerificationReport) -> None:
+    def test_status_cannot_disagree_with_witnesses(self):
+        # The status is read from the witnesses: it can be neither set nor
+        # passed in, so a failed report without a witness cannot be built.
+        report = VerificationReport("test.claim")
+        assert report.status == "pass" and report.passed
+        with pytest.raises(AttributeError):
             report.status = "fail"
-
-        def witness_without_fail(report: VerificationReport) -> None:
-            report.witnesses.append("unreported")
-
-        for body in (fail_without_witness, witness_without_fail):
-            with pytest.raises(RuntimeError, match="disagrees"):
-                _checked_report(body, "test.claim")
+        with pytest.raises(TypeError, match="status"):
+            VerificationReport("test.claim", status="fail")
+        report.witnesses.append("unreported")
+        assert report.status == "fail" and not report.passed
+        assert report.as_dict() == {"claim_id": "test.claim", "status": "fail",
+                                    "witnesses": ["unreported"], "details": {}}
 
     def test_all_pass(self):
         reports = run_all_group_verifiers()

@@ -110,6 +110,24 @@ class TestExitCodes:
                     "1:inf:5"]) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, error", [
+        ("0,5,100", "need checkpoints >= 1 to fit, got 0"),
+        ("-10,5,100", "need checkpoints >= 1 to fit, got -10"),
+        ("0.1:1000:5", "need checkpoints >= 1 to fit, got 0"),
+        ("5,100", "need at least 3 checkpoints"),
+    ])
+    def test_fit_rejects_unusable_checkpoints(self, spec, error, store, capsys, monkeypatch):
+        # 0 once divided by zero inside fit_error and -10 raised a TypeError
+        # on a complex power, each as a traceback after the whole constant.
+        monkeypatch.setattr(octicount.analytic, "partial_constant",
+                            lambda *args, **kwargs: pytest.fail("constant evaluated"))
+        argv = ["--store", store, f"--checkpoints={spec}"]
+        assert run(["fit", "--max-disc", "10", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+        assert run(["count", *argv]) == 0  # N(X) needs no such limit
+        capsys.readouterr()
+
     def test_bad_store_is_data_error(self, capsys, tmp_path):
         missing = str(tmp_path / "none.jsonl")
         assert run(["query", "--store", missing]) == 1
@@ -148,23 +166,37 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
 
 
+def _argv(args, store, target):
+    return [store if a == "STORE" else a for a in args] + [str(target)]
+
+
 class TestOutputOpenedFirst:
+    # Each command's output path comes last; the patched function does the work.
     COSTLY = [
-        pytest.param(["constant", "--max-disc", "10000000", "--prime-bound", "1000",
-                      "--emit-terms"], "analytic", "partial_constant", id="constant"),
-        pytest.param(["count", "--checkpoints", "10,1000000", "--csv"], "counting",
-                     "count_series", id="count"),
+        pytest.param(["constant", "--store", "STORE", "--max-disc", "10000000",
+                      "--prime-bound", "1000", "--emit-terms"], "analytic",
+                     "partial_constant", id="constant"),
+        pytest.param(["count", "--store", "STORE", "--checkpoints", "10,1000000", "--csv"],
+                     "counting", "count_series", id="count"),
+        pytest.param(["constant", "--store", "STORE", "--max-disc", "10000000",
+                      "--prime-bound", "1000", "--json"], "analytic", "partial_constant",
+                     id="constant-json"),
+        pytest.param(["verify-groups", "--json"], "verify", "run_all_group_verifiers",
+                     id="verify-groups-json"),
+        pytest.param(["audit", "--store", "STORE", "--json"], "counting", "audit_lemmas",
+                     id="audit-json"),
     ]
 
     @pytest.mark.parametrize("args, module, name", COSTLY)
     def test_bad_output_path_fails_before_the_work(self, args, module, name, store, capsys,
                                                    tmp_path, monkeypatch):
-        # The output once opened only after the Euler products were done.
+        # The output once opened only after the Euler products (or, for
+        # --json PATH, the verifiers) were done.
         calls = []
         monkeypatch.setattr(getattr(octicount, module), name,
                             lambda *a, **kw: calls.append(a))
         target = tmp_path / "no-such-dir" / "out.csv"
-        assert run([*args, str(target), "--store", store]) == 1
+        assert run(_argv(args, store, target)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
@@ -180,7 +212,7 @@ class TestOutputOpenedFirst:
         monkeypatch.setattr(getattr(octicount, module), name, fail)
         target = tmp_path / "out.csv"
         target.write_text("earlier output\n")
-        assert run([*args, str(target), "--store", store]) == 1
+        assert run(_argv(args, store, target)) == 1
         assert capsys.readouterr().err == "error: the work failed\n"
         assert sorted(tmp_path.iterdir()) == [target]
         assert target.read_text() == "earlier output\n"
@@ -188,7 +220,8 @@ class TestOutputOpenedFirst:
     @pytest.mark.parametrize("args", [
         ["constant", "--max-disc", "10000000", "--prime-bound", "0", "--emit-terms"],
         ["count", "--checkpoints", "10,x", "--csv"],
-    ], ids=["constant", "count"])
+        ["fit", "--max-disc", "10", "--checkpoints", "0,5,100", "--json"],
+    ], ids=["constant", "count", "fit-json"])
     def test_earlier_output_survives_bad_arguments(self, args, store, capsys, tmp_path):
         target = tmp_path / "out.csv"
         target.write_text("earlier output\n")
@@ -197,12 +230,29 @@ class TestOutputOpenedFirst:
         assert sorted(tmp_path.iterdir()) == [target]
         assert target.read_text() == "earlier output\n"
 
+    @pytest.mark.parametrize("args, module, name", COSTLY[:2])
+    def test_json_may_not_share_the_other_output(self, args, module, name, store, capsys,
+                                                 tmp_path, monkeypatch):
+        # One file cannot hold both outputs; the JSON once silently replaced the CSV.
+        calls = []
+        monkeypatch.setattr(getattr(octicount, module), name,
+                            lambda *a, **kw: calls.append(a))
+        target = tmp_path / "out.csv"
+        target.write_text("earlier output\n")
+        assert run(_argv(args, store, target) + ["--json", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --json and another output both name {str(target)!r}\n")
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "earlier output\n"
+
     @pytest.mark.parametrize("args, module, name", COSTLY)
     def test_output_written_on_success(self, args, module, name, store, capsys, tmp_path):
         target = tmp_path / "out.csv"
-        assert run([*args, str(target), "--store", store]) == 0
+        assert run(_argv(args, store, target)) == 0
         capsys.readouterr()
-        assert target.read_text().splitlines()[0] in ("label,term,error_bound", "X,N")
+        assert sorted(tmp_path.iterdir()) == [target]
+        assert target.read_text().splitlines()[0] in ("label,term,error_bound", "X,N", "{")
 
 
 class TestMalleAlpha:

@@ -211,6 +211,11 @@ class TestFitError:
         with pytest.raises(ValueError):
             fit_error(series, unit_constant())
 
+    def test_checkpoints_below_one(self):
+        series = CountSeries((0, 5, 100), (0, 0, 0), ())
+        with pytest.raises(ValueError, match="checkpoints >= 1"):
+            fit_error(series, unit_constant())
+
 
 class TestAuditLemmas:
     def test_model_snapshot_has_zero_violations(self, model_snapshot):

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from octicount import catalog, perms
 from octicount.catalog import LABELS, catalog_group
 from octicount.perms import (
+    MAX_DEGREE,
     SUBGROUP_ORDER_CAP,
     GroupTooLargeError,
     Perm,
@@ -450,6 +451,13 @@ class TestQuotient:
         G = PermGroup.symmetric(3)
         with pytest.raises(ValueError):
             quotient_as_perm(G, PermGroup([P(3, "(1,2)")]))
+
+    def test_quotient_above_the_degree_cap_is_refused(self):
+        # W / 1 would act on 384 cosets, but a Perm has at most MAX_DEGREE
+        # points: the cap is named before any coset is built.
+        W = wreath_c2_s4()
+        with pytest.raises(GroupTooLargeError, match=f"coset index 384 exceeds cap {MAX_DEGREE}"):
+            quotient_as_perm(W, PermGroup.trivial(8))
 
 
 class TestElementSets:
