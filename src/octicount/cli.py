@@ -2,7 +2,11 @@
 
 Exit codes: 0 on success with zero reported failures, 1 on data errors or
 failed verifications, 2 on usage errors.  Output is deterministic; wall
-clock stamps appear only with --stamp and only in provenance footers.
+clock stamps appear only with --stamp: in a footer on stderr, or, for
+`ingest`, in the store header.
+
+Each `_cmd_*` handler returns (JSON payload, text lines, exit code) and
+writes nothing to stdout or stderr; `run` writes the result.
 """
 
 from __future__ import annotations
@@ -24,22 +28,11 @@ from .perms import malle_alpha
 
 __all__ = ["run", "main"]
 
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+_Result = tuple[object, list[str], int]
 
 
-def _stamp_footer(args) -> None:
-    if getattr(args, "stamp", False):
-        now = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        sys.stderr.write(f"# generated {now}\n")
-
-
-def _write_json(payload, json_file: Optional[TextIO]) -> None:
-    """JSON to the file `run` opened for --json PATH, or to stdout for --json -."""
-    (json_file or sys.stdout).write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 @contextmanager
@@ -47,10 +40,13 @@ def _output_opened_first(path: Optional[str]) -> Iterator[Optional[TextIO]]:
     """Open a file next to an output path before the work that fills it, so
     that a bad path fails at once.  It replaces the path only when that work
     succeeds and is removed when it fails, so an earlier file there survives.
-    Every output file goes through here: --json PATH, --emit-terms and --csv."""
-    if not path:
+    Every output file goes through here: --json PATH, --emit-terms, --csv and
+    ingest --out.  None means no such output; an empty path is refused."""
+    if path is None:
         yield None
         return
+    if not path:
+        raise ValueError("an output path may not be empty")
     tmp = path + ".tmp"
     try:
         fh = open(tmp, "w", encoding="utf-8", newline="")
@@ -65,31 +61,40 @@ def _output_opened_first(path: Optional[str]) -> Iterator[Optional[TextIO]]:
         raise
 
 
-def _output_besides_json(args, path: Optional[str]):
-    """`_output_opened_first(path)` for an output that --json PATH must not share."""
-    if (path and args.json not in (None, "-")
-            and os.path.realpath(path) == os.path.realpath(args.json)):
-        raise ValueError(f"--json and another output both name {path!r}")
-    return _output_opened_first(path)
+# The path options, by argparse dest.  --json comes last among the outputs,
+# and --json - is stdout, not a path.
+_INPUTS = {"store": "--store", "infile": "--in"}
+_OUTPUTS = {"out": "--out", "csv": "--csv", "emit_terms": "--emit-terms", "json": "--json"}
+
+
+def _refuse_shared_paths(args) -> None:
+    """Before any work: no output may name an input (it would replace the file
+    the work reads) or another output (one would replace the other)."""
+    named: dict[str, str] = {}
+    for kind, options in (("an input", _INPUTS), ("another output", _OUTPUTS)):
+        for dest, option in options.items():
+            path = getattr(args, dest, None)
+            if not isinstance(path, str) or not path or (dest == "json" and path == "-"):
+                continue  # absent, query's --csv switch, empty (refused on opening), or stdout
+            key = os.path.realpath(path)
+            if key in named:
+                raise ValueError(f"{option} and {named[key]} both name {path!r}")
+            named[key] = kind
 
 
 def _reports_payload(reports) -> dict:
     return {r.claim_id: r.as_dict() for r in reports}
 
 
-def _print_reports(args, reports, payload,
-                   note: Callable[[verify.VerificationReport], str]) -> int:
-    """The payload as JSON, or one "claim: status" line per report, `note`
-    appended, with its witnesses below.  Exit code 1 if any report failed."""
-    if args.json is not None:
-        _write_json(payload, args.json_file)
-    else:
-        for r in reports:
-            _emit(f"{r.claim_id}: {r.status}{note(r)}")
-            for w in r.witnesses:
-                _emit(f"  witness: {w}")
-    _stamp_footer(args)
-    return 0 if all(r.passed for r in reports) else 1
+def _report_lines(reports, note: Callable[[verify.VerificationReport], str]
+                  ) -> tuple[list[str], int]:
+    """One "claim: status" line per report, `note` appended, with its
+    witnesses below; exit code 1 if any report failed."""
+    lines = []
+    for r in reports:
+        lines.append(f"{r.claim_id}: {r.status}{note(r)}")
+        lines += [f"  witness: {w}" for w in r.witnesses]
+    return lines, 0 if all(r.passed for r in reports) else 1
 
 
 MAX_CHECKPOINTS = 10_000
@@ -133,24 +138,23 @@ def _galois_labels(spec: str) -> list[str]:
 # Subcommand handlers
 
 
-def _cmd_verify_groups(args) -> int:
+def _cmd_verify_groups(args) -> _Result:
     reports = verify.run_all_group_verifiers()
-    return _print_reports(args, reports, _reports_payload(reports), lambda r: "")
+    return (_reports_payload(reports), *_report_lines(reports, lambda r: ""))
 
 
-def _cmd_verify_splitting(args) -> int:
+def _cmd_verify_splitting(args) -> _Result:
     reports = splitting.run_all_splitting_verifiers([args.group] if args.group else None)
-    return _print_reports(args, reports, _reports_payload(reports),
-                          lambda r: f" ({r.details.get('configs_checked', 0)} configs)")
+    return (_reports_payload(reports),
+            *_report_lines(reports, lambda r: f" ({r.details.get('configs_checked', 0)} configs)"))
 
 
-def _cmd_ingest(args) -> int:
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if args.stamp else ""
-    snap = nfdata.ingest(args.infile, provenance=args.provenance or args.infile,
-                         ingest_time=stamp)
-    nfdata.persist(snap, args.out)
-    _emit(f"ingested {len(snap)} records -> {args.out}")
-    return 0
+def _cmd_ingest(args) -> _Result:
+    with _output_opened_first(args.out) as fh:
+        snap = nfdata.ingest(args.infile, provenance=args.provenance or args.infile,
+                             ingest_time=_now() if args.stamp_header else "")
+        nfdata.persist(snap, fh)
+    return None, [f"ingested {len(snap)} records -> {args.out}"], 0
 
 
 def _rec_row(rec: nfdata.FieldRecord) -> dict:
@@ -164,29 +168,25 @@ def _rec_row(rec: nfdata.FieldRecord) -> dict:
     }
 
 
-def _cmd_query(args) -> int:
+def _cmd_query(args) -> _Result:
     snap = nfdata.load(args.store)
     recs = nfdata.query(snap, degree=args.degree, galois_filter=args.galois,
                         max_abs_disc=args.max_disc)
     rows = [_rec_row(r) for r in recs]
-    if args.json is not None:
-        _write_json(rows, args.json_file)
-    elif args.csv:
+    if args.csv:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else
                                 ["label", "degree", "galois", "disc", "abs_disc", "parent_label"])
         writer.writeheader()
         writer.writerows(rows)
-        _emit(buf.getvalue().rstrip("\n"))
+        lines = [buf.getvalue().rstrip("\n")]
     else:
-        for row in rows:
-            _emit(f"{row['label']} {row['galois']} {row['disc']}")
-    _stamp_footer(args)
-    return 0
+        lines = [f"{row['label']} {row['galois']} {row['disc']}" for row in rows]
+    return rows, lines, 0
 
 
-def _cmd_constant(args) -> int:
-    with _output_besides_json(args, args.emit_terms) as fh:
+def _cmd_constant(args) -> _Result:
+    with _output_opened_first(args.emit_terms) as fh:
         snap = nfdata.load(args.store)
         pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound)
         if fh is not None:
@@ -203,16 +203,11 @@ def _cmd_constant(args) -> int:
         "kappa_annotation": analytic.KAPPA,
         "provenance": snap.provenance,
     }
-    if args.json is not None:
-        _write_json(payload, args.json_file)
-    else:
-        _emit(f"C({pc.Z}) = {pc.value!r} +/- {pc.error_bound!r} over {pc.terms} fields")
-    _stamp_footer(args)
-    return 0
+    return payload, [f"C({pc.Z}) = {pc.value!r} +/- {pc.error_bound!r} over {pc.terms} fields"], 0
 
 
-def _cmd_count(args) -> int:
-    with _output_besides_json(args, args.csv) as fh:
+def _cmd_count(args) -> _Result:
+    with _output_opened_first(args.csv) as fh:
         snap = nfdata.load(args.store)
         checkpoints = _parse_checkpoints(args.checkpoints)
         series = counting.count_series(snap, args.galois or list(LABELS), checkpoints)
@@ -221,34 +216,24 @@ def _cmd_count(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["X", "N"])
             writer.writerows(rows)
-    if args.json is not None:
-        _write_json({"labels": series.group_filter,
-                     "checkpoints": series.checkpoints,
-                     "counts": series.counts}, args.json_file)
-    else:
-        for x, n in rows:
-            _emit(f"{x} {n}")
-    _stamp_footer(args)
-    return 0
+    payload = {"labels": series.group_filter,
+               "checkpoints": series.checkpoints,
+               "counts": series.counts}
+    return payload, [f"{x} {n}" for x, n in rows], 0
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> _Result:
     report = counting.audit_lemmas(nfdata.load(args.store))
-    return _print_reports(args, [report], report.as_dict(),
-                          lambda r: f" ({r.details.get('octics_audited', 0)} octics audited)")
+    return (report.as_dict(), *_report_lines(
+        [report], lambda r: f" ({r.details.get('octics_audited', 0)} octics audited)"))
 
 
-def _cmd_tail(args) -> int:
+def _cmd_tail(args) -> _Result:
     n = counting.tail_count(nfdata.load(args.store), args.Z, args.X)
-    if args.json is not None:
-        _write_json({"Z": args.Z, "X": args.X, "count": n}, args.json_file)
-    else:
-        _emit(str(n))
-    _stamp_footer(args)
-    return 0
+    return {"Z": args.Z, "X": args.X, "count": n}, [str(n)], 0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> _Result:
     snap = nfdata.load(args.store)
     if args.checkpoints:
         checkpoints = _parse_checkpoints(args.checkpoints)
@@ -273,19 +258,13 @@ def _cmd_fit(args) -> int:
         "caveat_band": report.caveat_band,
         "provenance": report.provenance,
     }
-    if args.json is not None:
-        _write_json(payload, args.json_file)
-    else:
-        _emit(f"sup_ratio = {report.sup_ratio!r}")
-        _emit(f"slope = {report.slope!r}")
-        _emit(f"provenance = {report.provenance}")
-    _stamp_footer(args)
-    return 0
+    return payload, [f"sup_ratio = {report.sup_ratio!r}",
+                     f"slope = {report.slope!r}",
+                     f"provenance = {report.provenance}"], 0
 
 
-def _cmd_malle_alpha(args) -> int:
-    _emit(str(malle_alpha(catalog_group(args.label))))
-    return 0
+def _cmd_malle_alpha(args) -> _Result:
+    return None, [str(malle_alpha(catalog_group(args.label)))], 0
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--provenance", default="")
-    p.add_argument("--stamp", action="store_true",
+    p.add_argument("--stamp", dest="stamp_header", action="store_true",
                    help="record the ingest time in the store header")
     p.set_defaults(fn=_cmd_ingest)
 
@@ -376,16 +355,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
+    """Run one command and write its result: the JSON payload to the --json
+    file or stdout, else the text lines to stdout; then the --stamp footer."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    json_path = getattr(args, "json", None)  # opened before the work, like every output
+    json_path = getattr(args, "json", None)
     try:
+        _refuse_shared_paths(args)
         with _output_opened_first(None if json_path == "-" else json_path) as json_file:
-            args.json_file = json_file
-            return args.fn(args)
+            payload, lines, code = args.fn(args)
+            if json_path is None:
+                sys.stdout.writelines(line + "\n" for line in lines)
+            else:
+                (json_file or sys.stdout).write(
+                    json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        if getattr(args, "stamp", False):
+            sys.stderr.write(f"# generated {_now()}\n")
+        return code
     except BrokenPipeError:
         return 1
     except (ValueError, OSError) as exc:  # bad input data, or an unwritable output path

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .arith import is_prime, primes_up_to
 
@@ -458,8 +457,10 @@ def _seal(body: list[str]) -> str:
     return digest.hexdigest()
 
 
-def persist(snapshot: Snapshot, path: str) -> None:
-    """Write the snapshot; deterministic, canonical label order, atomic.
+def persist(snapshot: Snapshot, fh: TextIO) -> None:
+    """Write the snapshot into an open text file, deterministic and in
+    canonical label order.  Atomicity is the caller's: `ingest --out` writes
+    into a temporary file that replaces the store only when this returns.
 
     Every record is validated in full before anything is written, so the
     header's seal only ever vouches for records that passed every check.
@@ -479,14 +480,8 @@ def persist(snapshot: Snapshot, path: str) -> None:
         "count": str(len(snapshot.records)),
         "seal": _seal(body),
     }
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-            fh.writelines(body)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IngestError(f"{path}: {exc}") from exc
+    fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+    fh.writelines(body)
 
 
 def load(path: str) -> Snapshot:

@@ -8,7 +8,8 @@ import pytest
 from sympy import prime
 
 from octicount.catalog import catalog_group, octic_action, quartic_action
-from octicount.nfdata import FieldRecord, Snapshot
+from octicount.cli import _output_opened_first
+from octicount.nfdata import FieldRecord, Snapshot, persist
 from octicount.splitting import enumerate_tame_configs, valuation_profile
 
 QUARTIC_COEFFS = (-1, -1, 0, 0, 1)          # x^4 - x - 1
@@ -91,6 +92,13 @@ def model_snapshot() -> Snapshot:
         recs, idx = model_tower_records(label, base_exp, idx)
         records.extend(recs)
     return Snapshot(records={r.label: r for r in records}, provenance="model-towers")
+
+
+def persist_to(snapshot: Snapshot, path) -> None:
+    """`nfdata.persist` into the file at `path`, opened the way `ingest --out`
+    opens it: through a temporary file that replaces `path` only on success."""
+    with _output_opened_first(str(path)) as fh:
+        persist(snapshot, fh)
 
 
 def record_json_line(rec: FieldRecord) -> str:

@@ -201,7 +201,8 @@ def test_criterion_6_property_suites(tmp_path, thousand_quartics):
     from test_counting import make_pair
 
     from octicount.counting import CountSeries, count_series, split_rel_disc, tail_count
-    from octicount.nfdata import Snapshot, ingest_lines, load, persist
+    from conftest import persist_to
+    from octicount.nfdata import Snapshot, ingest_lines, load
 
     rng = random.Random(42)
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 283]
@@ -222,8 +223,8 @@ def test_criterion_6_property_suites(tmp_path, thousand_quartics):
     shuffled = lines[:]
     rng.shuffle(shuffled)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    persist(ingest_lines(lines, provenance="p"), a)
-    persist(ingest_lines(shuffled, provenance="p"), b)
+    persist_to(ingest_lines(lines, provenance="p"), a)
+    persist_to(ingest_lines(shuffled, provenance="p"), b)
     with open(a, "rb") as fa, open(b, "rb") as fb:
         bytes_ok = fa.read() == fb.read()
     round_ok = load(a).records == snap.records
@@ -251,11 +252,11 @@ def test_criterion_7_synthetic_fit_slope():
 def test_criterion_8_audit_and_fit_on_real_shaped_data(tmp_path, model_snapshot, capsys):
     """Headline numbers are not asserted; audit must be clean and fit must
     emit sup_ratio/slope with provenance on ingested data."""
+    from conftest import persist_to
     from octicount.cli import run
-    from octicount.nfdata import persist
 
     store = str(tmp_path / "store.jsonl")
-    persist(model_snapshot, store)
+    persist_to(model_snapshot, store)
     rc_audit = run(["audit", "--store", store, "--json", "-"])
     audit_payload = json.loads(capsys.readouterr().out)
     rc_fit = run(["fit", "--store", store, "--max-disc", str(10 ** 9),

@@ -3,28 +3,42 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 import octicount.analytic
 import octicount.counting
+import octicount.nfdata
 from conftest import record_json_line
 from octicount.analytic import MAX_PRIME_BOUND
 from octicount.cli import MAX_CHECKPOINTS, _parse_checkpoints, run
 
 
 @pytest.fixture(scope="module")
-def store(tmp_path_factory, _model_lines=None):
-    # A small store: three quartics and three octics from the model builder.
+def records_file(tmp_path_factory):
+    # Three quartics and three octics from `model_tower_records`.
     from conftest import model_tower_records
 
     records, _ = model_tower_records("8T23", 1, 500)
-    path = tmp_path_factory.mktemp("store") / "in.jsonl"
+    path = tmp_path_factory.mktemp("in") / "in.jsonl"
     path.write_text("\n".join(record_json_line(r) for r in records) + "\n")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory, records_file):
     out = tmp_path_factory.mktemp("store") / "store.jsonl"
-    rc = run(["ingest", "--in", str(path), "--out", str(out)])
+    rc = run(["ingest", "--in", records_file, "--out", str(out)])
     assert rc == 0
     return str(out)
+
+
+@pytest.fixture(scope="module")
+def inputs(store, records_file):
+    """The paths that the STORE and IN placeholders of an argv list stand for."""
+    return {"STORE": store, "IN": records_file}
 
 
 class TestExitCodes:
@@ -142,13 +156,15 @@ class TestExitCodes:
         ["tail", "--Z", "1", "--X", "10", "--store"],
         ["fit", "--max-disc", "10", "--store"],
     ], ids=lambda args: args[0])
-    def test_missing_input_is_one_error_line(self, args, capsys, tmp_path):
+    def test_missing_input_is_one_error_line(self, args, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # ingest opens its relative --out before reading
         missing = str(tmp_path / "none.jsonl")
         assert run(args + [missing]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and missing in captured.err
         assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [
         ["verify-splitting", "--group", "8T23", "--json"],
@@ -166,8 +182,8 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
 
 
-def _argv(args, store, target):
-    return [store if a == "STORE" else a for a in args] + [str(target)]
+def _argv(args, inputs, target):
+    return [inputs.get(a, a) for a in args] + [str(target)]
 
 
 class TestOutputOpenedFirst:
@@ -185,25 +201,26 @@ class TestOutputOpenedFirst:
                      id="verify-groups-json"),
         pytest.param(["audit", "--store", "STORE", "--json"], "counting", "audit_lemmas",
                      id="audit-json"),
+        pytest.param(["ingest", "--in", "IN", "--out"], "nfdata", "ingest", id="ingest"),
     ]
 
     @pytest.mark.parametrize("args, module, name", COSTLY)
-    def test_bad_output_path_fails_before_the_work(self, args, module, name, store, capsys,
+    def test_bad_output_path_fails_before_the_work(self, args, module, name, inputs, capsys,
                                                    tmp_path, monkeypatch):
         # The output once opened only after the Euler products (or, for
-        # --json PATH, the verifiers) were done.
+        # --json PATH, the verifiers; for ingest --out, the validation) were done.
         calls = []
         monkeypatch.setattr(getattr(octicount, module), name,
                             lambda *a, **kw: calls.append(a))
         target = tmp_path / "no-such-dir" / "out.csv"
-        assert run(_argv(args, store, target)) == 1
+        assert run(_argv(args, inputs, target)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
         assert calls == []
 
     @pytest.mark.parametrize("args, module, name", COSTLY)
-    def test_earlier_output_survives_failed_work(self, args, module, name, store, capsys,
+    def test_earlier_output_survives_failed_work(self, args, module, name, inputs, capsys,
                                                  tmp_path, monkeypatch):
         def fail(*a, **kw):
             assert (tmp_path / "out.csv.tmp").exists()  # opened before the work
@@ -212,7 +229,7 @@ class TestOutputOpenedFirst:
         monkeypatch.setattr(getattr(octicount, module), name, fail)
         target = tmp_path / "out.csv"
         target.write_text("earlier output\n")
-        assert run(_argv(args, store, target)) == 1
+        assert run(_argv(args, inputs, target)) == 1
         assert capsys.readouterr().err == "error: the work failed\n"
         assert sorted(tmp_path.iterdir()) == [target]
         assert target.read_text() == "earlier output\n"
@@ -231,7 +248,7 @@ class TestOutputOpenedFirst:
         assert target.read_text() == "earlier output\n"
 
     @pytest.mark.parametrize("args, module, name", COSTLY[:2])
-    def test_json_may_not_share_the_other_output(self, args, module, name, store, capsys,
+    def test_json_may_not_share_the_other_output(self, args, module, name, inputs, capsys,
                                                  tmp_path, monkeypatch):
         # One file cannot hold both outputs; the JSON once silently replaced the CSV.
         calls = []
@@ -239,7 +256,7 @@ class TestOutputOpenedFirst:
                             lambda *a, **kw: calls.append(a))
         target = tmp_path / "out.csv"
         target.write_text("earlier output\n")
-        assert run(_argv(args, store, target) + ["--json", str(target)]) == 1
+        assert run(_argv(args, inputs, target) + ["--json", str(target)]) == 1
         assert capsys.readouterr().err == (
             f"error: --json and another output both name {str(target)!r}\n")
         assert calls == []
@@ -247,12 +264,65 @@ class TestOutputOpenedFirst:
         assert target.read_text() == "earlier output\n"
 
     @pytest.mark.parametrize("args, module, name", COSTLY)
-    def test_output_written_on_success(self, args, module, name, store, capsys, tmp_path):
+    def test_output_written_on_success(self, args, module, name, inputs, capsys, tmp_path):
         target = tmp_path / "out.csv"
-        assert run(_argv(args, store, target)) == 0
+        assert run(_argv(args, inputs, target)) == 0
         capsys.readouterr()
         assert sorted(tmp_path.iterdir()) == [target]
-        assert target.read_text().splitlines()[0] in ("label,term,error_bound", "X,N", "{")
+        first = target.read_text().splitlines()[0]
+        assert (first in ("label,term,error_bound", "X,N", "{")
+                or json.loads(first)["format"] == "octic-snapshot/1")
+
+    @pytest.mark.parametrize("args, module, name", COSTLY)
+    def test_empty_output_path_is_refused(self, args, module, name, inputs, capsys,
+                                          tmp_path, monkeypatch):
+        # --json= once wrote the JSON to stdout and --csv= or --emit-terms=
+        # wrote no file, each with exit 0; ingest --out= validated every
+        # record, then failed and left ".tmp" in the working directory.
+        calls = []
+        monkeypatch.setattr(getattr(octicount, module), name,
+                            lambda *a, **kw: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        argv = _argv(args, inputs, "")[:-1]
+        argv[-1] += "="
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: an output path may not be empty\n"
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["count", "--checkpoints", "10", "--store", "STORE", "--csv"],
+        ["constant", "--max-disc", "10", "--store", "STORE", "--emit-terms"],
+        ["audit", "--store", "STORE", "--json"],
+        ["ingest", "--in", "STORE", "--out"],
+    ], ids=lambda args: args[0])
+    def test_output_may_not_name_an_input(self, args, store, capsys, tmp_path, monkeypatch):
+        # count --csv and audit --json once replaced the store they read, exit 0.
+        monkeypatch.setattr(octicount.nfdata, "load", lambda *a: pytest.fail("input read"))
+        monkeypatch.setattr(octicount.nfdata, "ingest", lambda *a, **kw: pytest.fail("input read"))
+        copy = tmp_path / "store.jsonl"
+        shutil.copy(store, copy)
+        target = f"{tmp_path}/./store.jsonl"  # the same file, spelled otherwise
+        assert run(_argv(args, {"STORE": str(copy)}, target)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {args[-1]} and an input both name {target!r}\n"
+        assert sorted(tmp_path.iterdir()) == [copy]
+        assert copy.read_bytes() == Path(store).read_bytes()
+
+    def test_output_naming_a_directory_leaves_no_temporary_file(self, records_file, capsys,
+                                                                tmp_path):
+        # persist once wrote a temporary file of its own and left it there
+        # when replacing the directory failed.
+        target = tmp_path / "store"
+        target.mkdir()
+        assert run(["ingest", "--in", records_file, "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [target]
 
 
 class TestMalleAlpha:

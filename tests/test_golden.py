@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import persist_to
 from octicount.catalog import LABELS
 from octicount.cli import run
-from octicount.nfdata import Snapshot, persist
+from octicount.nfdata import Snapshot
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,7 +51,7 @@ def violating_store(model_snapshot, tmp_path_factory):
     for label in ("8T23.L0", "8T39.L0"):
         records[label] = _with_extra_prime(records[label], 7)
     path = tmp_path_factory.mktemp("audit") / "store.jsonl"
-    persist(Snapshot(records=records, provenance="model-towers-violated"), str(path))
+    persist_to(Snapshot(records=records, provenance="model-towers-violated"), str(path))
     return str(path)
 
 

@@ -14,6 +14,7 @@ from conftest import (
     QUARTIC_COEFFS,
     REG12,
     octic_record,
+    persist_to,
     quartic_record,
     record_json_line,
 )
@@ -29,7 +30,6 @@ from octicount.nfdata import (
     _is_irreducible,
     ingest_lines,
     load,
-    persist,
     query,
 )
 
@@ -202,7 +202,7 @@ class TestBatchedIngest:
         unsigned = replace(quartic_record("K.2", 283, [(283, 1)]), r1=3)
         snap = Snapshot(records={"K.2": unsigned, "K.1": reducible})
         with pytest.raises(IngestError, match="^K.1: polynomial is reducible"):
-            persist(snap, str(tmp_path / "store.jsonl"))
+            persist_to(snap, str(tmp_path / "store.jsonl"))
 
     def test_only_the_c2_cubed_octic_reaches_sympy(self, monkeypatch):
         exact = []
@@ -251,7 +251,7 @@ class TestStrictParsing:
         # A store whose seal matches its (bad) record lines still gets the
         # strict parse: the seal skips arithmetic checks only.
         path = tmp_path / "store.jsonl"
-        persist(ingest_lines([GOOD_QUARTIC]), str(path))
+        persist_to(ingest_lines([GOOD_QUARTIC]), str(path))
         header, line = path.read_text().splitlines(keepends=True)
         bad = line.replace('"coeffs":["-1","-1","0","0","1"]', '"coeffs":"10001"')
         header = json.loads(header)
@@ -327,7 +327,7 @@ class TestPersistence:
             provenance="fixture",
         )
         path = str(tmp_path / "store.jsonl")
-        persist(snap, path)
+        persist_to(snap, path)
         loaded = load(path)
         assert loaded.records == snap.records
         assert loaded.provenance == snap.provenance
@@ -337,15 +337,15 @@ class TestPersistence:
         shuffled = lines[:]
         random.Random(5).shuffle(shuffled)
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        persist(ingest_lines(lines, provenance="x"), a)
-        persist(ingest_lines(shuffled, provenance="x"), b)
+        persist_to(ingest_lines(lines, provenance="x"), a)
+        persist_to(ingest_lines(shuffled, provenance="x"), b)
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
     def test_truncated_store_rejected(self, tmp_path, thousand_quartics):
         snap = Snapshot(records={r.label: r for r in thousand_quartics[:10]})
         path = str(tmp_path / "store.jsonl")
-        persist(snap, path)
+        persist_to(snap, path)
         with open(path) as fh:
             content = fh.readlines()
         with open(path, "w") as fh:
@@ -382,7 +382,7 @@ def _count_prescreen_work(monkeypatch) -> list:
 class TestSeal:
     def persisted(self, tmp_path, records):
         path = tmp_path / "store.jsonl"
-        persist(Snapshot(records={r.label: r for r in records}, provenance="fixture"), str(path))
+        persist_to(Snapshot(records={r.label: r for r in records}, provenance="fixture"), path)
         return path
 
     def edit_record(self, path, label, old, new):
@@ -449,7 +449,7 @@ class TestSeal:
         calls = _count_prescreen_work(monkeypatch)
         original = nfdata.is_prime
         monkeypatch.setattr(nfdata, "is_prime", lambda n: calls.append(n) or original(n))
-        persist(snap, str(tmp_path / "store.jsonl"))
+        persist_to(snap, str(tmp_path / "store.jsonl"))
         assert calls == []
         assert load(str(tmp_path / "store.jsonl")).records == snap.records
 
@@ -461,7 +461,7 @@ class TestSeal:
         for rec, message in ((reducible, "K: polynomial is reducible"),
                              (composite, "K: disc factor 287 is not prime")):
             with pytest.raises(IngestError, match=message):
-                persist(Snapshot(records={"K": rec}), str(path))
+                persist_to(Snapshot(records={"K": rec}), str(path))
         assert not path.exists() and not (tmp_path / "store.jsonl.tmp").exists()
 
     def test_file_differs_from_unsealed_format_only_by_seal(self, tmp_path,

@@ -27,6 +27,56 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _nodes_by_function(path: Path) -> list[tuple[str, ast.AST]]:
+    """Every node of a source file with the name of the innermost function
+    that holds it ("" at module level)."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef)) else owner
+            out.append((inner, child))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def _opens_for_writing(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "open")):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+    # A mode that is not a literal counts as a write.
+    return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+
+
+def test_one_place_opens_files_for_writing():
+    # Every output file is written through a temporary file, opened before
+    # the work, that replaces the path only on success.  persist's own
+    # mechanism once opened its file only after validating every record.
+    found = [f"{path.stem}.{owner}" for path in SOURCES
+             for owner, node in _nodes_by_function(path) if _opens_for_writing(node)]
+    assert found == ["cli._output_opened_first"]
+
+
+def test_command_handlers_write_nothing():
+    # Each `_cmd_*` returns its payload, text lines and exit code; `run`
+    # alone writes them, so --json, the text form and --stamp agree everywhere.
+    cli = Path(octicount.__file__).parent / "cli.py"
+    nodes = _nodes_by_function(cli)
+    assert any(owner.startswith("_cmd_") for owner, _ in nodes)
+    writers = {"sys.stdout", "sys.stderr", "json.dumps", "_emit", "print"}
+    found = [f"{owner}: {ast.unparse(node)}" for owner, node in nodes
+             if owner.startswith("_cmd_")
+             and isinstance(node, (ast.Name, ast.Attribute))
+             and ast.unparse(node) in writers]
+    assert found == []
+
+
 def test_every_exported_name_resolves():
     unresolved = []
     for path in SOURCES:
