@@ -4,15 +4,16 @@ Every operation returns a value together with a finite, rigorously
 accumulated error bound; no bare floats leave this module.  Euler products
 are driven by polynomial factorization over prime fields, of which only
 factor degrees and multiplicities matter.  The general path is squarefree
-decomposition plus distinct-degree factorization (`factor_mod_p`).  One
-rule, `_on_lane`, sends a monic f of degree n <= 8 at a prime
-max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(f) to the
-Frobenius-trace kernel instead, one numpy lane per (polynomial, prime) pair:
-the traces give the pattern, and Stickelberger's theorem,
+decomposition plus distinct-degree factorization (`factor_mod_p`).  The
+Frobenius-trace kernel `_frobenius_lanes` takes any (polynomial, prime) pairs
+and decides itself which are its lanes: a monic f of degree n <= 8 at a prime
+max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(f), one numpy lane
+each.  The traces give the pattern, and Stickelberger's theorem,
 (disc f / p) = (-1)^(n - number of factors), checks it against the integer
-discriminant on every lane.  A field's Euler product takes all of its lane
-primes in one pass, and the irreducibility prescreen of `nfdata` all the
-records of an ingest.  `factor_mod_p` keeps the rest: the primes below
+discriminant on every lane.  A field's Euler product hands the kernel all of
+its primes in one call, and the irreducibility prescreen of `nfdata` the
+primes of all the records of an ingest.  Every pair the kernel answers with
+None goes to `factor_mod_p` on the Euler path: the primes below
 max(5, n + 1), the primes dividing disc(f), and those above MAX_PRIME_BOUND.
 """
 
@@ -22,11 +23,10 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .arith import is_prime, primes_up_to
-from .nfdata import Snapshot, query
+from .nfdata import QUARTIC_LABEL, Snapshot, query
 
 __all__ = [
     "KAPPA",
@@ -272,19 +272,6 @@ def _patterns_by_traces(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     return table
 
 
-def _on_lane(n: int) -> Callable[[int, int], bool]:
-    """Which (f, p) lanes the Frobenius-trace kernel takes, for f of degree n.
-
-    The returned test of a prime p and disc = disc(f) holds when 2 <= n <= 8,
-    max(5, n + 1) <= p <= MAX_PRIME_BOUND and p does not divide disc.  Then
-    f is squarefree mod p, the traces, at most n < p, are exact mod p, and
-    int64 never wraps (see `_frobenius_traces`).  On the Euler path every
-    other pair goes to `factor_mod_p`; the irreducibility prescreen skips it.
-    """
-    low = max(5, n + 1) if 2 <= n <= 8 else MAX_PRIME_BOUND + 1
-    return lambda p, disc: low <= p <= MAX_PRIME_BOUND and disc % p != 0
-
-
 # Lanes per numpy pass: the largest array is (n, n, 4096) int64 for degree n.
 _LANE_CHUNK = 4096
 
@@ -338,49 +325,46 @@ def _frobenius_traces(polys: Sequence[Sequence[int]],
     return list(zip(*((t % p).tolist() for t in traces[:n // 2])))
 
 
-def _frobenius_lanes(polys: Sequence[Sequence[int]], primes: Sequence[int],
-                     discs: Sequence[int]) -> list[tuple[int, ...]]:
-    """Residue degrees of each polys[i] mod primes[i], a numpy pass per chunk of lanes.
+def _frobenius_lanes(polys: Sequence[Sequence[int]],
+                     primes: Sequence[int]) -> list[Optional[tuple[int, ...]]]:
+    """Residue degrees of polys[i] mod primes[i] for each lane, None for any other pair.
 
-    Every polynomial is monic of one degree n, every p prime, and discs[i] is
-    the discriminant of polys[i]; every lane must pass `_on_lane`, so f is
-    squarefree mod p and the Frobenius traces, exact as they are at most n < p,
-    give its pattern.  Each polynomial and each prime is checked once, the
-    lane rule once per lane.  Stickelberger's theorem checks every lane:
+    A lane is a pair (f, p) with f of degree 2 <= n <= 8 and p a prime
+    max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(f).  Then f is
+    squarefree mod p, its Frobenius traces, exact as they are at most n < p,
+    give its pattern, and int64 never wraps (see `_frobenius_traces`).  The
+    lanes of each degree take one numpy pass per chunk.  A lane's p must be
+    prime, each distinct one proved so, and f monic mod p (ValueError).
+    Stickelberger's theorem checks every lane against disc(f):
     (disc / p) = (-1)^(n - #factors), by Euler's criterion.  A trace tuple
     outside the table, or a mismatch, raises RuntimeError.
     """
-    if not primes:
-        return []
-    n = len(polys[0]) - 1
-    for p in set(primes):
+    out: list[Optional[tuple[int, ...]]] = [None] * len(primes)
+    lanes: dict[int, list[tuple[int, int]]] = {}  # degree -> (pair index, disc) of its lanes
+    for i, (f, p) in enumerate(zip(polys, primes)):
+        n = len(f) - 1
+        if 2 <= n <= 8 and n < p and 5 <= p <= MAX_PRIME_BOUND:
+            disc = _poly_disc(tuple(f))
+            if disc % p:
+                if f[-1] % p != 1:
+                    raise ValueError("polynomial must be monic")
+                lanes.setdefault(n, []).append((i, disc))
+    for p in {primes[i] for group in lanes.values() for i, _ in group}:
         _check_prime(p)
-    distinct = set(map(tuple, polys))
-    ns = {len(f) - 1 for f in distinct}
-    if len(ns) > 1:
-        raise ValueError(f"need polynomials of one degree, got degrees {sorted(ns)}")
-    # Monic mod p: only a leading coefficient other than 1 needs its primes.
-    if any(f[-1] != 1 for f in distinct) and any(f[-1] % p != 1 for f, p in zip(polys, primes)):
-        raise ValueError("polynomial must be monic")
-    on_lane = _on_lane(n)
-    for p, disc in zip(primes, discs):
-        if not on_lane(p, disc):
-            raise ValueError(f"need polynomials of one degree 2 <= n <= 8 and a prime "
-                             f"{max(5, n + 1)} <= p <= {MAX_PRIME_BOUND} not dividing {disc}, "
-                             f"got p = {p}")
-    table = _patterns_by_traces(n)
-    out = []
-    for start in range(0, len(primes), _LANE_CHUNK):
-        chunk = slice(start, start + _LANE_CHUNK)
-        for p, disc, traces in zip(primes[chunk], discs[chunk],
-                                   _frobenius_traces(polys[chunk], primes[chunk])):
-            degrees = table.get(traces)
-            chi = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
-            if degrees is None or chi != (-1) ** (n - len(degrees)):
-                raise RuntimeError(
-                    f"degree {n} mod {p}: Frobenius traces {traces} do not match the "
-                    f"Legendre symbol {chi} of the discriminant (Stickelberger)")
-            out.append(degrees)
+    for n, group in lanes.items():
+        table = _patterns_by_traces(n)
+        for start in range(0, len(group), _LANE_CHUNK):
+            chunk = group[start:start + _LANE_CHUNK]
+            ps = [primes[i] for i, _ in chunk]
+            for (i, disc), p, traces in zip(
+                    chunk, ps, _frobenius_traces([polys[i] for i, _ in chunk], ps)):
+                degrees = table.get(traces)
+                chi = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+                if degrees is None or chi != (-1) ** (n - len(degrees)):
+                    raise RuntimeError(
+                        f"degree {n} mod {p}: Frobenius traces {traces} do not match the "
+                        f"Legendre symbol {chi} of the discriminant (Stickelberger)")
+                out[i] = degrees
     return out
 
 
@@ -428,19 +412,12 @@ def _poly_disc(coeffs: tuple[int, ...]) -> int:
 
 
 def _local_factors(record, primes: Sequence[int]) -> Iterator[LocalFactorData]:
-    """`local_factor_data` at each of primes in turn, the kernel lanes in one pass."""
+    """`local_factor_data` at each of primes in turn, all of them in one kernel call."""
     coeffs = tuple(record.coeffs)
-    disc_poly = _poly_disc(coeffs)
-    q, r = divmod(disc_poly, record.disc)
-    on_lane = _on_lane(len(coeffs) - 1)
-    mask = [on_lane(p, disc_poly) for p in primes]
-    lane_primes = list(compress(primes, mask))
-    k = len(lane_primes)
-    lanes = iter(_frobenius_lanes([coeffs] * k, lane_primes, [disc_poly] * k))
-    for p, lane in zip(primes, mask):
-        if lane:
-            degrees, ramified = next(lanes), False
-        else:
+    q, r = divmod(_poly_disc(coeffs), record.disc)
+    for p, degrees in zip(primes, _frobenius_lanes([coeffs] * len(primes), primes)):
+        ramified = False
+        if degrees is None:
             pattern = factor_mod_p(coeffs, p)
             degrees = tuple(sorted(d for d, _ in pattern))
             ramified = any(mult > 1 for _, mult in pattern)
@@ -455,10 +432,10 @@ def local_factor_data(record, p: int) -> LocalFactorData:
     splitting (one prime per irreducible factor, residue degree = factor
     degree) including the ramified case.
 
-    A pair that `_on_lane` admits (degree n <= 8, a prime
+    A lane of `_frobenius_lanes` (degree n <= 8, a prime
     max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(poly)) is
-    unramified and takes `_frobenius_lanes` with one lane, checked against the
-    Legendre symbol of disc(poly) mod p.  Every other case, the smallest
+    unramified, and its pattern is checked against the Legendre symbol of
+    disc(poly) mod p.  Every pair the kernel answers with None, the smallest
     primes and p | disc(poly) included, goes through `factor_mod_p`.
     """
     return next(_local_factors(record, (p,)))
@@ -475,11 +452,11 @@ def _checked_prime_bound(prime_bound: int) -> int:
 def zeta_K_at_2(record, prime_bound: int = 10 ** 5) -> ZetaValue:
     """Dedekind zeta at s = 2 by a truncated Euler product with rigorous bounds.
 
-    Local factors at trusted primes are those of `local_factor_data`: every
-    prime p <= P that `_on_lane` admits in one `_frobenius_lanes` call, and
-    otherwise the factorization of the defining polynomial mod p.  Untrusted
-    primes contribute a bracket between 1 and (1 - p^-2)^(-degree).  The
-    truncation tail is bounded via sum_{p > P} p^-2 <= 1/(P - 1).  Needs
+    Local factors at trusted primes are those of `local_factor_data`: the
+    primes p <= P go to `_frobenius_lanes` in one call, and each one that is
+    not a lane to the factorization of the defining polynomial mod p.
+    Untrusted primes contribute a bracket between 1 and (1 - p^-2)^(-degree).
+    The truncation tail is bounded via sum_{p > P} p^-2 <= 1/(P - 1).  Needs
     100 <= P <= MAX_PRIME_BOUND.
     """
     P = _checked_prime_bound(prime_bound)
@@ -534,7 +511,7 @@ def partial_constant(snapshot: Snapshot, Z: int, prime_bound: int = 10 ** 5) -> 
     value = 0.0
     err = 0.0
     term_list: list[tuple[str, float, float]] = []
-    fields = query(snapshot, degree=4, galois_filter=["4T5"], max_abs_disc=Z)
+    fields = query(snapshot, degree=4, galois_filter=[QUARTIC_LABEL], max_abs_disc=Z)
     for rec in fields:  # already sorted by (|disc|, label)
         try:
             resid = zeta_residue(rec)

@@ -42,7 +42,6 @@ class GroupCatalogEntry:
     label: str
     name: str
     generators: tuple[Perm, ...]
-    expected_order: int
     expected_alpha: Fraction
     notes: str = field(default="", compare=False)
 
@@ -59,7 +58,6 @@ CATALOG: tuple[GroupCatalogEntry, ...] = (
         label="8T14",
         name="S4",
         generators=_gens("(1,4,5,7)(2,3,6,8)", "(1,4,8,6)(2,3,7,5)"),
-        expected_order=24,
         expected_alpha=Fraction(1, 4),
         notes="S4 acting on 8 points; the octic is cut out inside the quartic closure.",
     ),
@@ -67,7 +65,6 @@ CATALOG: tuple[GroupCatalogEntry, ...] = (
         label="8T23",
         name="GL(2,3)",
         generators=_gens("(1,3,6,8,2,4,5,7)", "(1,3,8,5,2,4,7,6)"),
-        expected_order=48,
         expected_alpha=Fraction(1, 3),
         notes="GL2(F3); has a unique normal subgroup of order 2 (its center).",
     ),
@@ -77,7 +74,6 @@ CATALOG: tuple[GroupCatalogEntry, ...] = (
         generators=_gens(
             "(1,2)(3,5,8,4,6,7)", "(1,3,5,2,4,6)(7,8)", "(1,3,5,8)(2,4,6,7)"
         ),
-        expected_order=48,
         expected_alpha=Fraction(1, 2),
         notes="Direct product; S4 quotient by projection onto the first factor.",
     ),
@@ -90,7 +86,6 @@ CATALOG: tuple[GroupCatalogEntry, ...] = (
             "(1,3,5,2,4,6)(7,8)",
             "(3,4)(5,7,6,8)",
         ),
-        expected_order=192,
         expected_alpha=Fraction(1, 2),
         notes="Even subgroup: every element is an even permutation of the 8 points.",
     ),
@@ -100,7 +95,6 @@ CATALOG: tuple[GroupCatalogEntry, ...] = (
         generators=_gens(
             "(1,3,5,7,2,4,6,8)", "(1,3,5,8,2,4,6,7)", "(1,3,7,6,2,4,8,5)"
         ),
-        expected_order=192,
         expected_alpha=Fraction(1, 2),
         notes=(
             "Has two normal quaternion subgroups of order 8, each with S4 "
@@ -117,7 +111,6 @@ CATALOG: tuple[GroupCatalogEntry, ...] = (
             "(1,3,7,6,2,4,8,5)",
             "(3,5,7,4,6,8)",
         ),
-        expected_order=384,
         expected_alpha=Fraction(1, 1),
         notes="The full wreath product; the ambient group of the classification.",
     ),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -40,16 +41,22 @@ def _output_opened_first(path: Optional[str]) -> Iterator[Optional[TextIO]]:
     """Open a file next to an output path before the work that fills it, so
     that a bad path fails at once.  It replaces the path only when that work
     succeeds and is removed when it fails, so an earlier file there survives.
-    Every output file goes through here: --json PATH, --emit-terms, --csv and
-    ingest --out.  None means no such output; an empty path is refused."""
+    The file is new, with a name of this process's own, so no other file is
+    ever written or removed.  Every output file goes through here: --json
+    PATH, --emit-terms, --csv and ingest --out.  None means no such output;
+    an empty path and a directory are refused."""
     if path is None:
         yield None
         return
     if not path:
         raise ValueError("an output path may not be empty")
-    tmp = path + ".tmp"
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        fh = open(tmp, "w", encoding="utf-8", newline="")
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except FileExistsError:  # a leftover of this name: say which file it is
+        raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .analytic import PartialConstant
-from .nfdata import FieldRecord, Snapshot, query
+from .nfdata import QUARTIC_LABEL, FieldRecord, Snapshot, query
 from .verify import VerificationReport
 
 __all__ = [
@@ -145,19 +146,9 @@ def count_series(snapshot: Snapshot, labels: Iterable[str],
                  checkpoints: Sequence[int]) -> CountSeries:
     labels = tuple(sorted(set(labels)))
     discs = sorted(rec.abs_disc for rec in snapshot.records.values() if rec.galois in labels)
-    counts = []
-    for X in checkpoints:
-        lo, hi = 0, len(discs)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if discs[mid] <= X:
-                lo = mid + 1
-            else:
-                hi = mid
-        counts.append(lo)
     return CountSeries(
         checkpoints=tuple(int(x) for x in checkpoints),
-        counts=tuple(counts),
+        counts=tuple(bisect_right(discs, X) for X in checkpoints),
         group_filter=labels,
     )
 
@@ -231,7 +222,7 @@ def tail_count(snapshot: Snapshot, Z: int, X: int) -> int:
     q^2 | disc); the record is counted when q > Z.
     """
     n = 0
-    for rec in query(snapshot, degree=4, galois_filter=["4T5"], max_abs_disc=X):
+    for rec in query(snapshot, degree=4, galois_filter=[QUARTIC_LABEL], max_abs_disc=X):
         q = 1
         for p, e in rec.disc_factors:
             if e >= 2:

@@ -135,9 +135,9 @@ class FieldRecord:
             raise IngestError(f"{self.label}: polynomial is reducible over the rationals")
 
 
-# The irreducibility prescreen reads the primes max(5, n + 1) <= p below this
-# that do not divide disc(f), this many more per round for each polynomial
-# it has not yet settled.
+# The irreducibility prescreen reads the primes 5 <= p below this (the kernel
+# takes no lane at 2 or 3), this many more per round for each polynomial it
+# has not yet settled.
 _PRESCREEN_PRIME_BOUND = 200
 _PRESCREEN_PRIMES_PER_ROUND = 4
 
@@ -158,45 +158,42 @@ def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]
     dividing disc(f), to a product of some of f's irreducible factors mod p, so
     k is a sub-sum of their degrees.  Once the primes leave no common k, f is
     irreducible.  Each round takes the next few primes of every polynomial
-    still open, and the factor degrees of all of them, one degree at a time,
-    from one call of the Frobenius-trace kernel `analytic._frobenius_lanes`.
-    A polynomial whose primes below 200 leave a common k, or of degree above
-    8, goes to sympy's exact factorization.
+    still open, and hands all of those pairs to one call of the Frobenius-trace
+    kernel `analytic._frobenius_lanes`, which answers its lanes and leaves the
+    other pairs None.  A polynomial whose lanes below 200 leave a common k
+    (one of degree above 8 has none) goes to sympy's exact factorization.
     """
-    from .analytic import _frobenius_lanes, _on_lane, _poly_disc
+    from .analytic import _frobenius_lanes
 
-    small_primes = primes_up_to(_PRESCREEN_PRIME_BOUND - 1)
+    prescreen_primes = primes_up_to(_PRESCREEN_PRIME_BOUND - 1)[2:]
     verdicts: dict[tuple[int, ...], bool] = {}
-    unsettled: dict[tuple[int, ...], tuple] = {}  # f -> (primes to come, disc, candidate k)
+    unsettled: dict[tuple[int, ...], tuple] = {}  # f -> (primes to come, candidate k)
     exact: list[tuple[int, ...]] = []
     for f in dict.fromkeys(polys):
         n = len(f) - 1
         if n <= 1:
             verdicts[f] = True
         elif f[-1] == 1:
-            # The kernel's lanes for f; a degree above 8 has none, so goes to sympy.
-            disc, on_lane = _poly_disc(f), _on_lane(n)
-            unsettled[f] = ((p for p in small_primes if on_lane(p, disc)), disc, set(range(1, n)))
+            unsettled[f] = (iter(prescreen_primes), set(range(1, n)))
         else:
             exact.append(f)
     while unsettled:
-        lanes: dict[int, list[tuple]] = {}  # degree -> (f, p, disc) of this round
-        for f, (primes, disc, _) in list(unsettled.items()):
+        fs, ps = [], []  # the pairs of this round
+        for f, (primes, _) in list(unsettled.items()):
             batch = list(islice(primes, _PRESCREEN_PRIMES_PER_ROUND))
             if not batch:
                 exact.append(f)
                 del unsettled[f]
                 continue
-            lanes.setdefault(len(f), []).extend((f, p, disc) for p in batch)
-        for group in lanes.values():
-            fs, ps, discs = zip(*group)
-            for f, degrees in zip(fs, _frobenius_lanes(fs, ps, discs)):
-                if f in unsettled:
-                    candidates = unsettled[f][2]
-                    candidates &= _sub_sums(degrees)
-                    if not candidates:
-                        verdicts[f] = True
-                        del unsettled[f]
+            fs += [f] * len(batch)
+            ps += batch
+        for f, degrees in zip(fs, _frobenius_lanes(fs, ps)):
+            if degrees is not None and f in unsettled:
+                candidates = unsettled[f][1]
+                candidates &= _sub_sums(degrees)
+                if not candidates:
+                    verdicts[f] = True
+                    del unsettled[f]
     if exact:
         from sympy import Poly, Symbol
 

@@ -95,9 +95,6 @@ class SplittingSymbol:
     def e_values(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.pairs)
 
-    def __str__(self) -> str:
-        return "(" + " ".join(f"{f}^{e}" if e > 1 else f"{f}" for e, f in self.pairs) + ")"
-
 
 @dataclass(frozen=True)
 class ValuationProfile:

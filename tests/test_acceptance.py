@@ -58,14 +58,14 @@ def _sympy_index_set(label: str) -> set[int]:
     """
     from sympy.combinatorics import Permutation, PermutationGroup
 
-    from octicount.catalog import catalog_entry
+    from octicount.catalog import catalog_entry, catalog_group
 
     entry = catalog_entry(label)
     G = PermutationGroup(
         [Permutation([i - 1 for i in g.images]) for g in entry.generators]
     )
     assert G.degree == 8 and G.is_transitive()
-    assert G.order() == entry.expected_order
+    assert G.order() == catalog_group(label).order
     return {8 - len(g.full_cyclic_form) for g in G.elements if not g.is_Identity}
 
 

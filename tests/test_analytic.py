@@ -234,33 +234,33 @@ class TestQuarticPath:
         ((2, -3, 3, -3, 1), (1, 1, 2)),    # (x - 1)(x - 2)(x^2 + 1)
         ((24, -50, 35, -10, 1), (1, 1, 1, 1)),  # (x - 1)(x - 2)(x - 3)(x - 4)
     ])
-    def test_flipped_legendre_symbol_raises(self, coeffs, degrees):
+    def test_flipped_legendre_symbol_raises(self, monkeypatch, coeffs, degrees):
         disc = analytic._poly_disc(coeffs)
         assert degrees_of(factor_mod_p(coeffs, 7)) == degrees
-        assert analytic._frobenius_lanes([coeffs], [7], [disc]) == [degrees]
+        assert analytic._frobenius_lanes([coeffs], [7]) == [degrees]
         # 3 is not a square mod 7, so 3 * disc has the opposite symbol.
+        monkeypatch.setattr(analytic, "_poly_disc", lambda f: 3 * disc)
         with pytest.raises(RuntimeError, match="Stickelberger"):
-            analytic._frobenius_lanes([coeffs], [7], [3 * disc])
+            analytic._frobenius_lanes([coeffs], [7])
 
     # (n1, n2) = (3, 0): three roots leave a linear fourth factor; (1, 1): one
     # root and a quadratic leave a linear fourth factor that was not counted.
     @pytest.mark.parametrize("n1, n2", [(3, 0), (1, 1)])
     def test_impossible_traces_raise(self, monkeypatch, n1, n2):
         coeffs = (24, -50, 35, -10, 1)  # four roots mod 7
-        disc = analytic._poly_disc(coeffs)
         assert analytic._frobenius_traces([coeffs], [7]) == [(4, 4)]
         monkeypatch.setattr(analytic, "_frobenius_traces",
                             lambda polys, primes: [(n1, n1 + 2 * n2)] * len(primes))
         with pytest.raises(RuntimeError, match="Frobenius traces"):
-            analytic._frobenius_lanes([coeffs], [7], [disc])
+            analytic._frobenius_lanes([coeffs], [7])
 
     @pytest.mark.parametrize("p", [3, nextprime(MAX_PRIME_BOUND), 283])
     def test_lanes_reject_primes_off_the_int64_path(self, p):
         # 3 cannot tell (1, 1, 1, 1) from (1, 3) by traces, 10,000,019 is past
-        # the int64 bound, and 283 divides disc(x^4 - x - 1) = -283.
+        # the int64 bound, and 283 divides disc(x^4 - x - 1) = -283: no lane.
         coeffs = (-1, -1, 0, 0, 1)
-        with pytest.raises(ValueError, match="5 <= p <= "):
-            analytic._frobenius_lanes([coeffs] * 3, [5, p, 7], [analytic._poly_disc(coeffs)] * 3)
+        assert analytic._frobenius_lanes([coeffs] * 3, [5, p, 7]) == [
+            degrees_of(factor_mod_p(coeffs, 5)), None, degrees_of(factor_mod_p(coeffs, 7))]
 
     @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
     def test_large_primes_route_to_factor_mod_p(self, monkeypatch, p):
@@ -280,7 +280,7 @@ class TestQuarticPath:
         disc = analytic._poly_disc(coeffs)
         lanes = [p for p in primerange(5, 45000) if disc % p]
         assert analytic._LANE_CHUNK < len(lanes) < 2 * analytic._LANE_CHUNK
-        batch = analytic._frobenius_lanes([coeffs] * len(lanes), lanes, [disc] * len(lanes))
+        batch = analytic._frobenius_lanes([coeffs] * len(lanes), lanes)
         assert batch == [degrees_of(factor_mod_p(coeffs, p)) for p in lanes]
         # Lanes either side of the chunk boundary, and a sample, one at a time.
         rec = quartic_rec(coeffs)
@@ -353,12 +353,14 @@ class TestFrobeniusKernel:
         polys = kernel_polys(rng, n, 12)
         primes = [p for p in primerange(max(5, n + 1), 200)] + [
             prevprime(MAX_PRIME_BOUND + 1), nextprime(10 ** 6), prevprime(5 * 10 ** 6)]
-        lanes = [(f, p, analytic._poly_disc(f)) for f in polys for p in primes
-                 if analytic._poly_disc(f) % p]
-        rng.shuffle(lanes)  # every lane its own polynomial and prime, in one call
-        fs, ps, discs = zip(*lanes)
-        got = analytic._frobenius_lanes(fs, ps, discs)
-        assert got == [degrees_of(factor_mod_p(f, p)) for f, p in zip(fs, ps)]
+        pairs = [(f, p) for f in polys for p in primes]
+        rng.shuffle(pairs)  # every pair its own polynomial and prime, in one call
+        fs, ps = zip(*pairs)
+        got = analytic._frobenius_lanes(fs, ps)
+        # The pairs with p | disc(f) are no lanes.
+        assert got == [degrees_of(factor_mod_p(f, p)) if analytic._poly_disc(f) % p else None
+                       for f, p in pairs]
+        assert None in got
         # Every pattern occurs, bar the full split of an octic.
         assert set(analytic._patterns_by_traces(n).values()) - set(got) <= {(1,) * 8}
 
@@ -368,7 +370,7 @@ class TestFrobeniusKernel:
             disc = analytic._poly_disc(f)
             primes = [p for p in (prevprime(MAX_PRIME_BOUND + 1), prevprime(9 * 10 ** 6))
                       if disc % p]
-            got = analytic._frobenius_lanes([f] * len(primes), primes, [disc] * len(primes))
+            got = analytic._frobenius_lanes([f] * len(primes), primes)
             assert got == [degrees_of(sympy_pattern(f, p)) for p in primes]
 
     @pytest.mark.parametrize("coeffs", [
@@ -392,11 +394,40 @@ class TestFrobeniusKernel:
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_octic_lanes_need_p_above_the_degree(self, p):
-        # Mod 5 or 7 a trace of 8 reads as 3 or 1: the kernel refuses the lane.
-        f = (-1, -1, 0, 0, 0, 0, 0, 0, 1)
-        disc = analytic._poly_disc(f)
-        with pytest.raises(ValueError, match="a prime 9 <= p <= "):
-            analytic._frobenius_lanes([f, f], [11, p], [disc, disc])
+        # Mod 5 or 7 a trace of 8 reads as 3 or 1: the kernel takes no lane.
+        f = (-1, -1, 0, 0, 0, 0, 0, 0, 1)  # disc = -11 * 1600069
+        assert analytic._frobenius_lanes([f, f], [13, p]) == [
+            degrees_of(factor_mod_p(f, 13)), None]
+
+    def test_mixed_degrees_match_the_per_degree_calls(self):
+        rng = random.Random(2024)
+        by_degree = {n: [(f, p) for f in kernel_polys(rng, n, 2) for p in (2, 7, 11, 97, 283)]
+                     for n in range(2, 9)}
+        separate = {n: analytic._frobenius_lanes(*zip(*pairs)) for n, pairs in by_degree.items()}
+        mixed = [(n, i, f, p) for n, pairs in by_degree.items()
+                 for i, (f, p) in enumerate(pairs)]
+        rng.shuffle(mixed)
+        got = analytic._frobenius_lanes([f for _, _, f, _ in mixed], [p for _, _, _, p in mixed])
+        assert got == [separate[n][i] for n, i, _, _ in mixed]
+        assert {len(f) - 1 for (_, _, f, _), d in zip(mixed, got) if d} == set(range(2, 9))
+
+    def test_off_lane_pairs_never_reach_the_traces(self, monkeypatch):
+        seen = []
+        real = analytic._frobenius_traces
+        monkeypatch.setattr(analytic, "_frobenius_traces",
+                            lambda polys, primes: seen.extend(zip(polys, primes))
+                            or real(polys, primes))
+        quartic = (-1, -1, 0, 0, 1)  # disc = -283
+        octic = (-1, -1, 0, 0, 0, 0, 0, 0, 1)  # disc = -11 * 1600069
+        nonic = (-1, -1, 0, 0, 0, 0, 0, 0, 0, 1)
+        off_lane = [(quartic, 2), (quartic, 3), (quartic, 283),
+                    (quartic, nextprime(MAX_PRIME_BOUND)), (octic, 5), (octic, 7),
+                    (octic, 11), (nonic, 13)]
+        lanes = [(quartic, 5), (octic, 13)]
+        pairs = off_lane + lanes
+        got = analytic._frobenius_lanes(*zip(*pairs))
+        assert got == [None] * len(off_lane) + [degrees_of(factor_mod_p(f, p)) for f, p in lanes]
+        assert sorted(seen) == sorted(lanes)
 
 
 def strong_probable_prime(n: int, a: int) -> bool:

@@ -223,7 +223,7 @@ class TestOutputOpenedFirst:
     def test_earlier_output_survives_failed_work(self, args, module, name, inputs, capsys,
                                                  tmp_path, monkeypatch):
         def fail(*a, **kw):
-            assert (tmp_path / "out.csv.tmp").exists()  # opened before the work
+            assert len(list(tmp_path.glob("out.csv.*.tmp"))) == 1  # opened before the work
             raise ValueError("the work failed")
 
         monkeypatch.setattr(getattr(octicount, module), name, fail)
@@ -246,6 +246,36 @@ class TestOutputOpenedFirst:
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(tmp_path.iterdir()) == [target]
         assert target.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("args", [
+        ["count", "--checkpoints", "10,x", "--csv"],
+        ["count", "--checkpoints", "10", "--csv"],
+    ], ids=["failed", "succeeded"])
+    def test_file_at_the_temporary_name_survives(self, args, store, capsys, tmp_path):
+        # The temporary file was once PATH + ".tmp": a file of that name was
+        # truncated, and deleted when the command failed.
+        target, kept = tmp_path / "out.csv", tmp_path / "out.csv.tmp"
+        kept.write_text("user data\n")
+        code = run([*args, str(target), "--store", store])
+        capsys.readouterr()
+        assert kept.read_text() == "user data\n"
+        assert sorted(tmp_path.iterdir()) == sorted([kept] + [target] * (code == 0))
+
+    @pytest.mark.parametrize("args, module, name", COSTLY)
+    def test_output_naming_a_directory_fails_before_the_work(self, args, module, name, inputs,
+                                                             capsys, tmp_path, monkeypatch):
+        # Such a path once failed only at the final replace, after all the work.
+        calls = []
+        monkeypatch.setattr(getattr(octicount, module), name,
+                            lambda *a, **kw: calls.append(a))
+        target = tmp_path / "out"
+        target.mkdir()
+        assert run(_argv(args, inputs, target)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
+        assert calls == []
+        assert sorted(tmp_path.iterdir()) == [target]
 
     @pytest.mark.parametrize("args, module, name", COSTLY[:2])
     def test_json_may_not_share_the_other_output(self, args, module, name, inputs, capsys,

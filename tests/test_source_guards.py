@@ -63,6 +63,22 @@ def test_one_place_opens_files_for_writing():
     assert found == ["cli._output_opened_first"]
 
 
+def test_nfdata_takes_only_the_kernel_from_analytic():
+    # Which (f, p) pairs are lanes is decided inside `analytic._frobenius_lanes`
+    # alone; nfdata once imported the lane rule and the discriminant to
+    # filter its primes itself.
+    nfdata = Path(octicount.__file__).parent / "nfdata.py"
+    found = []
+    for _, node in _nodes_by_function(nfdata):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").endswith("analytic"):
+                found += [alias.name for alias in node.names]
+            found += [alias.name for alias in node.names if alias.name == "analytic"]
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.endswith("analytic")]
+    assert found == ["_frobenius_lanes"]
+
+
 def test_command_handlers_write_nothing():
     # Each `_cmd_*` returns its payload, text lines and exit code; `run`
     # alone writes them, so --json, the text form and --stamp agree everywhere.
