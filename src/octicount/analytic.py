@@ -449,7 +449,7 @@ def _checked_prime_bound(prime_bound: int) -> int:
     return P
 
 
-def zeta_K_at_2(record, prime_bound: int = 10 ** 5) -> ZetaValue:
+def zeta_K_at_2(record, prime_bound: int) -> ZetaValue:
     """Dedekind zeta at s = 2 by a truncated Euler product with rigorous bounds.
 
     Local factors at trusted primes are those of `local_factor_data`: the
@@ -505,7 +505,7 @@ def zeta_residue(record) -> ZetaValue:
     return ZetaValue(value=value, error_bound=value * _REG_REL_ERR)
 
 
-def partial_constant(snapshot: Snapshot, Z: int, prime_bound: int = 10 ** 5) -> PartialConstant:
+def partial_constant(snapshot: Snapshot, Z: int, prime_bound: int) -> PartialConstant:
     """Partial sum C(Z) over the quartic S4 fields with |disc| <= Z."""
     _checked_prime_bound(prime_bound)
     value = 0.0

@@ -3,14 +3,14 @@
 The generator constants below were produced once by the group engine in
 :mod:`octicount.perms` (enumerating the transitive subgroup classes of
 C2 wr S4 that admit an S4 quotient) and then frozen as source constants.
-Nothing trusts them: the verification suite re-derives order, transitivity
-and the Malle invariant from scratch every run.
+An entry holds only a label and its generators.  Nothing trusts them: every
+run re-derives order, transitivity and the Malle invariant (tabled once, in
+:func:`octicount.verify.verify_table1`) from scratch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -40,10 +40,7 @@ class GroupCatalogEntry:
     """One row of the catalog: a transitive degree-8 group with an S4 quotient."""
 
     label: str
-    name: str
     generators: tuple[Perm, ...]
-    expected_alpha: Fraction
-    notes: str = field(default="", compare=False)
 
 
 def _gens(*cycle_strings: str) -> tuple[Perm, ...]:
@@ -55,64 +52,42 @@ def _gens(*cycle_strings: str) -> tuple[Perm, ...]:
 # imprimitive copy of C2 wr S4 with blocks {1,2},{3,4},{5,6},{7,8}.
 CATALOG: tuple[GroupCatalogEntry, ...] = (
     GroupCatalogEntry(
-        label="8T14",
-        name="S4",
+        label="8T14",  # S4
         generators=_gens("(1,4,5,7)(2,3,6,8)", "(1,4,8,6)(2,3,7,5)"),
-        expected_alpha=Fraction(1, 4),
-        notes="S4 acting on 8 points; the octic is cut out inside the quartic closure.",
     ),
     GroupCatalogEntry(
-        label="8T23",
-        name="GL(2,3)",
+        label="8T23",  # GL(2,3)
         generators=_gens("(1,3,6,8,2,4,5,7)", "(1,3,8,5,2,4,7,6)"),
-        expected_alpha=Fraction(1, 3),
-        notes="GL2(F3); has a unique normal subgroup of order 2 (its center).",
     ),
     GroupCatalogEntry(
-        label="8T24",
-        name="S4 x C2",
+        label="8T24",  # S4 x C2
         generators=_gens(
             "(1,2)(3,5,8,4,6,7)", "(1,3,5,2,4,6)(7,8)", "(1,3,5,8)(2,4,6,7)"
         ),
-        expected_alpha=Fraction(1, 2),
-        notes="Direct product; S4 quotient by projection onto the first factor.",
     ),
     GroupCatalogEntry(
-        label="8T39",
-        name="C2^3 : S4",
+        label="8T39",  # C2^3 : S4
         generators=_gens(
             "(1,2)(3,5,7,4,6,8)",
             "(1,2)(3,5,8,4,6,7)",
             "(1,3,5,2,4,6)(7,8)",
             "(3,4)(5,7,6,8)",
         ),
-        expected_alpha=Fraction(1, 2),
-        notes="Even subgroup: every element is an even permutation of the 8 points.",
     ),
     GroupCatalogEntry(
-        label="8T40",
-        name="Q8 : S4",
+        label="8T40",  # Q8 : S4
         generators=_gens(
             "(1,3,5,7,2,4,6,8)", "(1,3,5,8,2,4,6,7)", "(1,3,7,6,2,4,8,5)"
         ),
-        expected_alpha=Fraction(1, 2),
-        notes=(
-            "Has two normal quaternion subgroups of order 8, each with S4 "
-            "quotient; the kernel of the quartic coset action is elementary "
-            "abelian of order 8."
-        ),
     ),
     GroupCatalogEntry(
-        label="8T44",
-        name="C2 wr S4",
+        label="8T44",  # C2 wr S4
         generators=_gens(
             "(1,3,5,7,2,4,6,8)",
             "(1,3,5,8,2,4,6,7)",
             "(1,3,7,6,2,4,8,5)",
             "(3,5,7,4,6,8)",
         ),
-        expected_alpha=Fraction(1, 1),
-        notes="The full wreath product; the ambient group of the classification.",
     ),
 )
 

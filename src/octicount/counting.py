@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -241,8 +241,8 @@ class FitReport:
     slope: Optional[float]
     checkpoints: tuple[int, ...]
     residuals: tuple[float, ...]
-    caveat_band: tuple[float, ...] = field(default=())
-    provenance: str = ""
+    caveat_band: tuple[float, ...]
+    provenance: str
 
 
 def check_fit_checkpoints(checkpoints: Sequence[int]) -> None:

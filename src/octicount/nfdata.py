@@ -20,6 +20,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .arith import is_prime, primes_up_to
+from .catalog import LABELS
 
 __all__ = [
     "FieldRecord",
@@ -32,10 +33,10 @@ __all__ = [
     "load",
 ]
 
-OCTIC_LABELS = {"8T14", "8T23", "8T24", "8T39", "8T40", "8T44"}
+OCTIC_LABELS = frozenset(LABELS)
 QUARTIC_LABEL = "4T5"
 # Every Galois label a record can carry.
-GALOIS_LABELS = frozenset(OCTIC_LABELS | {QUARTIC_LABEL})
+GALOIS_LABELS = OCTIC_LABELS | {QUARTIC_LABEL}
 
 
 class IngestError(ValueError):
@@ -410,13 +411,16 @@ def _snapshot_from_lines(lines: Iterable[str], provenance: str, ingest_time: str
     return Snapshot(records=records, provenance=provenance, ingest_time=ingest_time)
 
 
-def ingest(path: str, provenance: str = "", ingest_time: str = "") -> Snapshot:
+def _read_lines(path: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            return fh.readlines()
     except OSError as exc:
         raise IngestError(f"{path}: {exc}") from exc
-    return ingest_lines(lines, provenance=provenance or path, ingest_time=ingest_time)
+
+
+def ingest(path: str, provenance: str = "", ingest_time: str = "") -> Snapshot:
+    return ingest_lines(_read_lines(path), provenance or path, ingest_time)
 
 
 def query(
@@ -489,11 +493,7 @@ def load(path: str) -> Snapshot:
     discriminant factors, irreducibility) run unless the header's seal
     matches the record lines, which means `persist` already ran them.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IngestError(f"{path}: {exc}") from exc
+    lines = _read_lines(path)
     if not lines:
         raise IngestError(f"{path}: empty store")
     try:

@@ -588,10 +588,9 @@ def coset_class_minima(G: PermGroup, I: PermGroup, N: PermGroup) -> list[Perm]:
 
 @dataclass(frozen=True)
 class CosetAction:
-    """Transitive action of `group` on the left cosets of `point_stabilizer`."""
+    """Transitive action of `group` on the left cosets of a subgroup."""
 
     group: PermGroup
-    point_stabilizer: PermGroup
     induced_degree: int
     _coset_of: dict  # Perm -> coset index (1-based)
     _reps: tuple     # coset representatives, reps[0] = identity
@@ -634,7 +633,7 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
         raise RuntimeError(
             f"found {len(reps)} cosets, expected |G|/|H| = {index}: H is not closed"
         )
-    return CosetAction(G, H, index, coset_of, tuple(reps))
+    return CosetAction(G, index, coset_of, tuple(reps))
 
 
 def quotient_as_perm(G: PermGroup, N: PermGroup) -> PermGroup:
@@ -644,9 +643,6 @@ def quotient_as_perm(G: PermGroup, N: PermGroup) -> PermGroup:
     """
     if not N.is_normal_in(G):
         raise ValueError("N is not normal in G")
-    q = G.order // N.order
-    if q == 1:
-        return PermGroup.trivial(1)
     return coset_action(G, N).image()
 
 

@@ -25,6 +25,7 @@ from octicount.perms import (
     subgroup_classes,
     wreath_c2_s4,
 )
+from octicount import verify
 from octicount.verify import (
     VerificationReport,
     _core_free_octic_classes,
@@ -212,6 +213,16 @@ class TestVerifiers:
             "8T14": "1/4", "8T23": "1/3", "8T24": "1/2",
             "8T39": "1/2", "8T40": "1/2", "8T44": "1",
         }
+
+    def test_table1_fails_on_a_wrong_alpha(self, monkeypatch):
+        # The computed alpha is compared with the one documented table; the
+        # catalog carries no second copy of it.
+        real = verify.malle_alpha
+        monkeypatch.setattr(verify, "malle_alpha", lambda G: Fraction(1, 2)
+                            if G is catalog_group("8T23") else real(G))
+        r = verify_table1()
+        assert r.witnesses == ["8T23: alpha computed 1/2, expected 1/3"]
+        assert r.details["alpha"]["8T23"] == "1/2" and r.details["alpha"]["8T14"] == "1/4"
 
     def test_unique_octic(self):
         r = verify_s4_unique_octic()

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import octicount.analytic
+import octicount.cli
 import octicount.counting
 import octicount.nfdata
 from conftest import record_json_line
@@ -359,6 +363,21 @@ class TestMalleAlpha:
     def test_8T23(self, capsys):
         assert run(["malle-alpha", "--label", "8T23"]) == 0
         assert capsys.readouterr().out.strip() == "1/3"
+
+    def test_runs_as_a_module(self, store):
+        # `python -m octicount.cli` once imported the module, ran nothing
+        # and exited 0, whatever the command.
+        env = dict(os.environ, PYTHONPATH=str(Path(octicount.cli.__file__).parent.parent))
+
+        def module_run(*argv):
+            return subprocess.run([sys.executable, "-m", "octicount.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+
+        ok = module_run("malle-alpha", "--label", "8T40")
+        assert (ok.returncode, ok.stdout, ok.stderr) == (0, "1/2\n", "")
+        bad = module_run("count", "--store", store, "--checkpoints", "10,x")
+        assert bad.returncode == 1 and bad.stdout == ""
+        assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
 
     def test_8T44(self, capsys):
         assert run(["malle-alpha", "--label", "8T44"]) == 0

@@ -93,6 +93,37 @@ def test_command_handlers_write_nothing():
     assert found == []
 
 
+def _settable_options() -> list[str]:
+    """Function parameters with a default, dataclass fields with a default,
+    and `add_argument` calls, over the package source."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                found += [f"{path.stem}.{node.name}({a.arg})"
+                          for a in positional[len(positional) - len(args.defaults):]]
+                found += [f"{path.stem}.{node.name}({a.arg})"
+                          for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                found += [f"{path.stem}.{node.name}.{ast.unparse(stmt.target)}"
+                          for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign) and stmt.value]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "add_argument"):
+                found.append(f"{path.stem}:{node.lineno} {ast.unparse(node.args[0])}")
+    return found
+
+
+def test_settable_options_stay_few():
+    # Every default is a choice some caller might rely on.  A change that
+    # adds an option raises this bound in its own diff and says why.
+    options = _settable_options()
+    assert len(options) <= 50, options
+
+
 def test_every_exported_name_resolves():
     unresolved = []
     for path in SOURCES:

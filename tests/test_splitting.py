@@ -19,6 +19,7 @@ from test_perms import action_kernel, brute_force_subgroups, conjugate
 from octicount.splitting import (
     SplittingSymbol,
     TameConfig,
+    ValuationProfile,
     enumerate_tame_configs,
     splitting_symbol,
     valuation_profile,
@@ -311,6 +312,32 @@ class TestLemmaVerifiers:
     def test_lemma_81_reports_computed_index_set(self):
         r = verify_lemma_81("8T40")
         assert r.details["computed_index_set"] == [2, 3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize("verifier, label, v_K, v_norm, parts", [
+        (verify_lemma_vpn, "8T23", 1, 2,
+         {"part1": "pass", "part2": "fail", "part3": "pass"}),
+        (verify_lemma_81, "8T40", 1, 0,
+         {"part1_valuation": "pass", "part2_valuation": "fail", "n0_never_4": "pass",
+          "index_set": "fail"}),
+        (verify_lemma_81, "8T40", 1, 4,
+         {"part1_valuation": "fail", "part2_valuation": "pass", "n0_never_4": "fail",
+          "index_set": "fail"}),
+    ], ids=["vpn-part2", "81-part2", "81-part1"])
+    def test_failing_valuation_part_is_read_from_its_witness(
+            self, verifier, label, v_K, v_norm, parts, monkeypatch):
+        # One real configuration with made-up valuations: each part's status
+        # is read from the witness prefixes, lemma 8.1's part1_valuation and
+        # part2_valuation from "part1:" and "part2:".
+        cfg, prof = splitting._tame_profiles(label)[0]
+        fake = ValuationProfile(v_norm + 2 * v_K, v_K, v_norm,
+                                prof.octic_symbol, prof.quartic_symbol)
+        monkeypatch.setattr(splitting, "_tame_profiles", lambda _: ((cfg, fake),))
+        r = verifier(label)
+        assert r.details["parts"] == parts
+        assert r.details["configs_checked"] == 1
+        failed = {w.split(":")[0] for w in r.witnesses}
+        assert failed == {part.removesuffix("_valuation")
+                          for part, status in parts.items() if status == "fail"}
 
     def test_verifiers_deterministic(self):
         a = verify_lemma_vpn("8T23")
