@@ -10,11 +10,11 @@ and decides itself which are its lanes: a monic f of degree n <= 8 at a prime
 max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(f), one numpy lane
 each.  The traces give the pattern, and Stickelberger's theorem,
 (disc f / p) = (-1)^(n - number of factors), checks it against the integer
-discriminant on every lane.  A field's Euler product hands the kernel all of
-its primes in one call, and the irreducibility prescreen of `nfdata` the
-primes of all the records of an ingest.  Every pair the kernel answers with
-None goes to `factor_mod_p` on the Euler path: the primes below
-max(5, n + 1), the primes dividing disc(f), and those above MAX_PRIME_BOUND.
+discriminant on every lane.  A partial constant hands the kernel the primes
+of all its fields, 16 lane chunks of pairs per call at most, and the
+irreducibility prescreen of `nfdata` the primes of all the records of an
+ingest.  Every other pair goes to `factor_mod_p` on the Euler path: p below
+max(5, n + 1), p | disc(f), p > MAX_PRIME_BOUND, and f not monic mod p.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator, Optional, Sequence
 
-from .arith import is_prime, primes_up_to
+from .arith import is_prime, is_prime_lanes, powmod_lanes, primes_up_to
 from .nfdata import QUARTIC_LABEL, Snapshot, query
 
 __all__ = [
@@ -211,11 +212,6 @@ def _distinct_degree(g: list[int], p: int) -> list[tuple[int, list[int]]]:
     return out
 
 
-def _check_prime(p: int) -> None:
-    if p >= 2 ** 61 or not is_prime(p):
-        raise ValueError(f"{p} is not a prime below 2^61")
-
-
 def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
     """Degrees-with-multiplicities of the irreducible factors of a monic poly mod p.
 
@@ -224,7 +220,8 @@ def factor_mod_p(coeffs: Sequence[int], p: int) -> tuple[tuple[int, int], ...]:
     output entry per irreducible factor, as a sorted (degree, multiplicity)
     multiset.
     """
-    _check_prime(p)
+    if p >= 2 ** 61 or not is_prime(p):
+        raise ValueError(f"{p} is not a prime below 2^61")
     if coeffs[-1] % p != 1:
         raise ValueError("polynomial must be monic")
     if len(coeffs) - 1 > 8:
@@ -329,42 +326,49 @@ def _frobenius_lanes(polys: Sequence[Sequence[int]],
                      primes: Sequence[int]) -> list[Optional[tuple[int, ...]]]:
     """Residue degrees of polys[i] mod primes[i] for each lane, None for any other pair.
 
-    A lane is a pair (f, p) with f of degree 2 <= n <= 8 and p a prime
-    max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(f).  Then f is
-    squarefree mod p, its Frobenius traces, exact as they are at most n < p,
-    give its pattern, and int64 never wraps (see `_frobenius_traces`).  The
-    lanes of each degree take one numpy pass per chunk.  A lane's p must be
-    prime, each distinct one proved so, and f monic mod p (ValueError).
-    Stickelberger's theorem checks every lane against disc(f):
-    (disc / p) = (-1)^(n - #factors), by Euler's criterion.  A trace tuple
-    outside the table, or a mismatch, raises RuntimeError.
+    A lane is a pair (f, p) with f of degree 2 <= n <= 8, monic mod p, and p a
+    prime max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(f).  Then f
+    is squarefree mod p, its Frobenius traces, exact as they are at most
+    n < p, give its pattern, and int64 never wraps (see `_frobenius_traces`).
+    The lanes of each degree take one numpy pass per chunk.  Every check runs
+    on int64 lanes: each distinct lane prime is proved prime once
+    (ValueError), and Stickelberger's theorem checks every lane against
+    disc(f): (disc / p) = (-1)^(n - #factors), by Euler's criterion.  A
+    trace tuple outside the table, or a mismatch, raises RuntimeError.
     """
     out: list[Optional[tuple[int, ...]]] = [None] * len(primes)
     lanes: dict[int, list[tuple[int, int]]] = {}  # degree -> (pair index, disc) of its lanes
     for i, (f, p) in enumerate(zip(polys, primes)):
         n = len(f) - 1
-        if 2 <= n <= 8 and n < p and 5 <= p <= MAX_PRIME_BOUND:
+        if 2 <= n <= 8 and n < p and 5 <= p <= MAX_PRIME_BOUND and f[-1] % p == 1:
             disc = _poly_disc(tuple(f))
             if disc % p:
-                if f[-1] % p != 1:
-                    raise ValueError("polynomial must be monic")
                 lanes.setdefault(n, []).append((i, disc))
-    for p in {primes[i] for group in lanes.values() for i, _ in group}:
-        _check_prime(p)
+    if not lanes:
+        return out
+    import numpy as np
+
+    distinct = sorted({primes[i] for group in lanes.values() for i, _ in group})
+    for start in range(0, len(distinct), _LANE_CHUNK):
+        chunk = distinct[start:start + _LANE_CHUNK]
+        for p in compress(chunk, ~is_prime_lanes(chunk)):
+            raise ValueError(f"{p} is not a prime below 2^61")
     for n, group in lanes.items():
         table = _patterns_by_traces(n)
+        parity = {traces: (n - len(degrees)) % 2 for traces, degrees in table.items()}
         for start in range(0, len(group), _LANE_CHUNK):
-            chunk = group[start:start + _LANE_CHUNK]
-            ps = [primes[i] for i, _ in chunk]
-            for (i, disc), p, traces in zip(
-                    chunk, ps, _frobenius_traces([polys[i] for i, _ in chunk], ps)):
-                degrees = table.get(traces)
-                chi = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
-                if degrees is None or chi != (-1) ** (n - len(degrees)):
-                    raise RuntimeError(
-                        f"degree {n} mod {p}: Frobenius traces {traces} do not match the "
-                        f"Legendre symbol {chi} of the discriminant (Stickelberger)")
-                out[i] = degrees
+            index, discs = zip(*group[start:start + _LANE_CHUNK])
+            ps = [primes[i] for i in index]
+            traces = _frobenius_traces([polys[i] for i in index], ps)
+            p = np.array(ps, np.int64)
+            residues = np.array([disc % q for disc, q in zip(discs, ps)], np.int64)
+            odd = powmod_lanes(residues, (p - 1) // 2, p) != 1
+            for k in np.flatnonzero(odd != [parity.get(t, 2) for t in traces]):
+                raise RuntimeError(
+                    f"degree {n} mod {ps[k]}: Frobenius traces {traces[k]} do not match the "
+                    f"Legendre symbol {-1 if odd[k] else 1} of the discriminant (Stickelberger)")
+            for i, t in zip(index, traces):
+                out[i] = table[t]
     return out
 
 
@@ -411,17 +415,27 @@ def _poly_disc(coeffs: tuple[int, ...]) -> int:
     return sign * m[-1][-1] // lead ** ((n - 1) * (n - 2))
 
 
-def _local_factors(record, primes: Sequence[int]) -> Iterator[LocalFactorData]:
-    """`local_factor_data` at each of primes in turn, all of them in one kernel call."""
-    coeffs = tuple(record.coeffs)
-    q, r = divmod(_poly_disc(coeffs), record.disc)
-    for p, degrees in zip(primes, _frobenius_lanes([coeffs] * len(primes), primes)):
-        ramified = False
-        if degrees is None:
-            pattern = factor_mod_p(coeffs, p)
-            degrees = tuple(sorted(d for d, _ in pattern))
-            ramified = any(mult > 1 for _, mult in pattern)
-        yield LocalFactorData(p, degrees, ramified, trusted=(r == 0) and (q % p != 0))
+def _local_factors(records: Sequence, primes: Sequence[int]) -> Iterator[list[tuple]]:
+    """Each record's (residue degrees, ramified, trusted) at each of primes, record by record.
+
+    One `_frobenius_lanes` call takes the pairs of up to 16 lane chunks of records (of one at
+    least); the others go to `factor_mod_p` at their record's turn, so an error names its record.
+    """
+    step = max(1, 16 * _LANE_CHUNK // len(primes))
+    for start in range(0, len(records), step):
+        polys = [tuple(rec.coeffs) for rec in records[start:start + step]]
+        lanes = iter(_frobenius_lanes([f for f in polys for _ in primes], [*primes] * len(polys)))
+        for rec, f in zip(records[start:start + step], polys):
+            q, r = divmod(_poly_disc(f), rec.disc)
+            factors = []
+            for p, degrees in zip(primes, lanes):
+                ramified = False
+                if degrees is None:
+                    pattern = factor_mod_p(f, p)
+                    degrees = tuple(sorted(d for d, _ in pattern))
+                    ramified = any(mult > 1 for _, mult in pattern)
+                factors.append((degrees, ramified, r == 0 and q % p != 0))
+            yield factors
 
 
 def local_factor_data(record, p: int) -> LocalFactorData:
@@ -432,13 +446,10 @@ def local_factor_data(record, p: int) -> LocalFactorData:
     splitting (one prime per irreducible factor, residue degree = factor
     degree) including the ramified case.
 
-    A lane of `_frobenius_lanes` (degree n <= 8, a prime
-    max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(poly)) is
-    unramified, and its pattern is checked against the Legendre symbol of
-    disc(poly) mod p.  Every pair the kernel answers with None, the smallest
-    primes and p | disc(poly) included, goes through `factor_mod_p`.
+    A lane of `_frobenius_lanes` is unramified and checked by Stickelberger's
+    theorem; every other pair goes through `factor_mod_p`.
     """
-    return next(_local_factors(record, (p,)))
+    return LocalFactorData(p, *next(_local_factors([record], (p,)))[0])
 
 
 def _checked_prime_bound(prime_bound: int) -> int:
@@ -452,35 +463,38 @@ def _checked_prime_bound(prime_bound: int) -> int:
 def zeta_K_at_2(record, prime_bound: int) -> ZetaValue:
     """Dedekind zeta at s = 2 by a truncated Euler product with rigorous bounds.
 
-    Local factors at trusted primes are those of `local_factor_data`: the
-    primes p <= P go to `_frobenius_lanes` in one call, and each one that is
-    not a lane to the factorization of the defining polynomial mod p.
-    Untrusted primes contribute a bracket between 1 and (1 - p^-2)^(-degree).
-    The truncation tail is bounded via sum_{p > P} p^-2 <= 1/(P - 1).  Needs
-    100 <= P <= MAX_PRIME_BOUND.
+    Local factors at trusted primes are those of `local_factor_data`, from
+    the same path.  Untrusted primes contribute a bracket between 1 and
+    (1 - p^-2)^(-degree).  The truncation tail is bounded via
+    sum_{p > P} p^-2 <= 1/(P - 1).  Needs 100 <= P <= MAX_PRIME_BOUND.
     """
+    return next(_zetas_at_2([record], prime_bound))
+
+
+def _zetas_at_2(records: Sequence, prime_bound: int) -> Iterator[ZetaValue]:
+    """`zeta_K_at_2` of each record in turn, all from one `_local_factors` pass."""
     P = _checked_prime_bound(prime_bound)
-    degree = len(record.coeffs) - 1
-    lower = upper = 1.0
-    # One sieve per prime bound, shared by every field of the run.
-    for data in _local_factors(record, primes_up_to(P)):
-        p = data.p
-        if data.trusted:
-            factor = 1.0
-            for f in data.residue_degrees:
-                factor /= 1.0 - p ** (-2.0 * f)
-            lower *= factor
-            upper *= factor
-        else:
-            upper *= (1.0 - p ** -2.0) ** (-degree)
-    # Multiplicative tail bound over the omitted primes.
-    tail = math.exp(degree * (1.0 / (P - 1)) / (1.0 - P ** -2.0))
-    upper *= tail
-    value = 0.5 * (lower + upper)
-    err = 0.5 * (upper - lower)
-    # One ulp of slack per multiplication keeps the bound honestly directed.
-    err += 8e-16 * value * (P / math.log(max(P, 3)))
-    return ZetaValue(value=value, error_bound=err)
+    primes = primes_up_to(P)  # one sieve per prime bound, shared by every field of the run
+    for record, factors in zip(records, _local_factors(records, primes)):
+        degree = len(record.coeffs) - 1
+        lower = upper = 1.0
+        for p, (degrees, _, trusted) in zip(primes, factors):
+            if trusted:
+                factor = 1.0
+                for f in degrees:
+                    factor /= 1.0 - p ** (-2.0 * f)
+                lower *= factor
+                upper *= factor
+            else:
+                upper *= (1.0 - p ** -2.0) ** (-degree)
+        # Multiplicative tail bound over the omitted primes.
+        tail = math.exp(degree * (1.0 / (P - 1)) / (1.0 - P ** -2.0))
+        upper *= tail
+        value = 0.5 * (lower + upper)
+        err = 0.5 * (upper - lower)
+        # One ulp of slack per multiplication keeps the bound honestly directed.
+        err += 8e-16 * value * (P / math.log(max(P, 3)))
+        yield ZetaValue(value=value, error_bound=err)
 
 
 _REG_REL_ERR = 1e-11  # regulators carry >= 12 significant digits
@@ -512,10 +526,11 @@ def partial_constant(snapshot: Snapshot, Z: int, prime_bound: int) -> PartialCon
     err = 0.0
     term_list: list[tuple[str, float, float]] = []
     fields = query(snapshot, degree=4, galois_filter=[QUARTIC_LABEL], max_abs_disc=Z)
+    zetas = _zetas_at_2(fields, prime_bound)
     for rec in fields:  # already sorted by (|disc|, label)
         try:
             resid = zeta_residue(rec)
-            z2 = zeta_K_at_2(rec, prime_bound)
+            z2 = next(zetas)
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"constant evaluation failed at {rec.label}: {exc}") from exc
         denom = 2.0 ** rec.r2 * float(rec.disc) ** 2

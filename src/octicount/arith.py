@@ -6,7 +6,7 @@ import math
 from functools import lru_cache
 from itertools import compress
 
-__all__ = ["is_prime", "primes_up_to"]
+__all__ = ["is_prime", "is_prime_lanes", "powmod_lanes", "primes_up_to"]
 
 # (base a_k, psi_k): psi_k is the smallest strong pseudoprime to all of the
 # first k prime bases, so Miller-Rabin on those bases proves n < psi_k prime.
@@ -57,6 +57,35 @@ def is_prime(n: int) -> bool:
         if n < psi:
             return True
     return True
+
+
+def powmod_lanes(base, exp, mod):
+    """base^exp mod mod on int64 numpy lanes; base, mod < 3,037,000,499 keep products < 2^63."""
+    x = mod ** 0  # ones
+    for bit in reversed(range(int(exp.max()).bit_length())):
+        factor = (exp >> bit & 1) * (base - 1) + 1  # base where the bit is set, else 1
+        x = x * x % mod * factor % mod
+    return x
+
+
+def is_prime_lanes(ns):
+    """`is_prime` of each 5 <= n <= 3,037,000,499 of ns (n^2 < 2^63), as a numpy bool array.
+
+    Miller-Rabin on int64 lanes, on the bases `is_prime` takes for the largest n.
+    """
+    import numpy as np
+
+    n = np.asarray(ns, np.int64)
+    k = 1 + sum(psi <= n.max() for _, psi in _MR_BOUNDS)
+    bases = np.array([a for a, _ in _MR_BOUNDS[:k]])[:, None]  # one row per base
+    low = (n - 1) & (1 - n)  # 2^s, with n - 1 = 2^s d and d odd
+    x = powmod_lanes(bases, (n - 1) // low, n)
+    passed = (x == 1) | (x == n - 1) | (n == bases)
+    while (low > 2).any():  # x^(2^r d) for 0 < r < s
+        low = low >> 1
+        x = x * x % n
+        passed |= (low > 1) & (x == n - 1)
+    return (n % 2 == 1) & passed.all(axis=0)
 
 
 @lru_cache(maxsize=8)

@@ -253,7 +253,7 @@ def check_fit_checkpoints(checkpoints: Sequence[int]) -> None:
         raise ValueError(f"need checkpoints >= 1 to fit, got {min(checkpoints)}")
 
 
-def fit_error(series: CountSeries, C: PartialConstant, provenance: str = "") -> FitReport:
+def fit_error(series: CountSeries, C: PartialConstant, provenance: str) -> FitReport:
     """Sup-ratio against X^THETA_TARGET and log-log slope of the residuals N(X) - C*X."""
     check_fit_checkpoints(series.checkpoints)
     residuals = tuple(

@@ -419,8 +419,8 @@ def _read_lines(path: str) -> list[str]:
         raise IngestError(f"{path}: {exc}") from exc
 
 
-def ingest(path: str, provenance: str = "", ingest_time: str = "") -> Snapshot:
-    return ingest_lines(_read_lines(path), provenance or path, ingest_time)
+def ingest(path: str, provenance: str, ingest_time: str) -> Snapshot:
+    return ingest_lines(_read_lines(path), provenance, ingest_time)
 
 
 def query(

@@ -310,9 +310,7 @@ SPLITTING_VERIFIERS = (
 )
 
 
-def run_all_splitting_verifiers(
-    labels: Optional[Iterable[str]] = None,
-) -> list[VerificationReport]:
+def run_all_splitting_verifiers(labels: Optional[Iterable[str]]) -> list[VerificationReport]:
     """The lemma verifiers of the requested catalog groups (all when None)."""
     wanted = set(labels) if labels else None
     return [

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import pytest
@@ -288,12 +288,24 @@ class TestQuarticPath:
         for i in [*range(edge - 3, edge + 3), *range(0, len(lanes), 97)]:
             assert local_factor_data(rec, lanes[i]).residue_degrees == batch[i]
 
-    @pytest.mark.parametrize("p", [9, 15, nextprime(2 ** 61), 2 ** 61 + 1])
+    # After 9 and 15, base-2 strong pseudoprimes and Carmichael numbers, the
+    # smallest strong pseudoprimes to bases 2 and 3 (psi_2), to 2 and 5, and to
+    # 2, 3 and 7: all lanes.  Then a prime and a composite above 2^61.
+    @pytest.mark.parametrize("p", [9, 15, 2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 2465,
+                                   2821, 6601, 8911, 1_373_653, 1_907_851, 2_284_453,
+                                   nextprime(2 ** 61), 2 ** 61 + 1])
     def test_bad_primes_rejected(self, p):
         rec = quartic_rec((-1, -1, 0, 0, 1))
         assert analytic._poly_disc(rec.coeffs) % p != 0
         with pytest.raises(ValueError, match="not a prime below 2"):
             local_factor_data(rec, p)
+
+    def test_composite_past_the_first_chunk_rejected(self):
+        coeffs = (-1, -1, 0, 0, 1)  # disc -283
+        lanes = [p for p in primerange(5, 45000) if p != 283] + [2_284_453]
+        assert len(lanes) > analytic._LANE_CHUNK
+        with pytest.raises(ValueError, match="^2284453 is not a prime below 2"):
+            analytic._frobenius_lanes([coeffs] * len(lanes), lanes)
 
     def test_non_monic_rejected(self):
         coeffs = (-1, -1, 0, 0, 2)
@@ -491,6 +503,10 @@ class TestIntegerPrimitives:
         for n in window:
             assert is_prime(n) == isprime(n), n
 
+    def test_lane_primality_agrees_with_is_prime(self):
+        ns = range(5, 200_001)
+        assert arith.is_prime_lanes(ns).tolist() == [is_prime(n) for n in ns]
+
     @pytest.mark.parametrize("P", [100, 1000, 10 ** 5])
     def test_sieve_matches_primerange(self, P):
         assert primes_up_to(P) == tuple(primerange(2, P + 1))
@@ -527,18 +543,18 @@ class TestZetaAt2:
         seen = []
         real = analytic._local_factors
 
-        def spy(record, primes):
-            for data in real(record, primes):
-                seen.append(data)
-                yield data
+        def spy(records, primes):
+            for factors in real(records, primes):
+                seen.extend(zip(primes, factors))
+                yield factors
 
         monkeypatch.setattr(analytic, "_local_factors", spy)
         zeta_K_at_2(rec, 10 ** 4)
-        assert [data.p for data in seen] == list(primerange(2, 10 ** 4 + 1))
-        for data in seen:
-            pattern = factor_mod_p(rec.coeffs, data.p)
-            assert data.residue_degrees == degrees_of(pattern), data.p
-            assert data.ramified == any(m > 1 for _, m in pattern)
+        assert [p for p, _ in seen] == list(primerange(2, 10 ** 4 + 1))
+        for p, (degrees, ramified, _) in seen:
+            pattern = factor_mod_p(rec.coeffs, p)
+            assert degrees == degrees_of(pattern), p
+            assert ramified == any(m > 1 for _, m in pattern)
 
     def test_all_bounds_finite(self):
         for rec in (QFIELD, QI, QSQRT2):
@@ -630,6 +646,50 @@ class TestPartialConstant:
         expected = resid.value / (4 * z2.value * 100)
         assert abs(pc.value - expected) <= pc.error_bound + 1e-12
         assert len(pc.term_list) == 1
+
+    # A good field ahead of two bad ones: one fails `zeta_residue` (no h), the
+    # other the Euler product (non-monic), in both (|disc|, label) orders.
+    @pytest.mark.parametrize("no_h_disc, non_monic_disc", [(331, 491), (491, 331)])
+    def test_failure_names_the_first_bad_field(self, no_h_disc, non_monic_disc):
+        good = quartic_record("G", -283, [(283, 1)])
+        no_h = replace(quartic_record("H", -no_h_disc, [(no_h_disc, 1)]), h=None)
+        non_monic = replace(quartic_record("M", -non_monic_disc, [(non_monic_disc, 1)]),
+                            coeffs=(-1, -1, 0, 0, 2))
+        snap = Snapshot(records={r.label: r for r in (good, no_h, non_monic)})
+        first = "constant evaluation failed at H: H: missing invariants \\['h'\\]"
+        if non_monic_disc < no_h_disc:
+            first = "constant evaluation failed at M: polynomial must be monic"
+        with pytest.raises(ValueError, match=f"^{first}$"):
+            partial_constant(snap, 10 ** 3, 10 ** 3)
+
+    def test_fit_shaped_call_takes_one_kernel_call(self, monkeypatch):
+        # 100 fields at P = 1000, as `fit` has them: one `_frobenius_lanes`
+        # call, one trace pass per chunk of lanes, one proof per lane prime.
+        rng = random.Random(1000)
+        polys = [tuple(rng.randint(-60, 60) for _ in range(4)) + (1,) for _ in range(100)]
+        records = [replace(quartic_record(f"K{i:03d}", analytic._poly_disc(f), []), coeffs=f)
+                   for i, f in enumerate(polys)]
+        assert all(rec.disc for rec in records)
+        snap = Snapshot(records={rec.label: rec for rec in records})
+        lanes = [(f, p) for f in polys for p in primerange(5, 1001) if analytic._poly_disc(f) % p]
+        calls, passes, proved = [], [], []
+        kernel, traces, proof = (analytic._frobenius_lanes, analytic._frobenius_traces,
+                                 analytic.is_prime_lanes)
+        monkeypatch.setattr(analytic, "_frobenius_lanes",
+                            lambda fs, ps: calls.append(len(ps)) or kernel(fs, ps))
+        monkeypatch.setattr(analytic, "_frobenius_traces",
+                            lambda fs, ps: passes.append(len(ps)) or traces(fs, ps))
+        monkeypatch.setattr(analytic, "is_prime_lanes",
+                            lambda ns: proved.extend(ns) or proof(ns))
+        pc = partial_constant(snap, 10 ** 12, 1000)
+        assert pc.terms == 100 and calls == [100 * len(primes_up_to(1000))]
+        assert len(passes) == -(-len(lanes) // analytic._LANE_CHUNK) and sum(passes) == len(lanes)
+        assert sorted(proved) == sorted({p for _, p in lanes})
+        # Smaller chunks split the fields over several calls, and change no number.
+        calls.clear()
+        monkeypatch.setattr(analytic, "_LANE_CHUNK", 64)  # 16 chunks hold 6 fields
+        assert partial_constant(snap, 10 ** 12, 1000) == pc
+        assert calls == [6 * 168] * 16 + [4 * 168]
 
     def test_kappa_annotation_constant(self):
         assert abs(KAPPA - 0.2784) < 1e-9

@@ -379,6 +379,18 @@ class TestMalleAlpha:
         assert bad.returncode == 1 and bad.stdout == ""
         assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
 
+    def test_package_runs_as_a_module(self, store):
+        # `python -m octicount` once failed: the package had no `__main__` module.
+        env = dict(os.environ, PYTHONPATH=str(Path(octicount.cli.__file__).parent.parent))
+        argv = [sys.executable, "-m", "octicount"]
+        ok = subprocess.run([*argv, "malle-alpha", "--label", "8T40"], env=env,
+                            capture_output=True, text=True, timeout=300)
+        assert (ok.returncode, ok.stdout, ok.stderr) == (0, "1/2\n", "")
+        bad = subprocess.run([*argv, "count", "--store", store, "--checkpoints", "10,x"],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert bad.returncode == 1 and bad.stdout == ""
+        assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
+
     def test_8T44(self, capsys):
         assert run(["malle-alpha", "--label", "8T44"]) == 0
         assert capsys.readouterr().out.strip() == "1"

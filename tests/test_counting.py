@@ -192,7 +192,7 @@ class TestFitError:
         cps = self.geometric_checkpoints()
         counts = [math.floor(x - 3 * x ** 0.7) for x in cps]
         series = CountSeries(tuple(cps), tuple(counts), ("synthetic",))
-        report = fit_error(series, unit_constant())
+        report = fit_error(series, unit_constant(), "")
         assert report.slope is not None
         assert 0.68 <= report.slope <= 0.72
 
@@ -200,7 +200,7 @@ class TestFitError:
         cps = self.geometric_checkpoints()
         counts = [math.floor(1.0 * x) for x in cps]
         series = CountSeries(tuple(cps), tuple(counts), ("synthetic",))
-        report = fit_error(series, unit_constant())
+        report = fit_error(series, unit_constant(), "")
         assert report.sup_ratio <= cps[0] ** (-THETA_TARGET) * 1.0 + 1e-12
 
     def test_theta_target_value(self):
@@ -209,12 +209,12 @@ class TestFitError:
     def test_too_few_checkpoints(self):
         series = CountSeries((10, 20), (1, 2), ())
         with pytest.raises(ValueError):
-            fit_error(series, unit_constant())
+            fit_error(series, unit_constant(), "")
 
     def test_checkpoints_below_one(self):
         series = CountSeries((0, 5, 100), (0, 0, 0), ())
         with pytest.raises(ValueError, match="checkpoints >= 1"):
-            fit_error(series, unit_constant())
+            fit_error(series, unit_constant(), "")
 
 
 class TestAuditLemmas:

@@ -356,7 +356,7 @@ class TestOnePassPerGroup:
 
         monkeypatch.setattr(splitting, "splitting_symbol", counted)
         splitting._tame_profiles.cache_clear()
-        reports = splitting.run_all_splitting_verifiers()
+        reports = splitting.run_all_splitting_verifiers(None)
         configs = {r.details["group"]: r.details["configs_checked"] for r in reports}
         assert configs == {"8T23": 19, "8T40": 73}
         assert len(degrees) == 184
