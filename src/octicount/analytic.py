@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Iterator, Optional, Sequence
@@ -80,7 +80,7 @@ class PartialConstant:
     error_bound: float
     terms: int
     prime_bound: int
-    term_list: tuple[tuple[str, float, float], ...] = field(default=())
+    term_list: tuple[tuple[str, float, float], ...]
 
 
 # ---------------------------------------------------------------------------

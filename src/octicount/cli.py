@@ -361,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Optional[list[str]] = None) -> int:
+def run(argv: list[str]) -> int:
     """Run one command and write its result: the JSON payload to the --json
     file or stdout, else the text lines to stdout; then the --stamp footer."""
     parser = _build_parser()

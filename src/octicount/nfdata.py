@@ -13,11 +13,10 @@ import json
 import math
 import re
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Optional, TextIO
 
 from .arith import is_prime, primes_up_to
 from .catalog import LABELS
@@ -81,12 +80,8 @@ class FieldRecord:
         return abs(self.disc)
 
     def validate(self) -> None:
-        """Every check a record must pass: the structure, then the arithmetic."""
-        self.validate_structure()
-        self.validate_arithmetic()
-
-    def validate_structure(self) -> None:
-        """The cheap checks, run on every record a store holds, sealed or not."""
+        """The structural checks, which every record a store holds passes, sealed
+        or not.  Not the whole check: `_failures` adds the arithmetic ones."""
         if not self.label:
             raise IngestError("empty label")
         if self.degree not in (4, 8):
@@ -127,14 +122,6 @@ class FieldRecord:
             if self.galois not in OCTIC_LABELS:
                 raise IngestError(f"{self.label}: unknown octic Galois label {self.galois}")
 
-    def validate_arithmetic(self) -> None:
-        """The expensive checks, which a matching store seal lets `load` skip."""
-        for p, _ in self.disc_factors:
-            if not is_prime(p):
-                raise IngestError(f"{self.label}: disc factor {p} is not prime")
-        if not _is_irreducible(self.coeffs):
-            raise IngestError(f"{self.label}: polynomial is reducible over the rationals")
-
 
 # The irreducibility prescreen reads the primes 5 <= p below this (the kernel
 # takes no lane at 2 or 3), this many more per round for each polynomial it
@@ -162,14 +149,13 @@ def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]
     still open, and hands all of those pairs to one call of the Frobenius-trace
     kernel `analytic._frobenius_lanes`, which answers its lanes and leaves the
     other pairs None.  A polynomial whose lanes below 200 leave a common k
-    (one of degree above 8 has none) goes to sympy's exact factorization.
+    (one of degree above 8 has none) is decided by `_is_irreducible`.
     """
     from .analytic import _frobenius_lanes
 
     prescreen_primes = primes_up_to(_PRESCREEN_PRIME_BOUND - 1)[2:]
     verdicts: dict[tuple[int, ...], bool] = {}
     unsettled: dict[tuple[int, ...], tuple] = {}  # f -> (primes to come, candidate k)
-    exact: list[tuple[int, ...]] = []
     for f in dict.fromkeys(polys):
         n = len(f) - 1
         if n <= 1:
@@ -177,13 +163,13 @@ def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]
         elif f[-1] == 1:
             unsettled[f] = (iter(prescreen_primes), set(range(1, n)))
         else:
-            exact.append(f)
+            verdicts[f] = _is_irreducible(f)
     while unsettled:
         fs, ps = [], []  # the pairs of this round
         for f, (primes, _) in list(unsettled.items()):
             batch = list(islice(primes, _PRESCREEN_PRIMES_PER_ROUND))
             if not batch:
-                exact.append(f)
+                verdicts[f] = _is_irreducible(f)
                 del unsettled[f]
                 continue
             fs += [f] * len(batch)
@@ -195,45 +181,45 @@ def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]
                 if not candidates:
                     verdicts[f] = True
                     del unsettled[f]
-    if exact:
-        from sympy import Poly, Symbol
-
-        x = Symbol("x")
-        for f in exact:
-            _, factors = Poly(list(reversed(f)), x).factor_list()
-            verdicts[f] = len(factors) == 1 and factors[0][1] == 1
     return verdicts
-
-
-# The verdicts `_irreducibility_decided` reached for the batch of records
-# whose `validate` calls run inside it.
-_BATCH_VERDICTS: dict[tuple[int, ...], bool] = {}
 
 
 @lru_cache(maxsize=4096)
 def _is_irreducible(coeffs: tuple[int, ...]) -> bool:
-    """Irreducibility over Q of one monic integer polynomial (see `_irreducibility`),
-    read from the batch being validated when it is part of one."""
-    verdict = _BATCH_VERDICTS.get(coeffs)
-    return _irreducibility([coeffs])[coeffs] if verdict is None else verdict
+    """Irreducibility over Q of one integer polynomial, by sympy's exact
+    factorization: the decision `_irreducibility` falls back to."""
+    from sympy import Poly, Symbol
+
+    _, factors = Poly(list(reversed(coeffs)), Symbol("x")).factor_list()
+    return len(factors) == 1 and factors[0][1] == 1
 
 
-@contextmanager
-def _irreducibility_decided(records: list[FieldRecord]) -> Iterator[None]:
-    """Decide irreducibility, in one batch, for every record that passes its
-    structural checks, for the `validate` calls made inside the block."""
-    polys = []
+def _failures(records: list[FieldRecord],
+              arithmetic: bool) -> dict[FieldRecord, Optional[IngestError]]:
+    """The first check each record fails, or None if it passes them all.
+
+    The structure (`FieldRecord.validate`) runs once per record.  With
+    `arithmetic`, the primality of each discriminant factor follows, then
+    irreducibility, decided by one `_irreducibility` call over the records
+    whose structure passed.
+    """
+    failures: dict[FieldRecord, Optional[IngestError]] = {}
     for rec in records:
         try:
-            rec.validate_structure()
-        except IngestError:
-            continue
-        polys.append(rec.coeffs)
-    _BATCH_VERDICTS.update(_irreducibility(polys))
-    try:
-        yield
-    finally:
-        _BATCH_VERDICTS.clear()
+            rec.validate()
+            failures[rec] = None
+        except IngestError as exc:
+            failures[rec] = exc
+    if arithmetic:
+        irreducible = _irreducibility([rec.coeffs for rec in records if failures[rec] is None])
+        for rec in [rec for rec, failure in failures.items() if failure is None]:
+            composite = next((p for p, _ in rec.disc_factors if not is_prime(p)), None)
+            if composite is not None:
+                failures[rec] = IngestError(f"{rec.label}: disc factor {composite} is not prime")
+            elif not irreducible[rec.coeffs]:
+                failures[rec] = IngestError(
+                    f"{rec.label}: polynomial is reducible over the rationals")
+    return failures
 
 
 @dataclass(frozen=True)
@@ -307,14 +293,14 @@ def _factor(pair, field: str) -> tuple[int, int]:
     return _int(pair[0], field), _int(pair[1], field)
 
 
-# Parsed records, by value, that passed `validate` and are still alive.
+# Parsed records, by value, that passed every check and are still alive.
 # `persist` checks every record in full before it seals a store; a record
 # `ingest` has just read is looked up here instead of checked twice.
 _VALIDATED: "weakref.WeakSet[FieldRecord]" = weakref.WeakSet()
 
 
 def _record_from_obj(obj: dict) -> FieldRecord:
-    """Parse one record strictly; `validate` checks it."""
+    """Parse one record strictly; `_failures` checks it."""
     if not isinstance(obj, dict):
         raise IngestError("record is not an object")
     unknown = set(obj) - _ALL_KEYS
@@ -370,8 +356,8 @@ def ingest_lines(lines: Iterable[str], provenance: str = "", ingest_time: str = 
 
 def _snapshot_from_lines(lines: Iterable[str], provenance: str, ingest_time: str,
                          arithmetic: bool) -> Snapshot:
-    """Parse every line, decide irreducibility for all parsed records in one
-    batch, then validate the records in line order.
+    """Parse every line, check all parsed records in one `_failures` call,
+    then report the failures in line order.
 
     `arithmetic=False` checks only the structure; only `load` passes it, and
     only for a store whose seal matches.
@@ -383,29 +369,22 @@ def _snapshot_from_lines(lines: Iterable[str], provenance: str, ingest_time: str
             continue
         try:
             parsed.append((lineno, _record_from_obj(json.loads(line))))
-        except (json.JSONDecodeError, IngestError) as exc:
+        except (json.JSONDecodeError, RecursionError, IngestError) as exc:
             parsed.append((lineno, exc))
+    failures = _failures([rec for _, rec in parsed if isinstance(rec, FieldRecord)], arithmetic)
     records: dict[str, FieldRecord] = {}
     errors: list[str] = []
-    batch = [rec for _, rec in parsed if isinstance(rec, FieldRecord)] if arithmetic else []
-    with _irreducibility_decided(batch):
-        for lineno, rec in parsed:
-            if isinstance(rec, FieldRecord):
-                try:
-                    if arithmetic:
-                        rec.validate()
-                        _VALIDATED.add(rec)
-                    else:
-                        rec.validate_structure()
-                except IngestError as exc:
-                    rec = exc
-            if not isinstance(rec, FieldRecord):
-                errors.append(f"line {lineno}: {rec}")
-                continue
-            prev = records.get(rec.label)
-            if prev is not None and prev != rec:
-                errors.append(f"line {lineno}: conflicting duplicate for label {rec.label!r}")
-            records[rec.label] = rec
+    for lineno, rec in parsed:
+        failure = failures[rec] if isinstance(rec, FieldRecord) else rec
+        if failure is not None:
+            errors.append(f"line {lineno}: {failure}")
+            continue
+        if arithmetic:
+            _VALIDATED.add(rec)
+        prev = records.get(rec.label)
+        if prev is not None and prev != rec:
+            errors.append(f"line {lineno}: conflicting duplicate for label {rec.label!r}")
+        records[rec.label] = rec
     if errors:
         raise IngestError("; ".join(errors))
     return Snapshot(records=records, provenance=provenance, ingest_time=ingest_time)
@@ -415,7 +394,7 @@ def _read_lines(path: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"{path}: {exc}") from exc
 
 
@@ -442,7 +421,7 @@ def query(
 
 
 _HEADER_TAG = "octic-snapshot/1"
-# Part of every seal.  Change it whenever `validate` starts to reject records
+# Part of every seal.  Change it whenever `_failures` starts to reject records
 # it accepted before, so that stores sealed under the old rules are checked
 # in full again.
 _VALIDATOR_VERSION = "nfdata-validate/2"
@@ -466,14 +445,15 @@ def persist(snapshot: Snapshot, fh: TextIO) -> None:
     Every record is validated in full before anything is written, so the
     header's seal only ever vouches for records that passed every check.
     """
+    failures = _failures([r for r in snapshot.records.values() if r not in _VALIDATED],
+                         arithmetic=True)
     body = []
-    with _irreducibility_decided([r for r in snapshot.records.values() if r not in _VALIDATED]):
-        for label in sorted(snapshot.records):
-            rec = snapshot.records[label]
-            if rec not in _VALIDATED:
-                rec.validate()
-            body.append(json.dumps(_record_to_obj(rec), sort_keys=True,
-                                   separators=(",", ":")) + "\n")
+    for label in sorted(snapshot.records):
+        rec = snapshot.records[label]
+        if failures.get(rec) is not None:
+            raise failures[rec]
+        body.append(json.dumps(_record_to_obj(rec), sort_keys=True,
+                               separators=(",", ":")) + "\n")
     header = {
         "format": _HEADER_TAG,
         "provenance": snapshot.provenance,
@@ -498,7 +478,7 @@ def load(path: str) -> Snapshot:
         raise IngestError(f"{path}: empty store")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise IngestError(f"{path}: bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != _HEADER_TAG:
         raise IngestError(f"{path}: not a snapshot store")

@@ -530,13 +530,12 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     )
 
 
-def normal_subgroups(G: PermGroup, max_order: Optional[int] = None) -> list[PermGroup]:
-    """Normal subgroups of G with order <= max_order (default: all).
+def normal_subgroups(G: PermGroup, max_order: int) -> list[PermGroup]:
+    """Normal subgroups of G with order <= max_order (G.order for all of them).
 
     A normal subgroup is a join of element conjugacy classes; BFS over
     class joins, pruned by the order bound.
     """
-    cap = max_order if max_order is not None else G.order
     num = G._num  # builds G's index first, which enforces the order cap
     classes = [frozenset(map(num.__getitem__, cls)) for cls in G.conjugacy_classes]
     trivial = frozenset([0])
@@ -545,10 +544,10 @@ def normal_subgroups(G: PermGroup, max_order: Optional[int] = None) -> list[Perm
     while queue:
         cur = queue.pop()
         for cls in classes:
-            if cls <= cur or len(cur) + len(cls) > cap:
+            if cls <= cur or len(cur) + len(cls) > max_order:
                 continue
             joined = G._close(cur, tuple(cls))
-            if len(joined) <= cap and joined not in found:
+            if len(joined) <= max_order and joined not in found:
                 found.add(joined)
                 queue.append(joined)
     perm_of = G._elems.__getitem__

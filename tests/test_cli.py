@@ -170,6 +170,26 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args, content, error", [
+        (["ingest", "--out", "out.jsonl", "--in"], b"[" * 100_000 + b"]" * 100_000,
+         "line 1: maximum recursion depth exceeded"),
+        (["audit", "--store"], b"[" * 100_000 + b"]" * 100_000,
+         "PATH: bad header: maximum recursion depth exceeded"),
+        (["ingest", "--out", "out.jsonl", "--in"], b"\xff\n",
+         "PATH: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["ingest-nested", "audit-nested", "ingest-not-utf8"])
+    def test_hostile_input_is_one_error_line(self, args, content, error, capsys, tmp_path,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        hostile = tmp_path / "hostile.jsonl"
+        hostile.write_bytes(content)
+        assert run(args + [str(hostile)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + error.replace("PATH", str(hostile)))
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [hostile]
+
     @pytest.mark.parametrize("args", [
         ["verify-splitting", "--group", "8T23", "--json"],
         ["count", "--checkpoints", "10", "--store", "STORE", "--csv"],

@@ -181,7 +181,8 @@ class TestTailCount:
 
 
 def unit_constant(value=1.0):
-    return PartialConstant(Z=0, value=value, error_bound=0.0, terms=0, prime_bound=0)
+    return PartialConstant(Z=0, value=value, error_bound=0.0, terms=0, prime_bound=0,
+                           term_list=())
 
 
 class TestFitError:

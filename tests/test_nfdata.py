@@ -136,9 +136,8 @@ def _with(**changes) -> str:
 
 
 class TestBatchedIngest:
-    """Ingest parses every line, decides irreducibility for all records in one
-    batch, then validates them in line order: the error text is as it was line
-    by line."""
+    """Ingest parses every line, checks all records in one batch, then reports
+    their failures in line order: the error text is as it was line by line."""
 
     LINES = [
         _with(label="4.2", disc="-287", disc_factors=[["287", "1"]]),
@@ -181,20 +180,37 @@ class TestBatchedIngest:
             **ingest_lines([kept[0]]).records, **ingest_lines([kept[1]]).records}
 
     def test_every_record_is_validated_against_one_batch(self, monkeypatch):
-        # One `_irreducibility` call decides the whole ingest, and every parsed
-        # record still goes through `FieldRecord.validate`, in line order.
-        batches, validated = [], []
+        # One `_irreducibility` call decides each ingest, over the records
+        # that pass their structural checks (`FieldRecord.validate`); every
+        # parsed record is checked and reported in line order, and no state
+        # outlives the call: a second ingest makes one new batch and fails
+        # with the same message.
+        batches, validated, messages = [], [], []
         irreducibility, validate = nfdata._irreducibility, FieldRecord.validate
         monkeypatch.setattr(nfdata, "_irreducibility",
                             lambda polys: batches.append(polys) or irreducibility(polys))
         monkeypatch.setattr(FieldRecord, "validate",
                             lambda rec: validated.append(rec.label) or validate(rec))
-        _is_irreducible.cache_clear()
-        with pytest.raises(IngestError):
-            ingest_lines(self.LINES)
-        assert validated == ["4.2", "4.1", "4.4", "4.5", "4.1", "4.1", "4.6", "4.7", "4.5", "8.1"]
-        assert len(batches) == 1 and len(batches[0]) == len(validated) - 1  # not "4.4"
-        assert nfdata._BATCH_VERDICTS == {}
+        for runs in (1, 2):
+            with pytest.raises(IngestError) as info:
+                ingest_lines(self.LINES)
+            messages.append(str(info.value))
+            assert len(batches) == runs
+        parsed = []
+        for line in self.LINES:
+            try:
+                parsed.append(json.loads(line))
+            except json.JSONDecodeError:
+                pass
+        labels = [obj["label"] for obj in parsed]
+        assert labels == ["4.2", "4.1", "4.4", "4.5", "4.1", "4.1", "4.6", "4.7", "4.5", "8.1"]
+        assert validated == 2 * labels
+        structural = [tuple(map(int, obj["coeffs"])) for obj in parsed if obj["label"] != "4.4"]
+        assert len(structural) == 9 and batches == [structural, structural]
+        reported = [int(error.split(":")[0].removeprefix("line "))
+                    for error in messages[0].split("; ")]
+        assert reported == sorted(reported) and len(reported) == 9
+        assert messages[1] == messages[0]
 
     def test_persist_reports_the_first_failure_in_label_order(self, tmp_path):
         # "K.1" fails only the irreducibility check, "K.2" the structural one.
@@ -205,6 +221,7 @@ class TestBatchedIngest:
             persist_to(snap, str(tmp_path / "store.jsonl"))
 
     def test_only_the_c2_cubed_octic_reaches_sympy(self, monkeypatch):
+        _is_irreducible.cache_clear()
         exact = []
         factor_list = Poly.factor_list
         monkeypatch.setattr(Poly, "factor_list",
@@ -277,13 +294,15 @@ class TestIrreducibility:
         assert _is_irreducible.__wrapped__(C2_CUBED_OCTIC)
         assert len(exact) == 1
         rec = octic_record("L.c2cubed", 283 ** 2, [(283, 2)], "8T23", None)
-        replace(rec, coeffs=C2_CUBED_OCTIC).validate()
+        rec = replace(rec, coeffs=C2_CUBED_OCTIC)
+        assert nfdata._failures([rec], arithmetic=True) == {rec: None}
 
     def test_reducible_octic_rejected_by_name(self):
         # (x^4 - x - 1)(x^4 + x + 1) = x^8 - x^2 - 2x - 1
         rec = octic_record("L.product", 283 ** 2, [(283, 2)], "8T23", None)
-        with pytest.raises(IngestError, match="L.product: polynomial is reducible"):
-            replace(rec, coeffs=(-1, -2, -1, 0, 0, 0, 0, 0, 1)).validate()
+        rec = replace(rec, coeffs=(-1, -2, -1, 0, 0, 0, 0, 0, 1))
+        [failure] = nfdata._failures([rec], arithmetic=True).values()
+        assert str(failure) == "L.product: polynomial is reducible over the rationals"
 
 
 def test_record_labels_cover_the_catalog():
@@ -363,6 +382,23 @@ class TestPersistence:
     def test_missing_file_error_has_path(self, tmp_path):
         with pytest.raises(IngestError, match="no-such"):
             load(str(tmp_path / "no-such.jsonl"))
+
+    def test_deeply_nested_line_is_a_line_error(self):
+        with pytest.raises(IngestError, match="^line 2: maximum recursion depth exceeded"):
+            ingest_lines([GOOD_QUARTIC, "[" * 100_000 + "]" * 100_000])
+
+    def test_deeply_nested_header_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(IngestError,
+                           match="store.jsonl: bad header: maximum recursion depth exceeded"):
+            load(str(path))
+
+    def test_non_utf8_input_names_its_path(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(GOOD_QUARTIC.encode() + b"\n\xff\n")
+        with pytest.raises(IngestError, match="latin1.jsonl: 'utf-8' codec can't decode byte 0xff"):
+            nfdata.ingest(str(path), "", "")
 
 
 

@@ -468,7 +468,8 @@ class TestElementSets:
         C8 = PermGroup([P(8, "(1,2,3,4,5,6,7,8)")])
         assert index_set(C8) == {4, 6, 7}
 
-    @pytest.mark.parametrize("compute", [subgroup_classes, normal_subgroups])
+    @pytest.mark.parametrize("compute", [subgroup_classes, lambda G: normal_subgroups(G, G.order)],
+                             ids=["subgroup_classes", "normal_subgroups"])
     def test_subgroup_cap(self, compute):
         S7 = PermGroup.symmetric(7)
         assert S7.order == 5040 > SUBGROUP_ORDER_CAP
@@ -477,7 +478,7 @@ class TestElementSets:
 
     def test_normal_subgroups_of_s4(self):
         G = PermGroup.symmetric(4)
-        orders = sorted(N.order for N in normal_subgroups(G))
+        orders = sorted(N.order for N in normal_subgroups(G, G.order))
         assert orders == [1, 4, 12, 24]
 
 

@@ -121,7 +121,7 @@ def test_settable_options_stay_few():
     # Every default is a choice some caller might rely on.  A change that
     # adds an option raises this bound in its own diff and says why.
     options = _settable_options()
-    assert len(options) <= 46, options
+    assert len(options) <= 43, options
 
 
 def test_every_exported_name_resolves():
