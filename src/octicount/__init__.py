@@ -7,7 +7,7 @@ empirical error exponent.
 """
 
 from .perms import Perm, PermGroup, malle_alpha, wreath_c2_s4
-from .catalog import CATALOG, LABELS, catalog_entry, catalog_group
+from .catalog import LABELS, catalog_group
 
 __version__ = "0.1.0"
 
@@ -16,9 +16,7 @@ __all__ = [
     "PermGroup",
     "malle_alpha",
     "wreath_c2_s4",
-    "CATALOG",
     "LABELS",
-    "catalog_entry",
     "catalog_group",
     "__version__",
 ]

@@ -3,14 +3,13 @@
 The generator constants below were produced once by the group engine in
 :mod:`octicount.perms` (enumerating the transitive subgroup classes of
 C2 wr S4 that admit an S4 quotient) and then frozen as source constants.
-An entry holds only a label and its generators.  Nothing trusts them: every
+The catalog is one mapping, label to generators.  Nothing trusts them: every
 run re-derives order, transitivity and the Malle invariant (tabled once, in
 :func:`octicount.verify.verify_table1`) from scratch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -24,23 +23,12 @@ from .perms import (
 )
 
 __all__ = [
-    "GroupCatalogEntry",
-    "CATALOG",
     "LABELS",
-    "catalog_entry",
     "catalog_group",
     "octic_action",
     "quartic_subgroups",
     "quartic_action",
 ]
-
-
-@dataclass(frozen=True)
-class GroupCatalogEntry:
-    """One row of the catalog: a transitive degree-8 group with an S4 quotient."""
-
-    label: str
-    generators: tuple[Perm, ...]
 
 
 def _gens(*cycle_strings: str) -> tuple[Perm, ...]:
@@ -50,63 +38,39 @@ def _gens(*cycle_strings: str) -> tuple[Perm, ...]:
 # Labels follow the standard transitive-group numbering of degree-8 groups;
 # entries are listed in ascending label order.  All six sit inside the
 # imprimitive copy of C2 wr S4 with blocks {1,2},{3,4},{5,6},{7,8}.
-CATALOG: tuple[GroupCatalogEntry, ...] = (
-    GroupCatalogEntry(
-        label="8T14",  # S4
-        generators=_gens("(1,4,5,7)(2,3,6,8)", "(1,4,8,6)(2,3,7,5)"),
+_GENERATORS: dict[str, tuple[Perm, ...]] = {
+    "8T14": _gens("(1,4,5,7)(2,3,6,8)", "(1,4,8,6)(2,3,7,5)"),  # S4
+    "8T23": _gens("(1,3,6,8,2,4,5,7)", "(1,3,8,5,2,4,7,6)"),  # GL(2,3)
+    "8T24": _gens(  # S4 x C2
+        "(1,2)(3,5,8,4,6,7)", "(1,3,5,2,4,6)(7,8)", "(1,3,5,8)(2,4,6,7)"
     ),
-    GroupCatalogEntry(
-        label="8T23",  # GL(2,3)
-        generators=_gens("(1,3,6,8,2,4,5,7)", "(1,3,8,5,2,4,7,6)"),
+    "8T39": _gens(  # C2^3 : S4
+        "(1,2)(3,5,7,4,6,8)",
+        "(1,2)(3,5,8,4,6,7)",
+        "(1,3,5,2,4,6)(7,8)",
+        "(3,4)(5,7,6,8)",
     ),
-    GroupCatalogEntry(
-        label="8T24",  # S4 x C2
-        generators=_gens(
-            "(1,2)(3,5,8,4,6,7)", "(1,3,5,2,4,6)(7,8)", "(1,3,5,8)(2,4,6,7)"
-        ),
+    "8T40": _gens(  # Q8 : S4
+        "(1,3,5,7,2,4,6,8)", "(1,3,5,8,2,4,6,7)", "(1,3,7,6,2,4,8,5)"
     ),
-    GroupCatalogEntry(
-        label="8T39",  # C2^3 : S4
-        generators=_gens(
-            "(1,2)(3,5,7,4,6,8)",
-            "(1,2)(3,5,8,4,6,7)",
-            "(1,3,5,2,4,6)(7,8)",
-            "(3,4)(5,7,6,8)",
-        ),
+    "8T44": _gens(  # C2 wr S4
+        "(1,3,5,7,2,4,6,8)",
+        "(1,3,5,8,2,4,6,7)",
+        "(1,3,7,6,2,4,8,5)",
+        "(3,5,7,4,6,8)",
     ),
-    GroupCatalogEntry(
-        label="8T40",  # Q8 : S4
-        generators=_gens(
-            "(1,3,5,7,2,4,6,8)", "(1,3,5,8,2,4,6,7)", "(1,3,7,6,2,4,8,5)"
-        ),
-    ),
-    GroupCatalogEntry(
-        label="8T44",  # C2 wr S4
-        generators=_gens(
-            "(1,3,5,7,2,4,6,8)",
-            "(1,3,5,8,2,4,6,7)",
-            "(1,3,7,6,2,4,8,5)",
-            "(3,5,7,4,6,8)",
-        ),
-    ),
-)
+}
 
-LABELS: tuple[str, ...] = tuple(entry.label for entry in CATALOG)
-
-_BY_LABEL = {entry.label: entry for entry in CATALOG}
-
-
-def catalog_entry(label: str) -> GroupCatalogEntry:
-    try:
-        return _BY_LABEL[label]
-    except KeyError:
-        raise KeyError(f"unknown catalog label {label!r}; expected one of {LABELS}")
+LABELS: tuple[str, ...] = tuple(_GENERATORS)
 
 
 @lru_cache(maxsize=None)
 def catalog_group(label: str) -> PermGroup:
-    entry = catalog_entry(label)
-    return PermGroup(entry.generators, degree=8)
+    try:
+        generators = _GENERATORS[label]
+    except KeyError:
+        raise KeyError(f"unknown catalog label {label!r}; expected one of {LABELS}")
+    return PermGroup(generators, degree=8)
 
 
 @lru_cache(maxsize=None)
@@ -119,23 +83,23 @@ def octic_action(label: str) -> CosetAction:
 def quartic_subgroups(G: PermGroup, H_L: Optional[PermGroup] = None) -> list[PermGroup]:
     """Index-4 subgroups H_K >= H_L whose coset image is all of S4.
 
-    Up to conjugacy there is one candidate class per catalog group; the list
-    contains one concrete subgroup per qualifying class: the least member of
-    the class, in sorted image order, that contains H_L (default: Stab(1)).
+    The kernel of G's action on the 4 cosets of H_K is the core of H_K, so
+    the image is S4 exactly when |G| = 24 |core|.  Up to conjugacy there is
+    one such class per catalog group; the list contains one concrete
+    subgroup per qualifying class: the least member of the class, in sorted
+    image order, that contains H_L (default: Stab(1)).
     """
     if H_L is None:
         H_L = G.stabilizer(1)
     found = []
     for cls in subgroup_classes(G):
-        if cls.order * 4 != G.order:
+        if cls.order * 4 != G.order or cls.core_order * 24 != G.order:
             continue
         over = [c for c in cls.conjugates if H_L.elements <= c]
         if over:
-            H_K = PermGroup.from_elements(
+            found.append(PermGroup.from_elements(
                 min(over, key=lambda c: sorted(p.images for p in c)), G.degree
-            )
-            if coset_action(G, H_K).image().order == 24:
-                found.append(H_K)
+            ))
     return found
 
 

@@ -64,10 +64,10 @@ class FieldRecord:
     galois: str
     r1: int
     r2: int
-    h: Optional[int] = None
-    reg: Optional[str] = None
-    w: Optional[int] = None
-    parent_label: Optional[str] = None
+    h: Optional[int]
+    reg: Optional[str]
+    w: Optional[int]
+    parent_label: Optional[str]
 
     @property
     def reg_float(self) -> float:
@@ -227,8 +227,8 @@ class Snapshot:
     """Immutable label-indexed collection of validated field records."""
 
     records: dict[str, FieldRecord]
-    provenance: str = ""
-    ingest_time: str = ""
+    provenance: str
+    ingest_time: str
 
     def __post_init__(self):
         for rec in self.records.values():
@@ -351,19 +351,20 @@ def _record_to_obj(rec: FieldRecord) -> dict:
 
 
 def ingest_lines(lines: Iterable[str], provenance: str = "", ingest_time: str = "") -> Snapshot:
-    return _snapshot_from_lines(lines, provenance, ingest_time, arithmetic=True)
+    return _snapshot_from_lines(enumerate(lines, start=1), provenance, ingest_time,
+                                arithmetic=True)
 
 
-def _snapshot_from_lines(lines: Iterable[str], provenance: str, ingest_time: str,
-                         arithmetic: bool) -> Snapshot:
-    """Parse every line, check all parsed records in one `_failures` call,
-    then report the failures in line order.
+def _snapshot_from_lines(numbered: Iterable[tuple[int, str]], provenance: str,
+                         ingest_time: str, arithmetic: bool) -> Snapshot:
+    """Parse every (line number, line), check all parsed records in one
+    `_failures` call, then report the failures in line order.
 
     `arithmetic=False` checks only the structure; only `load` passes it, and
     only for a store whose seal matches.
     """
     parsed: list[tuple[int, object]] = []  # (line number, record or parse error)
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in numbered:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -471,7 +472,8 @@ def load(path: str) -> Snapshot:
     Records are parsed strictly and checked structurally, and the snapshot's
     parent checks run, always.  The arithmetic checks (primality of the
     discriminant factors, irreducibility) run unless the header's seal
-    matches the record lines, which means `persist` already ran them.
+    matches the record lines, which means `persist` already ran them.  A bad
+    record is reported as `PATH: line N: ...`, N counted in the file.
     """
     lines = _read_lines(path)
     if not lines:
@@ -483,14 +485,18 @@ def load(path: str) -> Snapshot:
     if not isinstance(header, dict) or header.get("format") != _HEADER_TAG:
         raise IngestError(f"{path}: not a snapshot store")
     expected = _int(header.get("count", "-1"), f"{path}: header count")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    numbered = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    body = [ln for _, ln in numbered]
     if len(body) != expected:
         raise IngestError(
             f"{path}: truncated store ({len(body)} records, header says {expected})"
         )
-    return _snapshot_from_lines(
-        body,
-        provenance=str(header.get("provenance", "")),
-        ingest_time=str(header.get("ingest_time", "")),
-        arithmetic=header.get("seal") != _seal(body),
-    )
+    try:
+        return _snapshot_from_lines(
+            numbered,
+            provenance=str(header.get("provenance", "")),
+            ingest_time=str(header.get("ingest_time", "")),
+            arithmetic=header.get("seal") != _seal(body),
+        )
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from exc

@@ -2,9 +2,10 @@
 
 Permutations act on {1..degree}.  Groups are given by generators; element
 lists, conjugacy data and the subgroup lattice are computed lazily and
-cached.  The lattice, the normal subgroups and the classes of Frobenius
-cosets run on each group's own element index, an integer multiplication
-table built once per group; `Perm` and `PermGroup` are what goes in and out.
+cached.  The subgroup lattice (the normal subgroups are its one-member
+classes) and the classes of Frobenius cosets run on each group's own element
+index, an integer multiplication table built once per group; `Perm` and
+`PermGroup` are what goes in and out.
 Everything is exact integer arithmetic, sized for groups of order a few
 hundred (the largest group this project cares about has order 384).
 """
@@ -438,6 +439,13 @@ class SubgroupClass:
     def class_size(self) -> int:
         return len(self.conjugates)
 
+    @property
+    def core_order(self) -> int:
+        """Order of the core, the intersection of the conjugates: the largest
+        normal subgroup of G inside them, and the kernel of G's action on the
+        cosets of the representative."""
+        return len(frozenset.intersection(*self.conjugates))
+
 
 def _is_prime_power(k: int) -> bool:
     p = next(d for d in range(2, k + 1) if k % d == 0)  # least prime factor
@@ -531,30 +539,10 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
 
 
 def normal_subgroups(G: PermGroup, max_order: int) -> list[PermGroup]:
-    """Normal subgroups of G with order <= max_order (G.order for all of them).
-
-    A normal subgroup is a join of element conjugacy classes; BFS over
-    class joins, pruned by the order bound.
-    """
-    num = G._num  # builds G's index first, which enforces the order cap
-    classes = [frozenset(map(num.__getitem__, cls)) for cls in G.conjugacy_classes]
-    trivial = frozenset([0])
-    found = {trivial}
-    queue = [trivial]
-    while queue:
-        cur = queue.pop()
-        for cls in classes:
-            if cls <= cur or len(cur) + len(cls) > max_order:
-                continue
-            joined = G._close(cur, tuple(cls))
-            if len(joined) <= max_order and joined not in found:
-                found.add(joined)
-                queue.append(joined)
-    perm_of = G._elems.__getitem__
-    return [
-        PermGroup.from_elements(map(perm_of, s), G.degree)
-        for s in sorted(found, key=lambda s: (len(s), sorted(s)))
-    ]
+    """Normal subgroups of G with order <= max_order (G.order for all of them):
+    the one-member classes of the lattice, in its order."""
+    return [c.representative for c in subgroup_classes(G)
+            if c.class_size == 1 and c.order <= max_order]
 
 
 def coset_class_minima(G: PermGroup, I: PermGroup, N: PermGroup) -> list[Perm]:

@@ -30,6 +30,7 @@ def quartic_record(label: str, disc: int, factors, h: int = 1) -> FieldRecord:
         h=h,
         reg=REG12,
         w=2,
+        parent_label=None,
     )
 
 
@@ -43,6 +44,9 @@ def octic_record(label: str, disc: int, factors, galois: str, parent: str) -> Fi
         galois=galois,
         r1=0,
         r2=4,
+        h=None,
+        reg=None,
+        w=None,
         parent_label=parent,
     )
 
@@ -91,7 +95,8 @@ def model_snapshot() -> Snapshot:
     for label, base_exp in (("8T23", 1), ("8T39", 1), ("8T40", 2)):
         recs, idx = model_tower_records(label, base_exp, idx)
         records.extend(recs)
-    return Snapshot(records={r.label: r for r in records}, provenance="model-towers")
+    return Snapshot(records={r.label: r for r in records}, provenance="model-towers",
+                    ingest_time="")
 
 
 def persist_to(snapshot: Snapshot, path) -> None:

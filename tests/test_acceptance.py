@@ -58,11 +58,10 @@ def _sympy_index_set(label: str) -> set[int]:
     """
     from sympy.combinatorics import Permutation, PermutationGroup
 
-    from octicount.catalog import catalog_entry, catalog_group
+    from octicount.catalog import catalog_group
 
-    entry = catalog_entry(label)
     G = PermutationGroup(
-        [Permutation([i - 1 for i in g.images]) for g in entry.generators]
+        [Permutation([i - 1 for i in g.images]) for g in catalog_group(label).generators]
     )
     assert G.degree == 8 and G.is_transitive()
     assert G.order() == catalog_group(label).order
@@ -138,7 +137,7 @@ def test_criterion_3_verify_splitting_within_5min():
 
 
 def test_criterion_4_splitting_oracle_agreement():
-    from octicount.catalog import CATALOG, catalog_group, octic_action, quartic_action
+    from octicount.catalog import LABELS, catalog_group, octic_action, quartic_action
     from octicount.perms import PermGroup, coset_action
     from octicount.splitting import TameConfig, enumerate_tame_configs, splitting_symbol
     from test_splitting import all_configs_naive, naive_symbol
@@ -157,10 +156,10 @@ def test_criterion_4_splitting_oracle_agreement():
             if splitting_symbol(cfg, act).pairs != oracle:
                 mismatches += 1
     sums_ok = True
-    for entry in CATALOG:
-        G = catalog_group(entry.label)
+    for label in LABELS:
+        G = catalog_group(label)
         for cfg in enumerate_tame_configs(G):
-            for act in (octic_action(entry.label), quartic_action(entry.label)):
+            for act in (octic_action(label), quartic_action(label)):
                 sym = splitting_symbol(cfg, act)
                 if sym.degree() != act.induced_degree:
                     sums_ok = False
@@ -214,7 +213,7 @@ def test_criterion_6_property_suites(tmp_path, thousand_quartics):
         s = split_rel_disc(octic, parent)
         if s.n0 * s.n1 * s.n2 != s.norm or s.d0 * s.d1 * s.d2 != abs(parent.disc):
             recombine_ok = False
-    snap = Snapshot(records={r.label: r for r in thousand_quartics})
+    snap = Snapshot(records={r.label: r for r in thousand_quartics}, provenance="", ingest_time="")
     series = count_series(snap, ["4T5"], [10 ** 4, 10 ** 5, 10 ** 6])
     mono_ok = list(series.counts) == sorted(series.counts)
     tails = [tail_count(snap, Z, 10 ** 6) for Z in (1, 10, 100)]

@@ -620,7 +620,8 @@ class TestZetaResidue:
 
 class TestPartialConstant:
     def test_empty_snapshot(self):
-        pc = partial_constant(Snapshot(records={}), 10 ** 6, 10 ** 3)
+        empty = Snapshot(records={}, provenance="", ingest_time="")
+        pc = partial_constant(empty, 10 ** 6, 10 ** 3)
         assert pc.value == 0.0 and pc.error_bound == 0.0 and pc.terms == 0
 
     def test_monotone_in_Z(self):
@@ -628,7 +629,7 @@ class TestPartialConstant:
         for i, (d, f) in enumerate([(-283, [(283, 1)]), (-331, [(331, 1)]), (-491, [(491, 1)])]):
             rec = quartic_record(f"K{i}", d, f)
             records[rec.label] = rec
-        snap = Snapshot(records=records)
+        snap = Snapshot(records=records, provenance="", ingest_time="")
         c1 = partial_constant(snap, 300, 10 ** 3)
         c2 = partial_constant(snap, 500, 10 ** 3)
         assert 0 < c1.value <= c2.value
@@ -639,7 +640,7 @@ class TestPartialConstant:
         # the term is residue / (4 * zeta_K(2) * 100) and both factors are
         # within their bounds of the reported value.
         rec = quartic_record("K", 10, [(2, 1), (5, 1)])
-        snap = Snapshot(records={"K": rec})
+        snap = Snapshot(records={"K": rec}, provenance="", ingest_time="")
         pc = partial_constant(snap, 100, 10 ** 3)
         resid = zeta_residue(rec)
         z2 = zeta_K_at_2(rec, 10 ** 3)
@@ -655,7 +656,8 @@ class TestPartialConstant:
         no_h = replace(quartic_record("H", -no_h_disc, [(no_h_disc, 1)]), h=None)
         non_monic = replace(quartic_record("M", -non_monic_disc, [(non_monic_disc, 1)]),
                             coeffs=(-1, -1, 0, 0, 2))
-        snap = Snapshot(records={r.label: r for r in (good, no_h, non_monic)})
+        snap = Snapshot(records={r.label: r for r in (good, no_h, non_monic)},
+                        provenance="", ingest_time="")
         first = "constant evaluation failed at H: H: missing invariants \\['h'\\]"
         if non_monic_disc < no_h_disc:
             first = "constant evaluation failed at M: polynomial must be monic"
@@ -670,7 +672,7 @@ class TestPartialConstant:
         records = [replace(quartic_record(f"K{i:03d}", analytic._poly_disc(f), []), coeffs=f)
                    for i, f in enumerate(polys)]
         assert all(rec.disc for rec in records)
-        snap = Snapshot(records={rec.label: rec for rec in records})
+        snap = Snapshot(records={rec.label: rec for rec in records}, provenance="", ingest_time="")
         lanes = [(f, p) for f in polys for p in primerange(5, 1001) if analytic._poly_disc(f) % p]
         calls, passes, proved = [], [], []
         kernel, traces, proof = (analytic._frobenius_lanes, analytic._frobenius_traces,

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from octicount.catalog import (
-    CATALOG,
     LABELS,
     catalog_group,
     quartic_action,
@@ -41,40 +40,40 @@ from test_perms import conjugate, cyclic_subgroup_orders
 
 class TestCatalogIntegrity:
     def test_orders(self):
-        assert [catalog_group(e.label).order for e in CATALOG] == [
+        assert [catalog_group(label).order for label in LABELS] == [
             24, 48, 48, 192, 192, 384,
         ]
 
     def test_transitive(self):
-        for e in CATALOG:
-            assert catalog_group(e.label).is_transitive()
+        for label in LABELS:
+            assert catalog_group(label).is_transitive()
 
     def test_inside_wreath(self):
         W = wreath_c2_s4()
-        for e in CATALOG:
-            assert catalog_group(e.label).is_subgroup_of(W)
+        for label in LABELS:
+            assert catalog_group(label).is_subgroup_of(W)
 
     def test_alpha_column(self):
-        assert [malle_alpha(catalog_group(e.label)) for e in CATALOG] == [
+        assert [malle_alpha(catalog_group(label)) for label in LABELS] == [
             Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
             Fraction(1, 2), Fraction(1, 2), Fraction(1),
         ]
 
     def test_self_isomorphism_witness_is_identity_compatible(self):
-        for e in CATALOG:
-            G = catalog_group(e.label)
+        for label in LABELS:
+            G = catalog_group(label)
             c = perm_isomorphic(G, G)
             assert c is not None and conjugate(G, c) == G
 
     def test_signatures_separate_all_but_order48_pair(self):
         sig = {
-            e.label: (
-                catalog_group(e.label).order,
-                tuple(sorted(index_set(catalog_group(e.label)))),
-                tuple(sorted(cyclic_subgroup_orders(catalog_group(e.label)))),
-                all(g.is_even() for g in catalog_group(e.label).elements),
+            label: (
+                catalog_group(label).order,
+                tuple(sorted(index_set(catalog_group(label)))),
+                tuple(sorted(cyclic_subgroup_orders(catalog_group(label)))),
+                all(g.is_even() for g in catalog_group(label).elements),
             )
-            for e in CATALOG
+            for label in LABELS
         }
         labels = list(sig)
         for i, a in enumerate(labels):
@@ -109,11 +108,45 @@ class TestCatalogIntegrity:
         for N in q8s:
             assert cyclic_subgroup_orders(N) == {1, 2, 4}
 
+    def test_unknown_label_is_named(self):
+        with pytest.raises(KeyError, match=r"unknown catalog label '8T99'; expected one of "
+                                           r"\('8T14', '8T23', '8T24', '8T39', '8T40', '8T44'\)"):
+            catalog_group("8T99")
+
+    @pytest.mark.parametrize("label, orders", [
+        ("8T14", [1, 4, 12, 24]),
+        ("8T23", [1, 2, 8, 24, 48]),
+        ("8T24", [1, 2, 4, 8, 12, 24, 24, 24, 48]),
+        ("8T39", [1, 2, 8, 8, 8, 32, 96, 192]),
+        ("8T40", [1, 2, 8, 8, 8, 32, 96, 192]),
+        ("8T44", [1, 2, 8, 16, 32, 64, 96, 192, 192, 192, 384]),
+    ])
+    def test_normal_subgroup_orders(self, label, orders):
+        G = catalog_group(label)
+        normals = normal_subgroups(G, G.order)
+        assert [N.order for N in normals] == orders
+        assert all(N.is_normal_in(G) for N in normals)
+        assert [N.order for N in normal_subgroups(G, 8)] == [n for n in orders if n <= 8]
+
+    def test_quartic_image_order_is_read_from_the_core(self):
+        # The kernel of G's action on the cosets of an index-4 subgroup is its
+        # core, so the coset image has order |G| / |core|, and is S4 exactly
+        # when |G| = 24 |core|.  8T24 and 8T44 have index-4 classes of both kinds.
+        images = {}
+        for label in LABELS:
+            G = catalog_group(label)
+            for cls in subgroup_classes(G):
+                if cls.order * 4 == G.order:
+                    image = coset_action(G, cls.representative).image().order
+                    assert image * cls.core_order == G.order
+                    images.setdefault(label, set()).add(image == 24)
+        assert images["8T24"] == images["8T44"] == {True, False}
+
     def test_quartic_action_unique_and_faithful_on_four_points(self):
-        for e in CATALOG:
-            G = catalog_group(e.label)
+        for label in LABELS:
+            G = catalog_group(label)
             assert len(quartic_subgroups(G)) == 1
-            act = quartic_action(e.label)
+            act = quartic_action(label)
             assert act.induced_degree == 4
             assert act.image().order == 24
 
@@ -230,6 +263,18 @@ class TestVerifiers:
         assert r.details["octic_classes_8T14"] == 1
         assert r.details["octic_classes_degenerate_C6"] == 0
         assert r.details["octic_classes_8T44"] >= 1
+
+    @pytest.mark.parametrize("found", [0, 2])
+    def test_unique_octic_needs_exactly_one_quartic_class(self, monkeypatch, found):
+        # A missing or a second quartic class is a named witness, not a crash.
+        monkeypatch.setattr(verify, "quartic_subgroups",
+                            lambda G: [G.stabilizer(1)] * found)
+        r = verify_s4_unique_octic()
+        assert r.witnesses == [
+            f"{label}: expected a unique quartic subgroup class, found {found}"
+            for label in ("8T14", "8T44")
+        ]
+        assert r.details == {"octic_classes_degenerate_C6": 0}
 
     def test_reports_wellformed(self):
         for r in run_all_group_verifiers():

@@ -116,7 +116,7 @@ def snapshot_of_octics(discs, galois="8T44"):
                 fac.append((p, e))
         assert n == 1, "pick {2,...,13}-smooth fixture discs"
         records[f"L{i}"] = octic_record(f"L{i}", d, fac, galois, None)
-    return Snapshot(records=records)
+    return Snapshot(records=records, provenance="", ingest_time="")
 
 
 class TestCountSeries:
@@ -138,7 +138,7 @@ class TestCountSeries:
             merged[k + "b"] = v
         # relabel to avoid collision
         merged = {f"{i}": rec for i, rec in enumerate(list(a.values()) + list(b.values()))}
-        snap = Snapshot(records=merged)
+        snap = Snapshot(records=merged, provenance="", ingest_time="")
         cps = [15, 25, 35]
         union = count_series(snap, ["8T44", "8T39"], cps)
         parts = [count_series(snap, [lab], cps) for lab in ("8T44", "8T39")]
@@ -153,12 +153,14 @@ class TestCountSeries:
 
 class TestTailCount:
     def test_squarefree_not_counted(self):
-        snap = Snapshot(records={"K": quartic_record("K", -283, [(283, 1)])})
+        snap = Snapshot(records={"K": quartic_record("K", -283, [(283, 1)])},
+                        provenance="", ingest_time="")
         assert tail_count(snap, 1, 10 ** 6) == 0
 
     def test_boundary_strict(self):
         d = 2 ** 2 * 5 ** 3 * 7
-        snap = Snapshot(records={"K": quartic_record("K", d, [(2, 2), (5, 3), (7, 1)])})
+        snap = Snapshot(records={"K": quartic_record("K", d, [(2, 2), (5, 3), (7, 1)])},
+                        provenance="", ingest_time="")
         assert tail_count(snap, 9, 10 ** 6) == 1   # q = 10 > 9
         assert tail_count(snap, 10, 10 ** 6) == 0  # strict >
 
@@ -170,7 +172,7 @@ class TestTailCount:
             d = 2 ** e2 * 5 ** e5 * 7 ** e7 * 283
             fac = [(p, e) for p, e in ((2, e2), (5, e5), (7, e7), (283, 1)) if e]
             records[f"K{i}"] = quartic_record(f"K{i}", d, sorted(fac))
-        snap = Snapshot(records=records)
+        snap = Snapshot(records=records, provenance="", ingest_time="")
         Zs, Xs = [1, 5, 20, 100], [10 ** 2, 10 ** 4, 10 ** 6]
         for X in Xs:
             counts = [tail_count(snap, Z, X) for Z in Zs]
@@ -226,12 +228,12 @@ class TestAuditLemmas:
 
     def test_synthetic_8T23_fourth_power_pass(self):
         octic, parent = make_pair([(283, 1)], [(7, 4)])
-        snap = Snapshot(records={"K": parent, "L": octic})
+        snap = Snapshot(records={"K": parent, "L": octic}, provenance="", ingest_time="")
         assert audit_lemmas(snap).passed
 
     def test_synthetic_8T39_nonsquare_fails_with_witness(self):
         octic, parent = make_pair([(283, 1)], [(7, 3)], galois="8T39")
-        snap = Snapshot(records={"K": parent, "L": octic})
+        snap = Snapshot(records={"K": parent, "L": octic}, provenance="", ingest_time="")
         report = audit_lemmas(snap)
         assert not report.passed
         assert any("square" in w for w in report.witnesses)
@@ -239,6 +241,6 @@ class TestAuditLemmas:
     def test_synthetic_8T40_d1_violation(self):
         # 283 appears to exponent 1 in disc K and misses the norm: d1 != rad^2.
         octic, parent = make_pair([(283, 1)], [(7, 2)], galois="8T40")
-        snap = Snapshot(records={"K": parent, "L": octic})
+        snap = Snapshot(records={"K": parent, "L": octic}, provenance="", ingest_time="")
         report = audit_lemmas(snap)
         assert any("rad" in w for w in report.witnesses)

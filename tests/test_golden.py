@@ -51,7 +51,8 @@ def violating_store(model_snapshot, tmp_path_factory):
     for label in ("8T23.L0", "8T39.L0"):
         records[label] = _with_extra_prime(records[label], 7)
     path = tmp_path_factory.mktemp("audit") / "store.jsonl"
-    persist_to(Snapshot(records=records, provenance="model-towers-violated"), str(path))
+    persist_to(Snapshot(records=records, provenance="model-towers-violated", ingest_time=""),
+               str(path))
     return str(path)
 
 

@@ -67,13 +67,13 @@ class TestIngest:
     def test_rejects_dangling_parent(self):
         rec = octic_record("8.1", 283 ** 2, [(283, 2)], "8T23", "nowhere")
         with pytest.raises(IngestError, match="parent"):
-            Snapshot(records={"8.1": rec})
+            Snapshot(records={"8.1": rec}, provenance="", ingest_time="")
 
     def test_rejects_non_square_parent_divisibility(self):
         parent = quartic_record("K", 283, [(283, 1)])
         bad = octic_record("L", 283 * 7, [(7, 1), (283, 1)], "8T23", "K")
         with pytest.raises(IngestError, match="squared"):
-            Snapshot(records={"K": parent, "L": bad})
+            Snapshot(records={"K": parent, "L": bad}, provenance="", ingest_time="")
 
     def test_rejects_reducible_polynomial(self):
         bad = json.loads(GOOD_QUARTIC)
@@ -216,7 +216,7 @@ class TestBatchedIngest:
         # "K.1" fails only the irreducibility check, "K.2" the structural one.
         reducible = replace(quartic_record("K.1", 283, [(283, 1)]), coeffs=(-1, 0, 0, 0, 1))
         unsigned = replace(quartic_record("K.2", 283, [(283, 1)]), r1=3)
-        snap = Snapshot(records={"K.2": unsigned, "K.1": reducible})
+        snap = Snapshot(records={"K.2": unsigned, "K.1": reducible}, provenance="", ingest_time="")
         with pytest.raises(IngestError, match="^K.1: polynomial is reducible"):
             persist_to(snap, str(tmp_path / "store.jsonl"))
 
@@ -321,10 +321,10 @@ class TestQuery:
             ("C", 30, [(2, 1), (3, 1), (5, 1)], "8T44"),
         ):
             records[name] = octic_record(name, d, factors, gal, None)
-        return Snapshot(records=records)
+        return Snapshot(records=records, provenance="", ingest_time="")
 
     def test_empty(self):
-        assert query(Snapshot(records={})) == []
+        assert query(Snapshot(records={}, provenance="", ingest_time="")) == []
 
     def test_threshold(self):
         out = query(self.make_snapshot(), degree=8, max_abs_disc=25)
@@ -344,6 +344,7 @@ class TestPersistence:
         snap = Snapshot(
             records={r.label: r for r in thousand_quartics},
             provenance="fixture",
+            ingest_time="",
         )
         path = str(tmp_path / "store.jsonl")
         persist_to(snap, path)
@@ -362,7 +363,8 @@ class TestPersistence:
             assert fa.read() == fb.read()
 
     def test_truncated_store_rejected(self, tmp_path, thousand_quartics):
-        snap = Snapshot(records={r.label: r for r in thousand_quartics[:10]})
+        snap = Snapshot(records={r.label: r for r in thousand_quartics[:10]},
+                        provenance="", ingest_time="")
         path = str(tmp_path / "store.jsonl")
         persist_to(snap, path)
         with open(path) as fh:
@@ -400,6 +402,21 @@ class TestPersistence:
         with pytest.raises(IngestError, match="latin1.jsonl: 'utf-8' codec can't decode byte 0xff"):
             nfdata.ingest(str(path), "", "")
 
+    @pytest.mark.parametrize("blank_lines", [0, 2])
+    def test_bad_record_is_named_by_store_and_file_line(self, tmp_path, thousand_quartics,
+                                                        blank_lines):
+        # Lines count in the file, the header and any blank lines included.
+        path = tmp_path / "store.jsonl"
+        persist_to(Snapshot(records={r.label: r for r in thousand_quartics[:3]},
+                            provenance="", ingest_time=""), path)
+        header, *body = path.read_text().splitlines(keepends=True)
+        body[2] = body[2].replace('"coeffs":[', '"coeffs":[,')
+        path.write_text(header + "\n" * blank_lines + "".join(body))
+        line = 4 + blank_lines
+        with pytest.raises(IngestError) as caught:
+            load(str(path))
+        assert str(caught.value).startswith(f"{path}: line {line}: Expecting value: line 1")
+
 
 
 def _count_prescreen_work(monkeypatch) -> list:
@@ -418,7 +435,8 @@ def _count_prescreen_work(monkeypatch) -> list:
 class TestSeal:
     def persisted(self, tmp_path, records):
         path = tmp_path / "store.jsonl"
-        persist_to(Snapshot(records={r.label: r for r in records}, provenance="fixture"), path)
+        persist_to(Snapshot(records={r.label: r for r in records}, provenance="fixture",
+                            ingest_time=""), path)
         return path
 
     def edit_record(self, path, label, old, new):
@@ -497,7 +515,7 @@ class TestSeal:
         for rec, message in ((reducible, "K: polynomial is reducible"),
                              (composite, "K: disc factor 287 is not prime")):
             with pytest.raises(IngestError, match=message):
-                persist_to(Snapshot(records={"K": rec}), str(path))
+                persist_to(Snapshot(records={"K": rec}, provenance="", ingest_time=""), str(path))
         assert list(tmp_path.iterdir()) == []
 
     def test_file_differs_from_unsealed_format_only_by_seal(self, tmp_path,

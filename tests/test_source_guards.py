@@ -79,6 +79,21 @@ def test_nfdata_takes_only_the_kernel_from_analytic():
     assert found == ["_frobenius_lanes"]
 
 
+def test_only_perms_intersects_subgroup_conjugates():
+    # A class's core, the intersection of its conjugates, is read from
+    # `SubgroupClass.core_order`; verify once intersected them itself.
+    found = []
+    for path in SOURCES:
+        for owner, node in _nodes_by_function(path):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "intersection"
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
+                if any(isinstance(sub, ast.Attribute) and sub.attr == "conjugates"
+                       for sub in ast.walk(node)):
+                    found.append(f"{path.stem}.{owner}")
+    assert found == ["perms.core_order"]
+
+
 def test_command_handlers_write_nothing():
     # Each `_cmd_*` returns its payload, text lines and exit code; `run`
     # alone writes them, so --json, the text form and --stamp agree everywhere.
@@ -121,7 +136,7 @@ def test_settable_options_stay_few():
     # Every default is a choice some caller might rely on.  A change that
     # adds an option raises this bound in its own diff and says why.
     options = _settable_options()
-    assert len(options) <= 43, options
+    assert len(options) <= 37, options
 
 
 def test_every_exported_name_resolves():
