@@ -11,7 +11,6 @@ run re-derives order, transitivity and the Malle invariant (tabled once, in
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 from .perms import (
     CosetAction,
@@ -80,17 +79,19 @@ def octic_action(label: str) -> CosetAction:
     return coset_action(G, G.stabilizer(1))
 
 
-def quartic_subgroups(G: PermGroup, H_L: Optional[PermGroup] = None) -> list[PermGroup]:
+def quartic_subgroups(G: PermGroup, H_L: PermGroup) -> list[PermGroup]:
     """Index-4 subgroups H_K >= H_L whose coset image is all of S4.
 
     The kernel of G's action on the 4 cosets of H_K is the core of H_K, so
-    the image is S4 exactly when |G| = 24 |core|.  Up to conjugacy there is
-    one such class per catalog group; the list contains one concrete
-    subgroup per qualifying class: the least member of the class, in sorted
-    image order, that contains H_L (default: Stab(1)).
+    the image is S4 exactly when |G| = 24 |core|, and none is when 24 does
+    not divide |G|.  The list contains one concrete subgroup per qualifying
+    class: the least member of the class, in sorted image order, that
+    contains H_L.  Over H_L = Stab(1) there is one such class per catalog
+    group; H_L = 1 yields every such class, so G maps onto S4 exactly when
+    the list over 1 is non-empty.
     """
-    if H_L is None:
-        H_L = G.stabilizer(1)
+    if G.order % 24:
+        return []
     found = []
     for cls in subgroup_classes(G):
         if cls.order * 4 != G.order or cls.core_order * 24 != G.order:
@@ -112,7 +113,7 @@ def quartic_action(label: str) -> CosetAction:
     this pins the quartic subfield action once per group.
     """
     G = catalog_group(label)
-    subs = quartic_subgroups(G)
+    subs = quartic_subgroups(G, G.stabilizer(1))
     if len(subs) != 1:
         raise RuntimeError(
             f"{label}: expected a unique quartic subgroup class, found {len(subs)}"

@@ -484,18 +484,22 @@ def load(path: str) -> Snapshot:
         raise IngestError(f"{path}: bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != _HEADER_TAG:
         raise IngestError(f"{path}: not a snapshot store")
-    expected = _int(header.get("count", "-1"), f"{path}: header count")
+    if "count" not in header:
+        raise IngestError(f"{path}: header has no record count")
+    expected = _int(header["count"], f"{path}: header count")
     numbered = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     body = [ln for _, ln in numbered]
     if len(body) != expected:
         raise IngestError(
             f"{path}: truncated store ({len(body)} records, header says {expected})"
         )
+    provenance = _str(header.get("provenance", ""), f"{path}: header provenance")
+    ingest_time = _str(header.get("ingest_time", ""), f"{path}: header ingest_time")
     try:
         return _snapshot_from_lines(
             numbered,
-            provenance=str(header.get("provenance", "")),
-            ingest_time=str(header.get("ingest_time", "")),
+            provenance=provenance,
+            ingest_time=ingest_time,
             arithmetic=header.get("seal") != _seal(body),
         )
     except IngestError as exc:

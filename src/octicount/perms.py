@@ -101,7 +101,9 @@ class Perm:
     def __hash__(self) -> int:
         return hash(self.images)
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Every cycle, fixed points included, each starting at its least
+        point, in order of those points."""
         seen = [False] * self.degree
         out = []
         for start in range(1, self.degree + 1):
@@ -114,21 +116,20 @@ class Perm:
                 cyc.append(x)
                 seen[x - 1] = True
                 x = self(x)
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
+            out.append(tuple(cyc))
         return out
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths, fixed points included, sorted descending."""
-        return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True))
+        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
     @property
     def index(self) -> int:
         """degree minus the number of orbits; drives tame discriminant valuations."""
-        return self.degree - len(self.cycles(include_fixed=True))
+        return self.degree - len(self.cycles())
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
+        return lcm(*(len(c) for c in self.cycles()))
 
     def is_even(self) -> bool:
         return self.index % 2 == 0
@@ -137,16 +138,8 @@ class Perm:
         return all(self.images[i] == i + 1 for i in range(self.degree))
 
     def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        # rotate each cycle to start at its minimum, sort cycles by first point
-        norm = []
-        for cyc in cycs:
-            k = cyc.index(min(cyc))
-            norm.append(cyc[k:] + cyc[:k])
-        norm.sort()
-        return "".join("(" + ",".join(map(str, c)) + ")" for c in norm)
+        return "".join("(" + ",".join(map(str, c)) + ")"
+                       for c in self.cycles() if len(c) > 1) or "()"
 
     def __repr__(self) -> str:
         return f"Perm{self.degree}[{self.cycle_string()}]"
@@ -654,9 +647,9 @@ def _conjugators(g: Perm, b: Perm) -> Iterable[Perm]:
     n = g.degree
     by_len_g: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     by_len_b: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for cyc in g.cycles(include_fixed=True):
+    for cyc in g.cycles():
         by_len_g[len(cyc)].append(cyc)
-    for cyc in b.cycles(include_fixed=True):
+    for cyc in b.cycles():
         by_len_b[len(cyc)].append(cyc)
     lengths = sorted(by_len_g)
 

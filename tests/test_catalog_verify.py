@@ -18,13 +18,14 @@ from octicount.perms import (
     index_set,
     malle_alpha,
     normal_subgroups,
+    parse_cycle_string,
     perm_isomorphic,
     quotient_as_perm,
     abstract_isomorphic,
     subgroup_classes,
     wreath_c2_s4,
 )
-from octicount import verify
+from octicount import catalog, verify
 from octicount.verify import (
     VerificationReport,
     _core_free_octic_classes,
@@ -145,7 +146,7 @@ class TestCatalogIntegrity:
     def test_quartic_action_unique_and_faithful_on_four_points(self):
         for label in LABELS:
             G = catalog_group(label)
-            assert len(quartic_subgroups(G)) == 1
+            assert len(quartic_subgroups(G, G.stabilizer(1))) == 1
             act = quartic_action(label)
             assert act.induced_degree == 4
             assert act.image().order == 24
@@ -185,6 +186,47 @@ class TestQuarticChoice:
             # rules cannot differ here; on smaller H_L they can.
             for cls in quartics:
                 assert sum(H_L.elements <= c for c in cls.conjugates) <= 1
+
+
+class TestS4ImageRule:
+    """A group maps onto S4 exactly when some index-4 class has |G| = 24 |core|:
+    the classification reads this from quartic_subgroups over the trivial group."""
+
+    @pytest.fixture(scope="class")
+    def transitive(self):
+        return [c.representative for c in verify.transitive_degree8_classes()]
+
+    def test_core_rule_agrees_with_the_quotient_route(self, transitive):
+        s4, trivial = PermGroup.symmetric(4), PermGroup.trivial(8)
+        verdicts = []
+        for H in transitive:
+            by_core = bool(quartic_subgroups(H, trivial))
+            by_quotient = any(
+                H.order // N.order == 24 and abstract_isomorphic(quotient_as_perm(H, N), s4)
+                for N in normal_subgroups(H, H.order // 24)
+            )
+            assert by_core == by_quotient, H.order
+            verdicts.append(by_core)
+        assert len(verdicts) == 40 and verdicts.count(True) == 6
+
+    def test_s8_classes_without_an_s4_quotient(self, transitive):
+        # The S8 classes whose order 24 divides but that have no S4 quotient:
+        # their lattices are built, and no index-4 class passes the core rule.
+        buckets = verify._fuse(transitive, lambda a, b: perm_isomorphic(a, b) is not None)
+        trivial = PermGroup.trivial(8)
+        orders = [b[0].order for b in buckets
+                  if b[0].order % 24 == 0 and not quartic_subgroups(b[0], trivial)]
+        assert sorted(orders) == [24, 24, 96, 192]
+
+    def test_no_lattice_unless_24_divides_the_order(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(catalog, "subgroup_classes",
+                            lambda G: asked.append(G.order) or subgroup_classes(G))
+        trivial = PermGroup.trivial(8)
+        c8 = PermGroup([parse_cycle_string(8, "(1,2,3,4,5,6,7,8)")])
+        assert quartic_subgroups(c8, trivial) == []
+        assert quartic_subgroups(wreath_c2_s4(), trivial) != []
+        assert asked == [384]
 
 
 class TestVerifiers:
@@ -268,7 +310,7 @@ class TestVerifiers:
     def test_unique_octic_needs_exactly_one_quartic_class(self, monkeypatch, found):
         # A missing or a second quartic class is a named witness, not a crash.
         monkeypatch.setattr(verify, "quartic_subgroups",
-                            lambda G: [G.stabilizer(1)] * found)
+                            lambda G, H_L: [H_L] * found)
         r = verify_s4_unique_octic()
         assert r.witnesses == [
             f"{label}: expected a unique quartic subgroup class, found {found}"

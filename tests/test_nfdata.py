@@ -381,6 +381,23 @@ class TestPersistence:
         with pytest.raises(IngestError, match="store.jsonl: header count: expected"):
             load(str(path))
 
+    def test_header_without_count_named(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps({"format": "octic-snapshot/1"}) + "\n")
+        with pytest.raises(IngestError) as caught:
+            load(str(path))
+        assert str(caught.value) == f"{path}: header has no record count"
+
+    @pytest.mark.parametrize("field", ["provenance", "ingest_time"])
+    def test_non_string_header_text_named(self, tmp_path, field):
+        # persist writes both as strings; a list once came back as "['x']".
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps({"format": "octic-snapshot/1", "count": "0",
+                                    field: ["x"]}) + "\n")
+        with pytest.raises(IngestError) as caught:
+            load(str(path))
+        assert str(caught.value) == f"{path}: header {field}: expected a string, got ['x']"
+
     def test_missing_file_error_has_path(self, tmp_path):
         with pytest.raises(IngestError, match="no-such"):
             load(str(tmp_path / "no-such.jsonl"))

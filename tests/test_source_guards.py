@@ -94,6 +94,26 @@ def test_only_perms_intersects_subgroup_conjugates():
     assert found == ["perms.core_order"]
 
 
+def test_only_catalog_reads_s4_images():
+    # Whether a group maps onto S4 is read from the lattice in one place:
+    # `catalog.quartic_subgroups` keeps an index-4 class when |G| = 24 |core|.
+    # verify once built each quotient of order 24 and tested it against S4.
+    quotient_route = {"normal_subgroups", "quotient_as_perm"}
+    named, compared = [], []
+    for path in SOURCES:
+        for owner, node in _nodes_by_function(path):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in quotient_route and path.stem != "perms":
+                named.append(f"{path.stem}.{owner}")
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(sub, ast.Constant) and sub.value == 24  # |S4|
+                    for sub in ast.walk(node)):
+                compared.append(f"{path.stem}.{owner}")
+    assert (named, compared) == ([], ["catalog.quartic_subgroups"])
+
+
 def test_command_handlers_write_nothing():
     # Each `_cmd_*` returns its payload, text lines and exit code; `run`
     # alone writes them, so --json, the text form and --stamp agree everywhere.
@@ -136,7 +156,7 @@ def test_settable_options_stay_few():
     # Every default is a choice some caller might rely on.  A change that
     # adds an option raises this bound in its own diff and says why.
     options = _settable_options()
-    assert len(options) <= 37, options
+    assert len(options) <= 35, options
 
 
 def test_every_exported_name_resolves():
