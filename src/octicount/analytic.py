@@ -75,11 +75,8 @@ class ZetaValue:
 class PartialConstant:
     """Partial sum C(Z) of the leading-constant series over quartic fields."""
 
-    Z: int
     value: float
     error_bound: float
-    terms: int
-    prime_bound: int
     term_list: tuple[tuple[str, float, float], ...]
 
 
@@ -541,11 +538,4 @@ def partial_constant(snapshot: Snapshot, Z: int, prime_bound: int) -> PartialCon
         value += t_mid
         err += t_err
         term_list.append((rec.label, t_mid, t_err))
-    return PartialConstant(
-        Z=Z,
-        value=value,
-        error_bound=err,
-        terms=len(fields),
-        prime_bound=prime_bound,
-        term_list=tuple(term_list),
-    )
+    return PartialConstant(value=value, error_bound=err, term_list=tuple(term_list))

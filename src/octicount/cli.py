@@ -201,16 +201,18 @@ def _cmd_constant(args) -> _Result:
             writer.writerow(["label", "term", "error_bound"])
             for label, val, err in pc.term_list:
                 writer.writerow([label, repr(val), repr(err)])
+    terms = len(pc.term_list)
     payload = {
-        "Z": pc.Z,
-        "prime_bound": pc.prime_bound,
-        "terms": pc.terms,
+        "Z": args.max_disc,
+        "prime_bound": args.prime_bound,
+        "terms": terms,
         "value": pc.value,
         "error_bound": pc.error_bound,
         "kappa_annotation": analytic.KAPPA,
         "provenance": snap.provenance,
     }
-    return payload, [f"C({pc.Z}) = {pc.value!r} +/- {pc.error_bound!r} over {pc.terms} fields"], 0
+    line = f"C({args.max_disc}) = {pc.value!r} +/- {pc.error_bound!r} over {terms} fields"
+    return payload, [line], 0
 
 
 def _cmd_count(args) -> _Result:
@@ -245,7 +247,7 @@ def _cmd_fit(args) -> _Result:
     if args.checkpoints:
         checkpoints = _parse_checkpoints(args.checkpoints)
     else:
-        discs = sorted(r.abs_disc for r in nfdata.query(snap, degree=8))
+        discs = sorted(r.abs_disc for r in snap.records.values() if r.degree == 8)
         if len(discs) < 3:
             raise ValueError("need at least 3 octic records to fit")
         checkpoints = _parse_checkpoints(f"{max(discs[0], 1)}:{discs[-1]}:12")
@@ -253,21 +255,21 @@ def _cmd_fit(args) -> _Result:
     counting.check_fit_checkpoints(checkpoints)
     pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound)
     series = counting.count_series(snap, args.galois or list(LABELS), checkpoints)
-    report = counting.fit_error(series, pc, provenance=snap.provenance)
+    report = counting.fit_error(series, pc)
     payload = {
-        "theta_target": report.theta_target,
+        "theta_target": counting.THETA_TARGET,
         "sup_ratio": report.sup_ratio,
         "slope": report.slope,
         "C": {"value": pc.value, "error_bound": pc.error_bound,
-              "Z": pc.Z, "terms": pc.terms},
-        "checkpoints": report.checkpoints,
+              "Z": args.max_disc, "terms": len(pc.term_list)},
+        "checkpoints": series.checkpoints,
         "residuals": report.residuals,
         "caveat_band": report.caveat_band,
-        "provenance": report.provenance,
+        "provenance": snap.provenance,
     }
     return payload, [f"sup_ratio = {report.sup_ratio!r}",
                      f"slope = {report.slope!r}",
-                     f"provenance = {report.provenance}"], 0
+                     f"provenance = {snap.provenance}"], 0
 
 
 def _cmd_malle_alpha(args) -> _Result:

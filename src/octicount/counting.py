@@ -66,7 +66,6 @@ class RelDiscSplit:
     d1: int
     d2: int
     norm_factors: tuple[tuple[int, int], ...]
-    k_factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.n0 * self.n1 * self.n2 != self.norm:
@@ -121,7 +120,6 @@ def split_rel_disc(octic: FieldRecord, parent: FieldRecord) -> RelDiscSplit:
         d1=d1,
         d2=d2,
         norm_factors=tuple(sorted(n_vals.items())),
-        k_factors=tuple(sorted(k_vals.items())),
     )
 
 
@@ -178,7 +176,7 @@ def audit_lemmas(snapshot: Snapshot) -> VerificationReport:
         audited += 1
         sib_key = (rec.abs_disc, parent.label)
         sib_diag[sib_key] = sib_diag.get(sib_key, 0) + 1
-        k_vals = dict(split.k_factors)
+        k_vals = dict(parent.disc_factors)
         n_vals = dict(split.norm_factors)
         if rec.galois == "8T23":
             if not _is_kth_power(split.n1, 4):
@@ -199,7 +197,7 @@ def audit_lemmas(snapshot: Snapshot) -> VerificationReport:
             if not _is_kth_power(split.norm, 2):
                 report.fail(f"{label}: norm {split.norm} is not a perfect square")
         elif rec.galois == "8T40":
-            d1_factors = [(p, e) for p, e in split.k_factors
+            d1_factors = [(p, e) for p, e in k_vals.items()
                           if p not in (2, 3) and split.d1 % p == 0]
             if split.d1 != _rad(d1_factors) ** 2:
                 report.fail(f"{label}: d1={split.d1} is not rad(d1)^2")
@@ -236,13 +234,10 @@ def tail_count(snapshot: Snapshot, Z: int, X: int) -> int:
 class FitReport:
     """Empirical comparison of a count series against the C*X main term."""
 
-    theta_target: float
     sup_ratio: float
     slope: Optional[float]
-    checkpoints: tuple[int, ...]
     residuals: tuple[float, ...]
     caveat_band: tuple[float, ...]
-    provenance: str
 
 
 def check_fit_checkpoints(checkpoints: Sequence[int]) -> None:
@@ -253,7 +248,7 @@ def check_fit_checkpoints(checkpoints: Sequence[int]) -> None:
         raise ValueError(f"need checkpoints >= 1 to fit, got {min(checkpoints)}")
 
 
-def fit_error(series: CountSeries, C: PartialConstant, provenance: str) -> FitReport:
+def fit_error(series: CountSeries, C: PartialConstant) -> FitReport:
     """Sup-ratio against X^THETA_TARGET and log-log slope of the residuals N(X) - C*X."""
     check_fit_checkpoints(series.checkpoints)
     residuals = tuple(
@@ -273,12 +268,4 @@ def fit_error(series: CountSeries, C: PartialConstant, provenance: str) -> FitRe
             [u for u, _ in pts], [v for _, v in pts]
         ).slope
     band = tuple(C.error_bound * x for x in series.checkpoints)
-    return FitReport(
-        theta_target=THETA_TARGET,
-        sup_ratio=sup_ratio,
-        slope=slope,
-        checkpoints=series.checkpoints,
-        residuals=residuals,
-        caveat_band=band,
-        provenance=provenance,
-    )
+    return FitReport(sup_ratio=sup_ratio, slope=slope, residuals=residuals, caveat_band=band)

@@ -405,9 +405,9 @@ def ingest(path: str, provenance: str, ingest_time: str) -> Snapshot:
 
 def query(
     snapshot: Snapshot,
-    degree: Optional[int] = None,
-    galois_filter: Optional[Iterable[str]] = None,
-    max_abs_disc: Optional[int] = None,
+    degree: Optional[int],
+    galois_filter: Optional[Iterable[str]],
+    max_abs_disc: Optional[int],
 ) -> list[FieldRecord]:
     labels = set(galois_filter) if galois_filter is not None else None
     out = [
@@ -487,6 +487,8 @@ def load(path: str) -> Snapshot:
     if "count" not in header:
         raise IngestError(f"{path}: header has no record count")
     expected = _int(header["count"], f"{path}: header count")
+    if expected < 0:
+        raise IngestError(f"{path}: header count {expected} is negative")
     numbered = [(n, ln) for n, ln in enumerate(lines[1:], start=2) if ln.strip()]
     body = [ln for _, ln in numbered]
     if len(body) != expected:

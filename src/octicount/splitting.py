@@ -102,13 +102,13 @@ class ValuationProfile:
 
     v_disc_L: int
     v_disc_K: int
-    v_norm: int
     octic_symbol: SplittingSymbol
     quartic_symbol: SplittingSymbol
 
-    def __post_init__(self):
-        if self.v_norm != self.v_disc_L - 2 * self.v_disc_K:
-            raise ValueError("valuation relation v_norm = v_L - 2 v_K violated")
+    @property
+    def v_norm(self) -> int:
+        """Valuation of the relative discriminant's norm: v_L - 2 v_K."""
+        return self.v_disc_L - 2 * self.v_disc_K
 
 
 def enumerate_tame_configs(G: PermGroup) -> list[TameConfig]:
@@ -177,7 +177,7 @@ def valuation_profile(
                 f"orbit formula gives {sym.disc_valuation()}, index formula gives {v}"
             )
         symbols.append(sym)
-    return ValuationProfile(v_L, v_K, v_L - 2 * v_K, *symbols)
+    return ValuationProfile(v_L, v_K, *symbols)
 
 
 @lru_cache(maxsize=None)

@@ -241,9 +241,8 @@ def test_criterion_7_synthetic_fit_slope():
     cps = [int(round(10 ** 3 * (10 ** 3) ** (i / 19))) for i in range(20)]
     counts = [math.floor(x - 3 * x ** 0.7) for x in cps]
     series = CountSeries(tuple(cps), tuple(counts), ("synthetic",))
-    C = PartialConstant(Z=0, value=1.0, error_bound=0.0, terms=0, prime_bound=0,
-                        term_list=())
-    report = fit_error(series, C, "")
+    C = PartialConstant(value=1.0, error_bound=0.0, term_list=())
+    report = fit_error(series, C)
     ok = report.slope is not None and 0.68 <= report.slope <= 0.72
     _line(7, ok, f"synthetic fitted slope {report.slope:.4f} in [0.68, 0.72]")
     assert ok

@@ -622,7 +622,7 @@ class TestPartialConstant:
     def test_empty_snapshot(self):
         empty = Snapshot(records={}, provenance="", ingest_time="")
         pc = partial_constant(empty, 10 ** 6, 10 ** 3)
-        assert pc.value == 0.0 and pc.error_bound == 0.0 and pc.terms == 0
+        assert pc.value == 0.0 and pc.error_bound == 0.0 and pc.term_list == ()
 
     def test_monotone_in_Z(self):
         records = {}
@@ -633,7 +633,7 @@ class TestPartialConstant:
         c1 = partial_constant(snap, 300, 10 ** 3)
         c2 = partial_constant(snap, 500, 10 ** 3)
         assert 0 < c1.value <= c2.value
-        assert c1.terms == 1 and c2.terms == 3
+        assert len(c1.term_list) == 1 and len(c2.term_list) == 3
 
     def test_term_formula_instantiation(self):
         # Single field with all invariants 1 and |disc| = 10, r2 = 2:
@@ -684,7 +684,7 @@ class TestPartialConstant:
         monkeypatch.setattr(analytic, "is_prime_lanes",
                             lambda ns: proved.extend(ns) or proof(ns))
         pc = partial_constant(snap, 10 ** 12, 1000)
-        assert pc.terms == 100 and calls == [100 * len(primes_up_to(1000))]
+        assert len(pc.term_list) == 100 and calls == [100 * len(primes_up_to(1000))]
         assert len(passes) == -(-len(lanes) // analytic._LANE_CHUNK) and sum(passes) == len(lanes)
         assert sorted(proved) == sorted({p for _, p in lanes})
         # Smaller chunks split the fields over several calls, and change no number.

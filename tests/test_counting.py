@@ -182,9 +182,8 @@ class TestTailCount:
             assert counts == sorted(counts)
 
 
-def unit_constant(value=1.0):
-    return PartialConstant(Z=0, value=value, error_bound=0.0, terms=0, prime_bound=0,
-                           term_list=())
+def unit_constant():
+    return PartialConstant(value=1.0, error_bound=0.0, term_list=())
 
 
 class TestFitError:
@@ -195,7 +194,7 @@ class TestFitError:
         cps = self.geometric_checkpoints()
         counts = [math.floor(x - 3 * x ** 0.7) for x in cps]
         series = CountSeries(tuple(cps), tuple(counts), ("synthetic",))
-        report = fit_error(series, unit_constant(), "")
+        report = fit_error(series, unit_constant())
         assert report.slope is not None
         assert 0.68 <= report.slope <= 0.72
 
@@ -203,7 +202,7 @@ class TestFitError:
         cps = self.geometric_checkpoints()
         counts = [math.floor(1.0 * x) for x in cps]
         series = CountSeries(tuple(cps), tuple(counts), ("synthetic",))
-        report = fit_error(series, unit_constant(), "")
+        report = fit_error(series, unit_constant())
         assert report.sup_ratio <= cps[0] ** (-THETA_TARGET) * 1.0 + 1e-12
 
     def test_theta_target_value(self):
@@ -212,12 +211,12 @@ class TestFitError:
     def test_too_few_checkpoints(self):
         series = CountSeries((10, 20), (1, 2), ())
         with pytest.raises(ValueError):
-            fit_error(series, unit_constant(), "")
+            fit_error(series, unit_constant())
 
     def test_checkpoints_below_one(self):
         series = CountSeries((0, 5, 100), (0, 0, 0), ())
         with pytest.raises(ValueError, match="checkpoints >= 1"):
-            fit_error(series, unit_constant(), "")
+            fit_error(series, unit_constant())
 
 
 class TestAuditLemmas:

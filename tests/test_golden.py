@@ -6,6 +6,12 @@ CLI's report printer) was last simplified; a refactor of perms, catalog,
 verify, splitting or that printer must reproduce them exactly, exit codes
 included.  The audit files come from the model snapshot with two planted
 violations, so their witness lines are pinned too.
+
+The data-command files (`model_store.jsonl`, `constant.*`, `fit.*`,
+`count.txt`, `query.csv`, `tail.txt`) are the outputs of `ingest`, `constant`,
+`fit`, `count`, `query` and `tail` on the model 8T23 tower records, ingested
+with a fixed provenance, as the CLI printed them before the result types
+behind `constant` and `fit` were last trimmed.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import persist_to
+from conftest import model_tower_records, persist_to, record_json_line
 from octicount.catalog import LABELS
 from octicount.cli import run
 from octicount.nfdata import Snapshot
@@ -77,3 +83,50 @@ def test_golden_labels_cover_the_catalog():
 def test_malle_alpha_output_matches_golden(label, capsys):
     assert run(["malle-alpha", "--label", label]) == 0
     assert capsys.readouterr().out == MALLE_ALPHA[label] + "\n"
+
+
+@pytest.fixture(scope="module")
+def model_store(tmp_path_factory):
+    """The model 8T23 tower records (19 quartics, 19 octics), ingested with a
+    fixed provenance so that no temporary path reaches the output bytes."""
+    records, _ = model_tower_records("8T23", 1, 500)
+    tmp = tmp_path_factory.mktemp("model")
+    infile = tmp / "in.jsonl"
+    infile.write_text("\n".join(record_json_line(r) for r in records) + "\n")
+    store = tmp / "store.jsonl"
+    assert run(["ingest", "--in", str(infile), "--out", str(store),
+                "--provenance", "model-towers-8T23"]) == 0
+    return store
+
+
+def test_ingested_store_matches_golden(model_store):
+    assert model_store.read_bytes() == (DATA / "model_store.jsonl").read_bytes()
+
+
+# Z = 10^13 keeps 17 of the 19 quartics; fit takes its checkpoints from the
+# octic discriminants when --checkpoints is absent.
+CONSTANT = ["constant", "--max-disc", "10000000000000", "--prime-bound", "1000"]
+FIT = ["fit", "--max-disc", "10000000000000", "--prime-bound", "1000"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (CONSTANT, "constant.txt"),
+    (CONSTANT + ["--json", "-"], "constant.json"),
+    (FIT, "fit.txt"),
+    (FIT + ["--json", "-"], "fit.json"),
+    (["count", "--checkpoints", "1:1e30:7"], "count.txt"),
+    (["query", "--csv"], "query.csv"),
+    (["tail", "--Z", "3650", "--X", "10000000000000"], "tail.txt"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_data_command_output_matches_golden(argv, name, model_store, capsys):
+    capsys.readouterr()
+    assert run(argv + ["--store", str(model_store)]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()
+
+
+def test_constant_terms_match_golden(model_store, tmp_path, capsys):
+    capsys.readouterr()
+    out = tmp_path / "terms.csv"
+    assert run(CONSTANT + ["--store", str(model_store), "--emit-terms", str(out)]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / "constant.txt").read_bytes()
+    assert out.read_bytes() == (DATA / "constant_terms.csv").read_bytes()

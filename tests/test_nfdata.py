@@ -23,6 +23,7 @@ from octicount import nfdata
 from octicount.analytic import factor_mod_p
 from octicount.arith import primes_up_to
 from octicount.catalog import LABELS
+from octicount.cli import run
 from octicount.nfdata import (
     FieldRecord,
     IngestError,
@@ -324,18 +325,19 @@ class TestQuery:
         return Snapshot(records=records, provenance="", ingest_time="")
 
     def test_empty(self):
-        assert query(Snapshot(records={}, provenance="", ingest_time="")) == []
+        assert query(Snapshot(records={}, provenance="", ingest_time=""),
+                     degree=None, galois_filter=None, max_abs_disc=None) == []
 
     def test_threshold(self):
-        out = query(self.make_snapshot(), degree=8, max_abs_disc=25)
+        out = query(self.make_snapshot(), degree=8, galois_filter=None, max_abs_disc=25)
         assert [r.label for r in out] == ["A", "B"]
 
     def test_label_filter(self):
-        out = query(self.make_snapshot(), galois_filter=["8T39"])
+        out = query(self.make_snapshot(), degree=None, galois_filter=["8T39"], max_abs_disc=None)
         assert [r.label for r in out] == ["B"]
 
     def test_sorted_by_disc_then_label(self):
-        out = query(self.make_snapshot(), degree=8)
+        out = query(self.make_snapshot(), degree=8, galois_filter=None, max_abs_disc=None)
         assert [r.label for r in out] == ["A", "B", "C"]
 
 
@@ -380,6 +382,16 @@ class TestPersistence:
         path.write_text(json.dumps({"format": "octic-snapshot/1", "count": count}) + "\n")
         with pytest.raises(IngestError, match="store.jsonl: header count: expected"):
             load(str(path))
+
+    def test_negative_header_count_named(self, tmp_path, capsys):
+        # Once reported as "truncated store (0 records, header says -2)".
+        path = tmp_path / "store.jsonl"
+        path.write_text('{"count":"-2","format":"octic-snapshot/1"}\n')
+        with pytest.raises(IngestError) as caught:
+            load(str(path))
+        assert str(caught.value) == f"{path}: header count -2 is negative"
+        assert run(["audit", "--store", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: header count -2 is negative\n"
 
     def test_header_without_count_named(self, tmp_path):
         path = tmp_path / "store.jsonl"

@@ -156,7 +156,7 @@ def test_settable_options_stay_few():
     # Every default is a choice some caller might rely on.  A change that
     # adds an option raises this bound in its own diff and says why.
     options = _settable_options()
-    assert len(options) <= 35, options
+    assert len(options) <= 32, options
 
 
 def test_every_exported_name_resolves():

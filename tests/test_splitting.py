@@ -329,8 +329,7 @@ class TestLemmaVerifiers:
         # is read from the witness prefixes, lemma 8.1's part1_valuation and
         # part2_valuation from "part1:" and "part2:".
         cfg, prof = splitting._tame_profiles(label)[0]
-        fake = ValuationProfile(v_norm + 2 * v_K, v_K, v_norm,
-                                prof.octic_symbol, prof.quartic_symbol)
+        fake = ValuationProfile(v_norm + 2 * v_K, v_K, prof.octic_symbol, prof.quartic_symbol)
         monkeypatch.setattr(splitting, "_tame_profiles", lambda _: ((cfg, fake),))
         r = verifier(label)
         assert r.details["parts"] == parts
