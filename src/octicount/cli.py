@@ -251,6 +251,7 @@ def _cmd_fit(args) -> _Result:
         if len(discs) < 3:
             raise ValueError("need at least 3 octic records to fit")
         checkpoints = _parse_checkpoints(f"{max(discs[0], 1)}:{discs[-1]}:12")
+        checkpoints[-1] = max(checkpoints[-1], discs[-1])  # floats may round below
     # Before the costly constant, so that a bad spec fails at once.
     counting.check_fit_checkpoints(checkpoints)
     pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound)

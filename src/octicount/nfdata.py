@@ -15,7 +15,6 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import Iterable, Optional, TextIO
 
 from .arith import is_prime, primes_up_to
@@ -124,8 +123,8 @@ class FieldRecord:
 
 
 # The irreducibility prescreen reads the primes 5 <= p below this (the kernel
-# takes no lane at 2 or 3), this many more per round for each polynomial it
-# has not yet settled.
+# takes no lane at 2 or 3), this many more per round, the same ones for every
+# polynomial it has not yet settled.
 _PRESCREEN_PRIME_BOUND = 200
 _PRESCREEN_PRIMES_PER_ROUND = 4
 
@@ -145,7 +144,7 @@ def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]
     Prescreen: a rational factor of degree k reduces, mod every prime p not
     dividing disc(f), to a product of some of f's irreducible factors mod p, so
     k is a sub-sum of their degrees.  Once the primes leave no common k, f is
-    irreducible.  Each round takes the next few primes of every polynomial
+    irreducible.  Each round pairs the next few primes with every polynomial
     still open, and hands all of those pairs to one call of the Frobenius-trace
     kernel `analytic._frobenius_lanes`, which answers its lanes and leaves the
     other pairs None.  A polynomial whose lanes below 200 leave a common k
@@ -155,32 +154,28 @@ def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]
 
     prescreen_primes = primes_up_to(_PRESCREEN_PRIME_BOUND - 1)[2:]
     verdicts: dict[tuple[int, ...], bool] = {}
-    unsettled: dict[tuple[int, ...], tuple] = {}  # f -> (primes to come, candidate k)
+    candidates: dict[tuple[int, ...], set[int]] = {}  # open f -> its possible factor degrees
     for f in dict.fromkeys(polys):
         n = len(f) - 1
         if n <= 1:
             verdicts[f] = True
         elif f[-1] == 1:
-            unsettled[f] = (iter(prescreen_primes), set(range(1, n)))
+            candidates[f] = set(range(1, n))
         else:
             verdicts[f] = _is_irreducible(f)
-    while unsettled:
-        fs, ps = [], []  # the pairs of this round
-        for f, (primes, _) in list(unsettled.items()):
-            batch = list(islice(primes, _PRESCREEN_PRIMES_PER_ROUND))
-            if not batch:
-                verdicts[f] = _is_irreducible(f)
-                del unsettled[f]
-                continue
-            fs += [f] * len(batch)
-            ps += batch
-        for f, degrees in zip(fs, _frobenius_lanes(fs, ps)):
-            if degrees is not None and f in unsettled:
-                candidates = unsettled[f][1]
-                candidates &= _sub_sums(degrees)
-                if not candidates:
+    for start in range(0, len(prescreen_primes), _PRESCREEN_PRIMES_PER_ROUND):
+        if not candidates:
+            break
+        batch = prescreen_primes[start:start + _PRESCREEN_PRIMES_PER_ROUND]
+        fs = [f for f in candidates for _ in batch]
+        for f, degrees in zip(fs, _frobenius_lanes(fs, batch * len(candidates))):
+            if degrees is not None and f in candidates:
+                candidates[f] &= _sub_sums(degrees)
+                if not candidates[f]:
                     verdicts[f] = True
-                    del unsettled[f]
+                    del candidates[f]
+    for f in candidates:
+        verdicts[f] = _is_irreducible(f)
     return verdicts
 
 

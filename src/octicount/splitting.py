@@ -1,16 +1,17 @@
 """Tame ramification configurations and splitting symbols.
 
-A tamely ramified rational prime is modeled by a triple: a cyclic inertia
-group I = <tau>, a decomposition group D with I normal in D and D/I cyclic,
-and a Frobenius representative sigma generating D modulo I.  The prime
-itself never appears: a configuration stands for every tame prime realizing
-it, which is the right level of generality for the verified lemmas.
+A tamely ramified rational prime is modeled by a pair: an inertia generator
+tau and a Frobenius sigma normalizing I = <tau>.  They determine the
+decomposition group D = <tau, sigma>, with I normal in D and D/I cyclic,
+which is never built.  The prime itself never appears: a configuration
+stands for every tame prime realizing it, which is the right level of
+generality for the verified lemmas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 from .catalog import catalog_group, octic_action, quartic_action
@@ -40,30 +41,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TameConfig:
-    """One (inertia, decomposition, Frobenius) configuration up to conjugacy."""
+    """One (inertia generator, Frobenius) configuration up to conjugacy."""
 
     group: PermGroup
     inertia_gen: Perm
-    decomposition: PermGroup
     frobenius: Perm
 
     def __post_init__(self):
-        D, tau, sigma = self.decomposition, self.inertia_gen, self.frobenius
-        # <tau> is normal in D when D's generators conjugate tau to powers of tau.
-        powers, g = set(), tau
+        tau, sigma = self.inertia_gen, self.frobenius
+        if sigma * tau * sigma.inverse() not in self._inertia:
+            raise ValueError("inertia subgroup is not normal in the decomposition group")
+
+    @cached_property
+    def _inertia(self) -> frozenset[Perm]:
+        """The elements of I = <tau>: the powers of tau."""
+        powers, g = set(), self.inertia_gen
         while g not in powers:
             powers.add(g)
-            g = g * tau
-        if tau not in D or any(d * tau * d.inverse() not in powers for d in D.generators):
-            raise ValueError("inertia subgroup is not normal in the decomposition group")
-        # With <tau> normal in D, the coset of sigma generates D/<tau> exactly
-        # when sigma lies in D and <tau, sigma> is all of D.  A D given on the
-        # generators (tau, sigma) is that closure already.
-        generated = D.generators == (tau, sigma) or (
-            PermGroup([tau, sigma], degree=D.degree).order == D.order
-        )
-        if sigma not in D or not generated:
-            raise ValueError("D modulo <tau> is not generated by the Frobenius coset")
+            g = g * self.inertia_gen
+        return frozenset(powers)
 
     @property
     def e(self) -> int:
@@ -72,8 +68,12 @@ class TameConfig:
 
     @property
     def f(self) -> int:
-        """Residue degree of the Galois closure: |D| / |I|."""
-        return self.decomposition.order // self.e
+        """Residue degree of the Galois closure: the order of sigma modulo I,
+        which is |D| / |I| because sigma normalizes I."""
+        f, g = 1, self.frobenius
+        while g not in self._inertia:
+            f, g = f + 1, g * self.frobenius
+        return f
 
 
 @dataclass(frozen=True)
@@ -127,24 +127,20 @@ def enumerate_tame_configs(G: PermGroup) -> list[TameConfig]:
         if I.order == 1 or len(I.generators) != 1:
             continue
         tau = I.generators[0]
-        for sigma in coset_class_minima(G, I, cls.normalizer):
-            D = PermGroup([tau, sigma], degree=G.degree)
-            configs.append(TameConfig(group=G, inertia_gen=tau, decomposition=D, frobenius=sigma))
-    configs.sort(
-        key=lambda c: (c.e, c.decomposition.order, c.inertia_gen.images, c.frobenius.images)
-    )
+        configs += (TameConfig(group=G, inertia_gen=tau, frobenius=sigma)
+                    for sigma in coset_class_minima(G, I, cls.normalizer))
+    configs.sort(key=lambda c: (c.e, c.f, c.inertia_gen.images, c.frobenius.images))
     return configs
 
 
 def splitting_symbol(cfg: TameConfig, action: CosetAction) -> SplittingSymbol:
-    """One (e, f) pair per decomposition-group orbit on the coset space."""
+    """One (e, f) pair per decomposition-group orbit on the coset space:
+    the orbits of <tau, sigma> and of <tau>."""
     if action.group != cfg.group:
         raise ValueError("action does not belong to the configuration's group")
-    d_img = PermGroup(
-        [action.act(g) for g in cfg.decomposition.generators],
-        degree=action.induced_degree,
-    )
-    i_img = PermGroup([action.act(cfg.inertia_gen)], degree=action.induced_degree)
+    tau, sigma = action.act(cfg.inertia_gen), action.act(cfg.frobenius)
+    d_img = PermGroup([tau, sigma], degree=action.induced_degree)
+    i_img = PermGroup([tau], degree=action.induced_degree)
     pairs = []
     for orbit in d_img.orbits():
         x = min(orbit)
@@ -198,7 +194,7 @@ def _tame_profiles(label: str) -> tuple[tuple[TameConfig, ValuationProfile], ...
 def _cfg_desc(cfg: TameConfig) -> str:
     return (
         f"I=<{cfg.inertia_gen.cycle_string()}> (order {cfg.e}), "
-        f"|D|={cfg.decomposition.order}, sigma={cfg.frobenius.cycle_string()}"
+        f"|D|={cfg.e * cfg.f}, sigma={cfg.frobenius.cycle_string()}"
     )
 
 

@@ -147,7 +147,7 @@ def test_criterion_4_splitting_oracle_agreement():
         G = PermGroup.symmetric(degree)
         act = coset_action(G, G.stabilizer(1))
         for tau, D, sigma in all_configs_naive(G):
-            cfg = TameConfig(group=G, inertia_gen=tau, decomposition=D, frobenius=sigma)
+            cfg = TameConfig(group=G, inertia_gen=tau, frobenius=sigma)
             total += 1
             oracle = naive_symbol(
                 list(PermGroup([tau], degree=degree).elements),

@@ -22,7 +22,8 @@ from octicount.cli import MAX_CHECKPOINTS, _parse_checkpoints, run
 
 @pytest.fixture(scope="module")
 def records_file(tmp_path_factory):
-    # Three quartics and three octics from `model_tower_records`.
+    # 19 quartics and 19 octics from `model_tower_records`: one pair per
+    # tame configuration of 8T23.
     from conftest import model_tower_records
 
     records, _ = model_tower_records("8T23", 1, 500)
@@ -501,6 +502,34 @@ class TestDataPipeline:
         fit = json.loads(capsys.readouterr().out)
         assert "sup_ratio" in fit and "slope" in fit
         assert fit["provenance"]
+
+    def test_fit_default_checkpoints_reach_the_largest_octic(self, tmp_path, capsys):
+        # The geometric spec is expanded in floats; for this lo and hi its last
+        # point rounds to 4789302101776261750458819805184, below hi.
+        from conftest import octic_record, persist_to, quartic_record
+        from octicount.nfdata import Snapshot
+
+        lo, hi = 141717264645719547676317371420, 4789302101776266250498516669819
+        octics = [
+            (lo, [(2, 2), (5, 1), (19, 1), (5449, 1), (32789, 1), (85469, 1),
+                  (24422243794801, 1)]),
+            (10 ** 30, [(2, 30), (5, 30)]),
+            (hi, [(17, 1), (281723653045662720617559804107, 1)]),
+        ]
+        records = [quartic_record("K", -283, [(283, 1)])] + [
+            octic_record(f"L{i}", disc, factors, "8T23", None)
+            for i, (disc, factors) in enumerate(octics)
+        ]
+        path = tmp_path / "store.jsonl"
+        persist_to(Snapshot({r.label: r for r in records}, "big-discs", ""), path)
+        assert _parse_checkpoints(f"{lo}:{hi}:12")[-1] < hi
+        assert run(["fit", "--store", str(path), "--max-disc", "1000",
+                    "--prime-bound", "100", "--json", "-"]) == 0
+        checkpoints = json.loads(capsys.readouterr().out)["checkpoints"]
+        assert checkpoints[-1] >= hi
+        assert run(["count", "--store", str(path),
+                    "--checkpoints", ",".join(map(str, checkpoints))]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"{checkpoints[-1]} 3"
 
     def test_byte_identical_runs(self, store, capsys):
         args = ["audit", "--store", store, "--json", "-"]

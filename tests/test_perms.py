@@ -187,11 +187,15 @@ class TestWreath:
 
 
 def brute_force_subgroups(G: PermGroup, max_gens: int = 3) -> set[frozenset]:
-    """Independent oracle: subgroups generated by all <= max_gens subsets."""
-    elems = sorted(G.elements, key=lambda p: p.images)
+    """Independent oracle: subgroups generated by <= max_gens elements, by
+    plain closure.  <a, b, ...> depends only on <a>, <b>, ..., so one
+    generator of each cyclic subgroup stands for all of its generators."""
+    cyclic = {}  # element set of <g> -> its least generator g
+    for g in sorted(G.elements, key=lambda p: p.images):
+        cyclic.setdefault(frozenset(PermGroup([g]).elements), g)
     found = {frozenset([G.identity])}
     for k in range(1, max_gens + 1):
-        for gens in combinations(elems, k):
+        for gens in combinations(cyclic.values(), k):
             found.add(frozenset(PermGroup(gens, degree=G.degree).elements))
     return found
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from octicount.perms import (
     parse_cycle_string,
 )
 from octicount import splitting
-from test_perms import action_kernel, brute_force_subgroups, conjugate
+from test_perms import action_kernel, brute_force_subgroups
 from octicount.splitting import (
     SplittingSymbol,
     TameConfig,
@@ -85,9 +86,7 @@ class TestOracleAgreement:
         act = coset_action(G, G.stabilizer(1))
         n = 0
         for tau, D, sigma in all_configs_naive(G):
-            cfg = TameConfig(
-                group=G, inertia_gen=tau, decomposition=D, frobenius=sigma,
-            )
+            cfg = TameConfig(group=G, inertia_gen=tau, frobenius=sigma)
             sym = splitting_symbol(cfg, act)
             oracle = naive_symbol(
                 list(PermGroup([tau], degree=degree).elements),
@@ -117,7 +116,6 @@ class TestSymbolExamples:
         cfg = TameConfig(
             group=G,
             inertia_gen=tau,
-            decomposition=PermGroup([tau]),
             frobenius=Perm.identity(3),
         )
         sym = splitting_symbol(cfg, coset_action(G, G.stabilizer(1)))
@@ -129,7 +127,6 @@ class TestSymbolExamples:
         cfg = TameConfig(
             group=G,
             inertia_gen=Perm.identity(3),
-            decomposition=PermGroup([sigma]),
             frobenius=sigma,
         )
         sym = splitting_symbol(cfg, coset_action(G, G.stabilizer(1)))
@@ -141,7 +138,6 @@ class TestSymbolExamples:
         cfg = TameConfig(
             group=G,
             inertia_gen=tau,
-            decomposition=PermGroup([tau]),
             frobenius=Perm.identity(8),
         )
         sym = splitting_symbol(cfg, coset_action(G, G.stabilizer(1)))
@@ -149,31 +145,17 @@ class TestSymbolExamples:
 
 
 class TestConfigChecks:
-    @pytest.mark.parametrize("decomposition, frobenius", [
-        ("(1,2)", "(1,3)"),  # sigma outside D, though <sigma> has the order of D
-        ("(1,2) (1,2,3)", "(1,2,3)"),  # sigma in D, but <sigma> is a proper subgroup
-    ])
-    def test_frobenius_must_generate_d_mod_inertia(self, decomposition, frobenius):
-        G = PermGroup.symmetric(3)
-        with pytest.raises(ValueError, match="Frobenius coset"):
-            TameConfig(
-                group=G,
-                inertia_gen=Perm.identity(3),
-                decomposition=PermGroup([P(3, g) for g in decomposition.split()]),
-                frobenius=P(3, frobenius),
-            )
-
     @pytest.mark.parametrize("inertia, decomposition", [
         ("(1,2)", "(1,2) (1,2,3)"),  # <(1,2)> is not normal in S3
-        ("(1,3)", "(1,2)"),          # tau outside D
     ])
     def test_inertia_must_be_normal_in_d(self, inertia, decomposition):
+        # D = <tau, sigma>, with sigma its last generator, which does not
+        # normalize <tau>.
         gens = [P(3, g) for g in decomposition.split()]
         with pytest.raises(ValueError, match="not normal"):
             TameConfig(
                 group=PermGroup.symmetric(3),
                 inertia_gen=P(3, inertia),
-                decomposition=PermGroup(gens),
                 frobenius=gens[-1],
             )
 
@@ -186,7 +168,6 @@ class TestValuationProfiles:
         cfg = TameConfig(
             group=G,
             inertia_gen=Perm.identity(8),
-            decomposition=PermGroup([sigma]),
             frobenius=sigma,
         )
         prof = valuation_profile(cfg, octic_action(lab), quartic_action(lab))
@@ -204,7 +185,6 @@ class TestValuationProfiles:
         cfg = TameConfig(
             group=G,
             inertia_gen=tau,
-            decomposition=PermGroup([tau]),
             frobenius=Perm.identity(8),
         )
         prof = valuation_profile(cfg, octic_action(lab), quartic_action(lab))
@@ -225,7 +205,6 @@ class TestValuationProfiles:
             cfg = TameConfig(
                 group=G,
                 inertia_gen=tau,
-                decomposition=PermGroup([tau]),
                 frobenius=Perm.identity(8),
             )
             prof = valuation_profile(cfg, octic_action(lab), quartic_action(lab))
@@ -241,7 +220,7 @@ class TestEnumeration:
         # One class of transpositions; N(I) = I, so D = I and Frobenius
         # lies in the inertia coset.
         assert len(trans) == 1
-        assert trans[0].decomposition.order == 2
+        assert PermGroup([trans[0].inertia_gen, trans[0].frobenius]).order == 2
         assert trans[0].f == 1
 
     def test_all_tame_compatible_by_construction(self):
@@ -256,17 +235,28 @@ class TestEnumeration:
     def test_invariants_on_returned_configs(self):
         for cfg in enumerate_tame_configs(catalog_group("8T23")):
             I = PermGroup([cfg.inertia_gen], degree=8)
-            assert I.is_normal_in(cfg.decomposition)
-            assert cfg.decomposition.order % I.order == 0
+            D = PermGroup([cfg.inertia_gen, cfg.frobenius], degree=8)
+            assert I.is_normal_in(D)
+            assert D.order % I.order == 0
+
+    @pytest.mark.parametrize("name", ["S3", "S4", "S5", *LABELS])
+    def test_e_times_f_is_the_order_of_tau_and_sigma(self, name):
+        # Oracle for f: |D| from closing D = <tau, sigma>, which the package
+        # never builds.
+        G = PermGroup.symmetric(int(name[1:])) if name[0] == "S" else catalog_group(name)
+        for cfg in enumerate_tame_configs(G):
+            D = PermGroup([cfg.inertia_gen, cfg.frobenius], degree=G.degree)
+            assert cfg.e * cfg.f == D.order
 
     @pytest.mark.parametrize("name", ["S3", "S4", "S5", *LABELS])
     def test_configs_match_pinned_list(self, name):
         # [tau images, sigma images, |D|] of every configuration, in order,
-        # pinned in tame_configs.json from the enumeration by Perm products.
+        # pinned in tame_configs.json from the enumeration by Perm products;
+        # |D| = |<tau, sigma>| is e * f.
         pinned = json.loads((Path(__file__).parent / "data" / "tame_configs.json").read_text())
         G = PermGroup.symmetric(int(name[1:])) if name[0] == "S" else catalog_group(name)
         assert [
-            [list(c.inertia_gen.images), list(c.frobenius.images), c.decomposition.order]
+            [list(c.inertia_gen.images), list(c.frobenius.images), c.e * c.f]
             for c in enumerate_tame_configs(G)
         ] == pinned[name]
 
@@ -285,7 +275,6 @@ class TestEnumeration:
             conj = TameConfig(
                 group=G,
                 inertia_gen=g0 * cfg.inertia_gen * g0inv,
-                decomposition=conjugate(cfg.decomposition, g0),
                 frobenius=g0 * cfg.frobenius * g0inv,
             )
             assert splitting_symbol(conj, octic) == splitting_symbol(cfg, octic)
@@ -360,6 +349,25 @@ class TestOnePassPerGroup:
         assert configs == {"8T23": 19, "8T40": 73}
         assert len(degrees) == 184
         assert degrees.count(8) == degrees.count(4) == 92
+
+    def test_no_group_is_closed_per_configuration(self, monkeypatch):
+        # Count the closures behind `PermGroup.elements` the way the perfbench
+        # tracer does.  Closing D = <tau, sigma> for each configuration would
+        # make 92 of them here.
+        closures = []
+        close = PermGroup.__dict__["elements"].func
+
+        def counted(group):
+            closures.append(group)
+            return close(group)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(PermGroup, "elements")
+        monkeypatch.setattr(PermGroup, "elements", prop)
+        splitting._tame_profiles.cache_clear()
+        configs = len(splitting._tame_profiles("8T23")) + len(splitting._tame_profiles("8T40"))
+        assert configs == 92
+        assert len(closures) <= 2
 
     def test_profiles_carry_the_checked_symbols(self):
         octic, quartic = octic_action("8T23"), quartic_action("8T23")
