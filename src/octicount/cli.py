@@ -21,6 +21,7 @@ import os
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from fractions import Fraction
 from typing import Callable, Iterator, Optional, TextIO
 
 from . import analytic, counting, nfdata, splitting, verify
@@ -108,26 +109,58 @@ MAX_CHECKPOINTS = 10_000
 
 
 def _parse_checkpoints(spec: str) -> list[int]:
-    """Checkpoint spec: comma list '10,100,1000' or geometric 'lo:hi:n'."""
+    """Checkpoint spec: comma list '10,100,1000' or geometric 'lo:hi:n'.
+
+    A geometric spec gives lo * (hi/lo)^(i/(n-1)) for i < n-1, each rounded
+    half up, and then hi itself (its floor, which bounds the same integer
+    discriminants), keeping each point that exceeds the one before.  lo and
+    hi are read exactly and the points are computed in integers: the ratio
+    (hi/lo)^(1/(n-1)) is a fixed-point integer with enough fraction bits
+    that every point is within 2^-50 of its exact value.
+    """
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError("geometric spec is lo:hi:n")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if not (lo > 0 and hi > lo and n >= 2):
+        lo_f, hi_f, n = float(parts[0]), float(parts[1]), int(parts[2])
+        if not (lo_f > 0 and hi_f > lo_f and n >= 2):
             raise ValueError("need 0 < lo < hi and n >= 2")
         if n > MAX_CHECKPOINTS:
             raise ValueError(f"need n <= MAX_CHECKPOINTS = {MAX_CHECKPOINTS}, got {n}")
-        if not math.isfinite(hi / lo):
+        if not math.isfinite(hi_f / lo_f):
             raise ValueError(f"need finite lo, hi and hi/lo, got {spec!r}")
-        ratio = (hi / lo) ** (1.0 / (n - 1))
+        lo, hi = Fraction(parts[0]), Fraction(parts[1])
+        k, ratio = n - 1, hi / lo
+        bits = math.ceil(hi).bit_length() + k.bit_length() + 53
+        guess = int(Fraction((hi_f / lo_f) ** (1 / k)) * 2 ** bits)
+        step = _iroot((ratio.numerator << bits * k) // ratio.denominator, k, guess)
+        point, points = (lo.numerator << bits) // lo.denominator, []
+        for _ in range(k):
+            points.append((point + (1 << bits - 1)) >> bits)
+            point = point * step >> bits
+        points.append(math.floor(hi))
         out = []
-        for i in range(n):
-            x = int(round(lo * ratio ** i))
+        for x in points:
             if not out or x > out[-1]:
                 out.append(x)
         return out
     return sorted({int(tok) for tok in spec.split(",") if tok})
+
+
+def _iroot(x: int, k: int, guess: int) -> int:
+    """floor(x^(1/k)) for x >= 1, by Newton's method from any guess >= 1.
+
+    By the AM-GM inequality one Newton step from any r > 0 lands at or above
+    the root; from there the steps fall to its floor.  A close guess makes
+    that a few steps.
+    """
+    r = max(guess, 1)
+    r = ((k - 1) * r + x // r ** (k - 1)) // k
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _galois_labels(spec: str) -> list[str]:
@@ -251,7 +284,6 @@ def _cmd_fit(args) -> _Result:
         if len(discs) < 3:
             raise ValueError("need at least 3 octic records to fit")
         checkpoints = _parse_checkpoints(f"{max(discs[0], 1)}:{discs[-1]}:12")
-        checkpoints[-1] = max(checkpoints[-1], discs[-1])  # floats may round below
     # Before the costly constant, so that a bad spec fails at once.
     counting.check_fit_checkpoints(checkpoints)
     pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound)

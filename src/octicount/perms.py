@@ -3,9 +3,12 @@
 Permutations act on {1..degree}.  Groups are given by generators; element
 lists, conjugacy data and the subgroup lattice are computed lazily and
 cached.  The subgroup lattice (the normal subgroups are its one-member
-classes) and the classes of Frobenius cosets run on each group's own element
-index, an integer multiplication table built once per group; `Perm` and
-`PermGroup` are what goes in and out.
+classes) and the classes of Frobenius cosets run on a group's element index,
+an integer multiplication table built once per group; `Perm` and `PermGroup`
+are what goes in and out.  A lattice is computed by cyclic extension, inside
+normalizers when Burnside's p^a q^b theorem makes the group solvable, and
+kept for the process: the lattice of a subgroup of the same degree is read
+off it, on the larger group's element index.
 Everything is exact integer arithmetic, sized for groups of order a few
 hundred (the largest group this project cares about has order 384).
 """
@@ -13,12 +16,12 @@ hundred (the largest group this project cares about has order 384).
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 MAX_DEGREE = 24
 MAX_ELEMENTS = 10**6
@@ -297,6 +300,11 @@ class PermGroup:
         ))
         return classes
 
+    @cached_property
+    def _census(self) -> list[tuple[int, ...]]:
+        """The sorted cycle types of the elements, a conjugacy invariant."""
+        return sorted(p.cycle_type() for p in self.elements)
+
     def stabilizer(self, point: int) -> "PermGroup":
         """Point stabilizer, by element scan (fine at this scale)."""
         elems = [g for g in self.elements if g(point) == point]
@@ -417,12 +425,31 @@ def wreath_c2_s4() -> PermGroup:
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    """One conjugacy class of subgroups of G: a representative, the element
-    set of every member of the class, and N_G(representative)."""
+    """One conjugacy class of subgroups of `group`: a representative, the
+    element set of every member of the class, and N_G(representative).
+
+    The representative is the least member of the class in image order (the
+    least sorted list of element images).  Its generators are chosen from its
+    elements alone: walk them by descending element order, then image order,
+    and keep each one not yet generated by those kept.  So a cyclic class is
+    generated by its least generator in image order, and any other class by
+    two or more elements.
+    """
 
     representative: PermGroup
     conjugates: frozenset[frozenset[Perm]]
-    normalizer: PermGroup
+    group: PermGroup
+
+    @cached_property
+    def normalizer(self) -> PermGroup:
+        """N_G(representative), computed on first read."""
+        G, H = self.group, self.representative
+        num = G._num
+        members = frozenset(map(num.__getitem__, H.elements))
+        return PermGroup.from_elements(
+            map(G._elems.__getitem__, _normalizing(G, members, map(num.__getitem__, H.generators))),
+            G.degree,
+        )
 
     @property
     def order(self) -> int:
@@ -440,14 +467,79 @@ class SubgroupClass:
         return len(frozenset.intersection(*self.conjugates))
 
 
-def _is_prime_power(k: int) -> bool:
-    p = next(d for d in range(2, k + 1) if k % d == 0)  # least prime factor
-    return pow(p, k, k) == 0  # k divides p^k only when p is its one prime
+def _prime_divisors(k: int) -> set[int]:
+    """The distinct primes dividing k >= 1."""
+    primes, p = set(), 2
+    while k > 1:
+        if k % p:
+            p += 1
+        else:
+            primes.add(p)
+            k //= p
+    return primes
+
+
+@dataclass(frozen=True)
+class _Lattice:
+    """Every subgroup of `group`, as sets of its element numbers, and the
+    order of each element."""
+
+    group: PermGroup
+    members: tuple[frozenset[int], ...]
+    orders: tuple[int, ...]
+
+    def contains(self, G: PermGroup) -> bool:
+        A = self.group
+        return G.degree == A.degree and all(g in A.elements for g in G.generators)
+
+
+# The lattices computed from scratch in this process, newest last.  Every
+# other lattice is read off one of these.
+_LATTICES: deque[_Lattice] = deque(maxlen=8)
 
 
 @lru_cache(maxsize=64)
 def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
-    """All subgroups of G up to G-conjugacy, by iterative cyclic extension.
+    """All subgroups of G up to G-conjugacy, ordered by (order, sorted
+    element images of the representative).
+
+    When this process has computed the lattice of a group A >= G of the same
+    degree, G's lattice is read off A's: G's subgroups are A's subgroups
+    inside G, and G's classes are their orbits under G's generators.  Else
+    it is computed by iterative cyclic extension (`_compute_lattice`).  Both
+    routes end in `_classes`, so a result does not depend on which lattices
+    were computed before it.  Each class carries the element sets of all its
+    conjugates; its normalizer is computed when first read.  Results are
+    cached per group (groups are immutable and hash by element set).
+    """
+    lattice = next((lat for lat in reversed(_LATTICES) if lat.contains(G)), None)
+    if lattice is None:
+        lattice, orbits = _compute_lattice(G)
+        _LATTICES.append(lattice)
+        return _classes(lattice, G, orbits)
+    A = lattice.group
+    inside = frozenset(map(A._num.__getitem__, G.elements))
+    moves = _conjugations(A, G.generators)
+    orbits, seen = [], set()
+    for members in lattice.members:
+        if members <= inside and members not in seen:
+            orbits.append(_orbit(members, moves))
+            seen.update(orbits[-1])
+    return _classes(lattice, G, orbits)
+
+
+def _conjugations(A: PermGroup, generators: Iterable[Perm]) -> list[Callable]:
+    """For each generator g, the map S -> g S g^-1 on sets of A's element
+    numbers."""
+    right, inv = A._right, A._inv
+    maps = [[right[inv[g]][right[x][g]] for x in range(A.order)]
+            for g in map(A._num.__getitem__, generators)]
+    return [lambda s, c=c: frozenset(map(c.__getitem__, s)) for c in maps]
+
+
+def _compute_lattice(G: PermGroup) -> tuple[_Lattice, list[set[frozenset[int]]]]:
+    """Every subgroup of G, and its classes as orbits, by iterative cyclic
+    extension.
 
     Seed with every cyclic subgroup, then join each class representative H
     with cyclic subgroups C of prime-power order not inside H, taking one C
@@ -456,17 +548,20 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     them one at a time climbs from 1 to K through joins with such C, and a
     join whose base is conjugate to H is conjugate to a join with H itself.
     For n in N_G(H), <H, nCn^-1> = n<H, C>n^-1 is in the class of <H, C>,
-    so one C per N_G(H)-orbit reaches every class.  Results are cached per
-    group (groups are immutable and hash by element set).
+    so one C per N_G(H)-orbit reaches every class.
 
-    A cyclic class is represented by its conjugate with the least sorted
-    element images, on one generator: the least of its generators in image
-    order.  Every other representative is the first member of its class the
-    joins reach, on the generators of its join chain (two or more).
+    When |G| has at most two prime divisors, G is solvable (Burnside's
+    p^a q^b theorem), and H is joined only with C inside N_G(H).  Still no
+    class is missed.  A subgroup K != 1 of a solvable group is solvable, so
+    K/K' is a nontrivial abelian group and K has a normal subgroup M of some
+    prime index p.  Take c in K \\ M; with ord(c) = p^a m and p not dividing
+    m, c^m is a p-element outside M, because K/M has order p.  So K =
+    M<c^m>, and c^m normalizes M.  By induction on |K|, M = g^-1 H g for a
+    class representative H, and then g K g^-1 = <H, C> with C = <g c^m
+    g^-1> of prime-power order, inside N_G(H) and not inside H.
 
-    Each class also carries the element sets of all its conjugates (its orbit
-    under G's generators) and the normalizer of its representative (G for the
-    trivial class), both as computed here and never re-closed.
+    Element numbers are G's own (image order); a member set is a frozenset
+    of them.
     """
     right, inv, n = G._right, G._inv, G.order  # builds G's index, once
     trivial = frozenset([0])
@@ -481,12 +576,7 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     reps: list[frozenset[int]] = []
     rep_gens: list[tuple[int, ...]] = []
     orbits: list[set[frozenset[int]]] = []
-    normalizers: list[list[int]] = [list(range(n))]  # N_G(1) = G
-    conj_maps = [  # x -> g x g^-1 for each generator g of G
-        [right[inv[g]][right[x][g]] for x in range(n)]
-        for g in map(G._num.__getitem__, G.generators)
-    ]
-    moves = [lambda s, c=c: frozenset(map(c.__getitem__, s)) for c in conj_maps]
+    moves = _conjugations(G, G.generators)
 
     def add_class(members: frozenset[int], gens: tuple[int, ...]) -> None:
         if members not in seen:
@@ -501,34 +591,55 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     for members, gen in cyclic_items:
         add_class(members, (gen,))
 
-    joinable = [(c, g) for c, g in cyclic_items if len(c) > 1 and _is_prime_power(len(c))]
+    solvable = len(_prime_divisors(n)) <= 2
+    joinable = [(c, g) for c, g in cyclic_items if len(_prime_divisors(len(c))) == 1]
     cursor = 1  # joins with the trivial group are the cyclic seeds
     while cursor < len(reps):
         members = reps[cursor]
         gens = rep_gens[cursor]
-        normalizer = [
-            x for x in range(n) if all(right[inv[x]][right[h][x]] in members for h in gens)
-        ]
-        normalizers.append(normalizer)
+        normalizer = set(_normalizing(G, members, gens))
         joined_orbits: set[frozenset[int]] = set()
         for cyc, cgen in joinable:
-            if cyc in joined_orbits or cyc <= members:
+            if (cyc in joined_orbits or cyc <= members
+                    or (solvable and cgen not in normalizer)):
                 continue
             joined_orbits.update(cyclic_of[right[inv[x]][right[cgen][x]]] for x in normalizer)
             add_class(G._close(members, gens + (cgen,)), gens + (cgen,))
         cursor += 1
 
-    # Ordered by (order, sorted element images); number order is image order.
-    ranked = sorted(range(len(reps)), key=lambda i: (len(reps[i]), sorted(reps[i])))
-    perm_of = G._elems.__getitem__
-    return tuple(
-        SubgroupClass(
-            PermGroup.from_elements(map(perm_of, reps[i]), G.degree, map(perm_of, rep_gens[i])),
-            frozenset(frozenset(map(perm_of, conj)) for conj in orbits[i]),
-            PermGroup.from_elements(map(perm_of, normalizers[i]), G.degree),
-        )
-        for i in ranked
-    )
+    orders = tuple(map(len, cyclic_of))
+    return _Lattice(G, tuple(seen), orders), orbits
+
+
+def _classes(lattice: _Lattice, G: PermGroup,
+             orbits: list[set[frozenset[int]]]) -> tuple[SubgroupClass, ...]:
+    """G's classes from their orbits, each with the representative and
+    generators that `SubgroupClass` states."""
+    A, orders = lattice.group, lattice.orders
+    perm_of = A._elems.__getitem__
+    ranked = sorted(((min(map(sorted, orbit)), orbit) for orbit in orbits),
+                    key=lambda item: (len(item[0]), item[0]))
+    out = []
+    for least, orbit in ranked:
+        gens, span = (), frozenset([0])
+        for x in sorted(least, key=lambda x: (-orders[x], x)):
+            if len(span) == len(least):
+                break
+            if x not in span:
+                gens += (x,)
+                span = A._close(span, gens)
+        out.append(SubgroupClass(
+            PermGroup.from_elements(map(perm_of, least), A.degree, map(perm_of, gens)),
+            frozenset(frozenset(map(perm_of, conj)) for conj in orbit),
+            G,
+        ))
+    return tuple(out)
+
+
+def _normalizing(G: PermGroup, members: frozenset[int], gens: Iterable[int]) -> list[int]:
+    """The numbers of N_G(S), for S = <gens> with element numbers `members`."""
+    right, inv, gens = G._right, G._inv, tuple(gens)
+    return [x for x in range(G.order) if all(right[inv[x]][right[h][x]] in members for h in gens)]
 
 
 def normal_subgroups(G: PermGroup, max_order: int) -> list[PermGroup]:
@@ -675,7 +786,8 @@ def perm_isomorphic(A: PermGroup, B: PermGroup) -> Optional[Perm]:
     """Search for c with c A c^-1 = B; None when no conjugator exists.
 
     Invariant prefilters (order, cycle-type census, transitivity), then
-    exact enumeration of the conjugators of one well-chosen generator.
+    exact enumeration of the conjugators of one well-chosen generator.  Each
+    group computes its census once and keeps it.
     The returned witness is re-verified before being handed back.
     """
     if A.degree != B.degree:
@@ -685,9 +797,7 @@ def perm_isomorphic(A: PermGroup, B: PermGroup) -> Optional[Perm]:
         raise GroupTooLargeError(f"degree capped at {ISO_DEGREE_CAP}")
     if A.order != B.order:
         return None
-    census_a = sorted(p.cycle_type() for p in A.elements)
-    census_b = sorted(p.cycle_type() for p in B.elements)
-    if census_a != census_b:
+    if A._census != B._census:
         return None
     if sorted(map(len, A.orbits())) != sorted(map(len, B.orbits())):
         return None

@@ -7,9 +7,12 @@ import os
 import shutil
 import subprocess
 import sys
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import integer_nthroot
 
 import octicount.analytic
 import octicount.cli
@@ -17,7 +20,7 @@ import octicount.counting
 import octicount.nfdata
 from conftest import record_json_line
 from octicount.analytic import MAX_PRIME_BOUND
-from octicount.cli import MAX_CHECKPOINTS, _parse_checkpoints, run
+from octicount.cli import MAX_CHECKPOINTS, _iroot, _parse_checkpoints, run
 
 
 @pytest.fixture(scope="module")
@@ -118,8 +121,36 @@ class TestExitCodes:
             assert captured.err == (f"error: need 100 <= prime bound <= MAX_PRIME_BOUND = "
                                     f"{MAX_PRIME_BOUND}, got {P}\n")
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(x=st.integers(1, 10 ** 60), k=st.integers(1, 40), guess=st.integers(-5, 10 ** 30))
+    def test_integer_root_from_any_guess(self, x, k, guess):
+        assert _iroot(x, k, guess) == integer_nthroot(x, k)[0]
+
     def test_checkpoint_cap_is_inclusive(self):
         assert len(_parse_checkpoints(f"1e6:1e18:{MAX_CHECKPOINTS}")) == MAX_CHECKPOINTS
+
+    @pytest.mark.parametrize("spec, expected", [
+        # Expanded in floats, these ended at 999999999999996501447415955456
+        # and 4789302101776261750458819805184, below hi.
+        ("1:1e30:7", [10 ** (5 * i) for i in range(7)]),
+        ("141717264645719547676317371420:4789302101776266250498516669819:12", None),
+        ("0.37:12345.6:9", None),
+        ("1e6:1e18:200", None),
+    ])
+    def test_geometric_checkpoints_are_exact(self, spec, expected):
+        # Against each point rounded half up from 80-digit decimal arithmetic,
+        # and the last point is hi itself, rounded down.
+        lo, hi, n = spec.split(":")
+        lo, hi, n = Decimal(lo), Decimal(hi), int(n)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            points = [lo * (hi / lo) ** (Decimal(i) / (n - 1)) + Decimal("0.5")
+                      for i in range(n - 1)] + [hi]
+            reference = [int(x.to_integral_value(ROUND_FLOOR)) for x in points]
+        checkpoints = _parse_checkpoints(spec)
+        assert checkpoints == reference
+        if expected is not None:
+            assert checkpoints == expected
 
     def test_fit_rejects_checkpoints_before_the_constant(self, store, capsys, monkeypatch):
         # The constant can take minutes at the default prime bound.
@@ -504,8 +535,8 @@ class TestDataPipeline:
         assert fit["provenance"]
 
     def test_fit_default_checkpoints_reach_the_largest_octic(self, tmp_path, capsys):
-        # The geometric spec is expanded in floats; for this lo and hi its last
-        # point rounds to 4789302101776261750458819805184, below hi.
+        # Expanded in floats, the geometric spec for this lo and hi ended at
+        # 4789302101776261750458819805184, below hi, and missed the octic at hi.
         from conftest import octic_record, persist_to, quartic_record
         from octicount.nfdata import Snapshot
 
@@ -522,14 +553,14 @@ class TestDataPipeline:
         ]
         path = tmp_path / "store.jsonl"
         persist_to(Snapshot({r.label: r for r in records}, "big-discs", ""), path)
-        assert _parse_checkpoints(f"{lo}:{hi}:12")[-1] < hi
+        assert _parse_checkpoints(f"{lo}:{hi}:12")[-1] == hi
         assert run(["fit", "--store", str(path), "--max-disc", "1000",
                     "--prime-bound", "100", "--json", "-"]) == 0
         checkpoints = json.loads(capsys.readouterr().out)["checkpoints"]
-        assert checkpoints[-1] >= hi
-        assert run(["count", "--store", str(path),
-                    "--checkpoints", ",".join(map(str, checkpoints))]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == f"{checkpoints[-1]} 3"
+        assert checkpoints[-1] == hi
+        for spec in (",".join(map(str, checkpoints)), f"{lo}:{hi}:12"):
+            assert run(["count", "--store", str(path), "--checkpoints", spec]) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == f"{hi} 3"
 
     def test_byte_identical_runs(self, store, capsys):
         args = ["audit", "--store", store, "--json", "-"]

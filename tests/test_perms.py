@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from octicount import catalog, perms
 from octicount.catalog import LABELS, catalog_group
+from octicount.verify import run_all_group_verifiers
 from octicount.perms import (
     MAX_DEGREE,
     SUBGROUP_ORDER_CAP,
@@ -209,6 +210,25 @@ def lattice_census(G: PermGroup) -> list[list]:
     )
 
 
+def lattice_fields(classes) -> list[tuple]:
+    """Each class's representative, its generators, its conjugates and its
+    normalizer, in lattice order."""
+    return [(c.representative.elements, c.representative.generators, c.conjugates,
+             c.normalizer.elements) for c in classes]
+
+
+@pytest.fixture
+def fresh_lattices():
+    """Forget every lattice, before the test, when called, and after it."""
+    def forget():
+        subgroup_classes.cache_clear()
+        perms._LATTICES.clear()
+
+    forget()
+    yield forget
+    forget()
+
+
 class TestSubgroupLattice:
     def test_s3_classes(self):
         classes = subgroup_classes(PermGroup.symmetric(3))
@@ -260,10 +280,32 @@ class TestSubgroupLattice:
                 gens = [g for g in H.elements if g.order() == H.order]
                 assert H.generators[0] == min(gens, key=lambda p: p.images)
 
-    def test_wreath_lattice_close_count(self, monkeypatch):
+    def test_8T23_brute_force(self):
+        # GL(2,3) has order 2^4 3, so its lattice takes the solvable route,
+        # which joins H only with cyclic subgroups inside N(H).  All 55 of
+        # its subgroups are 2-generated.
+        G = catalog_group("8T23")
+        found = {conj for c in subgroup_classes(G) for conj in c.conjugates}
+        assert found == brute_force_subgroups(G, max_gens=2)
+        assert len(found) == 55
+
+    def test_three_prime_solvable_brute_force(self):
+        # S3 x D5 has order 2^2 3 5, so its lattice joins with every cyclic
+        # subgroup, like S5's.  By Goursat's lemma each subgroup is A x B or
+        # an index-2 subgroup of one with A and B cyclic or dihedral, so
+        # each is 2-generated.
+        G = PermGroup([P(8, "(1,2,3)"), P(8, "(1,2)"), P(8, "(4,5,6,7,8)"), P(8, "(5,8)(6,7)")])
+        assert G.order == 60
+        found = {conj for c in subgroup_classes(G) for conj in c.conjugates}
+        assert found == brute_force_subgroups(G, max_gens=2)
+        assert len(found) == 72
+
+    def test_wreath_lattice_close_count(self, monkeypatch, fresh_lattices):
         # A work bound, not a timing.  Joining every representative with every
         # cyclic subgroup took 39,420 coset enumerations on C2 wr S4; prime-power
-        # joins, one per normalizer orbit, take 6,829.
+        # joins, one per normalizer orbit, took 6,829.  Joining only inside the
+        # normalizer (|W| = 2^7 3) takes 2,639, and choosing the generators of
+        # the 193 representatives 478 more.
         calls = Counter()
         close = PermGroup._close
 
@@ -272,12 +314,36 @@ class TestSubgroupLattice:
             return close(self, base, gens)
 
         monkeypatch.setattr(PermGroup, "_close", counted)
-        subgroup_classes.cache_clear()
-        try:
-            assert len(subgroup_classes(wreath_c2_s4())) == 193
-        finally:
-            subgroup_classes.cache_clear()
-        assert calls["close"] <= 8000
+        assert len(subgroup_classes(wreath_c2_s4())) == 193
+        assert calls["close"] <= 3200
+
+    def test_restricted_lattices_equal_direct_ones(self, fresh_lattices):
+        # Every catalog group and every transitive class of W whose order 24
+        # divides (the S8-class heads whose lattices the classification
+        # reads), each computed alone, then read off W's lattice.
+        W = wreath_c2_s4()
+        groups = [catalog_group(label) for label in LABELS] + [
+            c.representative for c in subgroup_classes(W)
+            if c.representative.is_transitive() and c.order % 24 == 0]
+        assert len(groups) == 16
+        direct = {}
+        for G in groups:
+            fresh_lattices()
+            direct[G] = lattice_fields(subgroup_classes(G))
+        wreath = lattice_fields(subgroup_classes(W))
+        fresh_lattices()
+        assert lattice_fields(subgroup_classes(W)) == wreath
+        for G in groups:
+            assert lattice_fields(subgroup_classes(G)) == direct[G], G
+
+    def test_verify_groups_computes_two_lattices(self, monkeypatch, fresh_lattices):
+        # W and the C6 control of verify_s4_unique_octic; every other lattice
+        # is read off W's.
+        computed = []
+        compute = perms._compute_lattice
+        monkeypatch.setattr(perms, "_compute_lattice", lambda G: computed.append(G) or compute(G))
+        assert all(r.passed for r in run_all_group_verifiers())
+        assert computed == [wreath_c2_s4(), PermGroup([P(6, "(1,2,3,4,5,6)")])]
 
     def test_coset_class_minima_on_s3(self):
         S3 = PermGroup.symmetric(3)
@@ -318,6 +384,19 @@ class TestPermIsomorphic:
         C4 = PermGroup([P(4, "(1,2,3,4)")])
         V4 = PermGroup([P(4, "(1,2)(3,4)"), P(4, "(1,3)(2,4)")])
         assert perm_isomorphic(C4, V4) is None
+
+    def test_census_is_computed_once_per_group(self, monkeypatch):
+        # C4 and V4 differ in their cycle-type census alone, so a second
+        # comparison decides with no cycle type computed.
+        C4 = PermGroup([P(4, "(1,2,3,4)")])
+        V4 = PermGroup([P(4, "(1,2)(3,4)"), P(4, "(1,3)(2,4)")])
+        assert perm_isomorphic(C4, V4) is None
+        calls = Counter()
+        cycle_type = Perm.cycle_type
+        monkeypatch.setattr(Perm, "cycle_type",
+                            lambda p: calls.update(["cycle_type"]) or cycle_type(p))
+        assert perm_isomorphic(V4, C4) is None
+        assert calls["cycle_type"] == 0
 
     def test_relabeled_group(self):
         from octicount.catalog import catalog_group
