@@ -96,11 +96,10 @@ def quartic_subgroups(G: PermGroup, H_L: PermGroup) -> list[PermGroup]:
     for cls in subgroup_classes(G):
         if cls.order * 4 != G.order or cls.core_order * 24 != G.order:
             continue
-        over = [c for c in cls.conjugates if H_L.elements <= c]
+        below = cls.element_numbers(H_L)
+        over = [m for m in cls.members if below <= m]
         if over:
-            found.append(PermGroup.from_elements(
-                min(over, key=lambda c: sorted(p.images for p in c)), G.degree
-            ))
+            found.append(cls.member_group(min(over, key=sorted)))  # number order is image order
     return found
 
 

@@ -116,7 +116,9 @@ def _parse_checkpoints(spec: str) -> list[int]:
     discriminants), keeping each point that exceeds the one before.  lo and
     hi are read exactly and the points are computed in integers: the ratio
     (hi/lo)^(1/(n-1)) is a fixed-point integer with enough fraction bits
-    that every point is within 2^-50 of its exact value.
+    that every point is within 2^-50 of its exact value.  The step is within
+    one unit of its floor, so its relative error is below 2^(1-bits), and the
+    n-1 products add less than one unit each.
     """
     if ":" in spec:
         parts = spec.split(":")
@@ -133,7 +135,7 @@ def _parse_checkpoints(spec: str) -> list[int]:
         k, ratio = n - 1, hi / lo
         bits = math.ceil(hi).bit_length() + k.bit_length() + 53
         guess = int(Fraction((hi_f / lo_f) ** (1 / k)) * 2 ** bits)
-        step = _iroot((ratio.numerator << bits * k) // ratio.denominator, k, guess)
+        step = _fixed_root(ratio, k, bits, guess)
         point, points = (lo.numerator << bits) // lo.denominator, []
         for _ in range(k):
             points.append((point + (1 << bits - 1)) >> bits)
@@ -147,20 +149,48 @@ def _parse_checkpoints(spec: str) -> list[int]:
     return sorted({int(tok) for tok in spec.split(",") if tok})
 
 
-def _iroot(x: int, k: int, guess: int) -> int:
-    """floor(x^(1/k)) for x >= 1, by Newton's method from any guess >= 1.
+def _fixed_root(x: Fraction, k: int, bits: int, guess: int) -> int:
+    """x^(1/k) * 2^bits for x >= 1, to within one unit of its floor, by
+    Newton's method in fixed point from any guess.
 
-    By the AM-GM inequality one Newton step from any r > 0 lands at or above
-    the root; from there the steps fall to its floor.  A close guess makes
-    that a few steps.
+    The root y is at least 1 and below 2^e with e = ceil(b/k), for x < 2^b.
+    The iteration keeps F = bits + e + 8 fraction bits, and each power
+    truncates every product to them (`_fixed_pow`), so no integer is much
+    longer than 2 (F + b) bits: the exact floor root of x 2^(bits k) would
+    run on a radicand of bits * k bits.  A truncated product of numbers >= 1
+    is low by a relative 2^-F at most, so y^(k-1) is low by at most about
+    k 2^-F, and the Newton step, which divides that term by k, lands within
+    about 2y 2^-F of the exact step.  By the AM-GM inequality exact steps
+    from any r > 0 land at or above y and then fall to it, so the steps stop
+    within 2^(e+2-F) = 2^(-bits-6) of y, and the result is y 2^bits rounded
+    down from within 2^-6 of it.  A close guess makes that a few steps.
     """
-    r = max(guess, 1)
-    r = ((k - 1) * r + x // r ** (k - 1)) // k
+    e = -(-math.floor(x).bit_length() // k)
+    F = bits + e + 8
+    X = (x.numerator << 2 * F) // x.denominator  # x with 2F fraction bits
+
+    def newton(r: int) -> int:
+        return ((k - 1) * r + X // _fixed_pow(r, k - 1, F)) // k
+
+    r = newton(max(guess << (F - bits), 1 << F))
     while True:
-        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        s = newton(r)
         if s >= r:
-            return r
+            return r >> (F - bits)
         r = s
+
+
+def _fixed_pow(r: int, m: int, F: int) -> int:
+    """r^m in fixed point with F fraction bits, for r >= 2^F (at least 1),
+    by squaring, each product rounded down to F fraction bits."""
+    out = 1 << F
+    while m:
+        if m & 1:
+            out = out * r >> F
+        m >>= 1
+        if m:
+            r = r * r >> F
+    return out
 
 
 def _galois_labels(spec: str) -> list[str]:

@@ -8,7 +8,10 @@ an integer multiplication table built once per group; `Perm` and `PermGroup`
 are what goes in and out.  A lattice is computed by cyclic extension, inside
 normalizers when Burnside's p^a q^b theorem makes the group solvable, and
 kept for the process: the lattice of a subgroup of the same degree is read
-off it, on the larger group's element index.
+off it, on the larger group's element index.  Each normalizer comes from the
+conjugacy orbit of its subgroup by orbit-stabilizer, with Schreier
+generators, never from a scan of the group.  A class keeps its members as
+element numbers, and turns them into `Perm` sets only when they are read.
 Everything is exact integer arithmetic, sized for groups of order a few
 hundred (the largest group this project cares about has order 384).
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 MAX_DEGREE = 24
 MAX_ELEMENTS = 10**6
@@ -280,11 +283,12 @@ class PermGroup:
 
     @cached_property
     def conjugacy_classes(self) -> list[frozenset[Perm]]:
-        """Conjugacy classes of elements, ordered by (min cycle type, size,
-        least image tuple): a total order, fixed by the element set alone.
+        """Conjugacy classes of elements, ordered by (cycle type, size, least
+        image tuple): a total order, fixed by the element set alone.
 
         Each class is the orbit of one element under conjugation by the
-        generators.
+        generators.  The cycle type is constant on a class, so one element
+        gives it.
         """
         moves = [
             lambda x, g=g, ginv=g.inverse(): g * x * ginv for g in self.generators
@@ -296,9 +300,19 @@ class PermGroup:
             classes.append(cls)
             remaining -= cls
         classes.sort(key=lambda c: (
-            min(p.cycle_type() for p in c), len(c), min(p.images for p in c)
+            next(iter(c)).cycle_type(), len(c), min(p.images for p in c)
         ))
         return classes
+
+    @cached_property
+    def _class_invariants(self) -> dict[Perm, tuple[int, int]]:
+        """(element order, conjugacy class size) of every element."""
+        out = {}
+        for cls in self.conjugacy_classes:
+            key = (next(iter(cls)).order(), len(cls))
+            for p in cls:
+                out[p] = key
+        return out
 
     @cached_property
     def _census(self) -> list[tuple[int, ...]]:
@@ -425,8 +439,14 @@ def wreath_c2_s4() -> PermGroup:
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    """One conjugacy class of subgroups of `group`: a representative, the
-    element set of every member of the class, and N_G(representative).
+    """One conjugacy class of subgroups of `group`: a representative, every
+    member of the class and N_G(representative).
+
+    A member is the set of its element numbers in the index of `numbering`:
+    `group` itself, or the larger group whose lattice the class was read off.
+    The members stay numbers; `conjugates` turns them into sets of `Perm`s
+    on first read, and `element_numbers` numbers a subgroup of `group` the
+    same way, so callers compare members without building `Perm` sets.
 
     The representative is the least member of the class in image order (the
     least sorted list of element images).  Its generators are chosen from its
@@ -437,19 +457,25 @@ class SubgroupClass:
     """
 
     representative: PermGroup
-    conjugates: frozenset[frozenset[Perm]]
+    members: frozenset[frozenset[int]]
     group: PermGroup
+    numbering: PermGroup
+
+    @cached_property
+    def conjugates(self) -> frozenset[frozenset[Perm]]:
+        """The element set of every member, built on first read."""
+        return frozenset(frozenset(map(self.numbering._elems.__getitem__, m))
+                         for m in self.members)
 
     @cached_property
     def normalizer(self) -> PermGroup:
-        """N_G(representative), computed on first read."""
-        G, H = self.group, self.representative
-        num = G._num
-        members = frozenset(map(num.__getitem__, H.elements))
+        """N_G(representative), by orbit-stabilizer on G's own index, computed
+        on first read."""
+        G = self.group
+        members = frozenset(map(G._num.__getitem__, self.representative.elements))
+        orbit = _conjugacy_orbit(G, members, _conjugation_tables(G, G.generators))
         return PermGroup.from_elements(
-            map(G._elems.__getitem__, _normalizing(G, members, map(num.__getitem__, H.generators))),
-            G.degree,
-        )
+            map(G._elems.__getitem__, _normalizer(G, members, orbit)), G.degree)
 
     @property
     def order(self) -> int:
@@ -457,14 +483,24 @@ class SubgroupClass:
 
     @property
     def class_size(self) -> int:
-        return len(self.conjugates)
+        return len(self.members)
 
     @property
     def core_order(self) -> int:
         """Order of the core, the intersection of the conjugates: the largest
         normal subgroup of G inside them, and the kernel of G's action on the
         cosets of the representative."""
-        return len(frozenset.intersection(*self.conjugates))
+        return len(frozenset.intersection(*self.members))
+
+    def element_numbers(self, H: PermGroup) -> frozenset[int]:
+        """The numbers of the elements of H, a subgroup of `group`, as the
+        members number them."""
+        return frozenset(map(self.numbering._num.__getitem__, H.elements))
+
+    def member_group(self, member: frozenset[int]) -> PermGroup:
+        """The subgroup whose element numbers are `member`."""
+        return PermGroup.from_elements(map(self.numbering._elems.__getitem__, member),
+                                       self.group.degree)
 
 
 def _prime_divisors(k: int) -> set[int]:
@@ -482,11 +518,11 @@ def _prime_divisors(k: int) -> set[int]:
 @dataclass(frozen=True)
 class _Lattice:
     """Every subgroup of `group`, as sets of its element numbers, and the
-    order of each element."""
+    cyclic subgroup that each element generates."""
 
     group: PermGroup
     members: tuple[frozenset[int], ...]
-    orders: tuple[int, ...]
+    cyclic_of: tuple[frozenset[int], ...]
 
     def contains(self, G: PermGroup) -> bool:
         A = self.group
@@ -508,9 +544,10 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     inside G, and G's classes are their orbits under G's generators.  Else
     it is computed by iterative cyclic extension (`_compute_lattice`).  Both
     routes end in `_classes`, so a result does not depend on which lattices
-    were computed before it.  Each class carries the element sets of all its
-    conjugates; its normalizer is computed when first read.  Results are
-    cached per group (groups are immutable and hash by element set).
+    were computed before it.  Each class keeps its members as element
+    numbers; their `Perm` sets and the normalizer are built when first read.
+    Results are cached per group (groups are immutable and hash by element
+    set).
     """
     lattice = next((lat for lat in reversed(_LATTICES) if lat.contains(G)), None)
     if lattice is None:
@@ -519,25 +556,73 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
         return _classes(lattice, G, orbits)
     A = lattice.group
     inside = frozenset(map(A._num.__getitem__, G.elements))
-    moves = _conjugations(A, G.generators)
+    tables = _conjugation_tables(A, G.generators)
     orbits, seen = [], set()
     for members in lattice.members:
         if members <= inside and members not in seen:
-            orbits.append(_orbit(members, moves))
+            orbits.append(_conjugacy_orbit(A, members, tables)[0])
             seen.update(orbits[-1])
     return _classes(lattice, G, orbits)
 
 
-def _conjugations(A: PermGroup, generators: Iterable[Perm]) -> list[Callable]:
-    """For each generator g, the map S -> g S g^-1 on sets of A's element
-    numbers."""
+def _conjugation_tables(A: PermGroup, generators: Iterable[Perm]) -> list[tuple[int, list[int]]]:
+    """For each generator g, its number and the table x -> g x g^-1 on A's
+    element numbers."""
     right, inv = A._right, A._inv
-    maps = [[right[inv[g]][right[x][g]] for x in range(A.order)]
+    return [(g, [right[inv[g]][right[x][g]] for x in range(A.order)])
             for g in map(A._num.__getitem__, generators)]
-    return [lambda s, c=c: frozenset(map(c.__getitem__, s)) for c in maps]
 
 
-def _compute_lattice(G: PermGroup) -> tuple[_Lattice, list[set[frozenset[int]]]]:
+def _conjugacy_orbit(A: PermGroup, members: frozenset[int],
+                     tables: list[tuple[int, list[int]]]) -> tuple[dict, set[int]]:
+    """The orbit of the subgroup `members` under conjugation by the
+    generators in `tables`, by breadth-first search, and its Schreier
+    generators.
+
+    The orbit is a transversal: it maps each member S to an element t, found
+    as a product of generators, with t `members` t^-1 = S.  An edge g from S
+    to a member already found, with element u, gives the Schreier generator
+    u^-1 g t, which fixes `members`; by Schreier's lemma these generate its
+    stabilizer, the normalizer in the group that the generators generate.
+    """
+    right, inv = A._right, A._inv
+    transversal = {members: 0}
+    schreier: set[int] = set()
+    queue = [members]
+    for S in queue:
+        t = transversal[S]
+        for g, conj in tables:
+            image = frozenset(map(conj.__getitem__, S))
+            gt = right[t][g]
+            u = transversal.get(image)
+            if u is None:
+                transversal[image] = gt
+                queue.append(image)
+            else:
+                schreier.add(right[gt][inv[u]])
+    return transversal, schreier
+
+
+def _normalizer(G: PermGroup, members: frozenset[int],
+                orbit: tuple[dict, set[int]]) -> frozenset[int]:
+    """The numbers of N_G(S), for the subgroup S with element numbers
+    `members` and `orbit` its `_conjugacy_orbit` under G's generators: S
+    closed with the Schreier generators, in one coset enumeration.
+
+    By orbit-stabilizer |N_G(S)| is |G| over the orbit length; a closure of
+    any other order means a wrong transversal or Schreier generator, and
+    raises.
+    """
+    transversal, schreier = orbit
+    normalizer = G._close(members, tuple(sorted(schreier - members)))
+    if len(normalizer) * len(transversal) != G.order:
+        raise RuntimeError(
+            f"normalizer in {G!r}: closure of order {len(normalizer)}, but the "
+            f"conjugacy orbit has length {len(transversal)}")
+    return normalizer
+
+
+def _compute_lattice(G: PermGroup) -> tuple[_Lattice, list[dict]]:
     """Every subgroup of G, and its classes as orbits, by iterative cyclic
     extension.
 
@@ -548,7 +633,9 @@ def _compute_lattice(G: PermGroup) -> tuple[_Lattice, list[set[frozenset[int]]]]
     them one at a time climbs from 1 to K through joins with such C, and a
     join whose base is conjugate to H is conjugate to a join with H itself.
     For n in N_G(H), <H, nCn^-1> = n<H, C>n^-1 is in the class of <H, C>,
-    so one C per N_G(H)-orbit reaches every class.
+    so one C per N_G(H)-orbit reaches every class.  N_G(H) comes from the
+    orbit of H by orbit-stabilizer (`_normalizer`), and the N_G(H)-orbits of
+    the C from its generators.
 
     When |G| has at most two prime divisors, G is solvable (Burnside's
     p^a q^b theorem), and H is joined only with C inside N_G(H).  Still no
@@ -561,7 +648,7 @@ def _compute_lattice(G: PermGroup) -> tuple[_Lattice, list[set[frozenset[int]]]]
     g^-1> of prime-power order, inside N_G(H) and not inside H.
 
     Element numbers are G's own (image order); a member set is a frozenset
-    of them.
+    of them.  Each orbit maps its members to a transversal.
     """
     right, inv, n = G._right, G._inv, G.order  # builds G's index, once
     trivial = frozenset([0])
@@ -575,16 +662,15 @@ def _compute_lattice(G: PermGroup) -> tuple[_Lattice, list[set[frozenset[int]]]]
     seen: set[frozenset[int]] = set()  # every member of every class found
     reps: list[frozenset[int]] = []
     rep_gens: list[tuple[int, ...]] = []
-    orbits: list[set[frozenset[int]]] = []
-    moves = _conjugations(G, G.generators)
+    orbits: list[tuple[dict, set[int]]] = []
+    tables = _conjugation_tables(G, G.generators)
 
     def add_class(members: frozenset[int], gens: tuple[int, ...]) -> None:
         if members not in seen:
-            orbit = _orbit(members, moves)
-            seen.update(orbit)
+            orbits.append(_conjugacy_orbit(G, members, tables))
+            seen.update(orbits[-1][0])
             reps.append(members)
             rep_gens.append(gens)
-            orbits.append(orbit)
 
     add_class(trivial, ())
     cyclic_items = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
@@ -597,49 +683,49 @@ def _compute_lattice(G: PermGroup) -> tuple[_Lattice, list[set[frozenset[int]]]]
     while cursor < len(reps):
         members = reps[cursor]
         gens = rep_gens[cursor]
-        normalizer = set(_normalizing(G, members, gens))
+        normalizer = _normalizer(G, members, orbits[cursor])
+        moves = gens + tuple(sorted(orbits[cursor][1] - members))  # generate N_G(H)
         joined_orbits: set[frozenset[int]] = set()
         for cyc, cgen in joinable:
             if (cyc in joined_orbits or cyc <= members
                     or (solvable and cgen not in normalizer)):
                 continue
-            joined_orbits.update(cyclic_of[right[inv[x]][right[cgen][x]]] for x in normalizer)
+            joined_orbits.add(cyc)
+            frontier = [cgen]
+            for x in frontier:
+                for m in moves:
+                    y = right[inv[m]][right[x][m]]
+                    if cyclic_of[y] not in joined_orbits:
+                        joined_orbits.add(cyclic_of[y])
+                        frontier.append(y)
             add_class(G._close(members, gens + (cgen,)), gens + (cgen,))
         cursor += 1
 
-    orders = tuple(map(len, cyclic_of))
-    return _Lattice(G, tuple(seen), orders), orbits
+    return _Lattice(G, tuple(seen), tuple(cyclic_of)), [orbit for orbit, _ in orbits]
 
 
-def _classes(lattice: _Lattice, G: PermGroup,
-             orbits: list[set[frozenset[int]]]) -> tuple[SubgroupClass, ...]:
+def _classes(lattice: _Lattice, G: PermGroup, orbits: list[dict]) -> tuple[SubgroupClass, ...]:
     """G's classes from their orbits, each with the representative and
-    generators that `SubgroupClass` states."""
-    A, orders = lattice.group, lattice.orders
+    generators that `SubgroupClass` states.  A representative's first
+    generator spans a cyclic subgroup the lattice already holds."""
+    A, cyclic_of = lattice.group, lattice.cyclic_of
     perm_of = A._elems.__getitem__
     ranked = sorted(((min(map(sorted, orbit)), orbit) for orbit in orbits),
                     key=lambda item: (len(item[0]), item[0]))
     out = []
     for least, orbit in ranked:
         gens, span = (), frozenset([0])
-        for x in sorted(least, key=lambda x: (-orders[x], x)):
+        for x in sorted(least, key=lambda x: (-len(cyclic_of[x]), x)):
             if len(span) == len(least):
                 break
             if x not in span:
                 gens += (x,)
-                span = A._close(span, gens)
+                span = A._close(span, gens) if len(gens) > 1 else cyclic_of[x]
         out.append(SubgroupClass(
             PermGroup.from_elements(map(perm_of, least), A.degree, map(perm_of, gens)),
-            frozenset(frozenset(map(perm_of, conj)) for conj in orbit),
-            G,
+            frozenset(orbit), G, A,
         ))
     return tuple(out)
-
-
-def _normalizing(G: PermGroup, members: frozenset[int], gens: Iterable[int]) -> list[int]:
-    """The numbers of N_G(S), for S = <gens> with element numbers `members`."""
-    right, inv, gens = G._right, G._inv, tuple(gens)
-    return [x for x in range(G.order) if all(right[inv[x]][right[h][x]] in members for h in gens)]
 
 
 def normal_subgroups(G: PermGroup, max_order: int) -> list[PermGroup]:
@@ -842,16 +928,6 @@ def small_generating_set(G: PermGroup) -> list[Perm]:
     return gens or [G.identity]
 
 
-def _class_invariants(G: PermGroup) -> dict[Perm, tuple[int, int]]:
-    """(element order, conjugacy class size) of every element of G."""
-    out = {}
-    for cls in G.conjugacy_classes:
-        key = (next(iter(cls)).order(), len(cls))
-        for p in cls:
-            out[p] = key
-    return out
-
-
 def _extend_hom(
     phi: dict[Perm, Perm], pairs: list[tuple[Perm, Perm]]
 ) -> Optional[dict[Perm, Perm]]:
@@ -915,8 +991,8 @@ def abstract_isomorphic(A: PermGroup, B: PermGroup) -> bool:
     """
     if A.order != B.order:
         return False
-    inv_a = _class_invariants(A)
-    inv_b = _class_invariants(B)
+    inv_a = A._class_invariants
+    inv_b = B._class_invariants
     if Counter(inv_a.values()) != Counter(inv_b.values()):
         return False
 

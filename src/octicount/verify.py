@@ -218,10 +218,12 @@ def s4_octic_classes(G: PermGroup, H_K: PermGroup) -> list[SubgroupClass]:
     index-8 subgroup at all.
     """
     # H lies in a conjugate of H_K iff some conjugate of H lies in H_K.
-    return [
-        c for c in _core_free_octic_classes(G)
-        if any(conj <= H_K.elements for conj in c.conjugates)
-    ]
+    found = []
+    for c in _core_free_octic_classes(G):
+        inside = c.element_numbers(H_K)
+        if any(m <= inside for m in c.members):
+            found.append(c)
+    return found
 
 
 def verify_s4_unique_octic() -> VerificationReport:

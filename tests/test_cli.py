@@ -8,11 +8,11 @@ import shutil
 import subprocess
 import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import integer_nthroot
 
 import octicount.analytic
 import octicount.cli
@@ -20,7 +20,7 @@ import octicount.counting
 import octicount.nfdata
 from conftest import record_json_line
 from octicount.analytic import MAX_PRIME_BOUND
-from octicount.cli import MAX_CHECKPOINTS, _iroot, _parse_checkpoints, run
+from octicount.cli import MAX_CHECKPOINTS, _fixed_root, _parse_checkpoints, run
 
 
 @pytest.fixture(scope="module")
@@ -122,9 +122,42 @@ class TestExitCodes:
                                     f"{MAX_PRIME_BOUND}, got {P}\n")
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(x=st.integers(1, 10 ** 60), k=st.integers(1, 40), guess=st.integers(-5, 10 ** 30))
-    def test_integer_root_from_any_guess(self, x, k, guess):
-        assert _iroot(x, k, guess) == integer_nthroot(x, k)[0]
+    @given(num=st.integers(1, 10 ** 60), den=st.integers(1, 10 ** 20), k=st.integers(1, 40),
+           bits=st.integers(0, 200), guess=st.integers(-5, 10 ** 30))
+    def test_fixed_point_root_from_any_guess(self, num, den, k, bits, guess):
+        # The root is z^(1/k) rounded down from within 2^-6 of it, z = x 2^(bits k).
+        x = max(Fraction(num, den), Fraction(1))
+        root, z = _fixed_root(x, k, bits, guess), x * 2 ** (bits * k)
+        assert (64 * root - 1) ** k <= 64 ** k * z < (64 * root + 65) ** k
+
+    def test_checkpoint_root_work_is_bounded(self):
+        # A work bound, not a timing: the longest integer the root's frames
+        # hold.  The exact floor root of this spec ran Newton's method on a
+        # radicand of 10.6 million bits, for about 9 s.
+        spec, longest = "1:1e300:10000", 0
+        roots = {octicount.cli._fixed_root.__code__, octicount.cli._fixed_pow.__code__}
+
+        def trace(frame, event, arg):
+            nonlocal longest
+            if frame.f_code in roots:
+                longest = max([longest] + [v.bit_length() for v in frame.f_locals.values()
+                                           if isinstance(v, int)])
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            checkpoints = _parse_checkpoints(spec)
+        finally:
+            sys.settrace(previous)
+        assert 0 < longest <= 4000  # 3,143 bits
+        assert checkpoints[0] == 1 and checkpoints[-1] == 10 ** 300
+        assert len(checkpoints) == 9975  # the first points round to the same integers
+        with localcontext() as ctx:
+            ctx.prec = 400
+            for i in range(1111, 9999, 1111):  # point i, rounded half up
+                exact = Decimal(10) ** (Decimal(300 * i) / 9999) + Decimal("0.5")
+                assert checkpoints[i - 10000] == int(exact.to_integral_value(ROUND_FLOOR))
 
     def test_checkpoint_cap_is_inclusive(self):
         assert len(_parse_checkpoints(f"1e6:1e18:{MAX_CHECKPOINTS}")) == MAX_CHECKPOINTS

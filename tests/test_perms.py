@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import inspect
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -304,8 +305,11 @@ class TestSubgroupLattice:
         # A work bound, not a timing.  Joining every representative with every
         # cyclic subgroup took 39,420 coset enumerations on C2 wr S4; prime-power
         # joins, one per normalizer orbit, took 6,829.  Joining only inside the
-        # normalizer (|W| = 2^7 3) takes 2,639, and choosing the generators of
-        # the 193 representatives 478 more.
+        # normalizer (|W| = 2^7 3) takes 2,639: the 384 cyclic subgroups and
+        # 2,255 joins.  The normalizers of the 192 nontrivial representatives
+        # take one each.  Choosing the generators of the 193 representatives
+        # takes 286 more, since each first generator spans a cyclic subgroup
+        # already closed; closing it again made 478.
         calls = Counter()
         close = PermGroup._close
 
@@ -316,6 +320,42 @@ class TestSubgroupLattice:
         monkeypatch.setattr(PermGroup, "_close", counted)
         assert len(subgroup_classes(wreath_c2_s4())) == 193
         assert calls["close"] <= 3200
+
+    def test_orbit_stabilizer_normalizers_match_brute_force(self, monkeypatch, fresh_lattices):
+        # Each normalizer is the closure of the representative with the
+        # Schreier generators of its conjugacy orbit: one coset enumeration,
+        # and no scan of G.
+        calls = Counter()
+        close = PermGroup._close
+
+        def counted(self, base, gens):
+            calls["close"] += 1
+            return close(self, base, gens)
+
+        monkeypatch.setattr(PermGroup, "_close", counted)
+        for G in [wreath_c2_s4()] + [catalog_group(label) for label in LABELS]:
+            for cls in subgroup_classes(G):
+                calls.clear()
+                assert cls.normalizer == normalizer(G, cls.representative)
+                assert calls["close"] <= 1
+
+    @pytest.mark.parametrize("fault", ["transversal", "schreier"])
+    def test_corrupt_orbit_raises(self, monkeypatch, fresh_lattices, fault):
+        # A transversal built from the wrong generator numbers, or a Schreier
+        # generator outside the normalizer, closes to a group whose order is
+        # not |G| over the orbit length.  The check is no assert, so it holds
+        # under python -O too.
+        W = wreath_c2_s4()
+        if fault == "transversal":
+            tables = perms._conjugation_tables
+            monkeypatch.setattr(perms, "_conjugation_tables", lambda A, gens: [
+                (g, conj) for (_, conj), (g, _) in zip(tables(A, gens), tables(A, gens)[::-1])])
+        else:
+            orbit = perms._conjugacy_orbit
+            monkeypatch.setattr(perms, "_conjugacy_orbit", lambda A, members, tables: (
+                orbit(A, members, tables)[0], set(range(A.order))))
+        with pytest.raises(RuntimeError, match=re.escape(f"normalizer in {W!r}")):
+            subgroup_classes(W)
 
     def test_restricted_lattices_equal_direct_ones(self, fresh_lattices):
         # Every catalog group and every transitive class of W whose order 24
@@ -669,9 +709,7 @@ class TestAbstractIsomorphic:
         # but C2 x Q8 has quaternion subgroups and C4 : C4 has none.
         A, B = _c2_x_q8(), _c4_semidirect_c4()
         assert A.order == B.order == 16
-        assert Counter(perms._class_invariants(A).values()) == Counter(
-            perms._class_invariants(B).values()
-        )
+        assert Counter(A._class_invariants.values()) == Counter(B._class_invariants.values())
         assert _subgroup_counts(A) != _subgroup_counts(B)
         assert not abstract_isomorphic(A, B)
         assert abstract_isomorphic(A, conjugate(A, P(10, "(1,9)(2,10)")))

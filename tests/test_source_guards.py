@@ -81,14 +81,15 @@ def test_nfdata_takes_only_the_kernel_from_analytic():
 
 def test_only_perms_intersects_subgroup_conjugates():
     # A class's core, the intersection of its conjugates, is read from
-    # `SubgroupClass.core_order`; verify once intersected them itself.
+    # `SubgroupClass.core_order`; verify once intersected them itself.  The
+    # conjugates are read as `Perm` sets or as the `members`' element numbers.
     found = []
     for path in SOURCES:
         for owner, node in _nodes_by_function(path):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "intersection"
                     or isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
-                if any(isinstance(sub, ast.Attribute) and sub.attr == "conjugates"
+                if any(isinstance(sub, ast.Attribute) and sub.attr in ("conjugates", "members")
                        for sub in ast.walk(node)):
                     found.append(f"{path.stem}.{owner}")
     assert found == ["perms.core_order"]
