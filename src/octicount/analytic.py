@@ -5,25 +5,28 @@ accumulated error bound; no bare floats leave this module.  Euler products
 are driven by polynomial factorization over prime fields, of which only
 factor degrees and multiplicities matter.  The general path is squarefree
 decomposition plus distinct-degree factorization (`factor_mod_p`).  The
-Frobenius-trace kernel `_frobenius_lanes` takes any (polynomial, prime) pairs
-and decides itself which are its lanes: a monic f of degree n <= 8 at a prime
-max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(f), one numpy lane
-each.  The traces give the pattern, and Stickelberger's theorem,
-(disc f / p) = (-1)^(n - number of factors), checks it against the integer
-discriminant on every lane.  A partial constant hands the kernel the primes
-of all its fields, 16 lane chunks of pairs per call at most, and the
-irreducibility prescreen of `nfdata` the primes of all the records of an
-ingest.  Every other pair goes to `factor_mod_p` on the Euler path: p below
-max(5, n + 1), p | disc(f), p > MAX_PRIME_BOUND, and f not monic mod p.
+Frobenius-trace kernel `_frobenius_lanes` takes rows (f, ascending primes)
+and decides itself which primes of a row are its lanes: for f monic of
+degree 2 <= n <= 8, the primes max(5, n + 1) <= p <= MAX_PRIME_BOUND that do
+not divide disc(f), one numpy lane each.  Its Python runs once per row; every
+step per lane runs on numpy int64 arrays.  The traces give the pattern, and
+Stickelberger's theorem, (disc f / p) = (-1)^(n - number of factors), checks
+it against the integer discriminant on every lane.  A partial constant hands
+the kernel one row per field over the sieve primes, 16 lane chunks of fields
+per call at most, and the irreducibility prescreen of `nfdata` one row per
+open polynomial per round.  Every other prime of a field goes to
+`factor_mod_p` on the Euler path: p below max(5, n + 1), p | disc(f),
+p > MAX_PRIME_BOUND, and every p when f is not monic.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, chain, compress, repeat
 from typing import Iterator, Optional, Sequence
 
 from .arith import is_prime, is_prime_lanes, powmod_lanes, primes_up_to
@@ -270,29 +273,46 @@ def _patterns_by_traces(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
 _LANE_CHUNK = 4096
 
 
-def _frobenius_traces(polys: Sequence[Sequence[int]],
-                      primes: Sequence[int]) -> list[tuple[int, ...]]:
-    """(Tr Q, ..., Tr Q^(n//2)) mod p for each lane (f, p), Q the Frobenius matrix of F_p[x]/(f).
+def _residues(values: Sequence[Sequence[int]], row, p):
+    """values[row[l]][c] mod p[l] for each column c and lane l, as a (columns, lanes) array.
 
-    One int64 lane per (polynomial, prime) pair; every f is monic of one
-    degree 2 <= n <= 8.  Q has the rows x^(ip) mod f, i < n, with x^p by
-    left-to-right square-and-multiply: every lane takes the same steps and
-    multiplies by x only where its own bit of p is set.  Tr Q^3 and Tr Q^4
-    come from Q^2.  Coefficients are < p <= MAX_PRIME_BOUND = 10^7.  A
-    product's unreduced coefficient is at most n(p-1)^2 and the n - 1 folds
-    through x^n mod f add at most (n-1)(p-1)^2; a trace sums n^2 products of
-    residues.  So every value stays below n^2 p^2 <= 6.4e15 < 2^63, and int64
-    never wraps.
+    values holds one tuple of integers of any size per kernel row; the Python
+    work is per value, never per lane.  Horner's rule runs over the 31-bit
+    limbs of |value|, most significant first, and the sign comes last.  Every
+    r < p <= MAX_PRIME_BOUND < 2^24, so r 2^31 + limb < 2^55: int64 never wraps.
     """
     import numpy as np
 
-    n = len(polys[0]) - 1
-    p = np.array(primes, np.int64)
-    g = np.array([[-f[i] % q for f, q in zip(polys, primes)] for i in range(n)],
-                 np.int64)  # x^n mod f
+    columns = list(zip(*values))
+    mags = [list(map(abs, col)) for col in columns]
+    top = max(1, *(max(col).bit_length() for col in mags))
+    r = 0
+    for shift in range((top - 1) // 31 * 31, -1, -31):
+        limbs = np.array([[m >> shift & 0x7FFFFFFF for m in col] for col in mags], np.int64)
+        r = (r << 31 | limbs[:, row]) % p
+    signs = np.array([[(v > 0) - (v < 0) for v in col] for col in columns], np.int64)
+    return r * signs[:, row] % p
+
+
+def _frobenius_traces(g, p):
+    """(Tr Q, ..., Tr Q^(n//2)) mod p on each lane, Q the Frobenius matrix of F_p[x]/(f).
+
+    g is the (n, lanes) int64 array of x^n mod f, for f monic of one degree
+    2 <= n <= 8, and p the lane primes; returns an (n//2, lanes) array.  Q has
+    the rows x^(ip) mod f, i < n, with x^p by left-to-right square-and-multiply:
+    every lane takes the same steps and multiplies by x only where its own bit
+    of p is set.  Tr Q^3 and Tr Q^4 come from Q^2.  Coefficients are
+    < p <= MAX_PRIME_BOUND = 10^7.  A product's unreduced coefficient is at
+    most n(p-1)^2 and the n - 1 folds through x^n mod f add at most
+    (n-1)(p-1)^2; a trace sums n^2 products of residues.  So every value stays
+    below n^2 p^2 <= 6.4e15 < 2^63, and int64 never wraps.
+    """
+    import numpy as np
+
+    n, lanes = g.shape
 
     def mul(a, b):
-        c = np.zeros((2 * n - 1, len(primes)), np.int64)
+        c = np.zeros((2 * n - 1, lanes), np.int64)
         for i in range(n):
             c[i:i + n] += a[i] * b
         for k in range(2 * n - 2, n - 1, -1):
@@ -304,8 +324,8 @@ def _frobenius_traces(polys: Sequence[Sequence[int]],
         c[1:] += a[:n - 1]
         return c % p
 
-    xp = one = np.eye(n, 1, dtype=np.int64).repeat(len(primes), axis=1)
-    for bit in reversed(range(max(primes).bit_length())):
+    xp = one = np.eye(n, 1, dtype=np.int64).repeat(lanes, axis=1)
+    for bit in reversed(range(int(p.max()).bit_length())):
         xp = mul(xp, xp)
         xp = np.where((p >> bit) & 1 == 1, times_x(xp), xp)
     rows = [one, xp]
@@ -316,56 +336,96 @@ def _frobenius_traces(polys: Sequence[Sequence[int]],
     if n >= 6:
         q2 = np.einsum("ijl,jkl->ikl", q, q) % p
         traces += [np.einsum("ijl,jil->l", q2, q), np.einsum("ijl,jil->l", q2, q2)]
-    return list(zip(*((t % p).tolist() for t in traces[:n // 2])))
+    return np.stack(traces[:n // 2]) % p
 
 
-def _frobenius_lanes(polys: Sequence[Sequence[int]],
-                     primes: Sequence[int]) -> list[Optional[tuple[int, ...]]]:
-    """Residue degrees of polys[i] mod primes[i] for each lane, None for any other pair.
+def _lane_range(f: Sequence[int], primes: Sequence[int]) -> tuple[int, int]:
+    """The lane rule of one row (f, primes), primes ascending: its lanes lie in primes[lo:hi].
 
-    A lane is a pair (f, p) with f of degree 2 <= n <= 8, monic mod p, and p a
-    prime max(5, n + 1) <= p <= MAX_PRIME_BOUND not dividing disc(f).  Then f
-    is squarefree mod p, its Frobenius traces, exact as they are at most
-    n < p, give its pattern, and int64 never wraps (see `_frobenius_traces`).
-    The lanes of each degree take one numpy pass per chunk.  Every check runs
-    on int64 lanes: each distinct lane prime is proved prime once
-    (ValueError), and Stickelberger's theorem checks every lane against
-    disc(f): (disc / p) = (-1)^(n - #factors), by Euler's criterion.  A
-    trace tuple outside the table, or a mismatch, raises RuntimeError.
+    f is a lane polynomial when it is monic of degree 2 <= n <= 8, and then
+    primes[lo:hi] are the primes with max(5, n + 1) <= p <= MAX_PRIME_BOUND;
+    the lanes are those of them that do not divide disc(f).
     """
-    out: list[Optional[tuple[int, ...]]] = [None] * len(primes)
-    lanes: dict[int, list[tuple[int, int]]] = {}  # degree -> (pair index, disc) of its lanes
-    for i, (f, p) in enumerate(zip(polys, primes)):
-        n = len(f) - 1
-        if 2 <= n <= 8 and n < p and 5 <= p <= MAX_PRIME_BOUND and f[-1] % p == 1:
-            disc = _poly_disc(tuple(f))
-            if disc % p:
-                lanes.setdefault(n, []).append((i, disc))
-    if not lanes:
+    n = len(f) - 1
+    if not 2 <= n <= 8 or f[-1] != 1:
+        return 0, 0
+    return bisect_left(primes, max(5, n + 1)), bisect_right(primes, MAX_PRIME_BOUND)
+
+
+def _frobenius_lanes(rows: Sequence[tuple[Sequence[int], Sequence[int]]]
+                     ) -> list[list[Optional[tuple[int, ...]]]]:
+    """Residue degrees of f mod each prime of each row (f, primes), None off the lanes.
+
+    A row's primes ascend.  A lane is a prime p of a row whose f is monic of
+    degree 2 <= n <= 8, with max(5, n + 1) <= p <= MAX_PRIME_BOUND and p not
+    dividing disc(f).  Then f is squarefree mod p, its Frobenius traces, exact
+    as they are at most n < p, give its pattern, and int64 never wraps (see
+    `_residues` and `_frobenius_traces`).  The Python work is per row: the
+    lane rule (`_lane_range`) and disc(f), once each.  Everything per lane
+    runs on int64 lanes, built for all the rows of a degree at once: disc(f)
+    mod p and x^n mod f over the limbs of any integer size, then one trace
+    pass per chunk.  Every check runs on every lane: each distinct lane prime
+    is proved prime once (ValueError), a trace tuple outside the table raises
+    RuntimeError, and so does a lane where Stickelberger's theorem fails:
+    (disc / p) = (-1)^(n - #factors), by Euler's criterion.
+    """
+    out: list[list[Optional[tuple[int, ...]]]] = [[None] * len(primes) for _, primes in rows]
+    spans: dict[int, list[tuple[int, int, int]]] = {}  # degree -> (row, lo, hi) of its rows
+    for r, (f, primes) in enumerate(rows):
+        lo, hi = _lane_range(f, primes)
+        if lo < hi:
+            spans.setdefault(len(f) - 1, []).append((r, lo, hi))
+    if not spans:
         return out
     import numpy as np
 
-    distinct = sorted({primes[i] for group in lanes.values() for i, _ in group})
+    lanes = {}  # degree -> (spans, their lengths, which primes are lanes, and the lanes)
+    for n, group in spans.items():
+        counts = [hi - lo for _, lo, hi in group]
+        p = np.fromiter(chain.from_iterable(rows[r][1][lo:hi] for r, lo, hi in group),
+                        np.int64, sum(counts))
+        if p.min() < max(5, n + 1) or p.max() > MAX_PRIME_BOUND:
+            raise ValueError("the primes of each row must ascend")
+        row = np.repeat(np.arange(len(group)), counts)
+        disc = _residues([(_poly_disc(tuple(rows[r][0])),) for r, _, _ in group], row, p)[0]
+        keep = disc != 0
+        g = _residues([[-c for c in rows[r][0][:n]] for r, _, _ in group], row[keep], p[keep])
+        lanes[n] = group, counts, keep, p[keep], g, disc[keep]  # g = x^n mod f
+    distinct = np.sort(np.concatenate([lane[3] for lane in lanes.values()]))
+    distinct = distinct[np.diff(distinct, prepend=0) != 0]
     for start in range(0, len(distinct), _LANE_CHUNK):
         chunk = distinct[start:start + _LANE_CHUNK]
-        for p in compress(chunk, ~is_prime_lanes(chunk)):
+        for p in chunk[~is_prime_lanes(chunk)][:1].tolist():
             raise ValueError(f"{p} is not a prime below 2^61")
-    for n, group in lanes.items():
+    for n, (group, counts, keep, p, g, disc) in lanes.items():
+        # A lane's traces t_k, clipped to n + 1, key `index` as the sum of
+        # t_k (n + 2)^(k - 1); traces outside the table, clipped or not, find -1.
         table = _patterns_by_traces(n)
-        parity = {traces: (n - len(degrees)) % 2 for traces, degrees in table.items()}
-        for start in range(0, len(group), _LANE_CHUNK):
-            index, discs = zip(*group[start:start + _LANE_CHUNK])
-            ps = [primes[i] for i in index]
-            traces = _frobenius_traces([polys[i] for i in index], ps)
-            p = np.array(ps, np.int64)
-            residues = np.array([disc % q for disc, q in zip(discs, ps)], np.int64)
-            odd = powmod_lanes(residues, (p - 1) // 2, p) != 1
-            for k in np.flatnonzero(odd != [parity.get(t, 2) for t in traces]):
+        patterns = tuple(table.values())
+        keys = [sum(t * (n + 2) ** k for k, t in enumerate(traces)) for traces in table]
+        index = np.full((n + 2) ** (n // 2), -1)
+        index[keys] = range(len(keys))
+        parity = np.array([(n - len(degrees)) % 2 for degrees in patterns])
+        found = np.empty(len(p), np.int64)
+        for start in range(0, len(p), _LANE_CHUNK):
+            part = slice(start, start + _LANE_CHUNK)
+            traces = _frobenius_traces(g[:, part], p[part])
+            at = index[(n + 2) ** np.arange(n // 2) @ np.minimum(traces, n + 1)]
+            odd = powmod_lanes(disc[part], (p[part] - 1) // 2, p[part]) != 1
+            for k in np.flatnonzero(at < 0)[:1].tolist():
+                raise RuntimeError(f"degree {n} mod {p[part][k]}: Frobenius traces "
+                                   f"{tuple(traces[:, k].tolist())} fit no factorization")
+            for k in np.flatnonzero(odd != parity[at])[:1].tolist():
                 raise RuntimeError(
-                    f"degree {n} mod {ps[k]}: Frobenius traces {traces[k]} do not match the "
-                    f"Legendre symbol {-1 if odd[k] else 1} of the discriminant (Stickelberger)")
-            for i, t in zip(index, traces):
-                out[i] = table[t]
+                    f"degree {n} mod {p[part][k]}: Frobenius traces "
+                    f"{tuple(traces[:, k].tolist())} do not match the Legendre symbol "
+                    f"{-1 if odd[k] else 1} of the discriminant (Stickelberger)")
+            found[part] = at
+        number = np.full(len(keep), len(patterns))  # the number of None, for p | disc
+        number[keep] = found
+        degrees = list(map((*patterns, None).__getitem__, number.tolist()))
+        for (r, lo, hi), end in zip(group, accumulate(counts)):
+            out[r][lo:hi] = degrees[end - (hi - lo):end]
     return out
 
 
@@ -412,27 +472,51 @@ def _poly_disc(coeffs: tuple[int, ...]) -> int:
     return sign * m[-1][-1] // lead ** ((n - 1) * (n - 2))
 
 
-def _local_factors(records: Sequence, primes: Sequence[int]) -> Iterator[list[tuple]]:
-    """Each record's (residue degrees, ramified, trusted) at each of primes, record by record.
+def _local_factors(records: Sequence, primes: Sequence[int]
+                   ) -> Iterator[tuple[list[tuple[int, ...]], list[bool], list[bool]]]:
+    """Each record's residue degrees, ramified flags and trusted flags at primes, in turn.
 
-    One `_frobenius_lanes` call takes the pairs of up to 16 lane chunks of records (of one at
-    least); the others go to `factor_mod_p` at their record's turn, so an error names its record.
+    The primes ascend.  One `_frobenius_lanes` call takes one row (f, primes)
+    per record, for up to 16 lane chunks of records (one at least).  The
+    trust test q mod p, q = disc(f)/disc(K), runs on int64 lanes for every
+    prime 2 <= p <= MAX_PRIME_BOUND (q = 0 when disc(K) does not divide
+    disc(f), so no prime is trusted).  The primes that are no lane go to
+    `factor_mod_p` at their record's turn, so its errors name their record;
+    at p = 2 and 3 one answer per f mod p serves every record of the call.
     """
+    import numpy as np
+
+    lo, hi = bisect_left(primes, 2), bisect_right(primes, MAX_PRIME_BOUND)
+    sieve = np.array(primes[lo:hi], np.int64)
+    small: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, int], ...]] = {}
     step = max(1, 16 * _LANE_CHUNK // len(primes))
     for start in range(0, len(records), step):
-        polys = [tuple(rec.coeffs) for rec in records[start:start + step]]
-        lanes = iter(_frobenius_lanes([f for f in polys for _ in primes], [*primes] * len(polys)))
-        for rec, f in zip(records[start:start + step], polys):
+        batch = records[start:start + step]
+        polys = [tuple(rec.coeffs) for rec in batch]
+        quotients = []
+        for rec, f in zip(batch, polys):
             q, r = divmod(_poly_disc(f), rec.disc)
-            factors = []
-            for p, degrees in zip(primes, lanes):
-                ramified = False
-                if degrees is None:
+            quotients.append(0 if r else q)
+        row = np.arange(len(batch)).repeat(len(sieve))
+        on_sieve = (_residues([(q,) for q in quotients], row,
+                              np.tile(sieve, len(batch)))[0] != 0).tolist()
+        lanes = _frobenius_lanes([(f, primes) for f in polys])
+        for i, (f, q, degrees) in enumerate(zip(polys, quotients, lanes)):
+            ramified = [False] * len(primes)
+            for k in list(compress(range(len(primes)), map(operator.is_, degrees, repeat(None)))):
+                p = primes[k]
+                if p in (2, 3):
+                    key = (p, tuple(c % p for c in f))
+                    if key not in small:
+                        small[key] = factor_mod_p(f, p)
+                    pattern = small[key]
+                else:
                     pattern = factor_mod_p(f, p)
-                    degrees = tuple(sorted(d for d, _ in pattern))
-                    ramified = any(mult > 1 for _, mult in pattern)
-                factors.append((degrees, ramified, r == 0 and q % p != 0))
-            yield factors
+                degrees[k] = tuple(sorted(d for d, _ in pattern))
+                ramified[k] = any(mult > 1 for _, mult in pattern)
+            trusted = on_sieve[i * len(sieve):(i + 1) * len(sieve)]
+            yield degrees, ramified, ([q % p != 0 for p in primes[:lo]] + trusted
+                                      + [q % p != 0 for p in primes[hi:]])
 
 
 def local_factor_data(record, p: int) -> LocalFactorData:
@@ -444,9 +528,9 @@ def local_factor_data(record, p: int) -> LocalFactorData:
     degree) including the ramified case.
 
     A lane of `_frobenius_lanes` is unramified and checked by Stickelberger's
-    theorem; every other pair goes through `factor_mod_p`.
+    theorem; every other prime goes through `factor_mod_p`.
     """
-    return LocalFactorData(p, *next(_local_factors([record], (p,)))[0])
+    return LocalFactorData(p, *(flags[0] for flags in next(_local_factors([record], (p,)))))
 
 
 def _checked_prime_bound(prime_bound: int) -> int:
@@ -472,10 +556,10 @@ def _zetas_at_2(records: Sequence, prime_bound: int) -> Iterator[ZetaValue]:
     """`zeta_K_at_2` of each record in turn, all from one `_local_factors` pass."""
     P = _checked_prime_bound(prime_bound)
     primes = primes_up_to(P)  # one sieve per prime bound, shared by every field of the run
-    for record, factors in zip(records, _local_factors(records, primes)):
+    for record, (degrees_at, _, trusted_at) in zip(records, _local_factors(records, primes)):
         degree = len(record.coeffs) - 1
         lower = upper = 1.0
-        for p, (degrees, _, trusted) in zip(primes, factors):
+        for p, degrees, trusted in zip(primes, degrees_at, trusted_at):
             if trusted:
                 factor = 1.0
                 for f in degrees:

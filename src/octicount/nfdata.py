@@ -144,10 +144,10 @@ def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]
     Prescreen: a rational factor of degree k reduces, mod every prime p not
     dividing disc(f), to a product of some of f's irreducible factors mod p, so
     k is a sub-sum of their degrees.  Once the primes leave no common k, f is
-    irreducible.  Each round pairs the next few primes with every polynomial
-    still open, and hands all of those pairs to one call of the Frobenius-trace
-    kernel `analytic._frobenius_lanes`, which answers its lanes and leaves the
-    other pairs None.  A polynomial whose lanes below 200 leave a common k
+    irreducible.  Each round hands one row (f, the next few primes) per
+    polynomial still open to one call of the Frobenius-trace kernel
+    `analytic._frobenius_lanes`, which answers its lanes and leaves the other
+    primes None.  A polynomial whose lanes below 200 leave a common k
     (one of degree above 8 has none) is decided by `_is_irreducible`.
     """
     from .analytic import _frobenius_lanes
@@ -167,13 +167,13 @@ def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]
         if not candidates:
             break
         batch = prescreen_primes[start:start + _PRESCREEN_PRIMES_PER_ROUND]
-        fs = [f for f in candidates for _ in batch]
-        for f, degrees in zip(fs, _frobenius_lanes(fs, batch * len(candidates))):
-            if degrees is not None and f in candidates:
+        rows = [(f, batch) for f in candidates]
+        for (f, _), lanes in zip(rows, _frobenius_lanes(rows)):
+            for degrees in filter(None, lanes):
                 candidates[f] &= _sub_sums(degrees)
-                if not candidates[f]:
-                    verdicts[f] = True
-                    del candidates[f]
+            if not candidates[f]:
+                verdicts[f] = True
+                del candidates[f]
     for f in candidates:
         verdicts[f] = _is_irreducible(f)
     return verdicts

@@ -655,7 +655,11 @@ def _compute_lattice(G: PermGroup) -> tuple[_Lattice, list[dict]]:
     cyclics: dict[frozenset[int], int] = {}
     cyclic_of: list[frozenset[int]] = []  # element number -> the subgroup it generates
     for i in range(n):
-        members = G._close(trivial, (i,))
+        powers, x = [0], i  # i, i^2, ... back to the identity, by right multiplication
+        while x:
+            powers.append(x)
+            x = right[i][x]
+        members = frozenset(powers)
         cyclics.setdefault(members, i)
         cyclic_of.append(members)
 

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from collections import Counter
 from dataclasses import dataclass, replace
+from types import CodeType
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import GF, Poly, Symbol, isprime, nextprime, prevprime, primerange
@@ -237,30 +241,33 @@ class TestQuarticPath:
     def test_flipped_legendre_symbol_raises(self, monkeypatch, coeffs, degrees):
         disc = analytic._poly_disc(coeffs)
         assert degrees_of(factor_mod_p(coeffs, 7)) == degrees
-        assert analytic._frobenius_lanes([coeffs], [7]) == [degrees]
+        assert analytic._frobenius_lanes([(coeffs, (7,))]) == [[degrees]]
         # 3 is not a square mod 7, so 3 * disc has the opposite symbol.
         monkeypatch.setattr(analytic, "_poly_disc", lambda f: 3 * disc)
         with pytest.raises(RuntimeError, match="Stickelberger"):
-            analytic._frobenius_lanes([coeffs], [7])
+            analytic._frobenius_lanes([(coeffs, (7,))])
 
     # (n1, n2) = (3, 0): three roots leave a linear fourth factor; (1, 1): one
     # root and a quadratic leave a linear fourth factor that was not counted.
     @pytest.mark.parametrize("n1, n2", [(3, 0), (1, 1)])
     def test_impossible_traces_raise(self, monkeypatch, n1, n2):
         coeffs = (24, -50, 35, -10, 1)  # four roots mod 7
-        assert analytic._frobenius_traces([coeffs], [7]) == [(4, 4)]
+        p = np.array([7])
+        g = np.array([[-c % 7] for c in coeffs[:4]])  # x^4 mod f
+        assert analytic._frobenius_traces(g, p).T.tolist() == [[4, 4]]
         monkeypatch.setattr(analytic, "_frobenius_traces",
-                            lambda polys, primes: [(n1, n1 + 2 * n2)] * len(primes))
+                            lambda g, p: np.array([[n1], [n1 + 2 * n2]]).repeat(len(p), axis=1))
         with pytest.raises(RuntimeError, match="Frobenius traces"):
-            analytic._frobenius_lanes([coeffs], [7])
+            analytic._frobenius_lanes([(coeffs, (7,))])
 
     @pytest.mark.parametrize("p", [3, nextprime(MAX_PRIME_BOUND), 283])
     def test_lanes_reject_primes_off_the_int64_path(self, p):
         # 3 cannot tell (1, 1, 1, 1) from (1, 3) by traces, 10,000,019 is past
         # the int64 bound, and 283 divides disc(x^4 - x - 1) = -283: no lane.
         coeffs = (-1, -1, 0, 0, 1)
-        assert analytic._frobenius_lanes([coeffs] * 3, [5, p, 7]) == [
-            degrees_of(factor_mod_p(coeffs, 5)), None, degrees_of(factor_mod_p(coeffs, 7))]
+        primes = sorted((5, p, 7))
+        assert analytic._frobenius_lanes([(coeffs, primes)]) == [
+            [None if q == p else degrees_of(factor_mod_p(coeffs, q)) for q in primes]]
 
     @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
     def test_large_primes_route_to_factor_mod_p(self, monkeypatch, p):
@@ -280,7 +287,7 @@ class TestQuarticPath:
         disc = analytic._poly_disc(coeffs)
         lanes = [p for p in primerange(5, 45000) if disc % p]
         assert analytic._LANE_CHUNK < len(lanes) < 2 * analytic._LANE_CHUNK
-        batch = analytic._frobenius_lanes([coeffs] * len(lanes), lanes)
+        [batch] = analytic._frobenius_lanes([(coeffs, lanes)])
         assert batch == [degrees_of(factor_mod_p(coeffs, p)) for p in lanes]
         # Lanes either side of the chunk boundary, and a sample, one at a time.
         rec = quartic_rec(coeffs)
@@ -305,7 +312,7 @@ class TestQuarticPath:
         lanes = [p for p in primerange(5, 45000) if p != 283] + [2_284_453]
         assert len(lanes) > analytic._LANE_CHUNK
         with pytest.raises(ValueError, match="^2284453 is not a prime below 2"):
-            analytic._frobenius_lanes([coeffs] * len(lanes), lanes)
+            analytic._frobenius_lanes([(coeffs, lanes)])
 
     def test_non_monic_rejected(self):
         coeffs = (-1, -1, 0, 0, 2)
@@ -365,25 +372,28 @@ class TestFrobeniusKernel:
         polys = kernel_polys(rng, n, 12)
         primes = [p for p in primerange(max(5, n + 1), 200)] + [
             prevprime(MAX_PRIME_BOUND + 1), nextprime(10 ** 6), prevprime(5 * 10 ** 6)]
-        pairs = [(f, p) for f in polys for p in primes]
-        rng.shuffle(pairs)  # every pair its own polynomial and prime, in one call
-        fs, ps = zip(*pairs)
-        got = analytic._frobenius_lanes(fs, ps)
-        # The pairs with p | disc(f) are no lanes.
-        assert got == [degrees_of(factor_mod_p(f, p)) if analytic._poly_disc(f) % p else None
-                       for f, p in pairs]
-        assert None in got
+        # Every polynomial takes all the primes in one row and a few in another,
+        # and the rows come in random order, all in one call.
+        rows = [(f, sorted(primes)) for f in polys]
+        rows += [(f, sorted(rng.sample(primes, 5))) for f in polys]
+        rng.shuffle(rows)
+        got = analytic._frobenius_lanes(rows)
+        # The primes with p | disc(f) are no lanes.
+        assert got == [[degrees_of(factor_mod_p(f, p)) if analytic._poly_disc(f) % p else None
+                        for p in ps] for f, ps in rows]
+        found = [degrees for row in got for degrees in row]
+        assert None in found
         # Every pattern occurs, bar the full split of an octic.
-        assert set(analytic._patterns_by_traces(n).values()) - set(got) <= {(1,) * 8}
+        assert set(analytic._patterns_by_traces(n).values()) - set(found) <= {(1,) * 8}
 
     def test_patterns_match_sympy_near_the_int64_bound(self):
         rng = random.Random(10 ** 7)
         for f in kernel_polys(rng, 8, 2):
             disc = analytic._poly_disc(f)
-            primes = [p for p in (prevprime(MAX_PRIME_BOUND + 1), prevprime(9 * 10 ** 6))
+            primes = [p for p in (prevprime(9 * 10 ** 6), prevprime(MAX_PRIME_BOUND + 1))
                       if disc % p]
-            got = analytic._frobenius_lanes([f] * len(primes), primes)
-            assert got == [degrees_of(sympy_pattern(f, p)) for p in primes]
+            got = analytic._frobenius_lanes([(f, primes)])
+            assert got == [[degrees_of(sympy_pattern(f, p)) for p in primes]]
 
     @pytest.mark.parametrize("coeffs", [
         (-1, 0, -1, 0, 0, 0, 0, 0, 1),  # f(x^2), f = x^4 - x - 1: disc = -2^8 * 283^2
@@ -408,38 +418,160 @@ class TestFrobeniusKernel:
     def test_octic_lanes_need_p_above_the_degree(self, p):
         # Mod 5 or 7 a trace of 8 reads as 3 or 1: the kernel takes no lane.
         f = (-1, -1, 0, 0, 0, 0, 0, 0, 1)  # disc = -11 * 1600069
-        assert analytic._frobenius_lanes([f, f], [13, p]) == [
-            degrees_of(factor_mod_p(f, 13)), None]
+        assert analytic._frobenius_lanes([(f, (p, 13))]) == [
+            [None, degrees_of(factor_mod_p(f, 13))]]
 
     def test_mixed_degrees_match_the_per_degree_calls(self):
         rng = random.Random(2024)
-        by_degree = {n: [(f, p) for f in kernel_polys(rng, n, 2) for p in (2, 7, 11, 97, 283)]
+        by_degree = {n: [(f, sorted(rng.sample((2, 7, 11, 97, 283), 3)))
+                         for f in kernel_polys(rng, n, 2)]
                      for n in range(2, 9)}
-        separate = {n: analytic._frobenius_lanes(*zip(*pairs)) for n, pairs in by_degree.items()}
-        mixed = [(n, i, f, p) for n, pairs in by_degree.items()
-                 for i, (f, p) in enumerate(pairs)]
+        separate = {n: analytic._frobenius_lanes(rows) for n, rows in by_degree.items()}
+        mixed = [(n, i, row) for n, rows in by_degree.items() for i, row in enumerate(rows)]
         rng.shuffle(mixed)
-        got = analytic._frobenius_lanes([f for _, _, f, _ in mixed], [p for _, _, _, p in mixed])
-        assert got == [separate[n][i] for n, i, _, _ in mixed]
-        assert {len(f) - 1 for (_, _, f, _), d in zip(mixed, got) if d} == set(range(2, 9))
+        got = analytic._frobenius_lanes([row for _, _, row in mixed])
+        assert got == [separate[n][i] for n, i, _ in mixed]
+        degrees = {len(f) - 1 for (_, _, (f, _)), row in zip(mixed, got) if any(row)}
+        assert degrees == set(range(2, 9))
 
     def test_off_lane_pairs_never_reach_the_traces(self, monkeypatch):
         seen = []
         real = analytic._frobenius_traces
         monkeypatch.setattr(analytic, "_frobenius_traces",
-                            lambda polys, primes: seen.extend(zip(polys, primes))
-                            or real(polys, primes))
+                            lambda g, p: seen.extend(zip([len(g)] * len(p), p.tolist()))
+                            or real(g, p))
         quartic = (-1, -1, 0, 0, 1)  # disc = -283
         octic = (-1, -1, 0, 0, 0, 0, 0, 0, 1)  # disc = -11 * 1600069
         nonic = (-1, -1, 0, 0, 0, 0, 0, 0, 0, 1)
-        off_lane = [(quartic, 2), (quartic, 3), (quartic, 283),
-                    (quartic, nextprime(MAX_PRIME_BOUND)), (octic, 5), (octic, 7),
-                    (octic, 11), (nonic, 13)]
-        lanes = [(quartic, 5), (octic, 13)]
-        pairs = off_lane + lanes
-        got = analytic._frobenius_lanes(*zip(*pairs))
-        assert got == [None] * len(off_lane) + [degrees_of(factor_mod_p(f, p)) for f, p in lanes]
-        assert sorted(seen) == sorted(lanes)
+        eights = (-1, -1, 0, 0, 8)  # 8 is 1 mod 7, but only a leading 1 makes lanes
+        rows = [(quartic, (2, 3, 5, 283, nextprime(MAX_PRIME_BOUND))), (octic, (5, 7, 11, 13)),
+                (nonic, (13,)), (eights, (7, 11))]
+        got = analytic._frobenius_lanes(rows)
+        assert got == [[None, None, degrees_of(factor_mod_p(quartic, 5)), None, None],
+                       [None, None, None, degrees_of(factor_mod_p(octic, 13))],
+                       [None], [None, None]]
+        assert sorted(seen) == [(4, 5), (8, 13)]
+
+
+
+# Rows that reach the limb path: a coefficient of each sign beyond int64, and
+# discriminants of each sign beyond it, from quartics and octics.
+EDGE_POLYS = [
+    (-1, -1, 0, 0, 1),                       # disc -283
+    (-1, -1, 0, 0, 0, 1),                    # x^5 - x - 1: no lane at p = n = 5
+    (-1, -1, 0, 0, 0, 0, 0, 1),              # x^7 - x - 1: no lane at p = n = 7
+    (1, -(2 ** 64 + 3), 0, 0, 1),            # disc 256 - 27 (2^64 + 3)^4 < -2^63
+    (2 ** 63 + 5, 1, 0, 0, 1),               # disc 256 (2^63 + 5)^3 - 27 > 2^63
+    (-1, 0, -1, 0, 0, 0, 0, 0, 1),           # disc -2^8 * 283^2
+    (-1, -1, 0, 0, 0, 0, 0, 0, 1),           # disc -11 * 1600069
+    (7, -3, 0, 5, -2, 0, 1, -4, 1),          # small coefficients, |disc| > 2^63
+    (2 ** 70 + 1, -1, 0, 0, 0, 0, 0, 0, 1),  # x^8 - x + 2^70 + 1
+]
+
+
+def is_lane(f, p) -> bool:
+    """The lane rule, restated from its definition."""
+    n = len(f) - 1
+    return (2 <= n <= 8 and f[-1] == 1 and max(5, n + 1) <= p <= MAX_PRIME_BOUND
+            and analytic._poly_disc(f) % p != 0)
+
+
+class TestRowKernel:
+    """The row kernel's per-lane integer steps and its work per row."""
+
+    def test_limb_residues_match_python(self):
+        rng = random.Random(63)
+        values = [[0, 1, -1, 2 ** 31 - 1, -2 ** 31, 2 ** 62, -(2 ** 63), 2 ** 63 + 1]]
+        values += [[rng.choice((-1, 1)) * rng.getrandbits(rng.choice((5, 31, 32, 64, 200)))
+                    for _ in range(8)] for _ in range(20)]
+        primes = [5, 7, 2 ** 23 - 15, prevprime(MAX_PRIME_BOUND + 1)] + [
+            prevprime(rng.randint(6, MAX_PRIME_BOUND)) for _ in range(30)]
+        row = np.array([r for r in range(len(values)) for _ in primes])
+        p = np.array(primes * len(values))
+        assert max(abs(v) for vs in values for v in vs).bit_length() > 190  # seven 31-bit limbs
+        got = analytic._residues(values, row, p)
+        assert got.T.tolist() == [[v % q for v in values[r]]
+                                  for r, q in zip(row.tolist(), p.tolist())]
+
+    def test_rows_match_factor_mod_p_at_every_edge(self):
+        # The lane range starts at max(5, n + 1): at 5 for quartics, 7 for the
+        # quintic (5 = n is no lane) and 11 for the septic and octics (7 is
+        # none).  It ends at 9,999,991 <= MAX_PRIME_BOUND, and the next prime
+        # is no lane; nor is any prime of a row that divides disc(f).
+        discs = [analytic._poly_disc(f) for f in EDGE_POLYS]
+        assert any(d < -2 ** 63 for d in discs) and any(d > 2 ** 63 for d in discs)
+        assert max(map(max, EDGE_POLYS)) >= 2 ** 63 and min(map(min, EDGE_POLYS)) < -2 ** 63
+        edges = {2, 3, 5, 7, 11, 13, prevprime(MAX_PRIME_BOUND + 1), nextprime(MAX_PRIME_BOUND)}
+        rows = [(f, sorted(edges | {p for p in primerange(5, 2000) if d % p == 0}
+                           | set(primerange(1000, 1100))))
+                for f, d in zip(EDGE_POLYS, discs)]
+        got = analytic._frobenius_lanes(rows)
+        assert got == [[degrees_of(factor_mod_p(f, p)) if is_lane(f, p) else None for p in primes]
+                       for f, primes in rows]
+        assert all(row[-2] is not None and row[-1] is None for row in got)
+        divisors = [(f, p) for f, primes in rows for p in primes
+                    if 11 <= p <= 2000 and analytic._poly_disc(f) % p == 0]
+        assert {p for _, p in divisors} >= {11, 283}
+
+    def test_kernel_work_is_per_row(self, monkeypatch):
+        # The lane rule and disc(f) run once per row, and each degree takes
+        # ceil(lanes / _LANE_CHUNK) trace passes.
+        rng = random.Random(13)
+        polys = kernel_polys(rng, 4, 15) + kernel_polys(rng, 8, 1)
+        rows = [(f, primes_up_to(1000)) for f in polys]
+        counts = Counter()
+        for name in ("_lane_range", "_poly_disc"):
+            real = getattr(analytic, name)
+            monkeypatch.setattr(analytic, name, lambda *args, name=name, real=real:
+                                counts.update([name]) or real(*args))
+        passes = Counter()
+        traces = analytic._frobenius_traces
+        monkeypatch.setattr(analytic, "_frobenius_traces",
+                            lambda g, p: passes.update([len(g)]) or traces(g, p))
+        got = analytic._frobenius_lanes(rows)
+        assert counts == {"_lane_range": len(rows), "_poly_disc": len(rows)}
+        lanes = Counter(len(f) - 1 for (f, _), row in zip(rows, got) for d in row if d)
+        assert lanes[4] > analytic._LANE_CHUNK and lanes[8]
+        assert passes == {n: -(-k // analytic._LANE_CHUNK) for n, k in lanes.items()}
+
+    def test_kernel_python_does_not_grow_with_the_primes(self, monkeypatch):
+        # No Python loop runs over the primes of a row: the kernel's own lines
+        # run as often for 108 primes a row as for 1,229.  The numpy trace
+        # pass and the primality proof loop over the bits of the primes, not
+        # over the primes, and are left out of the count.
+        monkeypatch.setattr(analytic, "_LANE_CHUNK", 10 ** 6)  # one chunk either way
+        rng = random.Random(5)
+        polys = kernel_polys(rng, 4, 3) + kernel_polys(rng, 8, 1)
+
+        def nested(code):  # a function's code and that of its comprehensions
+            return [code] + [c for const in code.co_consts if isinstance(const, CodeType)
+                             for c in nested(const)]
+
+        own = {code for f in (analytic._frobenius_lanes, analytic._lane_range, analytic._residues)
+               for code in nested(f.__code__)}
+
+        def lines_run(primes):
+            analytic._frobenius_lanes([(f, primes) for f in polys])  # warm the caches
+            count = Counter()
+
+            def local(frame, event, arg):
+                if event == "line":
+                    count[frame.f_code] += 1
+                return local
+
+            def calls(frame, event, arg):
+                return local if frame.f_code in own else None
+
+            previous = sys.gettrace()
+            sys.settrace(calls)
+            try:
+                analytic._frobenius_lanes([(f, primes) for f in polys])
+            finally:
+                sys.settrace(previous)
+            return count
+
+        few, many = lines_run(primes_up_to(600)), lines_run(primes_up_to(10 ** 4))
+        assert few == many and few[analytic._frobenius_lanes.__code__] > 0
 
 
 def strong_probable_prime(n: int, a: int) -> bool:
@@ -544,14 +676,14 @@ class TestZetaAt2:
         real = analytic._local_factors
 
         def spy(records, primes):
-            for factors in real(records, primes):
-                seen.extend(zip(primes, factors))
-                yield factors
+            for degrees, ramified, trusted in real(records, primes):
+                seen.extend(zip(primes, degrees, ramified))
+                yield degrees, ramified, trusted
 
         monkeypatch.setattr(analytic, "_local_factors", spy)
         zeta_K_at_2(rec, 10 ** 4)
-        assert [p for p, _ in seen] == list(primerange(2, 10 ** 4 + 1))
-        for p, (degrees, ramified, _) in seen:
+        assert [p for p, _, _ in seen] == list(primerange(2, 10 ** 4 + 1))
+        for p, degrees, ramified in seen:
             pattern = factor_mod_p(rec.coeffs, p)
             assert degrees == degrees_of(pattern), p
             assert ramified == any(m > 1 for _, m in pattern)
@@ -594,6 +726,41 @@ class TestLocalFactorData:
             assert data.p == p and data.trusted == (p != 2)
             assert data.residue_degrees == tuple(sorted(d for d, _ in pattern))
             assert data.ramified == any(m > 1 for _, m in pattern)
+
+    def test_trust_quotient_beyond_int64(self):
+        # 216^4 f(x/216) for f = x^4 - x - 1: disc(poly)/disc(field) = 216^12,
+        # about 10^28, goes to the trust test's lanes as limbs.
+        scaled = (-216 ** 4, -216 ** 3, 0, 0, 1)
+        rec = MinimalField(label="K", coeffs=scaled, disc=-283, r2=1)
+        assert analytic._poly_disc(scaled) == -283 * 216 ** 12 and 216 ** 12 > 2 ** 63
+        primes = primes_up_to(2000)
+        [(degrees, ramified, trusted)] = analytic._local_factors([rec], primes)
+        assert trusted == [p not in (2, 3) for p in primes]
+        for p, d, r in zip(primes, degrees, ramified):
+            pattern = factor_mod_p(scaled, p)
+            assert d == degrees_of(pattern) and r == any(m > 1 for _, m in pattern)
+        # A field discriminant that does not divide the polynomial's trusts no prime.
+        [(_, _, trusted)] = analytic._local_factors([replace(rec, disc=-5 * 283)], primes)
+        assert not any(trusted)
+
+    def test_small_primes_take_one_answer_per_residue_class(self, monkeypatch):
+        # Mod 2 and 3 there are only 16 and 81 monic quartics: one call of
+        # `_local_factors` asks `factor_mod_p`, re-multiplication check and
+        # all, once for each f mod p, and every record gets its answer.
+        calls = Counter()
+        real = analytic.factor_mod_p
+        monkeypatch.setattr(analytic, "factor_mod_p", lambda f, p: calls.update(
+            [(p, tuple(c % p for c in f))] if p <= 3 else []) or real(f, p))
+        rng = random.Random(3)
+        polys = {tuple(rng.randint(-60, 60) for _ in range(4)) + (1,) for _ in range(300)}
+        records = [quartic_rec(f) for f in sorted(polys)]
+        got = list(analytic._local_factors(records, primes_up_to(100)))
+        assert set(calls.values()) == {1} and len(calls) <= 16 + 81 < len(records)
+        for rec, (degrees, ramified, _) in zip(records, got):
+            for k, p in enumerate((2, 3)):
+                pattern = real(rec.coeffs, p)
+                assert degrees[k] == degrees_of(pattern)
+                assert ramified[k] == any(m > 1 for _, m in pattern)
 
 
 class TestZetaResidue:
@@ -666,7 +833,8 @@ class TestPartialConstant:
 
     def test_fit_shaped_call_takes_one_kernel_call(self, monkeypatch):
         # 100 fields at P = 1000, as `fit` has them: one `_frobenius_lanes`
-        # call, one trace pass per chunk of lanes, one proof per lane prime.
+        # call with one row per field, one trace pass per chunk of lanes, one
+        # proof per lane prime.
         rng = random.Random(1000)
         polys = [tuple(rng.randint(-60, 60) for _ in range(4)) + (1,) for _ in range(100)]
         records = [replace(quartic_record(f"K{i:03d}", analytic._poly_disc(f), []), coeffs=f)
@@ -678,20 +846,20 @@ class TestPartialConstant:
         kernel, traces, proof = (analytic._frobenius_lanes, analytic._frobenius_traces,
                                  analytic.is_prime_lanes)
         monkeypatch.setattr(analytic, "_frobenius_lanes",
-                            lambda fs, ps: calls.append(len(ps)) or kernel(fs, ps))
+                            lambda rows: calls.append(len(rows)) or kernel(rows))
         monkeypatch.setattr(analytic, "_frobenius_traces",
-                            lambda fs, ps: passes.append(len(ps)) or traces(fs, ps))
+                            lambda g, p: passes.append(len(p)) or traces(g, p))
         monkeypatch.setattr(analytic, "is_prime_lanes",
-                            lambda ns: proved.extend(ns) or proof(ns))
+                            lambda ns: proved.extend(map(int, ns)) or proof(ns))
         pc = partial_constant(snap, 10 ** 12, 1000)
-        assert len(pc.term_list) == 100 and calls == [100 * len(primes_up_to(1000))]
+        assert len(pc.term_list) == 100 and calls == [100]
         assert len(passes) == -(-len(lanes) // analytic._LANE_CHUNK) and sum(passes) == len(lanes)
         assert sorted(proved) == sorted({p for _, p in lanes})
         # Smaller chunks split the fields over several calls, and change no number.
         calls.clear()
         monkeypatch.setattr(analytic, "_LANE_CHUNK", 64)  # 16 chunks hold 6 fields
         assert partial_constant(snap, 10 ** 12, 1000) == pc
-        assert calls == [6 * 168] * 16 + [4 * 168]
+        assert calls == [6] * 16 + [4]
 
     def test_kappa_annotation_constant(self):
         assert abs(KAPPA - 0.2784) < 1e-9

@@ -450,13 +450,13 @@ class TestPersistence:
 
 def _count_prescreen_work(monkeypatch) -> list:
     """Clear the irreducibility cache and record the prime of every factor_mod_p
-    call and of every lane of the batched prescreen (`_frobenius_lanes`)."""
+    call and every prime of every row of the batched prescreen (`_frobenius_lanes`)."""
     calls = []
     factor, lanes = octicount.analytic.factor_mod_p, octicount.analytic._frobenius_lanes
     monkeypatch.setattr(octicount.analytic, "factor_mod_p",
                         lambda f, p: calls.append(p) or factor(f, p))
     monkeypatch.setattr(octicount.analytic, "_frobenius_lanes",
-                        lambda fs, ps: calls.extend(ps) or lanes(fs, ps))
+                        lambda rows: calls.extend(p for _, ps in rows for p in ps) or lanes(rows))
     _is_irreducible.cache_clear()
     return calls
 
