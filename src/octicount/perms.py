@@ -1,11 +1,11 @@
 """Exact permutation-group engine for small degrees.
 
 Permutations act on {1..degree}.  Groups are given by generators; element
-lists, conjugacy data and the subgroup lattice are computed lazily and
-cached.  The subgroup lattice (the normal subgroups are its one-member
-classes) and the classes of Frobenius cosets run on a group's element index,
-an integer multiplication table built once per group; `Perm` and `PermGroup`
-are what goes in and out.  A lattice is computed by cyclic extension, inside
+lists and the subgroup lattice are computed lazily and cached.  The subgroup
+lattice (the normal subgroups are its one-member classes) and the classes
+of Frobenius cosets run on a group's element index, an integer
+multiplication table built once per group; `Perm` and `PermGroup` are what
+goes in and out.  A lattice is computed by cyclic extension, inside
 normalizers when Burnside's p^a q^b theorem makes the group solvable, and
 kept for the process: the lattice of a subgroup of the same degree is read
 off it, on the larger group's element index.  Each normalizer comes from the
@@ -167,7 +167,7 @@ def parse_cycle_string(degree: int, text: str) -> Perm:
 class PermGroup:
     """Group generated by permutations of a common degree.
 
-    Immutable; the element list, order and conjugacy classes are computed
+    Immutable; the element list, order and cycle-type census are computed
     once on first use.  Equality is equality of element sets.
     """
 
@@ -202,15 +202,6 @@ class PermGroup:
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
         return cls((), degree=degree)
-
-    @classmethod
-    def symmetric(cls, degree: int) -> "PermGroup":
-        if degree == 1:
-            return cls.trivial(1)
-        gens = [Perm.from_cycles(degree, [(1, 2)])]
-        if degree > 2:
-            gens.append(Perm.from_cycles(degree, [tuple(range(1, degree + 1))]))
-        return cls(gens)
 
     @cached_property
     def elements(self) -> frozenset[Perm]:
@@ -280,39 +271,6 @@ class PermGroup:
 
     def is_transitive(self) -> bool:
         return len(self.orbit(1)) == self.degree
-
-    @cached_property
-    def conjugacy_classes(self) -> list[frozenset[Perm]]:
-        """Conjugacy classes of elements, ordered by (cycle type, size, least
-        image tuple): a total order, fixed by the element set alone.
-
-        Each class is the orbit of one element under conjugation by the
-        generators.  The cycle type is constant on a class, so one element
-        gives it.
-        """
-        moves = [
-            lambda x, g=g, ginv=g.inverse(): g * x * ginv for g in self.generators
-        ]
-        remaining = set(self.elements)
-        classes = []
-        while remaining:
-            cls = frozenset(_orbit(next(iter(remaining)), moves))
-            classes.append(cls)
-            remaining -= cls
-        classes.sort(key=lambda c: (
-            next(iter(c)).cycle_type(), len(c), min(p.images for p in c)
-        ))
-        return classes
-
-    @cached_property
-    def _class_invariants(self) -> dict[Perm, tuple[int, int]]:
-        """(element order, conjugacy class size) of every element."""
-        out = {}
-        for cls in self.conjugacy_classes:
-            key = (next(iter(cls)).order(), len(cls))
-            for p in cls:
-                out[p] = key
-        return out
 
     @cached_property
     def _census(self) -> list[tuple[int, ...]]:
@@ -875,9 +833,11 @@ def _conjugators(g: Perm, b: Perm) -> Iterable[Perm]:
 def perm_isomorphic(A: PermGroup, B: PermGroup) -> Optional[Perm]:
     """Search for c with c A c^-1 = B; None when no conjugator exists.
 
-    Invariant prefilters (order, cycle-type census, transitivity), then
-    exact enumeration of the conjugators of one well-chosen generator.  Each
-    group computes its census once and keeps it.
+    Invariant prefilters (order, cycle-type census, orbit lengths and, for
+    transitive groups, the orbit lengths of a point stabilizer: all point
+    stabilizers of a transitive group are conjugate in it), then exact
+    enumeration of the conjugators of one well-chosen generator.  Each group
+    computes its census once and keeps it.
     The returned witness is re-verified before being handed back.
     """
     if A.degree != B.degree:
@@ -890,6 +850,9 @@ def perm_isomorphic(A: PermGroup, B: PermGroup) -> Optional[Perm]:
     if A._census != B._census:
         return None
     if sorted(map(len, A.orbits())) != sorted(map(len, B.orbits())):
+        return None
+    if A.is_transitive() and (sorted(map(len, A.stabilizer(1).orbits()))
+                              != sorted(map(len, B.stabilizer(1).orbits()))):
         return None
 
     gens = sorted(
@@ -917,115 +880,32 @@ def perm_isomorphic(A: PermGroup, B: PermGroup) -> Optional[Perm]:
     return None
 
 
-def small_generating_set(G: PermGroup) -> list[Perm]:
-    """Greedy small generating set, highest element orders first."""
-    elems = sorted(G.elements, key=lambda p: (-p.order(), p.images))
-    gens: list[Perm] = []
-    span = {G.identity}
-    for p in elems:
-        if p in span:
-            continue
-        gens.append(p)
-        span = set(PermGroup(gens, degree=G.degree).elements)
-        if len(span) == G.order:
-            break
-    return gens or [G.identity]
+def abstract_isomorphic(A: PermGroup, B: PermGroup) -> Optional[tuple[PermGroup, Perm]]:
+    """Abstract group isomorphism onto a transitive B, through A's coset actions.
 
+    A is isomorphic to B, of degree n, exactly when A acting on the left
+    cosets of some core-free subgroup K of index n is S_n-conjugate to B.
+    An isomorphism pulls B's point stabilizer back to such a K, and A's
+    action on the cosets of K is then equivalent to B's on its points;
+    conversely, a core-free K makes that action faithful.  Conjugate
+    subgroups give conjugate actions, so one K per class of A's lattice is
+    tried.  Groups of unequal order or element-order multiset are rejected
+    first, the orders read from the cached cycle-type censuses.
 
-def _extend_hom(
-    phi: dict[Perm, Perm], pairs: list[tuple[Perm, Perm]]
-) -> Optional[dict[Perm, Perm]]:
-    """Extend an injective homomorphism by one more generator image.
-
-    `phi` is an injective homomorphism on the subgroup generated by the
-    domain elements of pairs[:-1]; pairs[-1] is the new generator and its
-    proposed image.  Returns the injective homomorphism on the subgroup
-    generated by all of them, or None when a product conflicts or an image
-    repeats.  Elements already in the domain are multiplied by the new
-    generator only: their products with the old ones were checked before.
+    Returns (K, c) with c image c^-1 = B for the image of A on the cosets of
+    K, or None.  Both parts are checked where they are made: `coset_action`
+    counts its cosets and `perm_isomorphic` re-verifies c.  Degrees may
+    differ; B's may not exceed ISO_DEGREE_CAP.
     """
-    phi = dict(phi)
-    used = set(phi.values())
-    queue = [(a, fa, pairs[-1:]) for a, fa in phi.items()]
-    while queue:
-        a, fa, steps = queue.pop()
-        for g, fg in steps:
-            ag = a * g
-            fag = fa * fg
-            known = phi.get(ag)
-            if known is None:
-                if fag in used:
-                    return None
-                phi[ag] = fag
-                used.add(fag)
-                queue.append((ag, fag, pairs))
-            elif known != fag:
-                return None
-    return phi
-
-
-def _check_isomorphism(
-    phi: dict[Perm, Perm], gens: list[Perm], A: PermGroup, B: PermGroup
-) -> None:
-    """Raise unless phi is a bijection A -> B respecting products with gens.
-
-    For gens generating A, phi(a g) = phi(a) phi(g) for every a in A and g in
-    gens makes phi a homomorphism, as every element is a word in gens.
-    """
-    if set(phi) != A.elements or set(phi.values()) != B.elements:
-        raise RuntimeError("isomorphism witness is not a bijection A -> B")
-    for a, fa in phi.items():
-        for g in gens:
-            if phi[a * g] != fa * phi[g]:
-                raise RuntimeError("isomorphism witness does not respect products")
-
-
-def abstract_isomorphic(A: PermGroup, B: PermGroup) -> bool:
-    """Abstract group isomorphism, by class-restricted generator backtracking.
-
-    Degrees may differ.  Groups are first compared by the multiset of
-    (element order, class size), which also fixes the order of the centre.
-    A generating set of A is then mapped one generator at a time: the first
-    image ranges over one representative per conjugacy class of B (composing
-    with an inner automorphism of B moves it to any conjugate), later images
-    over the elements of B with matching (order, class size).  Each choice
-    extends the map over the subgroup generated so far and is dropped at the
-    first conflicting product or repeated image.  A complete map is
-    re-verified as a bijective homomorphism before True is returned.
-    """
-    if A.order != B.order:
-        return False
-    inv_a = A._class_invariants
-    inv_b = B._class_invariants
-    if Counter(inv_a.values()) != Counter(inv_b.values()):
-        return False
-
-    candidates: dict[tuple[int, int], list[Perm]] = {}
-    for p in sorted(B.elements, key=lambda p: p.images):
-        candidates.setdefault(inv_b[p], []).append(p)
-    class_reps: dict[tuple[int, int], list[Perm]] = {}
-    for cls in B.conjugacy_classes:
-        rep = min(cls, key=lambda p: p.images)
-        class_reps.setdefault(inv_b[rep], []).append(rep)
-
-    gens = small_generating_set(A)
-
-    def search(phi: dict[Perm, Perm], pairs: list[tuple[Perm, Perm]]):
-        k = len(pairs)
-        if k == len(gens):
-            return phi
-        g = gens[k]
-        for b in (class_reps if k == 0 else candidates).get(inv_a[g], ()):
-            step = pairs + [(g, b)]
-            extended = _extend_hom(phi, step)
-            if extended is not None:
-                found = search(extended, step)
-                if found is not None:
-                    return found
+    if not B.is_transitive():
+        raise ValueError(f"abstract_isomorphic needs a transitive B, got {B!r}")
+    if A.order != B.order or (Counter(lcm(*t) for t in A._census)
+                              != Counter(lcm(*t) for t in B._census)):
         return None
-
-    phi = search({A.identity: B.identity}, [])
-    if phi is None:
-        return False
-    _check_isomorphism(phi, gens, A, B)
-    return True
+    for cls in subgroup_classes(A):
+        if cls.order * B.degree == A.order and cls.core_order == 1:
+            K = cls.representative
+            c = perm_isomorphic(coset_action(A, K).image(), B)
+            if c is not None:
+                return K, c
+    return None

@@ -102,7 +102,8 @@ def verify_classification() -> VerificationReport:
     classes = transitive_degree8_classes()
     reps = [c.representative for c in classes]
     s8_buckets = _fuse(reps, lambda a, b: perm_isomorphic(a, b) is not None)
-    abstract_buckets = _fuse([b[0] for b in s8_buckets], abstract_isomorphic)
+    abstract_buckets = _fuse([b[0] for b in s8_buckets],
+                             lambda a, b: abstract_isomorphic(a, b) is not None)
     report.details["transitive_classes_wreath_conjugacy"] = len(classes)
     report.details["transitive_classes_s8_conjugacy"] = len(s8_buckets)
     report.details["transitive_isomorphism_types"] = len(abstract_buckets)

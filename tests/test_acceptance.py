@@ -140,11 +140,12 @@ def test_criterion_4_splitting_oracle_agreement():
     from octicount.catalog import LABELS, catalog_group, octic_action, quartic_action
     from octicount.perms import PermGroup, coset_action
     from octicount.splitting import TameConfig, enumerate_tame_configs, splitting_symbol
+    from test_perms import symmetric
     from test_splitting import all_configs_naive, naive_symbol
 
     total = mismatches = 0
     for degree in (3, 4):
-        G = PermGroup.symmetric(degree)
+        G = symmetric(degree)
         act = coset_action(G, G.stabilizer(1))
         for tau, D, sigma in all_configs_naive(G):
             cfg = TameConfig(group=G, inertia_gen=tau, frobenius=sigma)

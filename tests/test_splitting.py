@@ -16,7 +16,7 @@ from octicount.perms import (
     parse_cycle_string,
 )
 from octicount import splitting
-from test_perms import action_kernel, brute_force_subgroups
+from test_perms import action_kernel, brute_force_subgroups, symmetric
 from octicount.splitting import (
     SplittingSymbol,
     TameConfig,
@@ -82,7 +82,7 @@ def all_configs_naive(G: PermGroup):
 class TestOracleAgreement:
     @pytest.mark.parametrize("degree", [3, 4])
     def test_all_subgroup_configurations(self, degree):
-        G = PermGroup.symmetric(degree)
+        G = symmetric(degree)
         act = coset_action(G, G.stabilizer(1))
         n = 0
         for tau, D, sigma in all_configs_naive(G):
@@ -111,7 +111,7 @@ class TestOracleAgreement:
 
 class TestSymbolExamples:
     def test_s3_ramified_transposition(self):
-        G = PermGroup.symmetric(3)
+        G = symmetric(3)
         tau = P(3, "(1,2)")
         cfg = TameConfig(
             group=G,
@@ -122,7 +122,7 @@ class TestSymbolExamples:
         assert sym.pairs == ((1, 1), (2, 1))
 
     def test_inert_cubic(self):
-        G = PermGroup.symmetric(3)
+        G = symmetric(3)
         sigma = P(3, "(1,2,3)")
         cfg = TameConfig(
             group=G,
@@ -133,7 +133,7 @@ class TestSymbolExamples:
         assert sym.pairs == ((1, 3),)
 
     def test_totally_ramified_8cycle(self):
-        G = PermGroup.symmetric(8)
+        G = symmetric(8)
         tau = P(8, "(1,2,3,4,5,6,7,8)")
         cfg = TameConfig(
             group=G,
@@ -154,7 +154,7 @@ class TestConfigChecks:
         gens = [P(3, g) for g in decomposition.split()]
         with pytest.raises(ValueError, match="not normal"):
             TameConfig(
-                group=PermGroup.symmetric(3),
+                group=symmetric(3),
                 inertia_gen=P(3, inertia),
                 frobenius=gens[-1],
             )
@@ -214,7 +214,7 @@ class TestValuationProfiles:
 
 class TestEnumeration:
     def test_s3_transposition_config(self):
-        G = PermGroup.symmetric(3)
+        G = symmetric(3)
         configs = enumerate_tame_configs(G)
         trans = [c for c in configs if c.inertia_gen.order() == 2]
         # One class of transpositions; N(I) = I, so D = I and Frobenius
@@ -243,7 +243,7 @@ class TestEnumeration:
     def test_e_times_f_is_the_order_of_tau_and_sigma(self, name):
         # Oracle for f: |D| from closing D = <tau, sigma>, which the package
         # never builds.
-        G = PermGroup.symmetric(int(name[1:])) if name[0] == "S" else catalog_group(name)
+        G = symmetric(int(name[1:])) if name[0] == "S" else catalog_group(name)
         for cfg in enumerate_tame_configs(G):
             D = PermGroup([cfg.inertia_gen, cfg.frobenius], degree=G.degree)
             assert cfg.e * cfg.f == D.order
@@ -254,7 +254,7 @@ class TestEnumeration:
         # pinned in tame_configs.json from the enumeration by Perm products;
         # |D| = |<tau, sigma>| is e * f.
         pinned = json.loads((Path(__file__).parent / "data" / "tame_configs.json").read_text())
-        G = PermGroup.symmetric(int(name[1:])) if name[0] == "S" else catalog_group(name)
+        G = symmetric(int(name[1:])) if name[0] == "S" else catalog_group(name)
         assert [
             [list(c.inertia_gen.images), list(c.frobenius.images), c.e * c.f]
             for c in enumerate_tame_configs(G)
