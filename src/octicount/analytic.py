@@ -477,17 +477,14 @@ def _local_factors(records: Sequence, primes: Sequence[int]
     """Each record's residue degrees, ramified flags and trusted flags at primes, in turn.
 
     The primes ascend.  One `_frobenius_lanes` call takes one row (f, primes)
-    per record, for up to 16 lane chunks of records (one at least).  The
-    trust test q mod p, q = disc(f)/disc(K), runs on int64 lanes for every
-    prime 2 <= p <= MAX_PRIME_BOUND (q = 0 when disc(K) does not divide
-    disc(f), so no prime is trusted).  The primes that are no lane go to
-    `factor_mod_p` at their record's turn, so its errors name their record;
+    per record, for up to 16 lane chunks of records (one at least).  A prime
+    is trusted when it does not divide q = disc(f)/disc(K), and q = 0 when
+    disc(K) does not divide disc(f), so that no prime is trusted.  A lane
+    prime does not divide disc(f) = q disc(K), so it is trusted whenever
+    q != 0.  The primes that are no lane go to `factor_mod_p`, and to the
+    test q mod p, at their record's turn, so its errors name their record;
     at p = 2 and 3 one answer per f mod p serves every record of the call.
     """
-    import numpy as np
-
-    lo, hi = bisect_left(primes, 2), bisect_right(primes, MAX_PRIME_BOUND)
-    sieve = np.array(primes[lo:hi], np.int64)
     small: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, int], ...]] = {}
     step = max(1, 16 * _LANE_CHUNK // len(primes))
     for start in range(0, len(records), step):
@@ -497,12 +494,9 @@ def _local_factors(records: Sequence, primes: Sequence[int]
         for rec, f in zip(batch, polys):
             q, r = divmod(_poly_disc(f), rec.disc)
             quotients.append(0 if r else q)
-        row = np.arange(len(batch)).repeat(len(sieve))
-        on_sieve = (_residues([(q,) for q in quotients], row,
-                              np.tile(sieve, len(batch)))[0] != 0).tolist()
         lanes = _frobenius_lanes([(f, primes) for f in polys])
-        for i, (f, q, degrees) in enumerate(zip(polys, quotients, lanes)):
-            ramified = [False] * len(primes)
+        for f, q, degrees in zip(polys, quotients, lanes):
+            ramified, trusted = [False] * len(primes), [q != 0] * len(primes)
             for k in list(compress(range(len(primes)), map(operator.is_, degrees, repeat(None)))):
                 p = primes[k]
                 if p in (2, 3):
@@ -514,9 +508,8 @@ def _local_factors(records: Sequence, primes: Sequence[int]
                     pattern = factor_mod_p(f, p)
                 degrees[k] = tuple(sorted(d for d, _ in pattern))
                 ramified[k] = any(mult > 1 for _, mult in pattern)
-            trusted = on_sieve[i * len(sieve):(i + 1) * len(sieve)]
-            yield degrees, ramified, ([q % p != 0 for p in primes[:lo]] + trusted
-                                      + [q % p != 0 for p in primes[hi:]])
+                trusted[k] = q % p != 0
+            yield degrees, ramified, trusted
 
 
 def local_factor_data(record, p: int) -> LocalFactorData:

@@ -118,7 +118,10 @@ def _parse_checkpoints(spec: str) -> list[int]:
     (hi/lo)^(1/(n-1)) is a fixed-point integer with enough fraction bits
     that every point is within 2^-50 of its exact value.  The step is within
     one unit of its floor, so its relative error is below 2^(1-bits), and the
-    n-1 products add less than one unit each.
+    n-1 products add less than one unit each.  A point that close to a
+    half-integer m - 1/2 is rounded by an exact test in integers: point i
+    is at least m - 1/2 exactly when (2m-1)^(n-1) den <= 2^(n-1) num, for
+    num/den = lo^(n-1-i) hi^i, its (n-1)-th power.
     """
     if ":" in spec:
         parts = spec.split(":")
@@ -136,9 +139,14 @@ def _parse_checkpoints(spec: str) -> list[int]:
         bits = math.ceil(hi).bit_length() + k.bit_length() + 53
         guess = int(Fraction((hi_f / lo_f) ** (1 / k)) * 2 ** bits)
         step = _fixed_root(ratio, k, bits, guess)
+        half, slack = 1 << bits - 1, 1 << bits - 50
         point, points = (lo.numerator << bits) // lo.denominator, []
-        for _ in range(k):
-            points.append((point + (1 << bits - 1)) >> bits)
+        for i in range(k):
+            m = (point + half + slack) >> bits
+            if abs(point + half - (m << bits)) <= slack:  # at or near m - 1/2: decide exactly
+                power = lo ** (k - i) * hi ** i
+                m -= (2 * m - 1) ** k * power.denominator > 2 ** k * power.numerator
+            points.append(m)
             point = point * step >> bits
         points.append(math.floor(hi))
         out = []

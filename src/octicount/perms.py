@@ -1,19 +1,22 @@
 """Exact permutation-group engine for small degrees.
 
-Permutations act on {1..degree}.  Groups are given by generators; element
-lists and the subgroup lattice are computed lazily and cached.  The subgroup
-lattice (the normal subgroups are its one-member classes) and the classes
-of Frobenius cosets run on a group's element index, an integer
-multiplication table built once per group; `Perm` and `PermGroup` are what
-goes in and out.  A lattice is computed by cyclic extension, inside
-normalizers when Burnside's p^a q^b theorem makes the group solvable, and
-kept for the process: the lattice of a subgroup of the same degree is read
-off it, on the larger group's element index.  Each normalizer comes from the
-conjugacy orbit of its subgroup by orbit-stabilizer, with Schreier
-generators, never from a scan of the group.  A class keeps its members as
-element numbers, and turns them into `Perm` sets only when they are read.
-Everything is exact integer arithmetic, sized for groups of order a few
-hundred (the largest group this project cares about has order 384).
+Permutations act on {1..degree}.  A `Perm` is the tuple of its images, so
+it hashes, compares and sorts as that tuple: image order is tuple order.
+Groups are given by generators; element sets (closed by the same
+breadth-first search as point orbits) and the subgroup lattice are computed
+lazily and cached.  The subgroup lattice (the normal subgroups are its
+one-member classes) and the classes of Frobenius cosets run on a group's
+element index, an integer multiplication table built once per group; `Perm`
+and `PermGroup` are what goes in and out.  A lattice is computed by cyclic
+extension, inside normalizers when Burnside's p^a q^b theorem makes the
+group solvable, and kept for the process: the lattice of a subgroup of the
+same degree is read off it, on the larger group's element index.  Each
+normalizer comes from the conjugacy orbit of its subgroup by
+orbit-stabilizer, with Schreier generators, never from a scan of the group.
+A class keeps its members as element numbers, and turns them into `Perm`
+sets only when they are read.  Everything is exact integer arithmetic,
+sized for groups of order a few hundred (the largest group this project
+cares about has order 384).
 """
 
 from __future__ import annotations
@@ -36,35 +39,25 @@ class GroupTooLargeError(ValueError):
     """Raised when an enumeration would exceed a hard size cap."""
 
 
-class Perm:
-    """A permutation of {1..degree}, stored as its tuple of images."""
+class Perm(tuple):
+    """A permutation of {1..degree}, which is the tuple of its images.
+    Products and inverses are bijections by construction and build the tuple
+    directly; only the public constructor checks."""
 
-    __slots__ = ("degree", "images")
+    __slots__ = ()
 
-    def __init__(self, images: Iterable[int]):
+    def __new__(cls, images: Iterable[int]):
         images = tuple(images)
         n = len(images)
         if not 1 <= n <= MAX_DEGREE:
             raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {n}")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {images}")
-        object.__setattr__(self, "degree", n)
-        object.__setattr__(self, "images", images)
+        return tuple.__new__(cls, images)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
-
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
-        """Wrap an image tuple already known to be a bijection, unchecked.
-
-        Products and inverses of permutations are bijections by construction,
-        so only the public constructors validate.
-        """
-        p = object.__new__(cls)
-        object.__setattr__(p, "degree", len(images))
-        object.__setattr__(p, "images", images)
-        return p
+    @property
+    def degree(self) -> int:
+        return len(self)
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -86,43 +79,32 @@ class Perm:
         return cls(images)
 
     def __call__(self, point: int) -> int:
-        return self.images[point - 1]
+        return self[point - 1]
 
     def __mul__(self, other: "Perm") -> "Perm":
         # (p * q)(x) = p(q(x))
-        if self.degree != other.degree:
+        if len(self) != len(other):
             raise ValueError("degree mismatch")
-        imgs = self.images
-        return Perm._trusted(tuple([imgs[i - 1] for i in other.images]))
+        return tuple.__new__(Perm, [self[i - 1] for i in other])
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for i, y in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, y in enumerate(self):
             inv[y - 1] = i + 1
-        return Perm._trusted(tuple(inv))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
+        return tuple.__new__(Perm, inv)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Every cycle, fixed points included, each starting at its least
         point, in order of those points."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            x = self(start)
-            while x != start:
-                cyc.append(x)
-                seen[x - 1] = True
-                x = self(x)
-            out.append(tuple(cyc))
+        seen, out = set(), []
+        for start in range(1, len(self) + 1):
+            if start not in seen:
+                cyc, x = [start], self[start - 1]
+                while x != start:
+                    cyc.append(x)
+                    x = self[x - 1]
+                seen.update(cyc)
+                out.append(tuple(cyc))
         return out
 
     def cycle_type(self) -> tuple[int, ...]:
@@ -131,7 +113,8 @@ class Perm:
 
     @property
     def index(self) -> int:
-        """degree minus the number of orbits; drives tame discriminant valuations."""
+        """degree minus the number of orbits; drives tame discriminant valuations.
+        It shadows `tuple.index`, which a `Perm` never needs."""
         return self.degree - len(self.cycles())
 
     def order(self) -> int:
@@ -141,7 +124,7 @@ class Perm:
         return self.index % 2 == 0
 
     def is_identity(self) -> bool:
-        return all(self.images[i] == i + 1 for i in range(self.degree))
+        return all(x == i for i, x in enumerate(self, 1))
 
     def cycle_string(self) -> str:
         return "".join("(" + ",".join(map(str, c)) + ")"
@@ -205,23 +188,8 @@ class PermGroup:
 
     @cached_property
     def elements(self) -> frozenset[Perm]:
-        ident = Perm.identity(self.degree)
-        elems = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = x * g
-                    if y not in elems:
-                        elems.add(y)
-                        nxt.append(y)
-                        if len(elems) > MAX_ELEMENTS:
-                            raise GroupTooLargeError(
-                                f"group exceeds {MAX_ELEMENTS} elements"
-                            )
-            frontier = nxt
-        return frozenset(elems)
+        moves = [lambda x, g=g: x * g for g in self.generators]
+        return frozenset(_orbit(self.identity, moves))
 
     @cached_property
     def order(self) -> int:
@@ -232,7 +200,7 @@ class PermGroup:
         return Perm.identity(self.degree)
 
     def __contains__(self, g: Perm) -> bool:
-        return g.degree == self.degree and g in self.elements
+        return g in self.elements  # a Perm of another degree is a longer or shorter tuple
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PermGroup):
@@ -295,7 +263,7 @@ class PermGroup:
             raise GroupTooLargeError(
                 f"subgroup computations capped at order {SUBGROUP_ORDER_CAP}"
             )
-        return sorted(self.elements, key=lambda p: p.images)
+        return sorted(self.elements)
 
     @cached_property
     def _num(self) -> dict[Perm, int]:
@@ -307,14 +275,11 @@ class PermGroup:
 
     @cached_property
     def _right(self) -> list[list[int]]:
-        elems = self._elems
-        by_images = {p.images: i for i, p in enumerate(elems)}
+        elems, num = self._elems, self._num
         gen_maps = []  # right multiplication by each generator, on image tuples
         for g in self.generators:
-            shift = [x - 1 for x in g.images]
-            gen_maps.append(
-                [by_images[tuple(map(p.images.__getitem__, shift))] for p in elems]
-            )
+            shift = [x - 1 for x in g]
+            gen_maps.append([num[tuple(map(p.__getitem__, shift))] for p in elems])
         # Every element is t * g for an earlier t in breadth-first order, and
         # x * (t * g) = (x * t) * g, so each column is a generator map applied
         # to an earlier column.
@@ -351,7 +316,7 @@ def _orbit(seed, moves) -> set:
 
     When the maps are a group's generators acting on some set, this is the
     orbit under the whole group: a finite group is generated as a monoid by
-    any set of group generators.
+    any set of group generators.  More than MAX_ELEMENTS points raise.
     """
     seen = {seed}
     frontier = [seed]
@@ -363,6 +328,8 @@ def _orbit(seed, moves) -> set:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+                    if len(seen) > MAX_ELEMENTS:
+                        raise GroupTooLargeError(f"group exceeds {MAX_ELEMENTS} elements")
         frontier = nxt
     return seen
 
@@ -757,17 +724,13 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
     h_elems = list(H.elements)
     coset_of: dict[Perm, int] = dict.fromkeys(h_elems, 1)
     reps = [G.identity]
-    queue = [G.identity]
-    while queue:
-        r = queue.pop(0)
+    for r in reps:  # breadth-first: reps grows as it is walked
         for g in G.generators:
             x = g * r
             if x not in coset_of:
-                k = len(reps) + 1
-                for h in h_elems:
-                    coset_of[x * h] = k
                 reps.append(x)
-                queue.append(x)
+                for h in h_elems:
+                    coset_of[x * h] = len(reps)
     if len(reps) != index:
         raise RuntimeError(
             f"found {len(reps)} cosets, expected |G|/|H| = {index}: H is not closed"
@@ -865,7 +828,7 @@ def perm_isomorphic(A: PermGroup, B: PermGroup) -> Optional[Perm]:
     g1 = gens[0]
     rest = gens[1:]
     t1 = g1.cycle_type()
-    for b1 in sorted(b_set, key=lambda p: p.images):
+    for b1 in sorted(b_set):
         if b1.cycle_type() != t1:
             continue
         for c in _conjugators(g1, b1):

@@ -129,7 +129,7 @@ def enumerate_tame_configs(G: PermGroup) -> list[TameConfig]:
         tau = I.generators[0]
         configs += (TameConfig(group=G, inertia_gen=tau, frobenius=sigma)
                     for sigma in coset_class_minima(G, I, cls.normalizer))
-    configs.sort(key=lambda c: (c.e, c.f, c.inertia_gen.images, c.frobenius.images))
+    configs.sort(key=lambda c: (c.e, c.f, c.inertia_gen, c.frobenius))
     return configs
 
 

@@ -61,7 +61,7 @@ def _sympy_index_set(label: str) -> set[int]:
     from octicount.catalog import catalog_group
 
     G = PermutationGroup(
-        [Permutation([i - 1 for i in g.images]) for g in catalog_group(label).generators]
+        [Permutation([i - 1 for i in g]) for g in catalog_group(label).generators]
     )
     assert G.degree == 8 and G.is_transitive()
     assert G.order() == catalog_group(label).order

@@ -161,7 +161,7 @@ def quartic_by_least_conjugator(G: PermGroup, H_L: PermGroup) -> list[PermGroup]
         if cls.order * 4 != G.order:
             continue
         R = cls.representative.elements
-        for g in sorted(G.elements, key=lambda p: p.images):
+        for g in sorted(G.elements, key=tuple):
             ginv = g.inverse()
             H_K = frozenset(g * h * ginv for h in R)
             if H_L.elements <= H_K:

@@ -169,6 +169,9 @@ class TestExitCodes:
         ("141717264645719547676317371420:4789302101776266250498516669819:12", None),
         ("0.37:12345.6:9", None),
         ("1e6:1e18:200", None),
+        # Points 4.5, 7.5 and 2.5 are exact ties, which round up.
+        ("2.7:12.5:4", [3, 5, 8, 12]),
+        ("0.4:15.625:3", [0, 3, 15]),
     ])
     def test_geometric_checkpoints_are_exact(self, spec, expected):
         # Against each point rounded half up from 80-digit decimal arithmetic,

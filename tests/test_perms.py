@@ -9,7 +9,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -137,6 +137,41 @@ class TestPermBasics:
         with pytest.raises(ValueError):
             Perm.from_cycles(3, [(1, 4)])
 
+    @pytest.mark.parametrize("images", [(1, 1, 2), (2, 3), (0, 1), (), range(1, MAX_DEGREE + 2)])
+    def test_constructor_refuses_non_bijections_and_bad_degrees(self, images):
+        with pytest.raises(ValueError, match="not a bijection|degree must be in"):
+            Perm(images)
+
+    def test_perm_is_its_image_tuple(self):
+        g, images = P(4, "(1,3)(2,4)"), (3, 4, 1, 2)
+        assert isinstance(g, tuple) and tuple(g) == images and g.degree == 4
+        assert g == images and hash(g) == hash(images)
+        assert images in {g} and {g: "g"}[images] == "g"
+        gs = [P(3, "(1,2,3)"), P(3, "(2,3)"), Perm.identity(3), P(3, "(1,3)")]
+        assert sorted(gs) == sorted(gs, key=tuple)
+        assert len(Perm(range(1, MAX_DEGREE + 1))) == MAX_DEGREE
+
+    def test_elements_sort_in_image_order(self):
+        G = symmetric(4)
+        assert sorted(G.elements) == sorted(G.elements, key=tuple)
+        assert sorted(G.elements) == sorted(permutations(range(1, 5)))
+
+    def test_perm_is_immutable(self):
+        g = P(3, "(1,2)")
+        for name in ("degree", "images", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, (1, 2, 3))
+        assert g == (2, 1, 3)
+
+    def test_products_take_perms_only(self):
+        a, b = P(3, "(1,2)"), P(3, "(2,3)")
+        assert type(a * b) is Perm and a * b == (2, 3, 1)
+        assert type(a.inverse()) is Perm
+        with pytest.raises(TypeError):
+            a * 3
+        with pytest.raises(ValueError, match="degree mismatch"):
+            a * Perm.identity(4)
+
 
 class TestPermGroup:
     def test_order_cross_check(self):
@@ -148,6 +183,11 @@ class TestPermGroup:
         elems = G.elements
         assert all(a * b in elems for a in G.generators for b in elems)
         assert all(a.inverse() in elems for a in elems)
+
+    def test_closure_is_capped(self, monkeypatch):
+        monkeypatch.setattr(perms, "MAX_ELEMENTS", 23)
+        with pytest.raises(GroupTooLargeError, match="group exceeds 23 elements"):
+            symmetric(4).elements
 
 
 class TestMalle:
@@ -181,7 +221,7 @@ def brute_force_subgroups(G: PermGroup, max_gens: int = 3) -> set[frozenset]:
     plain closure.  <a, b, ...> depends only on <a>, <b>, ..., so one
     generator of each cyclic subgroup stands for all of its generators."""
     cyclic = {}  # element set of <g> -> its least generator g
-    for g in sorted(G.elements, key=lambda p: p.images):
+    for g in sorted(G.elements, key=tuple):
         cyclic.setdefault(frozenset(PermGroup([g]).elements), g)
     found = {frozenset([G.identity])}
     for k in range(1, max_gens + 1):
@@ -264,10 +304,10 @@ class TestSubgroupLattice:
                 H = cls.representative
                 if len(H.generators) != 1 or H.order == 1:
                     continue
-                least = min(sorted(p.images for p in c) for c in conjugates(G, H))
-                assert sorted(p.images for p in H.elements) == least
+                least = min(sorted(map(tuple, c)) for c in conjugates(G, H))
+                assert sorted(map(tuple, H.elements)) == least
                 gens = [g for g in H.elements if g.order() == H.order]
-                assert H.generators[0] == min(gens, key=lambda p: p.images)
+                assert H.generators[0] == min(gens, key=tuple)
 
     def test_8T23_brute_force(self):
         # GL(2,3) has order 2^4 3, so its lattice takes the solvable route,
@@ -456,7 +496,7 @@ def action_kernel(act) -> frozenset:
 
 def small_generating_set(G: PermGroup) -> list[Perm]:
     """Greedy small generating set, highest element orders first."""
-    elems = sorted(G.elements, key=lambda p: (-p.order(), p.images))
+    elems = sorted(G.elements, key=lambda p: (-p.order(), tuple(p)))
     gens: list[Perm] = []
     span = {G.identity}
     for p in elems:
@@ -613,7 +653,7 @@ def _sympy_perm_group(gens):
     """sympy.combinatorics group on the given generators, points shifted to 0.."""
     from sympy.combinatorics import Permutation, PermutationGroup
 
-    return PermutationGroup([Permutation([i - 1 for i in g.images]) for g in gens])
+    return PermutationGroup([Permutation([i - 1 for i in g]) for g in gens])
 
 
 @lru_cache(maxsize=None)
@@ -639,13 +679,13 @@ def sympy_isomorphic(A: PermGroup, B: PermGroup) -> bool:
     (_, first), (other, second) = sorted(
         ((G, _sympy_group(G)) for G in (A, B)),
         key=lambda pair: (len(pair[1].generators), pair[0].degree))
-    everything = _sympy_perm_group(sorted(other.elements, key=lambda p: p.images))
+    everything = _sympy_perm_group(sorted(other.elements, key=tuple))
     return bool(is_isomorphic(first, second) or is_isomorphic(first, everything))
 
 
 @lru_cache(maxsize=None)
 def _wreath_elements() -> tuple[Perm, ...]:
-    return tuple(sorted(wreath_c2_s4().elements, key=lambda p: p.images))
+    return tuple(sorted(wreath_c2_s4().elements, key=tuple))
 
 
 class TestSympyDifferential:

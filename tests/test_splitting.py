@@ -68,12 +68,12 @@ def all_configs_naive(G: PermGroup):
     """Every (tau, D, sigma) with <tau> normal in D and D/<tau> generated by
     a coset: a double loop over elements and subgroups, no dedup."""
     subs = [PermGroup.from_elements(s, G.degree) for s in brute_force_subgroups(G)]
-    for tau in sorted(G.elements, key=lambda p: p.images):
+    for tau in sorted(G.elements, key=tuple):
         I = PermGroup([tau], degree=G.degree)
         for D in subs:
             if not I.is_subgroup_of(D) or not I.is_normal_in(D):
                 continue
-            for sigma in sorted(D.elements, key=lambda p: p.images):
+            for sigma in sorted(D.elements, key=tuple):
                 gen = PermGroup(list(I.elements) + [sigma], degree=G.degree)
                 if gen.order == D.order:
                     yield tau, D, sigma
@@ -256,7 +256,7 @@ class TestEnumeration:
         pinned = json.loads((Path(__file__).parent / "data" / "tame_configs.json").read_text())
         G = symmetric(int(name[1:])) if name[0] == "S" else catalog_group(name)
         assert [
-            [list(c.inertia_gen.images), list(c.frobenius.images), c.e * c.f]
+            [list(c.inertia_gen), list(c.frobenius), c.e * c.f]
             for c in enumerate_tame_configs(G)
         ] == pinned[name]
 
@@ -269,7 +269,7 @@ class TestEnumeration:
         lab = "8T23"
         G = catalog_group(lab)
         octic = octic_action(lab)
-        g0 = sorted(G.elements, key=lambda p: p.images)[7]
+        g0 = sorted(G.elements, key=tuple)[7]
         g0inv = g0.inverse()
         for cfg in enumerate_tame_configs(G)[:6]:
             conj = TameConfig(
