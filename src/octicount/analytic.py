@@ -24,10 +24,9 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, compress, repeat
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arith import is_prime, is_prime_lanes, powmod_lanes, primes_up_to
 from .nfdata import QUARTIC_LABEL, Snapshot, query
@@ -52,8 +51,7 @@ KAPPA = 0.2784
 MAX_PRIME_BOUND = 10 ** 7
 
 
-@dataclass(frozen=True)
-class LocalFactorData:
+class LocalFactorData(NamedTuple):
     """Residue degrees of the primes above p, with trust bookkeeping."""
 
     p: int
@@ -62,20 +60,23 @@ class LocalFactorData:
     trusted: bool
 
 
-@dataclass(frozen=True)
-class ZetaValue:
-    value: float
-    error_bound: float
+class ZetaValue(tuple):
+    """A positive value with a finite error bound: the tuple (value, error_bound)."""
 
-    def __post_init__(self):
-        if not (math.isfinite(self.error_bound) and self.error_bound >= 0):
+    __slots__ = ()
+
+    def __new__(cls, value: float, error_bound: float):
+        if not (math.isfinite(error_bound) and error_bound >= 0):
             raise ValueError("error bound must be finite and nonnegative")
-        if not (self.value > 0):
+        if not (value > 0):
             raise ValueError("zeta values here are positive")
+        return tuple.__new__(cls, (value, error_bound))
+
+    value = property(operator.itemgetter(0))
+    error_bound = property(operator.itemgetter(1))
 
 
-@dataclass(frozen=True)
-class PartialConstant:
+class PartialConstant(NamedTuple):
     """Partial sum C(Z) of the leading-constant series over quartic fields."""
 
     value: float

@@ -12,7 +12,6 @@ writes nothing to stdout or stderr; `run` writes the result.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import io
 import json
@@ -20,7 +19,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, TextIO
 
@@ -34,6 +32,8 @@ _Result = tuple[object, list[str], int]
 
 
 def _now() -> str:
+    from datetime import datetime, timezone  # here: only --stamp reads the clock
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
@@ -252,6 +252,8 @@ def _cmd_query(args) -> _Result:
                         max_abs_disc=args.max_disc)
     rows = [_rec_row(r) for r in recs]
     if args.csv:
+        import csv  # here, so that only the commands that write CSV load it
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else
                                 ["label", "degree", "galois", "disc", "abs_disc", "parent_label"])
@@ -268,6 +270,8 @@ def _cmd_constant(args) -> _Result:
         snap = nfdata.load(args.store)
         pc = analytic.partial_constant(snap, args.max_disc, args.prime_bound)
         if fh is not None:
+            import csv
+
             writer = csv.writer(fh)
             writer.writerow(["label", "term", "error_bound"])
             for label, val, err in pc.term_list:
@@ -293,6 +297,8 @@ def _cmd_count(args) -> _Result:
         series = counting.count_series(snap, args.galois or list(LABELS), checkpoints)
         rows = list(zip(series.checkpoints, series.counts))
         if fh is not None:
+            import csv
+
             writer = csv.writer(fh)
             writer.writerow(["X", "N"])
             writer.writerows(rows)

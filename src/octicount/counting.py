@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .analytic import PartialConstant
 from .nfdata import QUARTIC_LABEL, FieldRecord, Snapshot, query
@@ -49,31 +48,35 @@ def _rad(factors: Iterable[tuple[int, int]]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class RelDiscSplit:
-    """Support-based factorization of Nm and |disc K| for one octic/parent pair.
+class RelDiscSplit(tuple):
+    """Support-based factorization of Nm and |disc K| for one octic/parent pair:
+    the tuple (norm, n0, n1, n2, d0, d1, d2, norm_factors).
 
     norm = n0 n1 n2 with n2 the {2,3}-part, n0 carrying the primes shared
     with disc K, n1 the rest; |disc K| = d0 d1 d2 symmetrically with d0
     carrying the primes shared with norm.
     """
 
-    norm: int
-    n0: int
-    n1: int
-    n2: int
-    d0: int
-    d1: int
-    d2: int
-    norm_factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n0 * self.n1 * self.n2 != self.norm:
+    def __new__(cls, norm: int, n0: int, n1: int, n2: int, d0: int, d1: int, d2: int,
+                norm_factors: tuple[tuple[int, int], ...]):
+        if n0 * n1 * n2 != norm:
             raise ValueError("norm split does not recombine")
-        if gcd(self.n0, 6) != 1 or gcd(self.n1, 6) != 1:
+        if gcd(n0, 6) != 1 or gcd(n1, 6) != 1:
             raise ValueError("n0, n1 must be coprime to 6")
-        if gcd(self.d0, 6) != 1 or gcd(self.d1, 6) != 1:
+        if gcd(d0, 6) != 1 or gcd(d1, 6) != 1:
             raise ValueError("d0, d1 must be coprime to 6")
+        return tuple.__new__(cls, (norm, n0, n1, n2, d0, d1, d2, norm_factors))
+
+    norm = property(itemgetter(0))
+    n0 = property(itemgetter(1))
+    n1 = property(itemgetter(2))
+    n2 = property(itemgetter(3))
+    d0 = property(itemgetter(4))
+    d1 = property(itemgetter(5))
+    d2 = property(itemgetter(6))
+    norm_factors = property(itemgetter(7))
 
 
 def split_rel_disc(octic: FieldRecord, parent: FieldRecord) -> RelDiscSplit:
@@ -123,21 +126,25 @@ def split_rel_disc(octic: FieldRecord, parent: FieldRecord) -> RelDiscSplit:
     )
 
 
-@dataclass(frozen=True)
-class CountSeries:
-    """Step-function counts N(X) at increasing checkpoints."""
+class CountSeries(tuple):
+    """Step-function counts N(X) at increasing checkpoints: the tuple
+    (checkpoints, counts, group_filter)."""
 
-    checkpoints: tuple[int, ...]
-    counts: tuple[int, ...]
-    group_filter: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.checkpoints) != len(self.counts):
+    def __new__(cls, checkpoints: tuple[int, ...], counts: tuple[int, ...],
+                group_filter: tuple[str, ...]):
+        if len(checkpoints) != len(counts):
             raise ValueError("checkpoints and counts length mismatch")
-        if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
+        if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
             raise ValueError("checkpoints must be strictly increasing")
-        if any(b < a for a, b in zip(self.counts, self.counts[1:])):
+        if any(b < a for a, b in zip(counts, counts[1:])):
             raise ValueError("counts must be nondecreasing")
+        return tuple.__new__(cls, (checkpoints, counts, group_filter))
+
+    checkpoints = property(itemgetter(0))
+    counts = property(itemgetter(1))
+    group_filter = property(itemgetter(2))
 
 
 def count_series(snapshot: Snapshot, labels: Iterable[str],
@@ -230,8 +237,7 @@ def tail_count(snapshot: Snapshot, Z: int, X: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """Empirical comparison of a count series against the C*X main term."""
 
     sup_ratio: float
@@ -250,6 +256,8 @@ def check_fit_checkpoints(checkpoints: Sequence[int]) -> None:
 
 def fit_error(series: CountSeries, C: PartialConstant) -> FitReport:
     """Sup-ratio against X^THETA_TARGET and log-log slope of the residuals N(X) - C*X."""
+    import statistics  # here, so that `import octicount.cli` does not pay for it
+
     check_fit_checkpoints(series.checkpoints)
     residuals = tuple(
         n - C.value * x for x, n in zip(series.checkpoints, series.counts)

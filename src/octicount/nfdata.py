@@ -12,10 +12,8 @@ from __future__ import annotations
 import json
 import math
 import re
-import weakref
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, NamedTuple, Optional, TextIO
 
 from .arith import is_prime, primes_up_to
 from .catalog import LABELS
@@ -45,8 +43,7 @@ class IngestError(ValueError):
 _PLAIN_DECIMAL = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)")
 
 
-@dataclass(frozen=True)
-class FieldRecord:
+class FieldRecord(NamedTuple):
     """One number field: defining polynomial, factored discriminant, invariants.
 
     Analytic invariants (h, reg, w) are carried for quartic records only;
@@ -217,18 +214,13 @@ def _failures(records: list[FieldRecord],
     return failures
 
 
-@dataclass(frozen=True)
 class Snapshot:
-    """Immutable label-indexed collection of validated field records."""
+    """Label-indexed collection of field records, with each parent checked."""
 
-    records: dict[str, FieldRecord]
-    provenance: str
-    ingest_time: str
-
-    def __post_init__(self):
-        for rec in self.records.values():
+    def __init__(self, records: dict[str, FieldRecord], provenance: str, ingest_time: str):
+        for rec in records.values():
             if rec.parent_label is not None:
-                parent = self.records.get(rec.parent_label)
+                parent = records.get(rec.parent_label)
                 if parent is None:
                     raise IngestError(
                         f"{rec.label}: parent {rec.parent_label!r} not in snapshot"
@@ -243,6 +235,12 @@ class Snapshot:
                         raise IngestError(
                             f"{rec.label}: |disc| is not parent disc squared times a positive integer"
                         )
+        self.records = records
+        self.provenance = provenance
+        self.ingest_time = ingest_time
+        # The records, by value, that `ingest` has just checked in full;
+        # `persist` checks only the others before it seals a store.
+        self._checked: frozenset[FieldRecord] = frozenset()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -286,12 +284,6 @@ def _factor(pair, field: str) -> tuple[int, int]:
     if type(pair) is not list or len(pair) != 2:
         raise IngestError(f"{field}: expected a [prime, exponent] pair, got {pair!r}")
     return _int(pair[0], field), _int(pair[1], field)
-
-
-# Parsed records, by value, that passed every check and are still alive.
-# `persist` checks every record in full before it seals a store; a record
-# `ingest` has just read is looked up here instead of checked twice.
-_VALIDATED: "weakref.WeakSet[FieldRecord]" = weakref.WeakSet()
 
 
 def _record_from_obj(obj: dict) -> FieldRecord:
@@ -375,15 +367,16 @@ def _snapshot_from_lines(numbered: Iterable[tuple[int, str]], provenance: str,
         if failure is not None:
             errors.append(f"line {lineno}: {failure}")
             continue
-        if arithmetic:
-            _VALIDATED.add(rec)
         prev = records.get(rec.label)
         if prev is not None and prev != rec:
             errors.append(f"line {lineno}: conflicting duplicate for label {rec.label!r}")
         records[rec.label] = rec
     if errors:
         raise IngestError("; ".join(errors))
-    return Snapshot(records=records, provenance=provenance, ingest_time=ingest_time)
+    snapshot = Snapshot(records=records, provenance=provenance, ingest_time=ingest_time)
+    if arithmetic:
+        snapshot._checked = frozenset(records.values())
+    return snapshot
 
 
 def _read_lines(path: str) -> list[str]:
@@ -441,7 +434,7 @@ def persist(snapshot: Snapshot, fh: TextIO) -> None:
     Every record is validated in full before anything is written, so the
     header's seal only ever vouches for records that passed every check.
     """
-    failures = _failures([r for r in snapshot.records.values() if r not in _VALIDATED],
+    failures = _failures([r for r in snapshot.records.values() if r not in snapshot._checked],
                          arithmetic=True)
     body = []
     for label in sorted(snapshot.records):

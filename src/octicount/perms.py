@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 MAX_DEGREE = 24
 MAX_ELEMENTS = 10**6
@@ -238,6 +237,11 @@ class PermGroup:
         return out
 
     def is_transitive(self) -> bool:
+        return self._transitive
+
+    @cached_property
+    def _transitive(self) -> bool:
+        """Whether the orbit of point 1 is every point, computed once per group."""
         return len(self.orbit(1)) == self.degree
 
     @cached_property
@@ -362,7 +366,6 @@ def wreath_c2_s4() -> PermGroup:
     return PermGroup(flips + [swap_blocks, cycle_blocks])
 
 
-@dataclass(frozen=True)
 class SubgroupClass:
     """One conjugacy class of subgroups of `group`: a representative, every
     member of the class and N_G(representative).
@@ -381,10 +384,12 @@ class SubgroupClass:
     two or more elements.
     """
 
-    representative: PermGroup
-    members: frozenset[frozenset[int]]
-    group: PermGroup
-    numbering: PermGroup
+    def __init__(self, representative: PermGroup, members: frozenset[frozenset[int]],
+                 group: PermGroup, numbering: PermGroup):
+        self.representative = representative
+        self.members = members
+        self.group = group
+        self.numbering = numbering
 
     @cached_property
     def conjugates(self) -> frozenset[frozenset[Perm]]:
@@ -440,8 +445,7 @@ def _prime_divisors(k: int) -> set[int]:
     return primes
 
 
-@dataclass(frozen=True)
-class _Lattice:
+class _Lattice(NamedTuple):
     """Every subgroup of `group`, as sets of its element numbers, and the
     cyclic subgroup that each element generates."""
 
@@ -692,14 +696,15 @@ def coset_class_minima(G: PermGroup, I: PermGroup, N: PermGroup) -> list[Perm]:
 # Coset actions and quotients
 
 
-@dataclass(frozen=True)
 class CosetAction:
     """Transitive action of `group` on the left cosets of a subgroup."""
 
-    group: PermGroup
-    induced_degree: int
-    _coset_of: dict  # Perm -> coset index (1-based)
-    _reps: tuple     # coset representatives, reps[0] = identity
+    def __init__(self, group: PermGroup, induced_degree: int,
+                 coset_of: dict[Perm, int], reps: tuple[Perm, ...]):
+        self.group = group
+        self.induced_degree = induced_degree
+        self._coset_of = coset_of  # Perm -> coset index (1-based)
+        self._reps = reps          # coset representatives, reps[0] = identity
 
     def act(self, g: Perm) -> Perm:
         """Image of g as a permutation of the coset space."""

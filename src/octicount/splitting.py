@@ -10,9 +10,8 @@ generality for the verified lemmas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .catalog import catalog_group, octic_action, quartic_action
 from .perms import (
@@ -39,17 +38,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TameConfig:
     """One (inertia generator, Frobenius) configuration up to conjugacy."""
 
-    group: PermGroup
-    inertia_gen: Perm
-    frobenius: Perm
-
-    def __post_init__(self):
-        tau, sigma = self.inertia_gen, self.frobenius
-        if sigma * tau * sigma.inverse() not in self._inertia:
+    def __init__(self, group: PermGroup, inertia_gen: Perm, frobenius: Perm):
+        self.group = group
+        self.inertia_gen = inertia_gen
+        self.frobenius = frobenius
+        if frobenius * inertia_gen * frobenius.inverse() not in self._inertia:
             raise ValueError("inertia subgroup is not normal in the decomposition group")
 
     @cached_property
@@ -76,28 +72,31 @@ class TameConfig:
         return f
 
 
-@dataclass(frozen=True)
-class SplittingSymbol:
-    """Multiset of (e, f) pairs, one per prime above p in the acting field."""
+class SplittingSymbol(tuple):
+    """Multiset of (e, f) pairs, one per prime above p in the acting field:
+    the tuple of the pairs, sorted."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
+    def __new__(cls, pairs: Iterable[tuple[int, int]]):
+        return tuple.__new__(cls, sorted(pairs))
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self)
 
     def degree(self) -> int:
-        return sum(e * f for e, f in self.pairs)
+        return sum(e * f for e, f in self)
 
     def disc_valuation(self) -> int:
         """Tame discriminant valuation: sum of (e - 1) f."""
-        return sum((e - 1) * f for e, f in self.pairs)
+        return sum((e - 1) * f for e, f in self)
 
     def e_values(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.pairs)
+        return tuple(e for e, _ in self)
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(NamedTuple):
     """Discriminant valuations at one tame prime, with the symbols they were checked against."""
 
     v_disc_L: int
@@ -148,7 +147,7 @@ def splitting_symbol(cfg: TameConfig, action: CosetAction) -> SplittingSymbol:
         if len(orbit) % e:
             raise RuntimeError("inertia orbit length does not divide the D-orbit length")
         pairs.append((e, len(orbit) // e))
-    return SplittingSymbol(tuple(pairs))
+    return SplittingSymbol(pairs)
 
 
 def valuation_profile(

@@ -7,7 +7,6 @@ reported as witnesses, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one verifier: pass iff the witness list is empty.
 
@@ -42,9 +40,10 @@ class VerificationReport:
     disagree.
     """
 
-    claim_id: str
-    witnesses: list[str] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    def __init__(self, claim_id: str):
+        self.claim_id = claim_id
+        self.witnesses: list[str] = []
+        self.details: dict = {}
 
     def fail(self, witness: str) -> None:
         self.witnesses.append(witness)

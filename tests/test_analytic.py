@@ -763,6 +763,22 @@ class TestLocalFactorData:
                 assert ramified[k] == any(m > 1 for _, m in pattern)
 
 
+class TestZetaValue:
+    @pytest.mark.parametrize("error_bound", [-1e-300, math.inf, math.nan])
+    def test_refuses_a_negative_or_non_finite_error_bound(self, error_bound):
+        with pytest.raises(ValueError, match="^error bound must be finite and nonnegative$"):
+            ZetaValue(value=1.0, error_bound=error_bound)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, math.nan])
+    def test_refuses_a_value_not_above_zero(self, value):
+        with pytest.raises(ValueError, match="^zeta values here are positive$"):
+            ZetaValue(value=value, error_bound=0.0)
+
+    def test_keeps_what_it_accepts(self):
+        z = ZetaValue(value=math.pi, error_bound=0.0)
+        assert (z.value, z.error_bound) == (math.pi, 0.0)
+
+
 class TestZetaResidue:
     def test_gaussian_residue_is_pi_over_4(self):
         r = zeta_residue(QI)
@@ -820,9 +836,9 @@ class TestPartialConstant:
     @pytest.mark.parametrize("no_h_disc, non_monic_disc", [(331, 491), (491, 331)])
     def test_failure_names_the_first_bad_field(self, no_h_disc, non_monic_disc):
         good = quartic_record("G", -283, [(283, 1)])
-        no_h = replace(quartic_record("H", -no_h_disc, [(no_h_disc, 1)]), h=None)
-        non_monic = replace(quartic_record("M", -non_monic_disc, [(non_monic_disc, 1)]),
-                            coeffs=(-1, -1, 0, 0, 2))
+        no_h = quartic_record("H", -no_h_disc, [(no_h_disc, 1)])._replace(h=None)
+        non_monic = quartic_record("M", -non_monic_disc, [(non_monic_disc, 1)])._replace(
+            coeffs=(-1, -1, 0, 0, 2))
         snap = Snapshot(records={r.label: r for r in (good, no_h, non_monic)},
                         provenance="", ingest_time="")
         first = "constant evaluation failed at H: H: missing invariants \\['h'\\]"
@@ -837,7 +853,7 @@ class TestPartialConstant:
         # proof per lane prime.
         rng = random.Random(1000)
         polys = [tuple(rng.randint(-60, 60) for _ in range(4)) + (1,) for _ in range(100)]
-        records = [replace(quartic_record(f"K{i:03d}", analytic._poly_disc(f), []), coeffs=f)
+        records = [quartic_record(f"K{i:03d}", analytic._poly_disc(f), [])._replace(coeffs=f)
                    for i, f in enumerate(polys)]
         assert all(rec.disc for rec in records)
         snap = Snapshot(records={rec.label: rec for rec in records}, provenance="", ingest_time="")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -604,3 +605,19 @@ class TestDataPipeline:
         first = capsys.readouterr().out
         run(args)
         assert capsys.readouterr().out == first
+
+    def test_stamp_goes_to_stderr_and_the_store_header_only(self, store, records_file,
+                                                            capsys, tmp_path):
+        stamp = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00"
+        args = ["tail", "--store", store, "--Z", "1", "--X", "10"]
+        assert run(args) == 0
+        plain = capsys.readouterr()
+        assert run(args + ["--stamp"]) == 0
+        stamped = capsys.readouterr()
+        assert stamped.out == plain.out and plain.err == ""
+        assert re.fullmatch(f"# generated {stamp}\n", stamped.err)
+        out = tmp_path / "stamped.jsonl"
+        assert run(["ingest", "--in", records_file, "--out", str(out), "--stamp"]) == 0
+        capsys.readouterr()
+        assert re.fullmatch(stamp, json.loads(out.read_text().splitlines()[0])["ingest_time"])
+        assert json.loads(Path(store).read_text().splitlines()[0])["ingest_time"] == ""

@@ -15,6 +15,7 @@ from octicount.counting import (
     THETA_TARGET,
     _is_kth_power,
     CountSeries,
+    RelDiscSplit,
     audit_lemmas,
     count_series,
     fit_error,
@@ -92,6 +93,24 @@ class TestSplitRelDisc:
             assert s.n0 * s.n1 * s.n2 == s.norm
             assert s.d0 * s.d1 * s.d2 == abs(parent.disc)
             assert s.norm * parent.disc ** 2 == abs(octic.disc)
+
+    # A valid split of norm 5^4 * 7 * 2^3 and |disc K| = 5 * 11 * 3, with
+    # one part changed at a time.
+    VALID = dict(norm=5 ** 4 * 7 * 8, n0=625, n1=7, n2=8, d0=5, d1=11, d2=3,
+                 norm_factors=((2, 3), (5, 4), (7, 1)))
+
+    @pytest.mark.parametrize("changed, message", [
+        ({"n1": 11}, "norm split does not recombine"),
+        ({"norm": 5 ** 4 * 7 * 8 + 1}, "norm split does not recombine"),
+        ({"n0": 625 * 2, "n2": 4}, "n0, n1 must be coprime to 6"),
+        ({"n1": 7 * 3, "n2": 8, "norm": 5 ** 4 * 7 * 3 * 8}, "n0, n1 must be coprime to 6"),
+        ({"d0": 5 * 2}, "d0, d1 must be coprime to 6"),
+        ({"d1": 11 * 3}, "d0, d1 must be coprime to 6"),
+    ], ids=["n1", "norm", "n0-even", "n1-by-3", "d0-even", "d1-by-3"])
+    def test_refuses_a_bad_split(self, changed, message):
+        RelDiscSplit(**self.VALID)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RelDiscSplit(**{**self.VALID, **changed})
 
     def test_invariant_under_factor_reordering(self):
         octic, parent = make_pair([(283, 1), (5, 2)], [(7, 4), (5, 1)])

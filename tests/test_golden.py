@@ -16,7 +16,6 @@ behind `constant` and `fit` were last trimmed.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -45,7 +44,7 @@ def test_verifier_output_matches_golden(argv, name, rc, capsys):
 def _with_extra_prime(rec, q: int):
     """The record with |disc| multiplied by the prime q, q not yet a factor."""
     factors = tuple(sorted(rec.disc_factors + ((q, 1),)))
-    return dataclasses.replace(rec, disc=rec.disc * q, disc_factors=factors)
+    return rec._replace(disc=rec.disc * q, disc_factors=factors)
 
 
 @pytest.fixture(scope="module")

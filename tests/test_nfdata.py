@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from sympy import Poly, isprime
@@ -215,8 +214,8 @@ class TestBatchedIngest:
 
     def test_persist_reports_the_first_failure_in_label_order(self, tmp_path):
         # "K.1" fails only the irreducibility check, "K.2" the structural one.
-        reducible = replace(quartic_record("K.1", 283, [(283, 1)]), coeffs=(-1, 0, 0, 0, 1))
-        unsigned = replace(quartic_record("K.2", 283, [(283, 1)]), r1=3)
+        reducible = quartic_record("K.1", 283, [(283, 1)])._replace(coeffs=(-1, 0, 0, 0, 1))
+        unsigned = quartic_record("K.2", 283, [(283, 1)])._replace(r1=3)
         snap = Snapshot(records={"K.2": unsigned, "K.1": reducible}, provenance="", ingest_time="")
         with pytest.raises(IngestError, match="^K.1: polynomial is reducible"):
             persist_to(snap, str(tmp_path / "store.jsonl"))
@@ -295,13 +294,13 @@ class TestIrreducibility:
         assert _is_irreducible.__wrapped__(C2_CUBED_OCTIC)
         assert len(exact) == 1
         rec = octic_record("L.c2cubed", 283 ** 2, [(283, 2)], "8T23", None)
-        rec = replace(rec, coeffs=C2_CUBED_OCTIC)
+        rec = rec._replace(coeffs=C2_CUBED_OCTIC)
         assert nfdata._failures([rec], arithmetic=True) == {rec: None}
 
     def test_reducible_octic_rejected_by_name(self):
         # (x^4 - x - 1)(x^4 + x + 1) = x^8 - x^2 - 2x - 1
         rec = octic_record("L.product", 283 ** 2, [(283, 2)], "8T23", None)
-        rec = replace(rec, coeffs=(-1, -2, -1, 0, 0, 0, 0, 0, 1))
+        rec = rec._replace(coeffs=(-1, -2, -1, 0, 0, 0, 0, 0, 1))
         [failure] = nfdata._failures([rec], arithmetic=True).values()
         assert str(failure) == "L.product: polynomial is reducible over the rationals"
 
@@ -538,7 +537,7 @@ class TestSeal:
 
     def test_persist_refuses_to_seal_unchecked_records(self, tmp_path):
         # Snapshot checks only parents; persist runs the full validation.
-        reducible = replace(quartic_record("K", 283, [(283, 1)]), coeffs=(-1, 0, 0, 0, 1))
+        reducible = quartic_record("K", 283, [(283, 1)])._replace(coeffs=(-1, 0, 0, 0, 1))
         composite = quartic_record("K", 287, [(287, 1)])
         path = tmp_path / "store.jsonl"
         for rec, message in ((reducible, "K: polynomial is reducible"),
