@@ -107,17 +107,19 @@ class Perm(tuple):
         return out
 
     def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths, fixed points included, sorted descending."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        """Cycle lengths, fixed points included, sorted descending.  Computed
+        once per image tuple in the process (`_cycle_type`), which `index`
+        and `order` read too."""
+        return _cycle_type(self)
 
     @property
     def index(self) -> int:
         """degree minus the number of orbits; drives tame discriminant valuations.
         It shadows `tuple.index`, which a `Perm` never needs."""
-        return self.degree - len(self.cycles())
+        return len(self) - len(_cycle_type(self))
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles()))
+        return lcm(*_cycle_type(self))
 
     def is_even(self) -> bool:
         return self.index % 2 == 0
@@ -131,6 +133,13 @@ class Perm(tuple):
 
     def __repr__(self) -> str:
         return f"Perm{self.degree}[{self.cycle_string()}]"
+
+
+@lru_cache(maxsize=4096)
+def _cycle_type(p: Perm) -> tuple[int, ...]:
+    """p's cycle type, once per image tuple: a lattice run asks for the same
+    few hundred elements' types thousands of times."""
+    return tuple(sorted(map(len, p.cycles()), reverse=True))
 
 
 def parse_cycle_string(degree: int, text: str) -> Perm:
@@ -247,7 +256,12 @@ class PermGroup:
     @cached_property
     def _census(self) -> list[tuple[int, ...]]:
         """The sorted cycle types of the elements, a conjugacy invariant."""
-        return sorted(p.cycle_type() for p in self.elements)
+        return sorted(map(_cycle_type, self.elements))
+
+    @cached_property
+    def _element_orders(self) -> Counter:
+        """How many elements have each order, an isomorphism invariant."""
+        return Counter(lcm(*t) for t in self._census)
 
     def stabilizer(self, point: int) -> "PermGroup":
         """Point stabilizer, by element scan (fine at this scale)."""
@@ -357,13 +371,18 @@ def index_set(G: PermGroup) -> set[int]:
 def wreath_c2_s4() -> PermGroup:
     """The imprimitive wreath product on 8 points, blocks {1,2},{3,4},{5,6},{7,8}.
 
-    Generators: the four block flips plus lifts of S4 generators permuting
-    the blocks.
+    Generators: the flip (7,8) of one block and lifts of the S4 generators
+    (1 2) and (1 2 3 4) permuting the blocks.  The powers of the block
+    4-cycle conjugate (7,8) onto the other three flips, so these three
+    generate the flips' C2^4 and, with the lifts, all 384 elements.  Fewer
+    generators make every search over them cheaper: closure, the element
+    index and the conjugacy orbits of subgroups each cost in proportion to
+    their number.
     """
-    flips = [Perm.from_cycles(8, [(2 * i + 1, 2 * i + 2)]) for i in range(4)]
+    flip = Perm.from_cycles(8, [(7, 8)])
     swap_blocks = Perm.from_cycles(8, [(1, 3), (2, 4)])  # lift of (1 2)
     cycle_blocks = Perm.from_cycles(8, [(1, 3, 5, 7), (2, 4, 6, 8)])  # lift of (1 2 3 4)
-    return PermGroup(flips + [swap_blocks, cycle_blocks])
+    return PermGroup([flip, swap_blocks, cycle_blocks])
 
 
 class SubgroupClass:
@@ -858,7 +877,7 @@ def abstract_isomorphic(A: PermGroup, B: PermGroup) -> Optional[tuple[PermGroup,
     conversely, a core-free K makes that action faithful.  Conjugate
     subgroups give conjugate actions, so one K per class of A's lattice is
     tried.  Groups of unequal order or element-order multiset are rejected
-    first, the orders read from the cached cycle-type censuses.
+    first, the multisets cached per group.
 
     Returns (K, c) with c image c^-1 = B for the image of A on the cosets of
     K, or None.  Both parts are checked where they are made: `coset_action`
@@ -867,8 +886,7 @@ def abstract_isomorphic(A: PermGroup, B: PermGroup) -> Optional[tuple[PermGroup,
     """
     if not B.is_transitive():
         raise ValueError(f"abstract_isomorphic needs a transitive B, got {B!r}")
-    if A.order != B.order or (Counter(lcm(*t) for t in A._census)
-                              != Counter(lcm(*t) for t in B._census)):
+    if A.order != B.order or A._element_orders != B._element_orders:
         return None
     for cls in subgroup_classes(A):
         if cls.order * B.degree == A.order and cls.core_order == 1:

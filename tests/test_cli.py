@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -483,6 +484,50 @@ class TestMalleAlpha:
     def test_8T44(self, capsys):
         assert run(["malle-alpha", "--label", "8T44"]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+
+class TestProcessExit:
+    """`main` freezes the heap before it exits, so that finalization does not
+    collect it; a process still writes, flushes and exits as before."""
+
+    @staticmethod
+    def spawn(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(octicount.cli.__file__).parent.parent))
+        return subprocess.run([sys.executable, "-m", "octicount", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_json_file_is_complete(self, tmp_path, capsys):
+        path = tmp_path / "out.json"
+        done = self.spawn("verify-splitting", "--group", "8T23", "--json", str(path))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert run(["verify-splitting", "--group", "8T23", "--json", "-"]) == 0
+        assert path.read_text() == capsys.readouterr().out
+
+    def test_failed_verification_exits_1(self):
+        done = self.spawn("verify-splitting", "--json", "-")
+        assert done.returncode == 1 and done.stderr == ""
+        parts = json.loads(done.stdout)["splitting.lemma_81.8T40"]["details"]["parts"]
+        assert parts["index_set"] == "fail"
+
+    def test_bad_option_exits_2(self):
+        done = self.spawn("verify-groups", "--no-such-option")
+        assert done.returncode == 2 and done.stdout == ""
+        assert "unrecognized arguments: --no-such-option" in done.stderr
+
+    def test_stamp_footer_is_written(self, capsys):
+        stamped = self.spawn("verify-splitting", "--group", "8T23", "--stamp")
+        assert run(["verify-splitting", "--group", "8T23"]) == 0
+        assert (stamped.returncode, stamped.stdout) == (0, capsys.readouterr().out)
+        assert re.fullmatch(r"# generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00\n",
+                            stamped.stderr)
+
+    def test_run_does_not_freeze(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run(["verify-splitting", "--group", "8T23"]) == 0
+        assert run(["malle-alpha", "--label", "8T40"]) == 0
+        assert run(["verify-groups", "--no-such-option"]) == 2
+        capsys.readouterr()
+        assert gc.get_freeze_count() == frozen
 
 
 class TestVerifySplittingCli:

@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,11 @@ class TestMalle:
         assert malle_alpha(conjugate(G, g)) == malle_alpha(G)
 
 
+# C2 wr S4 on its four block flips and the two block lifts.
+WREATH_SIX = PermGroup([P(8, "(1,2)"), P(8, "(3,4)"), P(8, "(5,6)"), P(8, "(7,8)"),
+                        P(8, "(1,3)(2,4)"), P(8, "(1,3,5,7)(2,4,6,8)")])
+
+
 class TestWreath:
     def test_order_and_transitivity(self):
         W = wreath_c2_s4()
@@ -214,6 +220,42 @@ class TestWreath:
     def test_not_in_a8(self):
         W = wreath_c2_s4()
         assert any(not g.is_even() for g in W.elements)
+
+    def test_three_generators_give_the_six_generator_group(self):
+        # The flip (7,8) and the two block lifts; the lifts conjugate the
+        # flip onto the other three, which the six-generator form listed.
+        W = wreath_c2_s4()
+        assert len(W.generators) == 3
+        assert W.elements == WREATH_SIX.elements and len(W.elements) == 384
+
+
+def cycle_data(g: Perm) -> tuple:
+    """Cycle type, index, order and parity of g, read off its cycles."""
+    lengths = [len(c) for c in g.cycles()]
+    return (tuple(sorted(lengths, reverse=True)), sum(lengths) - len(lengths),
+            lcm(*lengths), sum(length - 1 for length in lengths) % 2 == 0)
+
+
+class TestCycleData:
+    def test_cached_cycle_data_match_the_cycles(self):
+        for G in (symmetric(6), wreath_c2_s4()):
+            for g in G.elements:
+                assert (g.cycle_type(), g.index, g.order(), g.is_even()) == cycle_data(g), g
+
+    def test_catalog_censuses_match_the_cycles(self):
+        for label in LABELS:
+            G = catalog_group(label)
+            assert G._census == sorted(cycle_data(g)[0] for g in G.elements), label
+
+    def test_element_orders_match_the_powers(self):
+        for G in (symmetric(6), wreath_c2_s4()):
+            orders = Counter()
+            for g in G.elements:
+                x, k = g, 1
+                while not x.is_identity():
+                    x, k = x * g, k + 1
+                orders[k] += 1
+            assert G._element_orders == orders
 
 
 def brute_force_subgroups(G: PermGroup, max_gens: int = 3) -> set[frozenset]:
@@ -349,6 +391,21 @@ class TestSubgroupLattice:
         monkeypatch.setattr(PermGroup, "_close", counted)
         assert len(subgroup_classes(wreath_c2_s4())) == 193
         assert calls["close"] <= 2733
+
+    def test_wreath_lattice_does_not_depend_on_its_generators(self, fresh_lattices):
+        # The classes, their order, representatives, generators and member
+        # numbers are read off element sets alone.
+        def fields(classes):
+            return [(c.representative.elements, c.representative.generators,
+                     c.class_size, c.members) for c in classes]
+
+        six = fields(subgroup_classes(WREATH_SIX))
+        fresh_lattices()
+        three = fields(subgroup_classes(wreath_c2_s4()))
+        assert len(three) == 193
+        for i, (new, old) in enumerate(zip(three, six)):
+            assert new == old, i
+        assert len(three) == len(six)
 
     def test_orbit_stabilizer_normalizers_match_brute_force(self, monkeypatch, fresh_lattices):
         # Each normalizer is the closure of the representative with the
