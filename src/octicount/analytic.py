@@ -5,18 +5,19 @@ accumulated error bound; no bare floats leave this module.  Euler products
 are driven by polynomial factorization over prime fields, of which only
 factor degrees and multiplicities matter.  The general path is squarefree
 decomposition plus distinct-degree factorization (`factor_mod_p`).  The
-Frobenius-trace kernel `_frobenius_lanes` takes rows (f, ascending primes)
-and decides itself which primes of a row are its lanes: for f monic of
-degree 2 <= n <= 8, the primes max(5, n + 1) <= p <= MAX_PRIME_BOUND that do
-not divide disc(f), one numpy lane each.  Its Python runs once per row; every
-step per lane runs on numpy int64 arrays.  The traces give the pattern, and
-Stickelberger's theorem, (disc f / p) = (-1)^(n - number of factors), checks
-it against the integer discriminant on every lane.  A partial constant hands
-the kernel one row per field over the sieve primes, 16 lane chunks of fields
-per call at most, and the irreducibility prescreen of `nfdata` one row per
-open polynomial per round.  Every other prime of a field goes to
-`factor_mod_p` on the Euler path: p below max(5, n + 1), p | disc(f),
-p > MAX_PRIME_BOUND, and every p when f is not monic.
+Frobenius-trace kernel `_frobenius_lanes` takes polynomials and one list of
+ascending primes, and decides itself which pairs (f, p) are its lanes: for
+f monic of degree 2 <= n <= 8, the primes max(5, n + 1) <= p <= MAX_PRIME_BOUND
+that do not divide disc(f), one numpy lane each.  Its Python runs once per
+polynomial; every step per lane runs on numpy int64 arrays.  The traces give
+the pattern, and Stickelberger's theorem, (disc f / p) = (-1)^(n - number of
+factors), checks it against the integer discriminant on every lane.  A
+partial constant hands the kernel its fields and the sieve primes, 16 lane
+chunks of fields per call at most, and the irreducibility prescreen of
+`nfdata` its open polynomials and the next few primes, once per round.
+Every other prime of a field goes to `factor_mod_p` on the Euler path: p below
+max(5, n + 1), p | disc(f), p > MAX_PRIME_BOUND, and every p when f is not
+monic.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import compress, repeat
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arith import is_prime, is_prime_lanes, powmod_lanes, primes_up_to
@@ -103,32 +104,8 @@ def _polymulmod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _trim(out)
 
 
-def _polyrem(a: Sequence[int], g: Sequence[int], p: int) -> list[int]:
-    """a mod the monic g over F_p, trimmed."""
-    a = list(a)
-    db, low = len(g) - 1, g[:-1]
-    while len(a) > db:
-        c = a.pop()
-        if c:
-            k = len(a) - db
-            a[k:] = [(ai - c * bi) % p for ai, bi in zip(a[k:], low)]
-    return _trim(a)
-
-
-def _polygcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Monic gcd over F_p of two trimmed polynomials, by Euclid on monic divisors."""
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
-        a, b = b, _polyrem(a, b, p)
-    if a and a[-1] != 1:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _polydiv(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+def _polydivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over F_p, b trimmed and nonzero, both trimmed."""
     a = list(a)
     db, inv, low = len(b) - 1, pow(b[-1], -1, p), b[:-1]
     q = []
@@ -138,10 +115,27 @@ def _polydiv(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
         if c:
             k = len(a) - db
             a[k:] = [(ai - c * bi) % p for ai, bi in zip(a[k:], low)]
-    if any(a):
-        raise ArithmeticError("non-exact polynomial division")
     q.reverse()
-    return _trim(q)
+    return _trim(q), _trim(a)
+
+
+def _polygcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd over F_p of two trimmed polynomials, by Euclid."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _polydivmod(a, b, p)[1]
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _polydiv(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """a / b over F_p, where the division must be exact."""
+    q, r = _polydivmod(a, b, p)
+    if r:
+        raise ArithmeticError("non-exact polynomial division")
+    return q
 
 
 def _derivative(a: Sequence[int], p: int) -> list[int]:
@@ -194,9 +188,9 @@ def _distinct_degree(g: list[int], p: int) -> list[tuple[int, list[int]]]:
     while len(rest) - 1 >= 2 * d:
         base = h  # h^p by left-to-right square-and-multiply
         for bit in bin(p)[3:]:
-            h = _polyrem(_polymulmod(h, h, p), rest, p)
+            h = _polydivmod(_polymulmod(h, h, p), rest, p)[1]
             if bit == "1":
-                h = _polyrem(_polymulmod(h, base, p), rest, p)
+                h = _polydivmod(_polymulmod(h, base, p), rest, p)[1]
         sub = h + [0] * (2 - len(h))
         sub[1] = (sub[1] - 1) % p  # x^(p^d) - x
         gd = _polygcd(_trim(sub), rest, p)
@@ -274,11 +268,11 @@ def _patterns_by_traces(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
 _LANE_CHUNK = 4096
 
 
-def _residues(values: Sequence[Sequence[int]], row, p):
-    """values[row[l]][c] mod p[l] for each column c and lane l, as a (columns, lanes) array.
+def _residues(values: Sequence[Sequence[int]], p):
+    """values[i][c] mod p[j] for each column c, kernel row i and prime j, as an array [c, i, j].
 
     values holds one tuple of integers of any size per kernel row; the Python
-    work is per value, never per lane.  Horner's rule runs over the 31-bit
+    work is per value, never per prime.  Horner's rule runs over the 31-bit
     limbs of |value|, most significant first, and the sign comes last.  Every
     r < p <= MAX_PRIME_BOUND < 2^24, so r 2^31 + limb < 2^55: int64 never wraps.
     """
@@ -290,9 +284,9 @@ def _residues(values: Sequence[Sequence[int]], row, p):
     r = 0
     for shift in range((top - 1) // 31 * 31, -1, -31):
         limbs = np.array([[m >> shift & 0x7FFFFFFF for m in col] for col in mags], np.int64)
-        r = (r << 31 | limbs[:, row]) % p
+        r = (r << 31 | limbs[:, :, None]) % p
     signs = np.array([[(v > 0) - (v < 0) for v in col] for col in columns], np.int64)
-    return r * signs[:, row] % p
+    return r * signs[:, :, None] % p
 
 
 def _frobenius_traces(g, p):
@@ -340,65 +334,54 @@ def _frobenius_traces(g, p):
     return np.stack(traces[:n // 2]) % p
 
 
-def _lane_range(f: Sequence[int], primes: Sequence[int]) -> tuple[int, int]:
-    """The lane rule of one row (f, primes), primes ascending: its lanes lie in primes[lo:hi].
-
-    f is a lane polynomial when it is monic of degree 2 <= n <= 8, and then
-    primes[lo:hi] are the primes with max(5, n + 1) <= p <= MAX_PRIME_BOUND;
-    the lanes are those of them that do not divide disc(f).
-    """
-    n = len(f) - 1
-    if not 2 <= n <= 8 or f[-1] != 1:
-        return 0, 0
-    return bisect_left(primes, max(5, n + 1)), bisect_right(primes, MAX_PRIME_BOUND)
-
-
-def _frobenius_lanes(rows: Sequence[tuple[Sequence[int], Sequence[int]]]
+def _frobenius_lanes(polys: Sequence[Sequence[int]], primes: Sequence[int]
                      ) -> list[list[Optional[tuple[int, ...]]]]:
-    """Residue degrees of f mod each prime of each row (f, primes), None off the lanes.
+    """Residue degrees of each f of polys mod each of the primes, None off the lanes.
 
-    A row's primes ascend.  A lane is a prime p of a row whose f is monic of
-    degree 2 <= n <= 8, with max(5, n + 1) <= p <= MAX_PRIME_BOUND and p not
+    The primes ascend, or ValueError.  A lane is a pair (f, p) with f monic of
+    degree 2 <= n <= 8, max(5, n + 1) <= p <= MAX_PRIME_BOUND and p not
     dividing disc(f).  Then f is squarefree mod p, its Frobenius traces, exact
     as they are at most n < p, give its pattern, and int64 never wraps (see
-    `_residues` and `_frobenius_traces`).  The Python work is per row: the
-    lane rule (`_lane_range`) and disc(f), once each.  Everything per lane
-    runs on int64 lanes, built for all the rows of a degree at once: disc(f)
-    mod p and x^n mod f over the limbs of any integer size, then one trace
-    pass per chunk.  Every check runs on every lane: each distinct lane prime
-    is proved prime once (ValueError), a trace tuple outside the table raises
-    RuntimeError, and so does a lane where Stickelberger's theorem fails:
+    `_residues` and `_frobenius_traces`).  The polynomials of one degree and
+    the primes of its range form a grid, one row per polynomial.  The Python
+    work is per row, disc(f) once, and two bisections of the primes per call.
+    Everything per pair runs on int64 arrays: disc(f) mod p and x^n mod f over
+    the limbs of any integer size, then one trace pass per chunk of lanes.
+    Every check runs on every lane: each lane prime is proved prime once
+    (ValueError), a trace tuple outside the table raises RuntimeError, and so
+    does a lane where Stickelberger's theorem fails:
     (disc / p) = (-1)^(n - #factors), by Euler's criterion.
     """
-    out: list[list[Optional[tuple[int, ...]]]] = [[None] * len(primes) for _, primes in rows]
-    spans: dict[int, list[tuple[int, int, int]]] = {}  # degree -> (row, lo, hi) of its rows
-    for r, (f, primes) in enumerate(rows):
-        lo, hi = _lane_range(f, primes)
-        if lo < hi:
-            spans.setdefault(len(f) - 1, []).append((r, lo, hi))
-    if not spans:
+    if any(map(operator.ge, primes, primes[1:])):
+        raise ValueError("the kernel's primes must ascend")
+    out: list[list[Optional[tuple[int, ...]]]] = [[None] * len(primes) for _ in polys]
+    rows: dict[int, list[int]] = {}  # degree -> the indices of its monic polynomials
+    for i, f in enumerate(polys):
+        if 2 <= len(f) - 1 <= 8 and f[-1] == 1:
+            rows.setdefault(len(f) - 1, []).append(i)
+    start, stop = bisect_left(primes, 5), bisect_right(primes, MAX_PRIME_BOUND)
+    if not rows or start == stop:
         return out
     import numpy as np
 
-    lanes = {}  # degree -> (spans, their lengths, which primes are lanes, and the lanes)
-    for n, group in spans.items():
-        counts = [hi - lo for _, lo, hi in group]
-        p = np.fromiter(chain.from_iterable(rows[r][1][lo:hi] for r, lo, hi in group),
-                        np.int64, sum(counts))
-        if p.min() < max(5, n + 1) or p.max() > MAX_PRIME_BOUND:
-            raise ValueError("the primes of each row must ascend")
-        row = np.repeat(np.arange(len(group)), counts)
-        disc = _residues([(_poly_disc(tuple(rows[r][0])),) for r, _, _ in group], row, p)[0]
+    span = np.array(primes[start:stop], np.int64)  # every prime that can be a lane
+    proved = np.zeros(len(span), bool)  # which of them are a lane of some row
+    grids = {}  # degree -> (its rows, where its primes start in span, its lanes, ...)
+    for n, group in rows.items():
+        lo = int(np.searchsorted(span, n + 1))
+        columns = span[lo:]  # the primes max(5, n + 1) <= p <= MAX_PRIME_BOUND
+        disc = _residues([(_poly_disc(tuple(polys[i])),) for i in group], columns)[0]
         keep = disc != 0
-        g = _residues([[-c for c in rows[r][0][:n]] for r, _, _ in group], row[keep], p[keep])
-        lanes[n] = group, counts, keep, p[keep], g, disc[keep]  # g = x^n mod f
-    distinct = np.sort(np.concatenate([lane[3] for lane in lanes.values()]))
-    distinct = distinct[np.diff(distinct, prepend=0) != 0]
-    for start in range(0, len(distinct), _LANE_CHUNK):
-        chunk = distinct[start:start + _LANE_CHUNK]
+        proved[lo:] |= keep.any(axis=0)
+        g = _residues([[-c for c in polys[i][:n]] for i in group], columns)[:, keep]
+        p = np.broadcast_to(columns, keep.shape)[keep]
+        grids[n] = group, lo, keep, p, g, disc[keep]  # g = x^n mod f
+    lane_primes = span[proved]
+    for begin in range(0, len(lane_primes), _LANE_CHUNK):
+        chunk = lane_primes[begin:begin + _LANE_CHUNK]
         for p in chunk[~is_prime_lanes(chunk)][:1].tolist():
             raise ValueError(f"{p} is not a prime below 2^61")
-    for n, (group, counts, keep, p, g, disc) in lanes.items():
+    for n, (group, lo, keep, p, g, disc) in grids.items():
         # A lane's traces t_k, clipped to n + 1, key `index` as the sum of
         # t_k (n + 2)^(k - 1); traces outside the table, clipped or not, find -1.
         table = _patterns_by_traces(n)
@@ -408,8 +391,8 @@ def _frobenius_lanes(rows: Sequence[tuple[Sequence[int], Sequence[int]]]
         index[keys] = range(len(keys))
         parity = np.array([(n - len(degrees)) % 2 for degrees in patterns])
         found = np.empty(len(p), np.int64)
-        for start in range(0, len(p), _LANE_CHUNK):
-            part = slice(start, start + _LANE_CHUNK)
+        for begin in range(0, len(p), _LANE_CHUNK):
+            part = slice(begin, begin + _LANE_CHUNK)
             traces = _frobenius_traces(g[:, part], p[part])
             at = index[(n + 2) ** np.arange(n // 2) @ np.minimum(traces, n + 1)]
             odd = powmod_lanes(disc[part], (p[part] - 1) // 2, p[part]) != 1
@@ -422,11 +405,11 @@ def _frobenius_lanes(rows: Sequence[tuple[Sequence[int], Sequence[int]]]
                     f"{tuple(traces[:, k].tolist())} do not match the Legendre symbol "
                     f"{-1 if odd[k] else 1} of the discriminant (Stickelberger)")
             found[part] = at
-        number = np.full(len(keep), len(patterns))  # the number of None, for p | disc
+        number = np.full(keep.shape, len(patterns))  # the number of None, for p | disc
         number[keep] = found
-        degrees = list(map((*patterns, None).__getitem__, number.tolist()))
-        for (r, lo, hi), end in zip(group, accumulate(counts)):
-            out[r][lo:hi] = degrees[end - (hi - lo):end]
+        degrees_of = (*patterns, None).__getitem__
+        for i, row in zip(group, number.tolist()):
+            out[i][start + lo:stop] = map(degrees_of, row)
     return out
 
 
@@ -477,16 +460,17 @@ def _local_factors(records: Sequence, primes: Sequence[int]
                    ) -> Iterator[tuple[list[tuple[int, ...]], list[bool], list[bool]]]:
     """Each record's residue degrees, ramified flags and trusted flags at primes, in turn.
 
-    The primes ascend.  One `_frobenius_lanes` call takes one row (f, primes)
-    per record, for up to 16 lane chunks of records (one at least).  A prime
-    is trusted when it does not divide q = disc(f)/disc(K), and q = 0 when
-    disc(K) does not divide disc(f), so that no prime is trusted.  A lane
+    The primes ascend.  One `_frobenius_lanes` call takes the polynomials of
+    up to 16 lane chunks of records (one at least) and all the primes.  A
+    prime is trusted when it does not divide q = disc(f)/disc(K), and q = 0
+    when disc(K) does not divide disc(f), so that no prime is trusted.  A lane
     prime does not divide disc(f) = q disc(K), so it is trusted whenever
     q != 0.  The primes that are no lane go to `factor_mod_p`, and to the
-    test q mod p, at their record's turn, so its errors name their record;
-    at p = 2 and 3 one answer per f mod p serves every record of the call.
+    test q mod p, at their record's turn, so its errors name their record.
+    Its answer depends on f mod p alone, so one answer per (p, f mod p)
+    serves every record of the call.
     """
-    small: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, int], ...]] = {}
+    known: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, int], ...]] = {}
     step = max(1, 16 * _LANE_CHUNK // len(primes))
     for start in range(0, len(records), step):
         batch = records[start:start + step]
@@ -495,18 +479,15 @@ def _local_factors(records: Sequence, primes: Sequence[int]
         for rec, f in zip(batch, polys):
             q, r = divmod(_poly_disc(f), rec.disc)
             quotients.append(0 if r else q)
-        lanes = _frobenius_lanes([(f, primes) for f in polys])
+        lanes = _frobenius_lanes(polys, primes)
         for f, q, degrees in zip(polys, quotients, lanes):
             ramified, trusted = [False] * len(primes), [q != 0] * len(primes)
             for k in list(compress(range(len(primes)), map(operator.is_, degrees, repeat(None)))):
                 p = primes[k]
-                if p in (2, 3):
-                    key = (p, tuple(c % p for c in f))
-                    if key not in small:
-                        small[key] = factor_mod_p(f, p)
-                    pattern = small[key]
-                else:
-                    pattern = factor_mod_p(f, p)
+                key = (p, tuple(c % p for c in f))
+                if key not in known:
+                    known[key] = factor_mod_p(f, p)
+                pattern = known[key]
                 degrees[k] = tuple(sorted(d for d, _ in pattern))
                 ramified[k] = any(mult > 1 for _, mult in pattern)
                 trusted[k] = q % p != 0

@@ -136,36 +136,30 @@ def _sub_sums(degrees: tuple[int, ...]) -> frozenset[int]:
 
 
 def _irreducibility(polys: list[tuple[int, ...]]) -> dict[tuple[int, ...], bool]:
-    """Irreducibility over Q of each monic integer polynomial, by coefficient tuple.
+    """Irreducibility over Q of each integer polynomial, by coefficient tuple.
 
     Prescreen: a rational factor of degree k reduces, mod every prime p not
     dividing disc(f), to a product of some of f's irreducible factors mod p, so
     k is a sub-sum of their degrees.  Once the primes leave no common k, f is
-    irreducible.  Each round hands one row (f, the next few primes) per
-    polynomial still open to one call of the Frobenius-trace kernel
-    `analytic._frobenius_lanes`, which answers its lanes and leaves the other
-    primes None.  A polynomial whose lanes below 200 leave a common k
-    (one of degree above 8 has none) is decided by `_is_irreducible`.
+    irreducible, and one of degree at most 1 has no k to begin with.  Each
+    round hands the polynomials still open and the next few primes to one
+    call of the Frobenius-trace kernel `analytic._frobenius_lanes`, which
+    answers its lanes and leaves the other pairs None.  A polynomial whose
+    lanes below 200 leave a common k (one that is not monic, or of degree
+    above 8, has no lanes) is decided by `_is_irreducible`.
     """
     from .analytic import _frobenius_lanes
 
     prescreen_primes = primes_up_to(_PRESCREEN_PRIME_BOUND - 1)[2:]
     verdicts: dict[tuple[int, ...], bool] = {}
-    candidates: dict[tuple[int, ...], set[int]] = {}  # open f -> its possible factor degrees
-    for f in dict.fromkeys(polys):
-        n = len(f) - 1
-        if n <= 1:
-            verdicts[f] = True
-        elif f[-1] == 1:
-            candidates[f] = set(range(1, n))
-        else:
-            verdicts[f] = _is_irreducible(f)
+    # Each open f -> the degrees its rational factors can still have.
+    candidates = {f: set(range(1, len(f) - 1)) for f in polys}
     for start in range(0, len(prescreen_primes), _PRESCREEN_PRIMES_PER_ROUND):
         if not candidates:
             break
         batch = prescreen_primes[start:start + _PRESCREEN_PRIMES_PER_ROUND]
-        rows = [(f, batch) for f in candidates]
-        for (f, _), lanes in zip(rows, _frobenius_lanes(rows)):
+        open_polys = list(candidates)
+        for f, lanes in zip(open_polys, _frobenius_lanes(open_polys, batch)):
             for degrees in filter(None, lanes):
                 candidates[f] &= _sub_sums(degrees)
             if not candidates[f]:

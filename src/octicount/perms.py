@@ -391,9 +391,9 @@ class SubgroupClass:
 
     A member is the set of its element numbers in the index of `numbering`:
     `group` itself, or the larger group whose lattice the class was read off.
-    The members stay numbers; `conjugates` turns them into sets of `Perm`s
-    on first read, and `element_numbers` numbers a subgroup of `group` the
-    same way, so callers compare members without building `Perm` sets.
+    The members stay numbers, and `element_numbers` numbers a subgroup of
+    `group` the same way, so callers compare members without building `Perm`
+    sets.
 
     The representative is the least member of the class in image order (the
     least sorted list of element images).  Its generators are chosen from its
@@ -409,12 +409,6 @@ class SubgroupClass:
         self.members = members
         self.group = group
         self.numbering = numbering
-
-    @cached_property
-    def conjugates(self) -> frozenset[frozenset[Perm]]:
-        """The element set of every member, built on first read."""
-        return frozenset(frozenset(map(self.numbering._elems.__getitem__, m))
-                         for m in self.members)
 
     @cached_property
     def normalizer(self) -> PermGroup:

@@ -81,10 +81,6 @@ class SplittingSymbol(tuple):
     def __new__(cls, pairs: Iterable[tuple[int, int]]):
         return tuple.__new__(cls, sorted(pairs))
 
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self)
-
     def degree(self) -> int:
         return sum(e * f for e, f in self)
 

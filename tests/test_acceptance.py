@@ -154,7 +154,7 @@ def test_criterion_4_splitting_oracle_agreement():
                 list(PermGroup([tau], degree=degree).elements),
                 list(D.elements), degree,
             )
-            if splitting_symbol(cfg, act).pairs != oracle:
+            if tuple(splitting_symbol(cfg, act)) != oracle:
                 mismatches += 1
     sums_ok = True
     for label in LABELS:

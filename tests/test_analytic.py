@@ -241,11 +241,11 @@ class TestQuarticPath:
     def test_flipped_legendre_symbol_raises(self, monkeypatch, coeffs, degrees):
         disc = analytic._poly_disc(coeffs)
         assert degrees_of(factor_mod_p(coeffs, 7)) == degrees
-        assert analytic._frobenius_lanes([(coeffs, (7,))]) == [[degrees]]
+        assert analytic._frobenius_lanes([coeffs], (7,)) == [[degrees]]
         # 3 is not a square mod 7, so 3 * disc has the opposite symbol.
         monkeypatch.setattr(analytic, "_poly_disc", lambda f: 3 * disc)
         with pytest.raises(RuntimeError, match="Stickelberger"):
-            analytic._frobenius_lanes([(coeffs, (7,))])
+            analytic._frobenius_lanes([coeffs], (7,))
 
     # (n1, n2) = (3, 0): three roots leave a linear fourth factor; (1, 1): one
     # root and a quadratic leave a linear fourth factor that was not counted.
@@ -258,7 +258,7 @@ class TestQuarticPath:
         monkeypatch.setattr(analytic, "_frobenius_traces",
                             lambda g, p: np.array([[n1], [n1 + 2 * n2]]).repeat(len(p), axis=1))
         with pytest.raises(RuntimeError, match="Frobenius traces"):
-            analytic._frobenius_lanes([(coeffs, (7,))])
+            analytic._frobenius_lanes([coeffs], (7,))
 
     @pytest.mark.parametrize("p", [3, nextprime(MAX_PRIME_BOUND), 283])
     def test_lanes_reject_primes_off_the_int64_path(self, p):
@@ -266,7 +266,7 @@ class TestQuarticPath:
         # the int64 bound, and 283 divides disc(x^4 - x - 1) = -283: no lane.
         coeffs = (-1, -1, 0, 0, 1)
         primes = sorted((5, p, 7))
-        assert analytic._frobenius_lanes([(coeffs, primes)]) == [
+        assert analytic._frobenius_lanes([coeffs], primes) == [
             [None if q == p else degrees_of(factor_mod_p(coeffs, q)) for q in primes]]
 
     @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
@@ -287,7 +287,7 @@ class TestQuarticPath:
         disc = analytic._poly_disc(coeffs)
         lanes = [p for p in primerange(5, 45000) if disc % p]
         assert analytic._LANE_CHUNK < len(lanes) < 2 * analytic._LANE_CHUNK
-        [batch] = analytic._frobenius_lanes([(coeffs, lanes)])
+        [batch] = analytic._frobenius_lanes([coeffs], lanes)
         assert batch == [degrees_of(factor_mod_p(coeffs, p)) for p in lanes]
         # Lanes either side of the chunk boundary, and a sample, one at a time.
         rec = quartic_rec(coeffs)
@@ -312,7 +312,7 @@ class TestQuarticPath:
         lanes = [p for p in primerange(5, 45000) if p != 283] + [2_284_453]
         assert len(lanes) > analytic._LANE_CHUNK
         with pytest.raises(ValueError, match="^2284453 is not a prime below 2"):
-            analytic._frobenius_lanes([(coeffs, lanes)])
+            analytic._frobenius_lanes([coeffs], lanes)
 
     def test_non_monic_rejected(self):
         coeffs = (-1, -1, 0, 0, 2)
@@ -372,15 +372,17 @@ class TestFrobeniusKernel:
         polys = kernel_polys(rng, n, 12)
         primes = [p for p in primerange(max(5, n + 1), 200)] + [
             prevprime(MAX_PRIME_BOUND + 1), nextprime(10 ** 6), prevprime(5 * 10 ** 6)]
-        # Every polynomial takes all the primes in one row and a few in another,
-        # and the rows come in random order, all in one call.
-        rows = [(f, sorted(primes)) for f in polys]
-        rows += [(f, sorted(rng.sample(primes, 5))) for f in polys]
-        rng.shuffle(rows)
-        got = analytic._frobenius_lanes(rows)
+        # The polynomials come in random order, all in one call with all the
+        # primes, and then with a few of them.
+        rng.shuffle(polys)
+        primes.sort()
+        got = analytic._frobenius_lanes(polys, primes)
         # The primes with p | disc(f) are no lanes.
         assert got == [[degrees_of(factor_mod_p(f, p)) if analytic._poly_disc(f) % p else None
-                        for p in ps] for f, ps in rows]
+                        for p in primes] for f in polys]
+        few = sorted(rng.sample(range(len(primes)), 5))
+        assert analytic._frobenius_lanes(polys, [primes[k] for k in few]) == [
+            [row[k] for k in few] for row in got]
         found = [degrees for row in got for degrees in row]
         assert None in found
         # Every pattern occurs, bar the full split of an octic.
@@ -392,7 +394,7 @@ class TestFrobeniusKernel:
             disc = analytic._poly_disc(f)
             primes = [p for p in (prevprime(9 * 10 ** 6), prevprime(MAX_PRIME_BOUND + 1))
                       if disc % p]
-            got = analytic._frobenius_lanes([(f, primes)])
+            got = analytic._frobenius_lanes([f], primes)
             assert got == [[degrees_of(sympy_pattern(f, p)) for p in primes]]
 
     @pytest.mark.parametrize("coeffs", [
@@ -418,21 +420,30 @@ class TestFrobeniusKernel:
     def test_octic_lanes_need_p_above_the_degree(self, p):
         # Mod 5 or 7 a trace of 8 reads as 3 or 1: the kernel takes no lane.
         f = (-1, -1, 0, 0, 0, 0, 0, 0, 1)  # disc = -11 * 1600069
-        assert analytic._frobenius_lanes([(f, (p, 13))]) == [
+        assert analytic._frobenius_lanes([f], (p, 13)) == [
             [None, degrees_of(factor_mod_p(f, 13))]]
 
     def test_mixed_degrees_match_the_per_degree_calls(self):
         rng = random.Random(2024)
-        by_degree = {n: [(f, sorted(rng.sample((2, 7, 11, 97, 283), 3)))
-                         for f in kernel_polys(rng, n, 2)]
-                     for n in range(2, 9)}
-        separate = {n: analytic._frobenius_lanes(rows) for n, rows in by_degree.items()}
-        mixed = [(n, i, row) for n, rows in by_degree.items() for i, row in enumerate(rows)]
+        primes = (2, 7, 11, 97, 283)
+        by_degree = {n: kernel_polys(rng, n, 2) for n in range(2, 9)}
+        separate = {n: analytic._frobenius_lanes(polys, primes)
+                    for n, polys in by_degree.items()}
+        mixed = [(n, i, f) for n, polys in by_degree.items() for i, f in enumerate(polys)]
         rng.shuffle(mixed)
-        got = analytic._frobenius_lanes([row for _, _, row in mixed])
+        got = analytic._frobenius_lanes([f for _, _, f in mixed], primes)
         assert got == [separate[n][i] for n, i, _ in mixed]
-        degrees = {len(f) - 1 for (_, _, (f, _)), row in zip(mixed, got) if any(row)}
+        degrees = {len(f) - 1 for (_, _, f), row in zip(mixed, got) if any(row)}
         assert degrees == set(range(2, 9))
+
+    @pytest.mark.parametrize("primes", [(7, 5), (5, 5), (5, 7, 3), (11, 2 ** 64, 13)])
+    def test_primes_that_do_not_ascend_are_refused(self, primes):
+        # One list serves every polynomial of a call, so the whole list is
+        # checked, off the lanes too (3 and 2^64 are none), with or without
+        # a polynomial that has lanes.
+        for polys in ([(-1, -1, 0, 0, 1)], [], [(-1, -1, 0, 0, 2)]):
+            with pytest.raises(ValueError, match="^the kernel's primes must ascend$"):
+                analytic._frobenius_lanes(polys, primes)
 
     def test_off_lane_pairs_never_reach_the_traces(self, monkeypatch):
         seen = []
@@ -444,13 +455,13 @@ class TestFrobeniusKernel:
         octic = (-1, -1, 0, 0, 0, 0, 0, 0, 1)  # disc = -11 * 1600069
         nonic = (-1, -1, 0, 0, 0, 0, 0, 0, 0, 1)
         eights = (-1, -1, 0, 0, 8)  # 8 is 1 mod 7, but only a leading 1 makes lanes
-        rows = [(quartic, (2, 3, 5, 283, nextprime(MAX_PRIME_BOUND))), (octic, (5, 7, 11, 13)),
-                (nonic, (13,)), (eights, (7, 11))]
-        got = analytic._frobenius_lanes(rows)
-        assert got == [[None, None, degrees_of(factor_mod_p(quartic, 5)), None, None],
-                       [None, None, None, degrees_of(factor_mod_p(octic, 13))],
-                       [None], [None, None]]
-        assert sorted(seen) == [(4, 5), (8, 13)]
+        primes = (2, 3, 5, 7, 11, 13, 283, nextprime(MAX_PRIME_BOUND))
+        got = analytic._frobenius_lanes([quartic, octic, nonic, eights], primes)
+        # Each row lists the primes its polynomial takes as lanes.
+        lanes = [(5, 7, 11, 13), (13, 283), (), ()]
+        assert got == [[degrees_of(factor_mod_p(f, p)) if p in ps else None for p in primes]
+                       for f, ps in zip((quartic, octic, nonic, eights), lanes)]
+        assert sorted(seen) == [(4, 5), (4, 7), (4, 11), (4, 13), (8, 13), (8, 283)]
 
 
 
@@ -477,7 +488,7 @@ def is_lane(f, p) -> bool:
 
 
 class TestRowKernel:
-    """The row kernel's per-lane integer steps and its work per row."""
+    """The kernel's per-lane integer steps and its work per row, one row per polynomial."""
 
     def test_limb_residues_match_python(self):
         rng = random.Random(63)
@@ -486,41 +497,39 @@ class TestRowKernel:
                     for _ in range(8)] for _ in range(20)]
         primes = [5, 7, 2 ** 23 - 15, prevprime(MAX_PRIME_BOUND + 1)] + [
             prevprime(rng.randint(6, MAX_PRIME_BOUND)) for _ in range(30)]
-        row = np.array([r for r in range(len(values)) for _ in primes])
-        p = np.array(primes * len(values))
         assert max(abs(v) for vs in values for v in vs).bit_length() > 190  # seven 31-bit limbs
-        got = analytic._residues(values, row, p)
-        assert got.T.tolist() == [[v % q for v in values[r]]
-                                  for r, q in zip(row.tolist(), p.tolist())]
+        got = analytic._residues(values, np.array(primes))
+        assert got.tolist() == [[[v % q for q in primes] for v in column]
+                                for column in zip(*values)]
 
     def test_rows_match_factor_mod_p_at_every_edge(self):
         # The lane range starts at max(5, n + 1): at 5 for quartics, 7 for the
         # quintic (5 = n is no lane) and 11 for the septic and octics (7 is
         # none).  It ends at 9,999,991 <= MAX_PRIME_BOUND, and the next prime
-        # is no lane; nor is any prime of a row that divides disc(f).
+        # is no lane; nor is any prime that divides disc(f).  The primes are
+        # the union of the edges, every polynomial's discriminant divisors
+        # below 2000, and the primes from 1000 to 1100.
         discs = [analytic._poly_disc(f) for f in EDGE_POLYS]
         assert any(d < -2 ** 63 for d in discs) and any(d > 2 ** 63 for d in discs)
         assert max(map(max, EDGE_POLYS)) >= 2 ** 63 and min(map(min, EDGE_POLYS)) < -2 ** 63
         edges = {2, 3, 5, 7, 11, 13, prevprime(MAX_PRIME_BOUND + 1), nextprime(MAX_PRIME_BOUND)}
-        rows = [(f, sorted(edges | {p for p in primerange(5, 2000) if d % p == 0}
-                           | set(primerange(1000, 1100))))
-                for f, d in zip(EDGE_POLYS, discs)]
-        got = analytic._frobenius_lanes(rows)
+        primes = sorted(edges | {p for d in discs for p in primerange(5, 2000) if d % p == 0}
+                        | set(primerange(1000, 1100)))
+        got = analytic._frobenius_lanes(EDGE_POLYS, primes)
         assert got == [[degrees_of(factor_mod_p(f, p)) if is_lane(f, p) else None for p in primes]
-                       for f, primes in rows]
+                       for f in EDGE_POLYS]
         assert all(row[-2] is not None and row[-1] is None for row in got)
-        divisors = [(f, p) for f, primes in rows for p in primes
+        divisors = [(f, p) for f in EDGE_POLYS for p in primes
                     if 11 <= p <= 2000 and analytic._poly_disc(f) % p == 0]
         assert {p for _, p in divisors} >= {11, 283}
 
     def test_kernel_work_is_per_row(self, monkeypatch):
-        # The lane rule and disc(f) run once per row, and each degree takes
-        # ceil(lanes / _LANE_CHUNK) trace passes.
+        # disc(f) runs once per row, the primes are bisected twice per call,
+        # and each degree takes ceil(lanes / _LANE_CHUNK) trace passes.
         rng = random.Random(13)
         polys = kernel_polys(rng, 4, 15) + kernel_polys(rng, 8, 1)
-        rows = [(f, primes_up_to(1000)) for f in polys]
         counts = Counter()
-        for name in ("_lane_range", "_poly_disc"):
+        for name in ("bisect_left", "bisect_right", "_poly_disc"):
             real = getattr(analytic, name)
             monkeypatch.setattr(analytic, name, lambda *args, name=name, real=real:
                                 counts.update([name]) or real(*args))
@@ -528,14 +537,14 @@ class TestRowKernel:
         traces = analytic._frobenius_traces
         monkeypatch.setattr(analytic, "_frobenius_traces",
                             lambda g, p: passes.update([len(g)]) or traces(g, p))
-        got = analytic._frobenius_lanes(rows)
-        assert counts == {"_lane_range": len(rows), "_poly_disc": len(rows)}
-        lanes = Counter(len(f) - 1 for (f, _), row in zip(rows, got) for d in row if d)
+        got = analytic._frobenius_lanes(polys, primes_up_to(1000))
+        assert counts == {"bisect_left": 1, "bisect_right": 1, "_poly_disc": len(polys)}
+        lanes = Counter(len(f) - 1 for f, row in zip(polys, got) for d in row if d)
         assert lanes[4] > analytic._LANE_CHUNK and lanes[8]
         assert passes == {n: -(-k // analytic._LANE_CHUNK) for n, k in lanes.items()}
 
     def test_kernel_python_does_not_grow_with_the_primes(self, monkeypatch):
-        # No Python loop runs over the primes of a row: the kernel's own lines
+        # No Python loop runs over the primes: the kernel's own lines
         # run as often for 108 primes a row as for 1,229.  The numpy trace
         # pass and the primality proof loop over the bits of the primes, not
         # over the primes, and are left out of the count.
@@ -547,11 +556,11 @@ class TestRowKernel:
             return [code] + [c for const in code.co_consts if isinstance(const, CodeType)
                              for c in nested(const)]
 
-        own = {code for f in (analytic._frobenius_lanes, analytic._lane_range, analytic._residues)
+        own = {code for f in (analytic._frobenius_lanes, analytic._residues)
                for code in nested(f.__code__)}
 
         def lines_run(primes):
-            analytic._frobenius_lanes([(f, primes) for f in polys])  # warm the caches
+            analytic._frobenius_lanes(polys, primes)  # warm the caches
             count = Counter()
 
             def local(frame, event, arg):
@@ -565,7 +574,7 @@ class TestRowKernel:
             previous = sys.gettrace()
             sys.settrace(calls)
             try:
-                analytic._frobenius_lanes([(f, primes) for f in polys])
+                analytic._frobenius_lanes(polys, primes)
             finally:
                 sys.settrace(previous)
             return count
@@ -849,8 +858,8 @@ class TestPartialConstant:
 
     def test_fit_shaped_call_takes_one_kernel_call(self, monkeypatch):
         # 100 fields at P = 1000, as `fit` has them: one `_frobenius_lanes`
-        # call with one row per field, one trace pass per chunk of lanes, one
-        # proof per lane prime.
+        # call over every field and the primes, one trace pass per chunk of
+        # lanes, one proof per lane prime.
         rng = random.Random(1000)
         polys = [tuple(rng.randint(-60, 60) for _ in range(4)) + (1,) for _ in range(100)]
         records = [quartic_record(f"K{i:03d}", analytic._poly_disc(f), [])._replace(coeffs=f)
@@ -862,7 +871,7 @@ class TestPartialConstant:
         kernel, traces, proof = (analytic._frobenius_lanes, analytic._frobenius_traces,
                                  analytic.is_prime_lanes)
         monkeypatch.setattr(analytic, "_frobenius_lanes",
-                            lambda rows: calls.append(len(rows)) or kernel(rows))
+                            lambda polys, primes: calls.append(len(polys)) or kernel(polys, primes))
         monkeypatch.setattr(analytic, "_frobenius_traces",
                             lambda g, p: passes.append(len(p)) or traces(g, p))
         monkeypatch.setattr(analytic, "is_prime_lanes",

@@ -449,13 +449,15 @@ class TestPersistence:
 
 def _count_prescreen_work(monkeypatch) -> list:
     """Clear the irreducibility cache and record the prime of every factor_mod_p
-    call and every prime of every row of the batched prescreen (`_frobenius_lanes`)."""
+    call and, for each polynomial of a call of the batched prescreen
+    (`_frobenius_lanes`), every prime of that call."""
     calls = []
     factor, lanes = octicount.analytic.factor_mod_p, octicount.analytic._frobenius_lanes
     monkeypatch.setattr(octicount.analytic, "factor_mod_p",
                         lambda f, p: calls.append(p) or factor(f, p))
     monkeypatch.setattr(octicount.analytic, "_frobenius_lanes",
-                        lambda rows: calls.extend(p for _, ps in rows for p in ps) or lanes(rows))
+                        lambda polys, primes: calls.extend(p for _ in polys for p in primes)
+                        or lanes(polys, primes))
     _is_irreducible.cache_clear()
     return calls
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -77,6 +78,21 @@ def test_nfdata_takes_only_the_kernel_from_analytic():
         elif isinstance(node, ast.Import):
             found += [alias.name for alias in node.names if alias.name.endswith("analytic")]
     assert found == ["_frobenius_lanes"]
+
+
+def test_kernel_callers_pass_polys_and_one_prime_list():
+    # `analytic._frobenius_lanes` takes the polynomials and one ascending
+    # prime list for all of them; it once took rows (f, primes), although
+    # both of its callers sent every polynomial the same primes.
+    from octicount.analytic import _frobenius_lanes
+
+    assert list(inspect.signature(_frobenius_lanes).parameters) == ["polys", "primes"]
+    found = [(f"{path.stem}.{owner}", [type(arg).__name__ for arg in node.args], node.keywords)
+             for path in SOURCES for owner, node in _nodes_by_function(path)
+             if isinstance(node, ast.Call) and "_frobenius_lanes" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert found == [("analytic._local_factors", ["Name", "Name"], []),
+                     ("nfdata._irreducibility", ["Name", "Name"], [])]
 
 
 def test_only_perms_intersects_subgroup_conjugates():
