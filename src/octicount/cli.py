@@ -111,6 +111,7 @@ MAX_CHECKPOINTS = 10_000
 
 def _parse_checkpoints(spec: str) -> list[int]:
     """Checkpoint spec: comma list '10,100,1000' or geometric 'lo:hi:n'.
+    A comma list needs at least one entry.
 
     A geometric spec gives lo * (hi/lo)^(i/(n-1)) for i < n-1, each rounded
     half up, and then hi itself (its floor, which bounds the same integer
@@ -155,7 +156,10 @@ def _parse_checkpoints(spec: str) -> list[int]:
             if not out or x > out[-1]:
                 out.append(x)
         return out
-    return sorted({int(tok) for tok in spec.split(",") if tok})
+    points = sorted({int(tok) for tok in spec.split(",") if tok})
+    if not points:
+        raise ValueError("need at least one checkpoint")
+    return points
 
 
 def _fixed_root(x: Fraction, k: int, bits: int, guess: int) -> int:
@@ -225,7 +229,7 @@ def _cmd_verify_groups(args) -> _Result:
 def _cmd_verify_splitting(args) -> _Result:
     reports = splitting.run_all_splitting_verifiers([args.group] if args.group else None)
     return (_reports_payload(reports),
-            *_report_lines(reports, lambda r: f" ({r.details.get('configs_checked', 0)} configs)"))
+            *_report_lines(reports, lambda r: f" ({r.details['configs_checked']} configs)"))
 
 
 def _cmd_ingest(args) -> _Result:
@@ -236,15 +240,12 @@ def _cmd_ingest(args) -> _Result:
     return None, [f"ingested {len(snap)} records -> {args.out}"], 0
 
 
+_QUERY_FIELDS = ("label", "degree", "galois", "disc", "abs_disc", "parent_label")
+
+
 def _rec_row(rec: nfdata.FieldRecord) -> dict:
-    return {
-        "label": rec.label,
-        "degree": rec.degree,
-        "galois": rec.galois,
-        "disc": str(rec.disc),
-        "abs_disc": str(rec.abs_disc),
-        "parent_label": rec.parent_label or "",
-    }
+    return dict(zip(_QUERY_FIELDS, (rec.label, rec.degree, rec.galois, str(rec.disc),
+                                    str(rec.abs_disc), rec.parent_label or "")))
 
 
 def _cmd_query(args) -> _Result:
@@ -256,8 +257,7 @@ def _cmd_query(args) -> _Result:
         import csv  # here, so that only the commands that write CSV load it
 
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else
-                                ["label", "degree", "galois", "disc", "abs_disc", "parent_label"])
+        writer = csv.DictWriter(buf, fieldnames=_QUERY_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
         lines = [buf.getvalue().rstrip("\n")]
@@ -312,7 +312,7 @@ def _cmd_count(args) -> _Result:
 def _cmd_audit(args) -> _Result:
     report = counting.audit_lemmas(nfdata.load(args.store))
     return (report.as_dict(), *_report_lines(
-        [report], lambda r: f" ({r.details.get('octics_audited', 0)} octics audited)"))
+        [report], lambda r: f" ({r.details['octics_audited']} octics audited)"))
 
 
 def _cmd_tail(args) -> _Result:

@@ -10,7 +10,7 @@ generality for the verified lemmas.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .catalog import catalog_group, octic_action, quartic_action
@@ -39,37 +39,27 @@ __all__ = [
 
 
 class TameConfig:
-    """One (inertia generator, Frobenius) configuration up to conjugacy."""
+    """One (inertia generator, Frobenius) configuration up to conjugacy.
+
+    The powers of tau, listed once, give the ramification index e = |I| of
+    the Galois closure and its residue degree f, the order of sigma modulo
+    I, which is |D| / |I| because sigma normalizes I.
+    """
 
     def __init__(self, group: PermGroup, inertia_gen: Perm, frobenius: Perm):
         self.group = group
         self.inertia_gen = inertia_gen
         self.frobenius = frobenius
-        if frobenius * inertia_gen * frobenius.inverse() not in self._inertia:
+        inertia, g = set(), inertia_gen
+        while g not in inertia:
+            inertia.add(g)
+            g = g * inertia_gen
+        if frobenius * inertia_gen * frobenius.inverse() not in inertia:
             raise ValueError("inertia subgroup is not normal in the decomposition group")
-
-    @cached_property
-    def _inertia(self) -> frozenset[Perm]:
-        """The elements of I = <tau>: the powers of tau."""
-        powers, g = set(), self.inertia_gen
-        while g not in powers:
-            powers.add(g)
-            g = g * self.inertia_gen
-        return frozenset(powers)
-
-    @property
-    def e(self) -> int:
-        """Ramification index of the Galois closure: |I|."""
-        return self.inertia_gen.order()
-
-    @property
-    def f(self) -> int:
-        """Residue degree of the Galois closure: the order of sigma modulo I,
-        which is |D| / |I| because sigma normalizes I."""
-        f, g = 1, self.frobenius
-        while g not in self._inertia:
-            f, g = f + 1, g * self.frobenius
-        return f
+        f, g = 1, frobenius
+        while g not in inertia:
+            f, g = f + 1, g * frobenius
+        self.e, self.f = len(inertia), f
 
 
 class SplittingSymbol(tuple):
@@ -93,7 +83,7 @@ class SplittingSymbol(tuple):
 
 
 class ValuationProfile(NamedTuple):
-    """Discriminant valuations at one tame prime, with the symbols they were checked against."""
+    """Discriminant valuations at one tame prime, with the checked symbols they are read off."""
 
     v_disc_L: int
     v_disc_K: int
@@ -129,46 +119,41 @@ def enumerate_tame_configs(G: PermGroup) -> list[TameConfig]:
 
 
 def splitting_symbol(cfg: TameConfig, action: CosetAction) -> SplittingSymbol:
-    """One (e, f) pair per decomposition-group orbit on the coset space:
-    the orbits of <tau, sigma> and of <tau>."""
+    """One (e, f) pair per decomposition-group orbit on the coset space.
+
+    tau and sigma are acted on once each.  The orbits of D = <tau, sigma>
+    are read from their images, and each orbit's e is the length of the
+    tau-cycle through its least point, since the <tau>-orbits are the
+    cycles of tau.  The symbol is returned only after its orbit formula
+    sum (e-1) f equals the index formula ind(tau) in the same action.
+    """
     if action.group != cfg.group:
         raise ValueError("action does not belong to the configuration's group")
     tau, sigma = action.act(cfg.inertia_gen), action.act(cfg.frobenius)
-    d_img = PermGroup([tau, sigma], degree=action.induced_degree)
-    i_img = PermGroup([tau], degree=action.induced_degree)
+    e_at = {c[0]: len(c) for c in tau.cycles()}  # each cycle starts at its least point
     pairs = []
-    for orbit in d_img.orbits():
-        x = min(orbit)
-        e = len(i_img.orbit(x))
+    for orbit in PermGroup([tau, sigma]).orbits():
+        e = e_at[min(orbit)]
         if len(orbit) % e:
             raise RuntimeError("inertia orbit length does not divide the D-orbit length")
         pairs.append((e, len(orbit) // e))
-    return SplittingSymbol(pairs)
+    sym = SplittingSymbol(pairs)
+    if sym.disc_valuation() != tau.index:
+        raise RuntimeError(
+            f"orbit formula gives {sym.disc_valuation()}, index formula gives {tau.index}"
+        )
+    return sym
 
 
 def valuation_profile(
     cfg: TameConfig, octic: CosetAction, quartic: CosetAction
 ) -> ValuationProfile:
-    """Tame discriminant valuations in L (octic action) and K (quartic action).
-
-    Cross-checks the index formula ind(tau) against the orbit formula
-    sum (e-1) f in both actions and refuses to return on a mismatch.
-    """
+    """Tame discriminant valuations in L (octic action) and K (quartic action),
+    read off the two splitting symbols, each checked where it is made."""
     if octic.induced_degree != 8 or quartic.induced_degree != 4:
         raise ValueError("expected a degree-8 and a degree-4 action")
-    v_L = octic.act(cfg.inertia_gen).index
-    v_K = quartic.act(cfg.inertia_gen).index
-    symbols = []
-    for action, v in ((octic, v_L), (quartic, v_K)):
-        sym = splitting_symbol(cfg, action)
-        if sym.degree() != action.induced_degree:
-            raise RuntimeError("splitting symbol degree mismatch")
-        if sym.disc_valuation() != v:
-            raise RuntimeError(
-                f"orbit formula gives {sym.disc_valuation()}, index formula gives {v}"
-            )
-        symbols.append(sym)
-    return ValuationProfile(v_L, v_K, *symbols)
+    sym_L, sym_K = splitting_symbol(cfg, octic), splitting_symbol(cfg, quartic)
+    return ValuationProfile(sym_L.disc_valuation(), sym_K.disc_valuation(), sym_L, sym_K)
 
 
 @lru_cache(maxsize=None)

@@ -95,6 +95,17 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("subcommand, spec", [
+        (["count"], ""), (["count"], ","), (["fit", "--max-disc", "10"], ","),
+    ])
+    def test_empty_checkpoint_list_is_data_error(self, subcommand, spec, store, capsys):
+        # A comma list with no entries once counted nothing and exited 0.
+        # An empty fit spec takes the default checkpoints, so only "," is refused there.
+        assert run(subcommand + ["--store", store, f"--checkpoints={spec}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least one checkpoint\n"
+
     @pytest.mark.parametrize("subcommand", [["count"], ["fit", "--max-disc", "10"]],
                              ids=lambda args: args[0])
     def test_too_many_checkpoints_are_data_errors(self, subcommand, store, capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from octicount.catalog import LABELS, catalog_group, octic_action, quartic_action
 from octicount.perms import (
+    CosetAction,
     Perm,
     PermGroup,
     coset_action,
@@ -158,6 +159,25 @@ class TestConfigChecks:
                 inertia_gen=P(3, inertia),
                 frobenius=gens[-1],
             )
+
+
+class TestSymbolCrossCheck:
+    @pytest.mark.parametrize("degree, tau, sigma, error", [
+        (3, "(1,2)", "(1,2,3)", "inertia orbit length does not divide the D-orbit length"),
+        (4, "(1,2)", "(1,3)(2,4)", "orbit formula gives 2, index formula gives 1"),
+    ])
+    def test_unequal_tau_cycles_in_one_orbit_are_refused(
+            self, degree, tau, sigma, error, monkeypatch):
+        # A real action gives every tau-cycle of a <tau, sigma>-orbit one
+        # length; these images give the orbit's points cycles of 2 and 1.
+        G = symmetric(degree)
+        cfg = TameConfig(group=G, inertia_gen=P(degree, "(1,2)"),
+                         frobenius=Perm.identity(degree))
+        action = coset_action(G, G.stabilizer(1))
+        images = {cfg.inertia_gen: P(degree, tau), cfg.frobenius: P(degree, sigma)}
+        monkeypatch.setattr(action, "act", images.__getitem__)
+        with pytest.raises(RuntimeError, match=error):
+            splitting_symbol(cfg, action)
 
 
 class TestValuationProfiles:
@@ -349,6 +369,21 @@ class TestOnePassPerGroup:
         assert configs == {"8T23": 19, "8T40": 73}
         assert len(degrees) == 184
         assert degrees.count(8) == degrees.count(4) == 92
+
+    def test_four_actions_per_configuration(self, monkeypatch):
+        # splitting_symbol acts on tau and sigma once each, in the octic and
+        # the quartic action; nothing else acts.
+        acted = []
+        original = CosetAction.act
+
+        def counted(action, g):
+            acted.append(g)
+            return original(action, g)
+
+        monkeypatch.setattr(CosetAction, "act", counted)
+        splitting._tame_profiles.cache_clear()
+        splitting.run_all_splitting_verifiers(None)
+        assert len(acted) == 368 == 4 * 92
 
     def test_no_group_is_closed_per_configuration(self, monkeypatch):
         # Count the closures behind `PermGroup.elements` the way the perfbench
