@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .labels import LABELS
 from .perms import (
     CosetAction,
     Perm,
@@ -60,7 +61,8 @@ _GENERATORS: dict[str, tuple[Perm, ...]] = {
     ),
 }
 
-LABELS: tuple[str, ...] = tuple(_GENERATORS)
+if tuple(_GENERATORS) != LABELS:  # a raise, so that it holds under `python -O`
+    raise RuntimeError(f"catalog labels {tuple(_GENERATORS)} differ from {LABELS}")
 
 
 @lru_cache(maxsize=None)

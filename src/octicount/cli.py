@@ -23,9 +23,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, TextIO
 
-from . import analytic, counting, nfdata, splitting, verify
-from .catalog import LABELS, catalog_group
-from .perms import malle_alpha
+# `catalog`, `perms`, `splitting` and `verify` run only when read (see
+# `__init__`), and only the group commands' handlers read them.
+from . import analytic, catalog, counting, nfdata, perms, splitting, verify
+from .labels import LABELS, SPLITTING_LEMMAS
 
 __all__ = ["run", "main"]
 
@@ -351,7 +352,7 @@ def _cmd_fit(args) -> _Result:
 
 
 def _cmd_malle_alpha(args) -> _Result:
-    return None, [str(malle_alpha(catalog_group(args.label)))], 0
+    return None, [str(perms.malle_alpha(catalog.catalog_group(args.label)))], 0
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-splitting", help="run the tame-splitting lemma verifiers")
     p.add_argument("--group", default=None,
-                   choices=sorted({label for _, label in splitting.SPLITTING_VERIFIERS}))
+                   choices=sorted({label for _, label in SPLITTING_LEMMAS}))
     common(p)
     p.set_defaults(fn=_cmd_verify_splitting)
 
@@ -478,7 +479,10 @@ def main() -> None:
     objects out of the collector's reach; stdio is still flushed, `atexit`
     handlers still run and files still close.  The freeze is here and not in
     `run`, because tests and tracers call `run` in a process that goes on.
+    numpy gets one OpenBLAS thread unless the caller set a number: no numpy
+    call of the package uses BLAS, and an idle worker thread still costs CPU.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = run(sys.argv[1:])
     gc.freeze()
     sys.exit(code)

@@ -10,7 +10,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .analytic import PartialConstant
 from .nfdata import QUARTIC_LABEL, FieldRecord, Snapshot, query
-from .verify import VerificationReport
+from .report import VerificationReport
 
 __all__ = [
     "THETA_TARGET",

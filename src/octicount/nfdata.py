@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, TextIO
 
 from .arith import is_prime, primes_up_to
-from .catalog import LABELS
+from .labels import LABELS
 
 __all__ = [
     "FieldRecord",

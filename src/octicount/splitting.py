@@ -22,7 +22,8 @@ from .perms import (
     index_set,
     subgroup_classes,
 )
-from .verify import VerificationReport
+from .labels import SPLITTING_LEMMAS
+from .report import VerificationReport
 
 __all__ = [
     "TameConfig",
@@ -278,12 +279,8 @@ def verify_lemma_81(label: str) -> VerificationReport:
     return report
 
 
-# (verifier, catalog label) in claim_id order: the one pairing of lemma and group.
-SPLITTING_VERIFIERS = (
-    (verify_lemma_81, "8T40"),
-    (verify_lemma_splitting, "8T23"),
-    (verify_lemma_vpn, "8T23"),
-)
+# (verifier, catalog label) in claim_id order, from the one table in `labels`.
+SPLITTING_VERIFIERS = tuple((globals()[name], label) for name, label in SPLITTING_LEMMAS)
 
 
 def run_all_splitting_verifiers(labels: Optional[Iterable[str]]) -> list[VerificationReport]:

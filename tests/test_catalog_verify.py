@@ -13,6 +13,7 @@ from octicount.catalog import (
     quartic_subgroups,
 )
 from octicount.perms import (
+    Perm,
     PermGroup,
     coset_action,
     index_set,
@@ -26,8 +27,8 @@ from octicount.perms import (
     wreath_c2_s4,
 )
 from octicount import catalog, verify
+from octicount.report import VerificationReport
 from octicount.verify import (
-    VerificationReport,
     _core_free_octic_classes,
     run_all_group_verifiers,
     verify_a8_containment,
@@ -151,6 +152,40 @@ class TestCatalogIntegrity:
             act = quartic_action(label)
             assert act.induced_degree == 4
             assert act.image().order == 24
+
+
+def gl23_on_nonzero_vectors() -> PermGroup:
+    """GL(2,3) acting on the 8 nonzero vectors of F_3^2."""
+    points = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+
+    def act(m):
+        (p, q), (r, s) = m
+        return Perm(points.index(((p * a + q * b) % 3, (r * a + s * b) % 3)) + 1
+                    for a, b in points)
+
+    return PermGroup([act(((1, 1), (0, 1))), act(((1, 0), (1, 1))), act(((2, 0), (0, 1)))])
+
+
+class TestCatalogNames:
+    """The group named in the comment on each line of the catalog."""
+
+    def test_8T23_is_gl23_on_nonzero_vectors(self):
+        G = gl23_on_nonzero_vectors()
+        assert G.order == 48
+        assert perm_isomorphic(G, catalog_group("8T23")) is not None
+        assert perm_isomorphic(G, catalog_group("8T24")) is None
+
+    def test_8T24_is_s4_times_c2(self):
+        G = PermGroup([parse_cycle_string(6, c) for c in ("(1,2)", "(1,2,3,4)", "(5,6)")])
+        assert G.order == 48
+        assert abstract_isomorphic(G, catalog_group("8T24")) is not None
+        assert abstract_isomorphic(G, catalog_group("8T23")) is None
+
+    def test_8T14_is_s4(self):
+        assert abstract_isomorphic(symmetric(4), catalog_group("8T14")) is not None
+
+    def test_8T44_is_the_wreath_product(self):
+        assert catalog_group("8T44").elements == wreath_c2_s4().elements
 
 
 def quartic_by_least_conjugator(G: PermGroup, H_L: PermGroup) -> list[PermGroup]:

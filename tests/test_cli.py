@@ -540,6 +540,21 @@ class TestProcessExit:
         capsys.readouterr()
         assert gc.get_freeze_count() == frozen
 
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_main_gives_openblas_one_thread_unless_set(self, monkeypatch, preset, expected):
+        # setenv first, so that the test restores the variable's first state
+        # even after `main` sets it.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "")
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        seen = []
+        monkeypatch.setattr(octicount.cli, "run",
+                            lambda argv: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")))
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        with pytest.raises(SystemExit):
+            octicount.cli.main()
+        assert seen == [expected]
+
 
 class TestVerifySplittingCli:
     def test_json_payload(self, capsys):

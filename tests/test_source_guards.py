@@ -11,7 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import record_json_line
+from conftest import persist_to, record_json_line
 import octicount
 
 SOURCES = sorted(Path(octicount.__file__).parent.glob("*.py"))
@@ -189,28 +189,35 @@ def test_every_exported_name_resolves():
 
 
 # Runs each command in turn in one fresh interpreter and records, after the
-# bare import and after each command, its exit code and whether sympy and
-# numpy have been imported.
+# bare import and after each command, its exit code, whether sympy and numpy
+# have been imported, and which of the group modules have run.  Those are in
+# `sys.modules` from package import on, but a module that `LazyLoader` has
+# not run yet is not a `types.ModuleType` (`type`, unlike `isinstance`, reads
+# no attribute, so it runs nothing).
+GROUP_MODULES = ("perms", "catalog", "splitting", "verify")
 SYMPY_PROBE = """
-import json, sys
+import json, sys, types
 from octicount.cli import run
-seen = [["import", 0, "sympy" in sys.modules, "numpy" in sys.modules]]
+def ran():
+    return [name for name in %r if type(sys.modules["octicount." + name]) is types.ModuleType]
+seen = [["import", 0, "sympy" in sys.modules, "numpy" in sys.modules, ran()]]
 for argv in json.loads(sys.argv[1]):
-    seen.append([argv[0], run(argv), "sympy" in sys.modules, "numpy" in sys.modules])
+    seen.append([argv[0], run(argv), "sympy" in sys.modules, "numpy" in sys.modules, ran()])
 with open(sys.argv[2], "w") as fh:
     json.dump(seen, fh)
-"""
+""" % (GROUP_MODULES,)
 
 
 def _imports_seen(tmp_path, commands: list[list[str]]) -> list[list]:
     """Run the commands in one fresh interpreter; (name, exit code, sympy
-    loaded, numpy loaded) after the bare import and after each command."""
+    loaded, numpy loaded, group modules run) after the bare import and after
+    each command."""
     result = tmp_path / "seen.json"
     env = dict(os.environ, PYTHONPATH=str(Path(octicount.__file__).parent.parent))
     subprocess.run([sys.executable, "-c", SYMPY_PROBE, json.dumps(commands), str(result)],
                    env=env, check=True, capture_output=True, timeout=600)
     seen = json.loads(result.read_text())
-    assert [name for name, _, _, _ in seen] == ["import"] + [argv[0] for argv in commands]
+    assert [row[0] for row in seen] == ["import"] + [argv[0] for argv in commands]
     return seen
 
 
@@ -232,9 +239,9 @@ def test_no_command_imports_sympy(tmp_path, model_snapshot):
         ["ingest", "--in", str(infile), "--out", store],
     ])
     # verify-splitting exits 1 on the documented 8T40 index-set subcheck.
-    assert [code for _, code, _, _ in first] == [0, 0, 1, 0, 0]
-    assert [name for name, _, loaded, _ in first if loaded] == []
-    assert [name for name, _, _, loaded in first if loaded] == ["ingest"]
+    assert [code for _, code, _, _, _ in first] == [0, 0, 1, 0, 0]
+    assert [name for name, _, loaded, _, _ in first if loaded] == []
+    assert [name for name, _, _, loaded, _ in first if loaded] == ["ingest"]
     second = _imports_seen(tmp_path, [
         ["audit", *on_store],
         ["count", *on_store, "--checkpoints", "1000:100000000000:5"],
@@ -243,9 +250,17 @@ def test_no_command_imports_sympy(tmp_path, model_snapshot):
         ["constant", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
         ["fit", *on_store, "--max-disc", "10000000", "--prime-bound", "1000"],
     ])
-    assert [code for _, code, _, _ in second] == [0] * 7
-    assert [name for name, _, loaded, _ in second if loaded] == []
-    assert [name for name, _, _, loaded in second if loaded] == ["constant", "fit"]
+    assert [code for _, code, _, _, _ in second] == [0] * 7
+    assert [name for name, _, loaded, _, _ in second if loaded] == []
+    assert [name for name, _, _, loaded, _ in second if loaded] == ["constant", "fit"]
+    # The data commands never run the group code.  `ingest` runs alone in a
+    # third interpreter, since the first has run the group commands before it.
+    third = _imports_seen(tmp_path, [["ingest", "--in", str(infile),
+                                      "--out", str(tmp_path / "again.jsonl")]])
+    assert [code for _, code, _, _, _ in third] == [0, 0]
+    assert first[0][4] == [] and [ran for *_, ran in second + third] == [[]] * 9
+    assert [ran for *_, ran in first[1:4]] == [["perms", "catalog", "verify"],
+                                                list(GROUP_MODULES), list(GROUP_MODULES)]
 
 
 def test_importing_the_cli_generates_no_code(tmp_path):
@@ -286,6 +301,16 @@ def test_benchmark_tracer_hooks_resolve(tmp_path):
     # renaming one breaks `perfbench/run.py --trace 1` without any other test
     # failing.  Run one traced command next to the plain one.
     assert "root" in _plain_and_traced(tmp_path, ["malle-alpha", "--label", "8T40"])["spans"]
+
+
+def test_benchmark_tracer_hooks_resolve_on_a_data_command(tmp_path, model_snapshot):
+    # A data command runs no group module, so the tracer's own lookups are
+    # the first to read them; a tracer that found them missing from
+    # `sys.modules` once failed every traced data command.
+    store = tmp_path / "model.jsonl"
+    persist_to(model_snapshot, store)
+    spans = _plain_and_traced(tmp_path, ["audit", "--store", str(store)])["spans"]
+    assert spans["counting.audit_lemmas"][0] == 1
 
 
 def test_benchmark_tracer_counts_group_work(tmp_path):
