@@ -5,9 +5,9 @@ valuation lemmas behind counting octic fields lying over S4-quartic fields,
 plus snapshot-driven analytic evaluation of the leading constant and the
 empirical error exponent.
 
-The group modules `perms`, `catalog`, `splitting` and `verify` load lazily:
-each is in `sys.modules` from package import on, and its code runs on the
-first read of one of its attributes, which no data command makes.
+The seven working modules load lazily: each is in `sys.modules` from
+package import on, and its code runs on the first read of one of its
+attributes, so a command compiles and runs only the modules it reads.
 """
 
 import importlib.util
@@ -26,4 +26,5 @@ def _lazy(name: str):
     return module
 
 
-perms, catalog, splitting, verify = map(_lazy, ("perms", "catalog", "splitting", "verify"))
+analytic, catalog, counting, nfdata, perms, splitting, verify = map(_lazy, (
+    "analytic", "catalog", "counting", "nfdata", "perms", "splitting", "verify"))

@@ -6,11 +6,13 @@ import math
 from bisect import bisect_right
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
-from .analytic import PartialConstant
 from .nfdata import QUARTIC_LABEL, FieldRecord, Snapshot, query
 from .report import VerificationReport
+
+if TYPE_CHECKING:
+    from .analytic import PartialConstant
 
 __all__ = [
     "THETA_TARGET",

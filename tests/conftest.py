@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from sympy import prime
+from sympy import prime, primerange
 
 from octicount.catalog import catalog_group, octic_action, quartic_action
 from octicount.cli import _output_opened_first
@@ -131,8 +131,8 @@ def record_json_line(rec: FieldRecord) -> str:
 @pytest.fixture(scope="session")
 def thousand_quartics() -> list[FieldRecord]:
     """1000 distinct synthetic quartic records with prime discriminants."""
-    out = []
-    for i in range(1000):
-        p = int(prime(i + 1000))
-        out.append(quartic_record(f"Q{i:04d}", -p if i % 2 else p, [(p, 1)]))
-    return out
+    # The 1000th to the 1999th primes, 7919 to 17387, in one sieve.
+    primes = [int(p) for p in primerange(7919, 17388)]
+    assert len(primes) == 1000
+    return [quartic_record(f"Q{i:04d}", -p if i % 2 else p, [(p, 1)])
+            for i, p in enumerate(primes)]

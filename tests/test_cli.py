@@ -551,9 +551,34 @@ class TestProcessExit:
         monkeypatch.setattr(octicount.cli, "run",
                             lambda argv: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")))
         monkeypatch.setattr(gc, "freeze", lambda: None)
+        monkeypatch.setattr(gc, "disable", lambda: None)
         with pytest.raises(SystemExit):
             octicount.cli.main()
         assert seen == [expected]
+
+    def test_main_runs_the_command_with_the_collector_off(self, monkeypatch):
+        # A cold process exits right after its command, so cyclic collections
+        # while the command works would only cost time.
+        seen = []
+        monkeypatch.setattr(octicount.cli, "run", lambda argv: seen.append(gc.isenabled()))
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        try:
+            with pytest.raises(SystemExit):
+                octicount.cli.main()
+        finally:
+            gc.enable()
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_the_collector_as_it_found_it(self, capsys, enabled):
+        # Tests and tracers call `run` in a process that goes on.
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(["malle-alpha", "--label", "8T40"]) == 0
+            assert run(["verify-groups", "--no-such-option"]) == 2
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 class TestVerifySplittingCli:

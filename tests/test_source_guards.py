@@ -190,11 +190,11 @@ def test_every_exported_name_resolves():
 
 # Runs each command in turn in one fresh interpreter and records, after the
 # bare import and after each command, its exit code, whether sympy and numpy
-# have been imported, and which of the group modules have run.  Those are in
-# `sys.modules` from package import on, but a module that `LazyLoader` has
-# not run yet is not a `types.ModuleType` (`type`, unlike `isinstance`, reads
-# no attribute, so it runs nothing).
-GROUP_MODULES = ("perms", "catalog", "splitting", "verify")
+# have been imported, and which of the lazily registered package modules have
+# run.  Those are in `sys.modules` from package import on, but a module that
+# `LazyLoader` has not run yet is not a `types.ModuleType` (`type`, unlike
+# `isinstance`, reads no attribute, so it runs nothing).
+LAZY_MODULES = ("perms", "catalog", "splitting", "verify", "nfdata", "analytic", "counting")
 SYMPY_PROBE = """
 import json, sys, types
 from octicount.cli import run
@@ -205,13 +205,13 @@ for argv in json.loads(sys.argv[1]):
     seen.append([argv[0], run(argv), "sympy" in sys.modules, "numpy" in sys.modules, ran()])
 with open(sys.argv[2], "w") as fh:
     json.dump(seen, fh)
-""" % (GROUP_MODULES,)
+""" % (LAZY_MODULES,)
 
 
 def _imports_seen(tmp_path, commands: list[list[str]]) -> list[list]:
     """Run the commands in one fresh interpreter; (name, exit code, sympy
-    loaded, numpy loaded, group modules run) after the bare import and after
-    each command."""
+    loaded, numpy loaded, package modules run) after the bare import and
+    after each command."""
     result = tmp_path / "seen.json"
     env = dict(os.environ, PYTHONPATH=str(Path(octicount.__file__).parent.parent))
     subprocess.run([sys.executable, "-c", SYMPY_PROBE, json.dumps(commands), str(result)],
@@ -253,14 +253,32 @@ def test_no_command_imports_sympy(tmp_path, model_snapshot):
     assert [code for _, code, _, _, _ in second] == [0] * 7
     assert [name for name, _, loaded, _, _ in second if loaded] == []
     assert [name for name, _, _, loaded, _ in second if loaded] == ["constant", "fit"]
-    # The data commands never run the group code.  `ingest` runs alone in a
-    # third interpreter, since the first has run the group commands before it.
-    third = _imports_seen(tmp_path, [["ingest", "--in", str(infile),
-                                      "--out", str(tmp_path / "again.jsonl")]])
-    assert [code for _, code, _, _, _ in third] == [0, 0]
-    assert first[0][4] == [] and [ran for *_, ran in second + third] == [[]] * 9
-    assert [ran for *_, ran in first[1:4]] == [["perms", "catalog", "verify"],
-                                                list(GROUP_MODULES), list(GROUP_MODULES)]
+
+
+def test_each_command_runs_only_its_own_modules(tmp_path, model_snapshot):
+    # Each command runs alone in a fresh interpreter, and only the package
+    # modules it reads have run after it: a bare import runs none of them.
+    # `counting` names `analytic.PartialConstant` only for type checkers.
+    infile, store = tmp_path / "in.jsonl", str(tmp_path / "store.jsonl")
+    infile.write_text("".join(record_json_line(r) + "\n"
+                              for r in model_snapshot.records.values()))
+    on_store = ["--store", store]
+    on_model = [*on_store, "--max-disc", "10000000", "--prime-bound", "1000"]
+    table = [
+        (["verify-groups"], 0, ["perms", "catalog", "verify"]),
+        (["verify-splitting"], 1, ["perms", "catalog", "splitting"]),
+        (["malle-alpha", "--label", "8T40"], 0, ["perms", "catalog"]),
+        (["ingest", "--in", str(infile), "--out", store], 0, ["nfdata", "analytic"]),
+        (["constant", *on_model], 0, ["nfdata", "analytic"]),
+        (["fit", *on_model], 0, ["nfdata", "analytic", "counting"]),
+        (["audit", *on_store], 0, ["nfdata", "counting"]),
+        (["count", *on_store, "--checkpoints", "1000:100000000000:5"], 0, ["nfdata", "counting"]),
+        (["tail", *on_store, "--Z", "1", "--X", "1000000000"], 0, ["nfdata", "counting"]),
+        (["query", *on_store], 0, ["nfdata"]),
+    ]
+    seen = [_imports_seen(tmp_path, [argv]) for argv, _, _ in table]
+    assert [(bare[4], row[1], row[4]) for bare, row in seen] == [
+        ([], code, ran) for _, code, ran in table]
 
 
 def test_importing_the_cli_generates_no_code(tmp_path):
@@ -275,6 +293,8 @@ def test_importing_the_cli_generates_no_code(tmp_path):
     loaded = set(json.loads(probe.read_text()))
     assert "octicount.cli" in loaded
     assert sorted({"dataclasses", "inspect"} & loaded) == []
+    # Only a geometric checkpoint spec reads `fractions`, which loads `decimal`.
+    assert sorted({"decimal", "fractions"} & loaded) == []
 
 
 def _plain_and_traced(tmp_path, argv: list[str]) -> dict:
