@@ -19,7 +19,7 @@ from .perms import (
     PermGroup,
     coset_action,
     parse_cycle_string,
-    subgroup_classes,
+    subgroup_classes_of_order,
 )
 
 __all__ = [
@@ -86,17 +86,17 @@ def quartic_subgroups(G: PermGroup, H_L: PermGroup) -> list[PermGroup]:
 
     The kernel of G's action on the 4 cosets of H_K is the core of H_K, so
     the image is S4 exactly when |G| = 24 |core|, and none is when 24 does
-    not divide |G|.  The list contains one concrete subgroup per qualifying
-    class: the least member of the class, in sorted image order, that
-    contains H_L.  Over H_L = Stab(1) there is one such class per catalog
-    group; H_L = 1 yields every such class, so G maps onto S4 exactly when
-    the list over 1 is non-empty.
+    not divide |G|, when no lattice is read.  Of the index-4 classes alone,
+    the list holds one concrete subgroup per qualifying class: its least
+    member, in sorted image order, containing H_L.  Over H_L = Stab(1) there
+    is one such class per catalog group; H_L = 1 yields every such class, so
+    G maps onto S4 exactly when the list over 1 is non-empty.
     """
     if G.order % 24:
         return []
     found = []
-    for cls in subgroup_classes(G):
-        if cls.order * 4 != G.order or cls.core_order * 24 != G.order:
+    for cls in subgroup_classes_of_order(G, G.order // 4):
+        if cls.core_order * 24 != G.order:
             continue
         below = cls.element_numbers(H_L)
         over = [m for m in cls.members if below <= m]

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict, deque
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 MAX_DEGREE = 24
 MAX_ELEMENTS = 10**6
@@ -358,6 +357,7 @@ def _orbit(seed, moves) -> set:
 
 def malle_alpha(G: PermGroup) -> Fraction:
     """1 / min{ind(g) : g in G, g != e}, as an exact rational."""
+    from fractions import Fraction  # here: verify-splitting never reads it
     indices = index_set(G)
     if not indices:
         raise ValueError("no nonidentity element")
@@ -489,19 +489,36 @@ def subgroup_classes(G: PermGroup) -> tuple[SubgroupClass, ...]:
     were computed before it.  Each class keeps its members as element
     numbers; their `Perm` sets and the normalizer are built when first read.
     Results are cached per group (groups are immutable and hash by element
-    set).
+    set).  `subgroup_classes_of_order` reads the classes of one order alone.
     """
-    lattice = next((lat for lat in reversed(_LATTICES) if lat.contains(G)), None)
-    if lattice is None:
+    if not any(lat.contains(G) for lat in _LATTICES):
         lattice, orbits = _compute_lattice(G)
         _LATTICES.append(lattice)
         return _classes(lattice, G, orbits)
+    return _read_off(G, lambda members: True)
+
+
+@lru_cache(maxsize=64)
+def subgroup_classes_of_order(G: PermGroup, k: int) -> tuple[SubgroupClass, ...]:
+    """The classes of `subgroup_classes(G)` of order k, in its order.  A lattice
+    that holds G gives them with no orbit of another order; else G's is computed
+    in full.  A k that does not divide |G| gives none, and no lattice."""
+    if k < 1 or G.order % k:
+        return ()
+    if not any(lat.contains(G) for lat in _LATTICES):
+        return tuple(c for c in subgroup_classes(G) if c.order == k)
+    return _read_off(G, lambda members: len(members) == k)
+
+
+def _read_off(G: PermGroup, keep: Callable[[frozenset[int]], bool]) -> tuple[SubgroupClass, ...]:
+    """G's classes of the members `keep` takes, off the newest lattice holding G."""
+    lattice = next(lat for lat in reversed(_LATTICES) if lat.contains(G))
     A = lattice.group
     inside = frozenset(map(A._num.__getitem__, G.elements))
     tables = _conjugation_tables(A, G.generators)
     orbits, seen = [], set()
     for members in lattice.members:
-        if members <= inside and members not in seen:
+        if keep(members) and members <= inside and members not in seen:
             orbits.append(_conjugacy_orbit(A, members, tables)[0])
             seen.update(orbits[-1])
     return _classes(lattice, G, orbits)
@@ -869,7 +886,7 @@ def abstract_isomorphic(A: PermGroup, B: PermGroup) -> Optional[tuple[PermGroup,
     An isomorphism pulls B's point stabilizer back to such a K, and A's
     action on the cosets of K is then equivalent to B's on its points;
     conversely, a core-free K makes that action faithful.  Conjugate
-    subgroups give conjugate actions, so one K per class of A's lattice is
+    subgroups give conjugate actions, so one K per class of index n is
     tried.  Groups of unequal order or element-order multiset are rejected
     first, the multisets cached per group.
 
@@ -882,8 +899,8 @@ def abstract_isomorphic(A: PermGroup, B: PermGroup) -> Optional[tuple[PermGroup,
         raise ValueError(f"abstract_isomorphic needs a transitive B, got {B!r}")
     if A.order != B.order or A._element_orders != B._element_orders:
         return None
-    for cls in subgroup_classes(A):
-        if cls.order * B.degree == A.order and cls.core_order == 1:
+    for cls in subgroup_classes_of_order(A, A.order // B.degree):
+        if cls.core_order == 1:
             K = cls.representative
             c = perm_isomorphic(coset_action(A, K).image(), B)
             if c is not None:

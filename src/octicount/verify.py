@@ -19,6 +19,7 @@ from .perms import (
     parse_cycle_string,
     perm_isomorphic,
     subgroup_classes,
+    subgroup_classes_of_order,
     wreath_c2_s4,
 )
 from .report import VerificationReport
@@ -41,8 +42,10 @@ def transitive_degree8_classes() -> tuple[SubgroupClass, ...]:
 
 
 def _core_free_octic_classes(G: PermGroup) -> list[SubgroupClass]:
-    """The conjugacy classes of core-free index-8 subgroups."""
-    return [c for c in subgroup_classes(G) if c.order * 8 == G.order and c.core_order == 1]
+    """The conjugacy classes of core-free index-8 subgroups (none unless 8 | |G|)."""
+    if G.order % 8:
+        return []
+    return [c for c in subgroup_classes_of_order(G, G.order // 8) if c.core_order == 1]
 
 
 def _fuse(reps: list[PermGroup], same: Callable[[PermGroup, PermGroup], bool]) -> list[list[PermGroup]]:

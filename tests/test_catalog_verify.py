@@ -24,6 +24,7 @@ from octicount.perms import (
     quotient_as_perm,
     abstract_isomorphic,
     subgroup_classes,
+    subgroup_classes_of_order,
     wreath_c2_s4,
 )
 from octicount import catalog, verify
@@ -256,8 +257,8 @@ class TestS4ImageRule:
 
     def test_no_lattice_unless_24_divides_the_order(self, monkeypatch):
         asked = []
-        monkeypatch.setattr(catalog, "subgroup_classes",
-                            lambda G: asked.append(G.order) or subgroup_classes(G))
+        monkeypatch.setattr(catalog, "subgroup_classes_of_order",
+                            lambda G, k: asked.append(G.order) or subgroup_classes_of_order(G, k))
         trivial = PermGroup.trivial(8)
         c8 = PermGroup([parse_cycle_string(8, "(1,2,3,4,5,6,7,8)")])
         assert quartic_subgroups(c8, trivial) == []

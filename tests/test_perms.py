@@ -35,6 +35,7 @@ from octicount.perms import (
     perm_isomorphic,
     quotient_as_perm,
     subgroup_classes,
+    subgroup_classes_of_order,
     wreath_c2_s4,
 )
 
@@ -299,6 +300,7 @@ def fresh_lattices():
     """Forget every lattice, before the test, when called, and after it."""
     def forget():
         subgroup_classes.cache_clear()
+        subgroup_classes_of_order.cache_clear()
         perms._LATTICES.clear()
 
     forget()
@@ -449,14 +451,18 @@ class TestSubgroupLattice:
         with pytest.raises(RuntimeError, match=re.escape(f"normalizer in {W!r}")):
             subgroup_classes(W)
 
-    def test_restricted_lattices_equal_direct_ones(self, fresh_lattices):
-        # Every catalog group and every transitive class of W whose order 24
-        # divides (the S8-class heads whose lattices the classification
-        # reads), each computed alone, then read off W's lattice.
-        W = wreath_c2_s4()
-        groups = [catalog_group(label) for label in LABELS] + [
-            c.representative for c in subgroup_classes(W)
+    @staticmethod
+    def restricted_groups() -> list[PermGroup]:
+        """Every catalog group and every transitive class of W whose order 24
+        divides: the S8-class heads whose lattices the classification reads."""
+        return [catalog_group(label) for label in LABELS] + [
+            c.representative for c in subgroup_classes(wreath_c2_s4())
             if c.representative.is_transitive() and c.order % 24 == 0]
+
+    def test_restricted_lattices_equal_direct_ones(self, fresh_lattices):
+        # Each group computed alone, then read off W's lattice.
+        W = wreath_c2_s4()
+        groups = self.restricted_groups()
         assert len(groups) == 16
         direct = {}
         for G in groups:
@@ -468,14 +474,46 @@ class TestSubgroupLattice:
         for G in groups:
             assert lattice_fields(subgroup_classes(G)) == direct[G], G
 
-    def test_verify_groups_computes_two_lattices(self, monkeypatch, fresh_lattices):
-        # W and the C6 control of verify_s4_unique_octic; every other lattice
-        # is read off W's.
+    def test_classes_of_one_order_equal_the_filtered_lattice(self, fresh_lattices):
+        # For every order k that divides |G|: the classes of order k, read on
+        # G's own fresh lattice (the first k computes it), then read off W's.
+        # The catalog groups are among the 16, and some of the 16 have one
+        # element set, so W, S4 and the 16 make 13 groups.
+        W = wreath_c2_s4()
+        groups = list(dict.fromkeys([W, symmetric(4)] + self.restricted_groups()))
+        assert len(groups) == 13
+        orders = {G: [k for k in range(1, G.order + 1) if G.order % k == 0] for G in groups}
+        expected = {}
+        for G in groups:
+            fresh_lattices()
+            expected[G] = [lattice_fields(c for c in subgroup_classes(G) if c.order == k)
+                           for k in orders[G]]
+            fresh_lattices()
+            assert [lattice_fields(subgroup_classes_of_order(G, k))
+                    for k in orders[G]] == expected[G], G
+            assert [lat.group for lat in perms._LATTICES] == [G]
+        fresh_lattices()
+        subgroup_classes(W)
+        for G in groups:
+            assert [lattice_fields(subgroup_classes_of_order(G, k))
+                    for k in orders[G]] == expected[G], G
+        assert [lat.group for lat in perms._LATTICES] == [W, symmetric(4)]
+
+    @pytest.mark.parametrize("k", [0, -8, 5, 7, 385])
+    def test_an_order_that_does_not_divide_computes_no_lattice(self, monkeypatch,
+                                                               fresh_lattices, k):
+        monkeypatch.setattr(perms, "_compute_lattice", lambda G: pytest.fail("computed"))
+        assert subgroup_classes_of_order(wreath_c2_s4(), k) == ()
+        assert list(perms._LATTICES) == []
+
+    def test_verify_groups_computes_one_lattice(self, monkeypatch, fresh_lattices):
+        # W alone: every other lattice is read off W's, and the C6 control of
+        # verify_s4_unique_octic, with no index-8 subgroup, reads none.
         computed = []
         compute = perms._compute_lattice
         monkeypatch.setattr(perms, "_compute_lattice", lambda G: computed.append(G) or compute(G))
         assert all(r.passed for r in run_all_group_verifiers())
-        assert computed == [wreath_c2_s4(), PermGroup([P(6, "(1,2,3,4,5,6)")])]
+        assert computed == [wreath_c2_s4()]
 
     def test_coset_class_minima_on_s3(self):
         S3 = symmetric(3)

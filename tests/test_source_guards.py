@@ -281,19 +281,33 @@ def test_each_command_runs_only_its_own_modules(tmp_path, model_snapshot):
         ([], code, ran) for _, code, ran in table]
 
 
+def _modules_after(tmp_path, code: str) -> set[str]:
+    """The modules loaded after running `code` in a fresh interpreter."""
+    probe = tmp_path / "modules.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(octicount.__file__).parent.parent))
+    subprocess.run([sys.executable, "-c", "import json, sys\n" + code + "\n"
+                    "json.dump(sorted(sys.modules), open(sys.argv[1], 'w'))", str(probe)],
+                   env=env, check=True, capture_output=True, timeout=600)
+    return set(json.loads(probe.read_text()))
+
+
 def test_importing_the_cli_generates_no_code(tmp_path):
     # Every record class is a tuple or a plain class: `dataclasses`, and the
     # `inspect` it pulls in, once cost every command about 16 ms of start-up.
-    probe = tmp_path / "modules.json"
-    env = dict(os.environ, PYTHONPATH=str(Path(octicount.__file__).parent.parent))
-    subprocess.run([sys.executable, "-c",
-                    "import json, sys; import octicount.cli; "
-                    "json.dump(sorted(sys.modules), open(sys.argv[1], 'w'))", str(probe)],
-                   env=env, check=True, capture_output=True, timeout=600)
-    loaded = set(json.loads(probe.read_text()))
+    loaded = _modules_after(tmp_path, "import octicount.cli")
     assert "octicount.cli" in loaded
     assert sorted({"dataclasses", "inspect"} & loaded) == []
     # Only a geometric checkpoint spec reads `fractions`, which loads `decimal`.
+    assert sorted({"decimal", "fractions"} & loaded) == []
+
+
+def test_verify_splitting_loads_no_fractions(tmp_path):
+    # Of the group code only `malle_alpha` reads `fractions`, which loads
+    # `decimal`; verify-splitting never calls it.  It exits 1 on the
+    # documented 8T40 index-set subcheck.
+    loaded = _modules_after(tmp_path, "from octicount.cli import run\n"
+                                      "if run(['verify-splitting']) != 1: sys.exit(3)")
+    assert {"octicount.perms", "octicount.splitting"} <= loaded
     assert sorted({"decimal", "fractions"} & loaded) == []
 
 
