@@ -364,13 +364,15 @@ def _frobenius_lanes(polys: Sequence[Sequence[int]], primes: Sequence[int]
         return out
     import numpy as np
 
+    monic = [i for group in rows.values() for i in group]
+    discs = dict(zip(monic, _poly_discs([tuple(polys[i]) for i in monic])))  # row -> disc(f)
     span = np.array(primes[start:stop], np.int64)  # every prime that can be a lane
     proved = np.zeros(len(span), bool)  # which of them are a lane of some row
     grids = {}  # degree -> (its rows, where its primes start in span, its lanes, ...)
     for n, group in rows.items():
         lo = int(np.searchsorted(span, n + 1))
         columns = span[lo:]  # the primes max(5, n + 1) <= p <= MAX_PRIME_BOUND
-        disc = _residues([(_poly_disc(tuple(polys[i])),) for i in group], columns)[0]
+        disc = _residues([(discs[i],) for i in group], columns)[0]
         keep = disc != 0
         proved[lo:] |= keep.any(axis=0)
         g = _residues([[-c for c in polys[i][:n]] for i in group], columns)[:, keep]
@@ -417,43 +419,91 @@ def _frobenius_lanes(polys: Sequence[Sequence[int]], primes: Sequence[int]
 # Euler products and residues
 
 
-@lru_cache(maxsize=4096)
+# disc(f) by coefficient tuple: every polynomial of the last request, and
+# older ones while it holds at most _DISC_CACHE_SIZE.
+_DISCS: dict[tuple[int, ...], int] = {}
+_DISC_CACHE_SIZE = 4096
+
+
+def _poly_discs(polys: Sequence[tuple[int, ...]]) -> list[int]:
+    """disc(f) for each coefficient tuple f of polys, by one `_hankel_discs` call per degree.
+
+    Only the polynomials not in `_DISCS` are computed, each once.  When the
+    cache would outgrow its size, it first forgets every polynomial this
+    request does not ask for, and never one that it does.  So a request for
+    some of the last request's polynomials computes nothing: the rounds of the
+    irreducibility prescreen, each a subset of the first, and the kernel call
+    of `_local_factors`, a subset of its own request, compute each
+    discriminant once, however many polynomials they hold.
+    """
+    todo: dict[int, list[tuple[int, ...]]] = {}  # degree -> its polynomials not yet known
+    for f in dict.fromkeys(polys):
+        if f not in _DISCS:
+            todo.setdefault(len(f) - 1, []).append(f)
+    if todo and len(_DISCS) + sum(map(len, todo.values())) > _DISC_CACHE_SIZE:
+        asked = {f: _DISCS[f] for f in polys if f in _DISCS}
+        _DISCS.clear()
+        _DISCS.update(asked)
+    for group in todo.values():
+        _DISCS.update(zip(group, _hankel_discs(group)))
+    return [_DISCS[f] for f in polys]
+
+
 def _poly_disc(coeffs: tuple[int, ...]) -> int:
-    """disc(f) from the Newton power sums s_k of the roots, once per coefficient tuple.
+    """disc(f) of one coefficient tuple: `_poly_discs` on the batch of one."""
+    return _poly_discs([coeffs])[0]
+
+
+def _hankel_discs(polys: Sequence[tuple[int, ...]]) -> list[int]:
+    """disc(f) for each f of polys, all of one degree n, from the Newton power sums.
 
     For monic F of degree n, disc(F) = prod over i < j of (r_i - r_j)^2 is the
-    determinant of the Hankel matrix [s_(i+j)], 0 <= i, j < n, which Newton's
-    identities give in integers.  It is taken by fraction-free (Bareiss)
-    elimination: every division is exact, so every intermediate entry is an
-    integer minor.  A leading coefficient a goes through F(y) = a^(n-1) f(y/a),
-    which is monic with integer coefficients and disc(F) = a^((n-1)(n-2)) disc(f).
+    determinant of the Hankel matrix [s_(i+j)], 0 <= i, j < n, of the power
+    sums s_k of its roots, which Newton's identities give in integers.  It is
+    taken by fraction-free (Bareiss) elimination: every division is exact, so
+    every intermediate entry is an integer minor.  A leading coefficient a
+    goes through F(y) = a^(n-1) f(y/a), which is monic with integer
+    coefficients and disc(F) = a^((n-1)(n-2)) disc(f).  Every step runs on
+    all the polynomials at once, along the last axis of numpy object arrays of
+    Python ints, so every value stays exact.  A polynomial whose pivot
+    vanishes swaps in its first row below with a nonzero entry in the pivot
+    column; with none, its discriminant is 0 and its pivot reads 1 from then on.
     """
-    n = len(coeffs) - 1
-    if n == 1:
-        return 1
-    lead = coeffs[-1]
+    n = len(polys[0]) - 1
+    if n <= 1:
+        return [1] * len(polys)
+    import numpy as np
+
+    c = np.array(polys, dtype=object).T
+    lead = c[n]
     # e[j] is the coefficient of y^(n-1-j) in F.
-    e = [c * lead ** j for j, c in enumerate(coeffs[-2::-1])]
-    s = [n]
+    e = [c[n - 1 - j] * lead ** j for j in range(n)]
+    s = [np.full(len(polys), n, dtype=object)]
     for k in range(1, 2 * n - 1):
-        t = sum(map(operator.mul, e[:k - 1], s[k - 1::-1]))  # e_j s_(k-1-j), j < min(k-1, n)
+        t = sum(e[j] * s[k - 1 - j] for j in range(min(k - 1, n)))
         s.append(-t - k * e[k - 1] if k <= n else -t)
-    m = [s[i:i + n] for i in range(n)]
-    sign, prev = 1, 1
+    m = np.array(s)[np.add.outer(range(n), range(n))]  # m[i, j] = s_(i+j), one lane per f
+    sign = np.ones(len(polys), dtype=object)
+    dead = np.zeros(len(polys), bool)
+    prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        row_k, pivot = m[k], m[k][k]
-        for row in m[k + 1:]:
-            c = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - c * row_k[j]) // prev
+        lanes = np.flatnonzero(m[k, k] == 0)
+        if len(lanes):
+            below = m[k + 1:, k][:, lanes] != 0
+            found = below.any(axis=0)
+            swap, rows = lanes[found], k + 1 + below.argmax(axis=0)[found]
+            m[k, :, swap], m[rows, :, swap] = m[rows, :, swap], m[k, :, swap]
+            sign[swap] *= -1
+            dead[lanes[~found]] = True
+            m[k, k, lanes[~found]] = 1
+        pivot, minors = m[k, k], m[k + 1:, k + 1:]  # minors: a view, updated in place
+        minors *= pivot
+        minors -= m[k + 1:, k, None] * m[k, None, k + 1:]
+        if k:
+            minors //= prev
         prev = pivot
-    return sign * m[-1][-1] // lead ** ((n - 1) * (n - 2))
+    scale = np.where(dead, 1, lead ** ((n - 1) * (n - 2)))
+    return np.where(dead, 0, sign * m[n - 1, n - 1] // scale).tolist()
 
 
 def _local_factors(records: Sequence, primes: Sequence[int]
@@ -476,8 +526,8 @@ def _local_factors(records: Sequence, primes: Sequence[int]
         batch = records[start:start + step]
         polys = [tuple(rec.coeffs) for rec in batch]
         quotients = []
-        for rec, f in zip(batch, polys):
-            q, r = divmod(_poly_disc(f), rec.disc)
+        for rec, disc in zip(batch, _poly_discs(polys)):
+            q, r = divmod(disc, rec.disc)
             quotients.append(0 if r else q)
         lanes = _frobenius_lanes(polys, primes)
         for f, q, degrees in zip(polys, quotients, lanes):

@@ -13,6 +13,7 @@ import json
 import math
 import re
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Optional, TextIO
 
 from .arith import is_prime, primes_up_to
@@ -185,9 +186,9 @@ def _failures(records: list[FieldRecord],
     """The first check each record fails, or None if it passes them all.
 
     The structure (`FieldRecord.validate`) runs once per record.  With
-    `arithmetic`, the primality of each discriminant factor follows, then
-    irreducibility, decided by one `_irreducibility` call over the records
-    whose structure passed.
+    `arithmetic`, the primality of each discriminant factor follows, each
+    distinct factor proved once, then irreducibility, decided by one
+    `_irreducibility` call over the records whose structure passed.
     """
     failures: dict[FieldRecord, Optional[IngestError]] = {}
     for rec in records:
@@ -198,8 +199,11 @@ def _failures(records: list[FieldRecord],
             failures[rec] = exc
     if arithmetic:
         irreducible = _irreducibility([rec.coeffs for rec in records if failures[rec] is None])
-        for rec in [rec for rec, failure in failures.items() if failure is None]:
-            composite = next((p for p, _ in rec.disc_factors if not is_prime(p)), None)
+        passed = [rec for rec, failure in failures.items() if failure is None]
+        composites = {p for p in {p for rec in passed for p, _ in rec.disc_factors}
+                      if not is_prime(p)}
+        for rec in passed:
+            composite = next((p for p, _ in rec.disc_factors if p in composites), None)
             if composite is not None:
                 failures[rec] = IngestError(f"{rec.label}: disc factor {composite} is not prime")
             elif not irreducible[rec.coeffs]:
@@ -309,26 +313,20 @@ def _record_from_obj(obj: dict) -> FieldRecord:
     return rec
 
 
-def _record_to_obj(rec: FieldRecord) -> dict:
-    obj = {
-        "label": rec.label,
-        "degree": str(rec.degree),
-        "coeffs": [str(c) for c in rec.coeffs],
-        "disc": str(rec.disc),
-        "disc_factors": [[str(p), str(e)] for p, e in rec.disc_factors],
-        "galois": rec.galois,
-        "r1": str(rec.r1),
-        "r2": str(rec.r2),
-    }
-    if rec.h is not None:
-        obj["h"] = str(rec.h)
-    if rec.reg is not None:
-        obj["reg"] = rec.reg
-    if rec.w is not None:
-        obj["w"] = str(rec.w)
-    if rec.parent_label is not None:
-        obj["parent_label"] = rec.parent_label
-    return obj
+def _record_line(rec: FieldRecord) -> str:
+    """The canonical line of a record: what `json.dumps(obj, sort_keys=True,
+    separators=(",", ":"))` writes for its object, every integer a decimal
+    string and the optional fields only when present, then a newline."""
+    quote = encode_basestring_ascii
+    coeffs = ",".join([f'"{c}"' for c in rec.coeffs])
+    factors = ",".join([f'["{p}","{e}"]' for p, e in rec.disc_factors])
+    h = "" if rec.h is None else f',"h":"{rec.h}"'
+    parent = "" if rec.parent_label is None else f',"parent_label":{quote(rec.parent_label)}'
+    reg = "" if rec.reg is None else f',"reg":{quote(rec.reg)}'
+    w = "" if rec.w is None else f',"w":"{rec.w}"'
+    return (f'{{"coeffs":[{coeffs}],"degree":"{rec.degree}","disc":"{rec.disc}",'
+            f'"disc_factors":[{factors}],"galois":{quote(rec.galois)}{h},'
+            f'"label":{quote(rec.label)}{parent},"r1":"{rec.r1}","r2":"{rec.r2}"{reg}{w}}}\n')
 
 
 def ingest_lines(lines: Iterable[str], provenance: str = "", ingest_time: str = "") -> Snapshot:
@@ -435,8 +433,7 @@ def persist(snapshot: Snapshot, fh: TextIO) -> None:
         rec = snapshot.records[label]
         if failures.get(rec) is not None:
             raise failures[rec]
-        body.append(json.dumps(_record_to_obj(rec), sort_keys=True,
-                               separators=(",", ":")) + "\n")
+        body.append(_record_line(rec))
     header = {
         "format": _HEADER_TAG,
         "provenance": snapshot.provenance,

@@ -8,6 +8,7 @@ reported as witnesses, never raised.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .catalog import LABELS, catalog_group, quartic_subgroups
@@ -34,8 +35,10 @@ __all__ = [
 ]
 
 
+@cache
 def transitive_degree8_classes() -> tuple[SubgroupClass, ...]:
-    """Transitive-on-8-points subgroup classes of C2 wr S4, up to ambient conjugacy."""
+    """Transitive-on-8-points subgroup classes of C2 wr S4, up to ambient conjugacy,
+    found once per process."""
     return tuple(
         c for c in subgroup_classes(wreath_c2_s4()) if c.representative.is_transitive()
     )

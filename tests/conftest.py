@@ -106,7 +106,8 @@ def persist_to(snapshot: Snapshot, path) -> None:
         persist(snapshot, fh)
 
 
-def record_json_line(rec: FieldRecord) -> str:
+def record_obj(rec: FieldRecord) -> dict:
+    """A record as the JSON object a store line holds, every integer a decimal string."""
     obj = {
         "label": rec.label,
         "degree": str(rec.degree),
@@ -125,7 +126,11 @@ def record_json_line(rec: FieldRecord) -> str:
         obj["w"] = str(rec.w)
     if rec.parent_label is not None:
         obj["parent_label"] = rec.parent_label
-    return json.dumps(obj)
+    return obj
+
+
+def record_json_line(rec: FieldRecord) -> str:
+    return json.dumps(record_obj(rec))
 
 
 @pytest.fixture(scope="session")

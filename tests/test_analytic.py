@@ -243,7 +243,7 @@ class TestQuarticPath:
         assert degrees_of(factor_mod_p(coeffs, 7)) == degrees
         assert analytic._frobenius_lanes([coeffs], (7,)) == [[degrees]]
         # 3 is not a square mod 7, so 3 * disc has the opposite symbol.
-        monkeypatch.setattr(analytic, "_poly_disc", lambda f: 3 * disc)
+        monkeypatch.setattr(analytic, "_poly_discs", lambda polys: [3 * disc] * len(polys))
         with pytest.raises(RuntimeError, match="Stickelberger"):
             analytic._frobenius_lanes([coeffs], (7,))
 
@@ -524,21 +524,30 @@ class TestRowKernel:
         assert {p for _, p in divisors} >= {11, 283}
 
     def test_kernel_work_is_per_row(self, monkeypatch):
-        # disc(f) runs once per row, the primes are bisected twice per call,
-        # and each degree takes ceil(lanes / _LANE_CHUNK) trace passes.
+        # One batched discriminant call per degree computes one discriminant
+        # per row, the primes are bisected twice per call, and each degree
+        # takes ceil(lanes / _LANE_CHUNK) trace passes.
         rng = random.Random(13)
         polys = kernel_polys(rng, 4, 15) + kernel_polys(rng, 8, 1)
+        assert len(set(polys)) == len(polys)
         counts = Counter()
-        for name in ("bisect_left", "bisect_right", "_poly_disc"):
+        for name in ("bisect_left", "bisect_right"):
             real = getattr(analytic, name)
             monkeypatch.setattr(analytic, name, lambda *args, name=name, real=real:
                                 counts.update([name]) or real(*args))
+        rows = []
+        hankel = analytic._hankel_discs
+        monkeypatch.setattr(analytic, "_hankel_discs",
+                            lambda fs: counts.update([f"degree {len(fs[0]) - 1}"])
+                            or rows.extend(fs) or hankel(fs))
+        analytic._DISCS.clear()
         passes = Counter()
         traces = analytic._frobenius_traces
         monkeypatch.setattr(analytic, "_frobenius_traces",
                             lambda g, p: passes.update([len(g)]) or traces(g, p))
         got = analytic._frobenius_lanes(polys, primes_up_to(1000))
-        assert counts == {"bisect_left": 1, "bisect_right": 1, "_poly_disc": len(polys)}
+        assert counts == {"bisect_left": 1, "bisect_right": 1, "degree 4": 1, "degree 8": 1}
+        assert sorted(rows) == sorted(polys)
         lanes = Counter(len(f) - 1 for f, row in zip(polys, got) for d in row if d)
         assert lanes[4] > analytic._LANE_CHUNK and lanes[8]
         assert passes == {n: -(-k // analytic._LANE_CHUNK) for n, k in lanes.items()}
@@ -619,6 +628,39 @@ class TestIntegerPrimitives:
         for coeffs in ((576, 0, -960, 0, 352, 0, -40, 0, 1), (-2, 0, 0, 0, 0, 0, 0, 0, 1),
                        (0, 0, 0, 0, 1), (-1, -1, 0, 0, 0, 0, 0, 0, 1)):
             assert analytic._poly_disc(coeffs) == sympy_disc(coeffs)
+
+    def test_batched_discs_match_sympy(self):
+        # Degrees 2 to 8, monic and not; x^4 + cx + d and x^8 + cx + d, whose
+        # power sums s_1 = s_2 = 0 leave the first pivots 0 and force row
+        # swaps; and repeated roots, disc 0.  One batch per kind and degree,
+        # one batch mixing every kind, and each polynomial alone.
+        rng = random.Random(39)
+
+        def low(k):
+            return [rng.randint(-40, 40) for _ in range(k)]
+
+        kinds = [
+            [tuple(low(n)) + (1,) for n in range(2, 9) for _ in range(5)],
+            [tuple(low(n)) + (rng.choice((-7, -2, 2, 3, 12)),) for n in range(2, 9)
+             for _ in range(5)],
+            [tuple(low(2)) + (0,) * (n - 2) + (1,) for n in (4, 8) for _ in range(8)]
+            + [(0, 0, 0, 0, 1), (-2,) + (0,) * 7 + (1,), (0, 1) + (0,) * 6 + (1,)],
+            [tuple(_intmul(_intmul(g, g), low(n - 2 * len(g) + 2) + [1]))
+             for g in ([1, 1], low(1) + [1], low(2) + [1]) for n in range(4, 9)],
+        ]
+        polys = [f for kind in kinds for f in kind]
+        expected = {f: sympy_disc(f) for f in polys}
+        assert 0 in expected.values() and sum(v == 0 for v in expected.values()) >= 15
+        for kind in kinds:
+            for n in range(2, 9):
+                batch = [f for f in kind if len(f) - 1 == n]
+                if batch:
+                    assert analytic._hankel_discs(batch) == [expected[f] for f in batch]
+        rng.shuffle(polys)
+        analytic._DISCS.clear()
+        mixed = analytic._poly_discs(polys)
+        assert mixed == [expected[f] for f in polys]
+        assert all(analytic._hankel_discs([f]) == [d] for f, d in zip(polys, mixed))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(0, 30).flatmap(lambda k: st.integers(0, 10 ** k)))

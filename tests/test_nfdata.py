@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import Poly, isprime
 
 from conftest import (
@@ -16,6 +18,7 @@ from conftest import (
     persist_to,
     quartic_record,
     record_json_line,
+    record_obj,
 )
 import octicount.analytic
 from octicount import nfdata
@@ -297,6 +300,26 @@ class TestIrreducibility:
         rec = rec._replace(coeffs=C2_CUBED_OCTIC)
         assert nfdata._failures([rec], arithmetic=True) == {rec: None}
 
+    def test_each_discriminant_is_computed_once(self, monkeypatch):
+        # More distinct polynomials than the 4,096 discriminants a bounded
+        # cache once held, quartics first and octics after them: the
+        # quartics still open in later rounds were the first it evicted.
+        rng = random.Random(4097)
+        quartics = [tuple(rng.randint(-999, 999) for _ in range(4)) + (1,) for _ in range(4000)]
+        octics = [tuple(rng.randint(-99, 99) for _ in range(8)) + (1,) for _ in range(300)]
+        polys = list(dict.fromkeys(quartics + octics))
+        assert len(polys) > 4096
+        computed, rounds = Counter(), []
+        hankel, lanes = octicount.analytic._hankel_discs, octicount.analytic._frobenius_lanes
+        monkeypatch.setattr(octicount.analytic, "_hankel_discs",
+                            lambda fs: computed.update(fs) or hankel(fs))
+        monkeypatch.setattr(octicount.analytic, "_frobenius_lanes",
+                            lambda fs, primes: rounds.append(fs) or lanes(fs, primes))
+        octicount.analytic._DISCS.clear()
+        nfdata._irreducibility(polys)
+        assert set(rounds[1]) & set(polys[:len(polys) - 4096])
+        assert computed == Counter(polys)
+
     def test_reducible_octic_rejected_by_name(self):
         # (x^4 - x - 1)(x^4 + x + 1) = x^8 - x^2 - 2x - 1
         rec = octic_record("L.product", 283 ** 2, [(283, 2)], "8T23", None)
@@ -340,6 +363,12 @@ class TestQuery:
         assert [r.label for r in out] == ["A", "B", "C"]
 
 
+# Quotes, backslashes, control characters, non-ASCII text and astral code
+# points in the strings; integers of either sign and any size.
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u00e9\u20ac\U0001f600') | st.characters())
+INTEGERS = st.integers() | st.integers(-10 ** 400, 10 ** 400)
+
+
 class TestPersistence:
     def test_round_trip_identity(self, tmp_path, thousand_quartics):
         snap = Snapshot(
@@ -362,6 +391,17 @@ class TestPersistence:
         persist_to(ingest_lines(shuffled, provenance="x"), b)
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rec=st.builds(
+        FieldRecord,
+        label=TEXT, degree=INTEGERS, coeffs=st.lists(INTEGERS, max_size=9).map(tuple),
+        disc=INTEGERS, disc_factors=st.lists(st.tuples(INTEGERS, INTEGERS), max_size=4).map(tuple),
+        galois=TEXT, r1=INTEGERS, r2=INTEGERS, h=st.none() | INTEGERS, reg=st.none() | TEXT,
+        w=st.none() | INTEGERS, parent_label=st.none() | TEXT))
+    def test_record_line_is_the_canonical_json(self, rec):
+        assert nfdata._record_line(rec) == json.dumps(
+            record_obj(rec), sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_truncated_store_rejected(self, tmp_path, thousand_quartics):
         snap = Snapshot(records={r.label: r for r in thousand_quartics[:10]},

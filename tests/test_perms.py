@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octicount import catalog, perms
+from octicount import catalog, perms, verify
 from octicount.catalog import LABELS, catalog_group
 from octicount.verify import run_all_group_verifiers
 from octicount.perms import (
@@ -302,6 +302,7 @@ def fresh_lattices():
         subgroup_classes.cache_clear()
         subgroup_classes_of_order.cache_clear()
         perms._LATTICES.clear()
+        verify.transitive_degree8_classes.cache_clear()
 
     forget()
     yield forget
